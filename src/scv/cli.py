@@ -1,5 +1,7 @@
 """Command-line driver: scv verify <sweep> [flags].
 
+The eight `verify` subcommands are built from `sweeps.SWEEPS`.
+
 Exit codes: 0 when no check fails (skips allowed), 1 on any failure,
 2 on usage errors.
 """
@@ -7,100 +9,69 @@ Exit codes: 0 when no check fails (skips allowed), 1 on any failure,
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from . import __version__, sweeps
-from .exact_arith import rat
 from .report import RunReport, render_csv, render_json, render_text
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
-_INT_CONFIG_KEYS = {"pmax", "max", "nmax", "mmax", "jobs"}
 
-
-def common_options(fn):
-    fn = click.option(
-        "--out", type=click.Path(dir_okay=False, writable=True), default=None,
-        help="Write the report to FILE instead of stdout.",
-    )(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-        default="text", show_default=True, help="Report format.",
-    )(fn)
-    fn = click.option(
-        "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-        help="Worker processes for the sweep grid.",
-    )(fn)
-    fn = click.option(
-        "--config", "config_path",
-        type=click.Path(exists=True, dir_okay=False), default=None,
-        help="key=value file supplying defaults; explicit flags win.",
-    )(fn)
-    return click.pass_context(fn)
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Read key=value lines into the command's defaults; keys are flag names."""
+    if path is None:
+        return
+    values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key] = [x.strip() for x in value.split(",") if x.strip()] if key == "x" else value
+    ctx.default_map = values
 
 
-def _resolve(ctx: click.Context, config_path: str | None, values: dict[str, object]) -> dict[str, object]:
-    """Fill in config-file values for parameters the user left at their defaults.
-
-    Config keys match flag names; the click parameter backing --format is
-    'fmt' and --x collects into 'xs', so those two are translated.
-    """
-    if not config_path:
-        return values
-    cfg = _load_config(config_path)
-    param_names = {"format": "fmt", "x": "xs", "max": "bound"}
-    out = dict(values)
-    for key, raw in cfg.items():
-        if key not in out:
-            continue
-        source = ctx.get_parameter_source(param_names.get(key, key))
-        if source is not None and source != ParameterSource.DEFAULT:
-            continue
-        if key in _INT_CONFIG_KEYS:
-            out[key] = int(raw)
-        elif key == "x":
-            out[key] = tuple(part.strip() for part in raw.split(",") if part.strip())
-        else:
-            out[key] = raw
-    return out
+_COMMON_OPTIONS = (
+    click.Option(
+        ["--config"], type=click.Path(exists=True, dir_okay=False), default=None,
+        is_eager=True, expose_value=False, callback=_load_config,
+        help="key=value file supplying defaults; explicit flags win.",
+    ),
+    click.Option(
+        ["--jobs"], type=click.IntRange(min=1), default=1, show_default=True,
+        help="Worker processes for the sweep grid.",
+    ),
+    click.Option(
+        ["--format"], type=click.Choice(list(_RENDERERS)), default="text", show_default=True,
+        help="Report format.",
+    ),
+    click.Option(
+        ["--out"], type=click.Path(dir_okay=False, writable=True), default=None,
+        help="Write the report to FILE instead of stdout.",
+    ),
+)
 
 
-def _execute(ctx: click.Context, subcommand: str, invocation: dict[str, object], tasks) -> None:
-    fmt = invocation["format"]
-    if fmt not in _RENDERERS:
-        raise click.UsageError(f"unknown format {fmt!r}")
-    jobs = int(invocation["jobs"])
+def _execute(
+    subcommand: str, grid: sweeps.Grid, jobs: int, format: str, out: str | None, **options
+) -> None:
     start = time.perf_counter()
-    try:
-        checks = sweeps.run_tasks(tasks, jobs=jobs)
-    except (KeyError, ValueError) as exc:
-        # bad values reaching task generation come from flags or config
-        raise click.UsageError(str(exc))
+    checks = sweeps.run_tasks(grid(**options), jobs=jobs)
     elapsed = time.perf_counter() - start
-    out = invocation.get("out")
+    if not checks:
+        raise click.UsageError("these bounds select no checks")
     report = RunReport(
         tool_version=__version__,
-        invocation={"subcommand": subcommand, **invocation},
+        invocation=dict(subcommand=subcommand, **options, jobs=jobs, format=format, out=out),
         checks=checks,
         elapsed_seconds=round(elapsed, 6),
     )
-    rendered = _RENDERERS[fmt](report)
+    rendered = _RENDERERS[format](report)
     if out:
         Path(out).write_text(rendered)
         s = report.summary
@@ -109,7 +80,7 @@ def _execute(ctx: click.Context, subcommand: str, invocation: dict[str, object],
         )
     else:
         click.echo(rendered, nl=False)
-    ctx.exit(0 if report.failures == 0 else 1)
+    click.get_current_context().exit(0 if report.failures == 0 else 1)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -123,121 +94,11 @@ def verify() -> None:
     """Run one verification sweep and report every check."""
 
 
-@verify.command("rv")
-@click.option("--pmax", type=int, default=200, show_default=True,
-              help="Sweep primes 5 <= p <= PMAX.")
-@common_options
-def rv_cmd(ctx, pmax, out, fmt, jobs, config_path):
-    """Hypergeometric partial sums against Legendre symbols, mod p^2."""
-    inv = _resolve(ctx, config_path, {"pmax": pmax, "format": fmt, "jobs": jobs, "out": out})
-    _execute(ctx, "verify rv", inv, sweeps.tasks_rv(inv["pmax"]))
-
-
-@verify.command("lemma2p")
-@click.option("--pmax", type=int, default=200, show_default=True,
-              help="Sweep primes 5 <= p <= PMAX.")
-@common_options
-def lemma2p_cmd(ctx, pmax, out, fmt, jobs, config_path):
-    """The same sums taken to 2p-1 terms, against their rational constants."""
-    inv = _resolve(ctx, config_path, {"pmax": pmax, "format": fmt, "jobs": jobs, "out": out})
-    _execute(ctx, "verify lemma2p", inv, sweeps.tasks_lemma2p(inv["pmax"]))
-
-
-@verify.command("sun-p4")
-@click.option("--pmax", type=int, default=100, show_default=True,
-              help="Sweep primes 5 <= p <= PMAX.")
-@common_options
-def sun_p4_cmd(ctx, pmax, out, fmt, jobs, config_path):
-    """Weighted s_k^2 sums against constant * Legendre * p^2, mod p^4."""
-    inv = _resolve(ctx, config_path, {"pmax": pmax, "format": fmt, "jobs": jobs, "out": out})
-    _execute(ctx, "verify sun-p4", inv, sweeps.tasks_sun_p4(inv["pmax"]))
-
-
-def _validate_rationals(ctx, param, value):
-    for item in value:
-        try:
-            rat(item)
-        except (ValueError, ZeroDivisionError):
-            raise click.BadParameter(f"expected a rational like -1/2, got {item!r}")
-    return value
-
-
-@verify.command("guo-bb1")
-@click.option("--pmax", type=int, default=50, show_default=True,
-              help="Sweep odd primes 3 <= p <= PMAX.")
-@click.option("--x", "xs", multiple=True, metavar="RAT", callback=_validate_rationals,
-              help="Evaluation point a/b (repeatable). Default: "
-                   + " ".join(sweeps.DEFAULT_BB1_X))
-@common_options
-def guo_bb1_cmd(ctx, pmax, xs, out, fmt, jobs, config_path):
-    """Mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum."""
-    inv = _resolve(ctx, config_path, {
-        "pmax": pmax, "x": tuple(xs) or sweeps.DEFAULT_BB1_X,
-        "format": fmt, "jobs": jobs, "out": out,
-    })
-    tasks = sweeps.tasks_guo_bb1(inv["pmax"], tuple(inv["x"]))
-    inv["x"] = list(inv["x"])
-    _execute(ctx, "verify guo-bb1", inv, tasks)
-
-
-@verify.command("cc")
-@click.option("--which", type=click.Choice(["cc5", "cc7", "cc8", "cc9", "cc10", "all"]),
-              default="all", show_default=True, help="Which chain step to sweep.")
-@click.option("--pmax", type=int, default=50, show_default=True,
-              help="Sweep primes 5 <= p <= PMAX.")
-@common_options
-def cc_cmd(ctx, which, pmax, out, fmt, jobs, config_path):
-    """The chain of summation-order, partial-row and valuation checks."""
-    inv = _resolve(ctx, config_path, {
-        "which": which, "pmax": pmax, "format": fmt, "jobs": jobs, "out": out,
-    })
-    _execute(ctx, "verify cc", inv, sweeps.tasks_cc(inv["which"], inv["pmax"]))
-
-
-@verify.command("identity")
-@click.option("--name",
-              type=click.Choice(list(sweeps.IDENTITY_DEFAULT_MAX) + ["all"]),
-              default="all", show_default=True, help="Which identity to check.")
-@click.option("--max", "bound", type=int, default=None, metavar="N",
-              help="Upper index bound; default depends on the identity.")
-@common_options
-def identity_cmd(ctx, name, bound, out, fmt, jobs, config_path):
-    """Exact polynomial and integer identities (coefficient-level equality)."""
-    inv = _resolve(ctx, config_path, {
-        "name": name, "max": bound, "format": fmt, "jobs": jobs, "out": out,
-    })
-    tasks = sweeps.tasks_identity(inv["name"], inv["max"])
-    _execute(ctx, "verify identity", inv, tasks)
-
-
-@verify.command("integrality")
-@click.option("--nmax", type=int, default=10, show_default=True)
-@click.option("--mmax", type=int, default=3, show_default=True)
-@click.option("--eps", type=click.Choice(["+1", "-1", "both"]), default="both",
-              show_default=True)
-@common_options
-def integrality_cmd(ctx, nmax, mmax, eps, out, fmt, jobs, config_path):
-    """Integer-valuedness of the averaged d^m s^m sums (binomial-basis criterion)."""
-    inv = _resolve(ctx, config_path, {
-        "nmax": nmax, "mmax": mmax, "eps": eps, "format": fmt, "jobs": jobs, "out": out,
-    })
-    tasks = sweeps.tasks_integrality(inv["nmax"], inv["mmax"], inv["eps"])
-    _execute(ctx, "verify integrality", inv, tasks)
-
-
-@verify.command("schmidt")
-@click.option("--nmax", type=int, default=6, show_default=True)
-@click.option("--mmax", type=int, default=3, show_default=True)
-@click.option("--eps", type=click.Choice(["+1", "-1", "both"]), default="both",
-              show_default=True)
-@common_options
-def schmidt_cmd(ctx, nmax, mmax, eps, out, fmt, jobs, config_path):
-    """Divisibility of Schmidt power-sum coefficients, over indeterminates."""
-    inv = _resolve(ctx, config_path, {
-        "nmax": nmax, "mmax": mmax, "eps": eps, "format": fmt, "jobs": jobs, "out": out,
-    })
-    tasks = sweeps.tasks_schmidt(inv["nmax"], inv["mmax"], inv["eps"])
-    _execute(ctx, "verify schmidt", inv, tasks)
+for _name, _sweep in sweeps.SWEEPS.items():
+    verify.add_command(click.Command(
+        _name, callback=partial(_execute, f"verify {_name}", _sweep.grid),
+        params=[*_sweep.options, *_COMMON_OPTIONS], help=_sweep.help,
+    ))
 
 
 if __name__ == "__main__":

@@ -111,13 +111,14 @@ def _require_prime(p: int, minimum: int) -> None:
         raise OutOfRange(f"p = {p} is below the minimum prime {minimum}")
 
 
-_SUPPORTED_X = (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 6))
+# the x of the cc checks, as written in their report parameters
+SUPPORTED_X = ("-1/2", "-1/3", "-1/4", "-1/6")
 
 
 def _require_supported_x(x: Rat) -> Fraction:
     x = Fraction(x)
-    if x not in _SUPPORTED_X:
-        raise OutOfRange(f"x = {rat_str(x)} is not one of -1/2, -1/3, -1/4, -1/6")
+    if rat_str(x) not in SUPPORTED_X:
+        raise OutOfRange(f"x = {rat_str(x)} is not one of {', '.join(SUPPORTED_X)}")
     return x
 
 

@@ -84,12 +84,15 @@ def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
 
 @dataclass
 class RunReport:
-    """One CLI invocation's worth of checks plus bookkeeping."""
+    """One CLI invocation's worth of checks, kept in canonical order, plus bookkeeping."""
 
     tool_version: str
     invocation: dict[str, object]
     checks: list[CheckResult] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.checks = sort_checks(self.checks)
 
     @property
     def summary(self) -> dict[str, int]:
@@ -109,7 +112,7 @@ class RunReport:
         return {
             "version": self.tool_version,
             "invocation": dict(self.invocation),
-            "checks": [c.to_dict() for c in sort_checks(self.checks)],
+            "checks": [c.to_dict() for c in self.checks],
             "summary": self.summary,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -129,7 +132,7 @@ def render_csv(report: RunReport) -> str:
     writer.writerow(
         ["check_name", "parameters", "pass", "skipped", "lhs_witness", "rhs_witness", "modulus"]
     )
-    for c in sort_checks(report.checks):
+    for c in report.checks:
         writer.writerow(
             [
                 c.check_name,
@@ -155,7 +158,7 @@ def _shorten(s: str) -> str:
 
 def render_text(report: RunReport) -> str:
     lines = []
-    for c in sort_checks(report.checks):
+    for c in report.checks:
         status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
         detail = _params_compact(c.parameters)
         if c.skipped:

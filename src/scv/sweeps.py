@@ -1,36 +1,34 @@
-"""Sweep task generation and execution.
+"""The sweep registry, task generation and execution.
+
+SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
+help text, its click options (type, range, default) and the grid function
+that turns the option values into tasks. KINDS maps each task kind to its
+verifier. Adding a sweep means adding one SWEEPS entry plus its KINDS entries.
 
 A task is a picklable (kind, ((key, value), ...)) pair describing one pure
 check, so grids can run sequentially or across worker processes with
-identical results; outputs are canonically sorted either way.
+identical results, returned in task order either way.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import click
 
 from . import congruences, identities, integrality
-from .congruences import CheckResult, skipped_result
+from .congruences import SUPPORTED_X, CheckResult, skipped_result
 from .exact_arith import primes_in_range, rat
-from .report import sort_checks
 from .sequences import RV_FAMILIES, family_by_label
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
+Grid = Callable[..., Iterator[Task]]
 
 DEFAULT_BB1_X = ("0", "1", "2", "-1/2", "-1/3", "1/3", "2/5")
-SUPPORTED_X = ("-1/2", "-1/3", "-1/4", "-1/6")
-
-IDENTITY_DEFAULT_MAX = {
-    "cc1": 8,
-    "cc4": 12,
-    "liu26": 60,
-    "telescope": 12,
-    "bb2": 8,
-    "bb4-direct": 25,
-    "bb4-recurrence": 40,
-}
 
 # n never exceeds the verified window of the recurrence certificate.
 BB4_N_MAX = 25
@@ -40,7 +38,7 @@ def _task(kind: str, **kwargs: object) -> Task:
     return (kind, tuple(sorted(kwargs.items())))
 
 
-_DISPATCH = {
+KINDS = {
     "rv": lambda family, p: congruences.verify_rv(family_by_label(family), p),
     "lemma2p": lambda family, p: congruences.verify_lemma_2p(family_by_label(family), p),
     "sun-p4": lambda family, p: congruences.verify_sun_p4(family_by_label(family), p),
@@ -71,118 +69,177 @@ _DISPATCH = {
 
 
 def execute_task(task: Task) -> CheckResult:
+    """Run one check; an exception inside it becomes a failed `error:` record."""
     kind, kv = task
-    return _DISPATCH[kind](**dict(kv))
+    params = dict(kv)
+    verify = KINDS[kind]
+    try:
+        return verify(**params)
+    except Exception as exc:  # a raising check is a reported failure, not a crash
+        return CheckResult(
+            check_name=kind,
+            parameters=params,
+            passed=False,
+            lhs_witness=f"error: {type(exc).__name__}: {exc}",
+            rhs_witness="",
+            modulus="error",
+        )
 
 
 def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
+    """Results in task order, on at most `jobs` workers (never more than CPUs or tasks)."""
     tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [execute_task(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute_task, tasks, chunksize=chunk))
-    return sort_checks(results)
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [execute_task(t) for t in tasks]
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(execute_task, tasks, chunksize=chunk))
 
 
-def tasks_rv(pmax: int) -> Iterator[Task]:
-    for fam in RV_FAMILIES:
-        for p in primes_in_range(5, pmax):
-            yield _task("rv", family=fam.label, p=p)
+def _families(kind: str, pmax: int) -> Iterator[Task]:
+    for fam, p in product(RV_FAMILIES, primes_in_range(5, pmax)):
+        yield _task(kind, family=fam.label, p=p)
 
 
-def tasks_lemma2p(pmax: int) -> Iterator[Task]:
-    for fam in RV_FAMILIES:
-        for p in primes_in_range(5, pmax):
-            yield _task("lemma2p", family=fam.label, p=p)
+def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
+    for one, p in product(x, primes_in_range(3, pmax)):
+        kind = "guo-bb1-skip" if rat(one).denominator % p == 0 else "guo-bb1"
+        yield _task(kind, x=one, p=p)
 
 
-def tasks_sun_p4(pmax: int) -> Iterator[Task]:
-    for fam in RV_FAMILIES:
-        for p in primes_in_range(5, pmax):
-            yield _task("sun-p4", family=fam.label, p=p)
-
-
-def tasks_guo_bb1(pmax: int, xs: tuple[str, ...] = DEFAULT_BB1_X) -> Iterator[Task]:
-    for x in xs:
-        den = Fraction(rat(x)).denominator
-        for p in primes_in_range(3, pmax):
-            if den % p == 0:
-                yield _task("guo-bb1-skip", x=x, p=p)
-            else:
-                yield _task("guo-bb1", x=x, p=p)
-
-
-def tasks_cc(which: str, pmax: int) -> Iterator[Task]:
+def _cc(which: str, pmax: int) -> Iterator[Task]:
     kinds = ("cc5", "cc7", "cc8", "cc9", "cc10") if which == "all" else (which,)
-    for kind in kinds:
-        for p in primes_in_range(5, pmax):
-            if kind == "cc7":
-                for s in range(p, 2 * p - 1):
-                    yield _task("cc7", s=s, p=p)
-            else:
-                for x in SUPPORTED_X:
-                    yield _task(kind, x=x, p=p)
+    for kind, p in product(kinds, primes_in_range(5, pmax)):
+        if kind == "cc7":
+            for s in range(p, 2 * p - 1):
+                yield _task("cc7", s=s, p=p)
+        else:
+            for x in SUPPORTED_X:
+                yield _task(kind, x=x, p=p)
 
 
-def _tasks_one_identity(name: str, bound: int | None) -> Iterator[Task]:
-    top = IDENTITY_DEFAULT_MAX[name] if bound is None else bound
-    if name == "cc1":
-        for j in range(top + 1):
-            for k in range(top + 1):
-                yield _task("cc1", j=j, k=k)
-    elif name == "cc4":
-        for k in range(top + 1):
-            for s in range(2 * k + 1):
-                yield _task("cc4", k=k, s=s)
-    elif name == "liu26":
-        for s in range(top + 1):
-            yield _task("liu26", s=s)
-    elif name == "telescope":
-        for n in range(1, top + 1):
-            yield _task("telescope", n=n)
-    elif name == "bb2":
-        for n in range(top + 1):
-            yield _task("bb2", n=n)
-    elif name == "bb4-direct":
-        for m in range(top + 1):
-            for n in range(top + 1):
-                yield _task("bb4-direct", m=m, n=n)
-    elif name == "bb4-recurrence":
-        for m in range(4):
-            for n in range(BB4_N_MAX + 1):
-                yield _task("bb4-initial", m=m, n=n)
-        for side in identities.SIDES:
-            for m in range(top + 1):
-                for n in range(BB4_N_MAX + 1):
-                    yield _task("bb4-recurrence", side=side, m=m, n=n)
-    else:
-        raise ValueError(f"unknown identity {name!r}")
+def _bb4_recurrence(top: int) -> Iterator[Task]:
+    for m, n in product(range(4), range(BB4_N_MAX + 1)):
+        yield _task("bb4-initial", m=m, n=n)
+    for side, m, n in product(identities.SIDES, range(top + 1), range(BB4_N_MAX + 1)):
+        yield _task("bb4-recurrence", side=side, m=m, n=n)
 
 
-def tasks_identity(name: str, bound: int | None) -> Iterator[Task]:
-    names = tuple(IDENTITY_DEFAULT_MAX) if name == "all" else (name,)
-    for one in names:
-        yield from _tasks_one_identity(one, bound)
+class Identity(NamedTuple):
+    default_max: int
+    grid: Callable[[int], Iterator[Task]]
 
 
-def _eps_list(eps: str) -> tuple[int, ...]:
-    table = {"+1": (1,), "-1": (-1,), "both": (1, -1)}
-    if eps not in table:
-        raise ValueError(f"eps must be +1, -1 or both, got {eps!r}")
-    return table[eps]
+IDENTITIES = {
+    "cc1": Identity(8, lambda top: (
+        _task("cc1", j=j, k=k) for j, k in product(range(top + 1), repeat=2))),
+    "cc4": Identity(12, lambda top: (
+        _task("cc4", k=k, s=s) for k in range(top + 1) for s in range(2 * k + 1))),
+    "liu26": Identity(60, lambda top: (_task("liu26", s=s) for s in range(top + 1))),
+    "telescope": Identity(12, lambda top: (_task("telescope", n=n) for n in range(1, top + 1))),
+    "bb2": Identity(8, lambda top: (_task("bb2", n=n) for n in range(top + 1))),
+    "bb4-direct": Identity(25, lambda top: (
+        _task("bb4-direct", m=m, n=n) for m, n in product(range(top + 1), repeat=2))),
+    # --max bounds m; n stays in the certified window 0..BB4_N_MAX
+    "bb4-recurrence": Identity(40, _bb4_recurrence),
+}
 
 
-def tasks_integrality(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
-    for n in range(1, nmax + 1):
-        for m in range(1, mmax + 1):
-            for e in _eps_list(eps):
-                yield _task("integer-valued", n=n, m=m, eps=e)
+def _identity(name: str, max: int | None) -> Iterator[Task]:
+    for one in IDENTITIES if name == "all" else (name,):
+        yield from IDENTITIES[one].grid(IDENTITIES[one].default_max if max is None else max)
 
 
-def tasks_schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
-    for n in range(1, nmax + 1):
-        for m in range(1, mmax + 1):
-            for e in _eps_list(eps):
-                yield _task("schmidt-divisibility", n=n, m=m, eps=e)
+_EPS = {"+1": (1,), "-1": (-1,), "both": (1, -1)}
+
+
+def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
+    for n, m, e in product(range(1, nmax + 1), range(1, mmax + 1), _EPS[eps]):
+        yield _task(kind, n=n, m=m, eps=e)
+
+
+def _validate_rationals(ctx, param, value):
+    for item in value:
+        try:
+            rat(item)
+        except (ValueError, ZeroDivisionError):
+            raise click.BadParameter(f"expected a rational like -1/2, got {item!r}")
+    return value
+
+
+def _pmax(default: int, least: int = 5) -> click.Option:
+    odd = "odd " if least == 3 else ""
+    return click.Option(
+        ["--pmax"], type=click.IntRange(min=least), default=default, show_default=True,
+        help=f"Sweep {odd}primes {least} <= p <= PMAX.",
+    )
+
+
+def _at_least_one(flag: str, default: int) -> click.Option:
+    return click.Option([flag], type=click.IntRange(min=1), default=default, show_default=True)
+
+
+_EPS_OPTION = click.Option(
+    ["--eps"], type=click.Choice(list(_EPS)), default="both", show_default=True
+)
+
+
+class Sweep(NamedTuple):
+    help: str
+    options: tuple[click.Option, ...]
+    grid: Grid
+
+
+SWEEPS = {
+    "rv": Sweep(
+        "Hypergeometric partial sums against Legendre symbols, mod p^2.",
+        (_pmax(200),), partial(_families, "rv"),
+    ),
+    "lemma2p": Sweep(
+        "The same sums taken to 2p-1 terms, against their rational constants.",
+        (_pmax(200),), partial(_families, "lemma2p"),
+    ),
+    "sun-p4": Sweep(
+        "Weighted s_k^2 sums against constant * Legendre * p^2, mod p^4.",
+        (_pmax(100),), partial(_families, "sun-p4"),
+    ),
+    "guo-bb1": Sweep(
+        "Mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.",
+        (_pmax(50, least=3), click.Option(
+            ["--x"], multiple=True, default=DEFAULT_BB1_X, metavar="RAT",
+            callback=_validate_rationals,
+            help="Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X),
+        )),
+        _guo_bb1,
+    ),
+    "cc": Sweep(
+        "The chain of summation-order, partial-row and valuation checks.",
+        (click.Option(
+            ["--which"], type=click.Choice(["cc5", "cc7", "cc8", "cc9", "cc10", "all"]),
+            default="all", show_default=True, help="Which chain step to sweep.",
+        ), _pmax(50)),
+        _cc,
+    ),
+    "identity": Sweep(
+        "Exact polynomial and integer identities (coefficient-level equality).",
+        (click.Option(
+            ["--name"], type=click.Choice([*IDENTITIES, "all"]), default="all",
+            show_default=True, help="Which identity to check.",
+        ), click.Option(
+            ["--max"], type=click.IntRange(min=0), default=None, metavar="N",
+            help="Upper index bound; default depends on the identity.",
+        )),
+        _identity,
+    ),
+    "integrality": Sweep(
+        "Integer-valuedness of the averaged d^m s^m sums (binomial-basis criterion).",
+        (_at_least_one("--nmax", 10), _at_least_one("--mmax", 3), _EPS_OPTION),
+        partial(_n_m_eps, "integer-valued"),
+    ),
+    "schmidt": Sweep(
+        "Divisibility of Schmidt power-sum coefficients, over indeterminates.",
+        (_at_least_one("--nmax", 6), _at_least_one("--mmax", 3), _EPS_OPTION),
+        partial(_n_m_eps, "schmidt-divisibility"),
+    ),
+}

@@ -19,17 +19,7 @@ from scv.integrality import (
 )
 from scv.poly import UniPoly, newton_coefficients
 from scv.sequences import d_val, delannoy_oracle
-from scv.sweeps import (
-    run_tasks,
-    tasks_cc,
-    tasks_guo_bb1,
-    tasks_identity,
-    tasks_integrality,
-    tasks_lemma2p,
-    tasks_rv,
-    tasks_schmidt,
-    tasks_sun_p4,
-)
+from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -49,28 +39,28 @@ def _all_pass(results) -> bool:
 
 
 def test_criterion_01_rv_sweep():
-    results, elapsed = _run(tasks_rv(200))
+    results, elapsed = _run(SWEEPS["rv"].grid(200))
     ok = len(results) == 176 and _all_pass(results) and elapsed < 10
     _criterion(1, "rv families mod p^2, p <= 200", ok,
                f"{len(results)} checks, {elapsed:.2f}s, budget 10s")
 
 
 def test_criterion_02_lemma2p_sweep():
-    results, elapsed = _run(tasks_lemma2p(200))
+    results, elapsed = _run(SWEEPS["lemma2p"].grid(200))
     ok = len(results) == 176 and _all_pass(results) and elapsed < 20
     _criterion(2, "2p-term sums mod p^2, p <= 200", ok,
                f"{len(results)} checks, {elapsed:.2f}s, budget 20s")
 
 
 def test_criterion_03_sun_p4_sweep():
-    results, elapsed = _run(tasks_sun_p4(100))
+    results, elapsed = _run(SWEEPS["sun-p4"].grid(100))
     ok = len(results) == 92 and _all_pass(results) and elapsed < 60
     _criterion(3, "weighted s_k^2 sums mod p^4, p <= 100", ok,
                f"{len(results)} checks, {elapsed:.2f}s, budget 60s")
 
 
 def test_criterion_04_guo_bb1_sweep():
-    results, elapsed = _run(tasks_guo_bb1(50))
+    results, elapsed = _run(SWEEPS["guo-bb1"].grid(50, DEFAULT_BB1_X))
     skipped = sum(1 for r in results if r.skipped)
     passed = sum(1 for r in results if r.passed and not r.skipped)
     ok = (
@@ -82,7 +72,7 @@ def test_criterion_04_guo_bb1_sweep():
 
 
 def test_criterion_05_cc_chain():
-    results, elapsed = _run(tasks_cc("all", 50))
+    results, elapsed = _run(SWEEPS["cc"].grid("all", 50))
     by_name = {}
     for r in results:
         by_name.setdefault(r.check_name, []).append(r)
@@ -95,11 +85,11 @@ def test_criterion_05_cc_chain():
 
 def test_criterion_06_identity_suite():
     parts = {
-        "cc1": tasks_identity("cc1", 8),
-        "cc4": tasks_identity("cc4", 12),
-        "liu26": tasks_identity("liu26", 60),
-        "telescope": tasks_identity("telescope", 12),
-        "bb2": tasks_identity("bb2", 8),
+        "cc1": SWEEPS["identity"].grid("cc1", 8),
+        "cc4": SWEEPS["identity"].grid("cc4", 12),
+        "liu26": SWEEPS["identity"].grid("liu26", 60),
+        "telescope": SWEEPS["identity"].grid("telescope", 12),
+        "bb2": SWEEPS["identity"].grid("bb2", 8),
     }
     counts = {}
     ok = True
@@ -112,8 +102,8 @@ def test_criterion_06_identity_suite():
 
 
 def test_criterion_07_bb4_direct_and_recurrence():
-    direct, e1 = _run(tasks_identity("bb4-direct", 25))
-    rec, e2 = _run(tasks_identity("bb4-recurrence", 40))
+    direct, e1 = _run(SWEEPS["identity"].grid("bb4-direct", 25))
+    rec, e2 = _run(SWEEPS["identity"].grid("bb4-recurrence", 40))
     residuals = [r for r in rec if r.check_name == "bb4-recurrence"]
     initials = [r for r in rec if r.check_name == "bb4-initial"]
     # induction closure: residuals zero + equal initial rows imply equality
@@ -135,7 +125,7 @@ def test_criterion_07_bb4_direct_and_recurrence():
 
 
 def test_criterion_08_integer_valuedness():
-    results, elapsed = _run(tasks_integrality(10, 3, "both"))
+    results, elapsed = _run(SWEEPS["integrality"].grid(10, 3, "both"))
     ok = len(results) == 60 and _all_pass(results)
     oracle_ok = True
     for n in range(1, 6):
@@ -151,7 +141,7 @@ def test_criterion_08_integer_valuedness():
 
 
 def test_criterion_09_schmidt_divisibility():
-    results, elapsed = _run(tasks_schmidt(6, 3, "both"))
+    results, elapsed = _run(SWEEPS["schmidt"].grid(6, 3, "both"))
     ok = len(results) == 36 and _all_pass(results)
     _criterion(9, "Schmidt power-sum coefficients divisible by n, n <= 6, m <= 3", ok,
                f"{len(results)} checks, {elapsed:.2f}s")

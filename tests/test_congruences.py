@@ -139,9 +139,9 @@ def test_congruence_witness_relation():
 
 def test_cc_chain_holds_to_p_100():
     # module invariant: the whole chain extends to 5 <= p <= 100
-    from scv.sweeps import run_tasks, tasks_cc
+    from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(tasks_cc("all", 100))
+    results = run_tasks(SWEEPS["cc"].grid("all", 100))
     assert len(results) == 1400
     assert all(r.passed for r in results)
 

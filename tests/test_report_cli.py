@@ -5,6 +5,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 from click.testing import CliRunner
 
 import scv.sweeps as sweeps
@@ -151,7 +152,7 @@ def test_cli_identity_counts():
 
 def test_cli_exit_code_on_failure(monkeypatch):
     monkeypatch.setitem(
-        sweeps._DISPATCH,
+        sweeps.KINDS,
         "liu26",
         lambda s: _check("liu26", {"s": s}, passed=False),
     )
@@ -165,6 +166,76 @@ def test_cli_usage_errors():
     assert run_cli("verify", "rv", "--bogus").exit_code == 2
     assert run_cli("verify", "cc", "--which", "cc99").exit_code == 2
     assert run_cli("verify", "guo-bb1", "--x", "abc").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args,config,code",
+    [
+        (("rv", "--pmax", "4"), None, 2),
+        (("guo-bb1", "--pmax", "2"), None, 2),
+        (("integrality", "--nmax", "0"), None, 2),
+        (("schmidt", "--mmax", "0"), None, 2),
+        (("identity", "--max", "-3"), None, 2),
+        (("identity", "--name", "telescope", "--max", "0"), None, 2),
+        (("identity", "--name", "cc1", "--max", "0"), None, 0),
+        (("rv",), "pmax=abc\n", 2),
+        (("rv", "--pmax", "11"), "jobs=0\n", 2),
+    ],
+)
+def test_cli_bounds_checked_before_work(tmp_path, args, config, code):
+    argv = ["verify", *args, "--format", "json"]
+    if config is not None:
+        (tmp_path / "scv.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "scv.cfg")]
+    res = run_cli(*argv)
+    assert res.exit_code == code, res.output
+    if code == 2:
+        assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+        assert "Error:" in res.output
+    else:
+        assert len(json.loads(res.output)["checks"]) == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_cli_raising_check_is_reported_failure(monkeypatch, error):
+    def boom(s):
+        raise error(f"boom at s={s}")
+
+    monkeypatch.setitem(sweeps.KINDS, "liu26", boom)
+    res = run_cli("verify", "identity", "--name", "liu26", "--max", "1", "--format", "json")
+    assert res.exit_code == 1, res.output
+    payload = json.loads(res.output)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["summary"] == {"pass": 0, "fail": 2, "skipped": 0}
+    first = payload["checks"][0]
+    assert first["parameters"] == {"s": 0} and first["pass"] is False
+    assert first["lhs_witness"] == f"error: {error.__name__}: boom at s=0"
+    assert first["modulus"] == "error"
+
+
+def test_run_tasks_caps_workers(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
+    assert sweeps.run_tasks(tasks, jobs=64) == sweeps.run_tasks(tasks)
+    assert started == [2]
+    sweeps.run_tasks(tasks[:1], jobs=64)
+    assert started == [2]  # one task runs in this process
 
 
 def test_cli_out_file(tmp_path):
