@@ -36,6 +36,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = values
 
 
+def _out_dir_exists(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """Reject an --out FILE in a missing directory before the sweep runs."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise click.BadParameter(f"directory {Path(path).parent} does not exist")
+    return path
+
+
 _COMMON_OPTIONS = (
     click.Option(
         ["--config"], type=click.Path(exists=True, dir_okay=False), default=None,
@@ -52,7 +59,7 @@ _COMMON_OPTIONS = (
     ),
     click.Option(
         ["--out"], type=click.Path(dir_okay=False, writable=True), default=None,
-        help="Write the report to FILE instead of stdout.",
+        callback=_out_dir_exists, help="Write the report to FILE instead of stdout.",
     ),
 )
 

@@ -1,14 +1,17 @@
 """Congruence verifiers for the hypergeometric and binomial-sum families.
 
 Every check computes both sides as exact rationals (no intermediate
-truncation) and decides the congruence through the valuation-aware
-`congruent`, so sums whose individual terms are not p-adic integers (the
-1/(k+1) weights at k = p-1, the s = 2p-1 tail terms) are handled correctly.
+truncation). The terms are int numerators over one known common
+denominator, so each side is summed in int arithmetic and becomes a single
+Fraction, which the valuation-aware `congruent` then compares; sums whose
+individual terms are not p-adic integers (the 1/(k+1) weights at k = p-1,
+the s = 2p-1 tail terms) are handled correctly.
 Each verifier returns a CheckResult carrying residue or valuation witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,7 +129,8 @@ def verify_rv(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
     _require_prime(p, 5)
     ctx = PAdicContext(p, 2)
-    lhs = sum(rv_terms(fam.a, p), Fraction(0))
+    terms, den = rv_terms(fam.a, p)
+    lhs = Fraction(sum(terms), den)
     rhs = Fraction(legendre(fam.discriminant, p))
     return _congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
@@ -135,15 +139,35 @@ def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
     """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
     _require_prime(p, 5)
     ctx = PAdicContext(p, 2)
-    lhs = sum(rv_terms(fam.a, 2 * p), Fraction(0))
+    terms, den = rv_terms(fam.a, 2 * p)
+    lhs = Fraction(sum(terms), den)
     rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
     return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def _weighted_s_square_sum(x: Rat, p: int) -> Fraction:
-    # sum_{k<p} (2k+1) s_k(x)^2
-    sv = s_values(x, p - 1)
-    return sum(((2 * k + 1) * sv[k] * sv[k] for k in range(p)), Fraction(0))
+    # sum_{k<p} (2k+1) s_k(x)^2, with s_k = S_k / D
+    sv, den = s_values(x, p - 1)
+    return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
+
+
+@functools.lru_cache(maxsize=None)
+def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
+    """Numerators of sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, over p!.
+
+    They depend on (s, p) only, so cc5 shares them across its x values and
+    cc7 across its s values. C(2k,s) C(s,k) vanishes unless s/2 <= k <= s.
+    """
+    den = math.factorial(p)
+    weights = [(-1) ** k * (den // (k + 1)) for k in range(p)]
+    rows = tuple(
+        sum(
+            weights[k] * math.comb(2 * k, s) * math.comb(s, k)
+            for k in range((s + 1) // 2, min(s, p - 1) + 1)
+        )
+        for s in range(2 * p - 1)
+    )
+    return rows, den
 
 
 def verify_sun_p4(fam: RVFamily, p: int) -> CheckResult:
@@ -170,13 +194,14 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
         raise NotPAdicInteger(f"x = {rat_str(x)} is not a p-adic integer for p = {p}")
     ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
-    w = central_binomial_values(x, p - 1)
-    u = pair_binomial_values(x, p - 1)
-    total = Fraction(0)
+    w, e = central_binomial_values(x, p - 1)
+    u, d = pair_binomial_values(x, p - 1)
+    weight = math.factorial(p)  # 1/(k+1) = (p!/(k+1)) / p! for k < p
+    total = 0
     for k in range(p):
-        inner = sum((u[j] * math.comb(2 * k, j + k) for j in range(k + 1)), Fraction(0))
-        total += Fraction((-1) ** k, k + 1) * w[k] * inner
-    rhs = p * p * total
+        inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
+        total += (-1) ** k * (weight // (k + 1)) * w[k] * inner
+    rhs = Fraction(p * p * total, weight * e * d)
     return _congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -191,18 +216,9 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     x = _require_supported_x(x)
     ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
-    u = pair_binomial_values(x, 2 * p - 2)
-    total = Fraction(0)
-    for s in range(2 * p - 1):
-        inner = sum(
-            (
-                Fraction((-1) ** k * math.comb(2 * k, s) * math.comb(s, k), k + 1)
-                for k in range(p)
-            ),
-            Fraction(0),
-        )
-        total += inner * u[s]
-    rhs = p * p * total
+    u, d = pair_binomial_values(x, 2 * p - 2)
+    rows, weight = _cc_row_sums(p)
+    rhs = Fraction(p * p * sum(r * v for r, v in zip(rows, u)), weight * d)
     return _congruence_result("cc5", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -216,13 +232,8 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     if not p <= s <= 2 * p - 2:
         raise OutOfRange(f"s = {s} outside [p, 2p-2] = [{p}, {2 * p - 2}]")
     ctx = PAdicContext(p, 2)
-    lhs = sum(
-        (
-            Fraction((-1) ** k * math.comb(2 * k, s) * math.comb(s, k), k + 1)
-            for k in range(p)
-        ),
-        Fraction(0),
-    )
+    rows, weight = _cc_row_sums(p)
+    lhs = Fraction(rows[s], weight)
     rhs = (-1) ** s * (Fraction(2 * p, s + 1) - 1)
     return _congruence_result("cc7", {"s": s, "p": p}, lhs, rhs, ctx)
 
@@ -231,8 +242,8 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
     _require_prime(p, 5)
     x = _require_supported_x(x)
-    u = pair_binomial_values(x, 2 * p - 1)[2 * p - 1]
-    v = padic_valuation(u, p)
+    u, d = pair_binomial_values(x, 2 * p - 1)
+    v = padic_valuation(Fraction(u[-1], d), p)
     return CheckResult(
         check_name="cc8-fact",
         parameters={"x": rat_str(x), "p": p},
@@ -251,11 +262,10 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     """
     _require_prime(p, 5)
     x = _require_supported_x(x)
-    u = pair_binomial_values(x, 2 * p - 1)
-    tail = sum(
-        (Fraction((-1) ** s, s + 1) * u[s] for s in range(p, 2 * p)), Fraction(0)
-    )
-    v = padic_valuation(tail, p)
+    u, d = pair_binomial_values(x, 2 * p - 1)
+    weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
+    tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
+    v = padic_valuation(Fraction(tail, weight * d), p)
     return CheckResult(
         check_name="cc9",
         parameters={"x": rat_str(x), "p": p},
@@ -277,8 +287,8 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     x = _require_supported_x(x)
     ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
-    u = pair_binomial_values(x, 2 * p - 1)
-    head = sum(((-1) ** s * u[s] for s in range(p)), Fraction(0))
-    full = sum(((-1) ** s * u[s] for s in range(2 * p)), Fraction(0))
-    rhs = p * p * (2 * head - full)
+    u, d = pair_binomial_values(x, 2 * p - 1)
+    head = sum((-1) ** s * u[s] for s in range(p))
+    full = sum((-1) ** s * u[s] for s in range(2 * p))
+    rhs = Fraction(p * p * (2 * head - full), d)
     return _congruence_result("cc10", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)

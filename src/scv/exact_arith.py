@@ -84,7 +84,11 @@ def padic_valuation(q: Rat | int, p: int) -> int | float:
     """v_p(q) = v_p(numerator) - v_p(denominator); +infinity for q = 0."""
     if not is_prime(p):
         raise InvalidPrime(f"p = {p} is not prime")
-    q = Fraction(q)
+    return _rat_valuation(Fraction(q), p)
+
+
+def _rat_valuation(q: Rat, p: int) -> int | float:
+    # padic_valuation for a p the caller has already validated
     if q == 0:
         return INFINITY
     return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
@@ -126,9 +130,10 @@ def congruent(a: Rat | int, b: Rat | int, ctx: PAdicContext) -> bool:
     """True iff v_p(a - b) >= k.
 
     Valuation-based, so it is well-defined even when a and b are not
-    themselves p-adic integers (only their difference matters).
+    themselves p-adic integers (only their difference matters). ctx
+    validated p when it was built, so p is not tested for primality again.
     """
-    return padic_valuation(Fraction(a) - Fraction(b), ctx.p) >= ctx.k
+    return _rat_valuation(Fraction(a) - Fraction(b), ctx.p) >= ctx.k
 
 
 def legendre(a: int, p: int) -> int:

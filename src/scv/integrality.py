@@ -124,14 +124,3 @@ def crosscheck_specialization(
         rhs_witness="[" + ", ".join(str(v) for v in rhs_vals) + "]",
         modulus="exact",
     )
-
-
-def integer_window_oracle(params: IntegralityParams) -> bool:
-    """Brute-force integrality of sun_guo_expr over one full degree window.
-
-    Tests every integer in [-(D+1), D+1] where D is the polynomial degree;
-    independent of the binomial-basis route.
-    """
-    expr = sun_guo_expr(params)
-    d = max(expr.degree, 0)
-    return all(expr.eval(t).denominator == 1 for t in range(-(d + 1), d + 2))

@@ -2,54 +2,29 @@
 
 Definitions (all exact over Rat):
 
-    pochhammer(x, k)        rising factorial x(x+1)...(x+k-1)
-    gen_binomial(x, k)      C(x, k) = x(x-1)...(x-k+1)/k! for rational x
-    d_n(x)                  sum_k C(n,k) C(x,k) 2^k          (degree n)
-    s_n(x)                  sum_k C(n,k) C(x,k) C(x+k,k)     (degree 2n)
-    S_n(x_0..x_n)           sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
-    f_k(x)                  sum_{j<=k} sum_{i<=j} C(x+j,k+j) C(x,i) C(k,j) C(j,i) 2^i
-    rv_term(a, k)           (a)_k (1-a)_k / (1)_k^2
-    signed_jacobi_term(x,s) (-x)_s (1+x)_s / (1)_s^2  ( = (-1)^s C(x,s) C(x+s,s) )
+    d_n(x)          sum_k C(n,k) C(x,k) 2^k          (degree n)
+    s_n(x)          sum_k C(n,k) C(x,k) C(x+k,k)     (degree 2n)
+    S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
+    f_k(x)          sum_{j<=k} sum_{i<=j} C(x+j,k+j) C(x,i) C(k,j) C(j,i) 2^i
+    t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-d_n(m) for integer m >= 0 counts Delannoy lattice paths; delannoy_oracle is an
-independent dynamic-programming count used to cross-check it.
-
-Each family has a symbolic path (UniPoly) and a numeric path (Rat at a point).
-The *_values table builders produce whole columns with incremental Pochhammer
-products, which keeps the congruence sweeps at O(p^2) rational operations.
+The polynomial families are UniPoly / MultiPoly values. The *_values and
+rv_terms column builders evaluate a whole column at a rational point in
+plain int arithmetic: each returns (numerators, denominator), with one
+known common denominator for the column, so a congruence check builds a
+single Fraction per side at the end instead of reducing one per term.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rat
 from .poly import MultiPoly, UniPoly, shifted_binomial_poly
-
-
-def pochhammer(x: Rat | int, k: int) -> Rat:
-    """Rising factorial (x)_k; (x)_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = Fraction(1)
-    x = Fraction(x)
-    for i in range(k):
-        out *= x + i
-    return out
-
-
-def gen_binomial(x: Rat | int, k: int) -> Rat:
-    """Generalized binomial C(x, k) for rational x and integer k >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = Fraction(1)
-    x = Fraction(x)
-    for i in range(k):
-        out = out * (x - i) / (i + 1)
-    return out
 
 
 def d_poly(n: int) -> UniPoly:
@@ -59,20 +34,6 @@ def d_poly(n: int) -> UniPoly:
     acc = UniPoly.zero()
     for k in range(n + 1):
         acc = acc + shifted_binomial_poly(0, k).scale(math.comb(n, k) * 2**k)
-    return acc
-
-
-def d_val(n: int, x: Rat | int) -> Rat:
-    """d_n(x) by direct summation with incremental C(x, k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = Fraction(x)
-    b = Fraction(1)  # C(x, k)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        if k:
-            b = b * (x - k + 1) / k
-        acc += math.comb(n, k) * b * 2**k
     return acc
 
 
@@ -96,87 +57,76 @@ def pair_binomial_poly(s: int) -> UniPoly:
     return shifted_binomial_poly(0, s) * shifted_binomial_poly(s, s)
 
 
-def s_val(n: int, x: Rat | int) -> Rat:
-    """s_n(x) by direct summation with incremental binomial products."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    u = pair_binomial_values(x, n)
-    return sum((math.comb(n, k) * u[k] for k in range(n + 1)), Fraction(0))
+def ratio_column(den: int, steps: Iterable[tuple[int, int]]) -> list[int]:
+    """[den * r_0, den * r_1, ...] for r_0 = 1 and r_s = r_{s-1} * m_s / d_s.
 
-
-def s_values(x: Rat | int, kmax: int) -> list[Rat]:
-    """[s_0(x), ..., s_kmax(x)] in O(kmax^2) rational operations."""
-    u = pair_binomial_values(x, kmax)
-    out: list[Fraction] = []
-    row = [1]  # binomial row C(k, 0..k)
-    for k in range(kmax + 1):
-        out.append(sum((row[j] * u[j] for j in range(k + 1)), Fraction(0)))
-        row = [1] + [row[j] + row[j + 1] for j in range(k)] + [1]
-    return out
-
-
-def pair_binomial_values(x: Rat | int, smax: int) -> list[Rat]:
-    """[C(x,s) * C(x+s,s) for s = 0..smax], built incrementally."""
-    x = Fraction(x)
-    out = [Fraction(1)]
-    b = Fraction(1)  # C(x, s)
-    c = Fraction(1)  # C(x+s, s)
-    for s in range(1, smax + 1):
-        b = b * (x - s + 1) / s
-        c = c * (x + s) / s
-        out.append(b * c)
-    return out
-
-
-def central_binomial_values(x: Rat | int, kmax: int) -> list[Rat]:
-    """[C(x+k, 2k) for k = 0..kmax], built incrementally."""
-    x = Fraction(x)
-    out = [Fraction(1)]
-    w = Fraction(1)
-    for k in range(1, kmax + 1):
-        w = w * (x + k) * (x - k + 1) / ((2 * k) * (2 * k - 1))
-        out.append(w)
-    return out
-
-
-def rv_term(a: Rat, k: int) -> Rat:
-    """Hypergeometric summand (a)_k (1-a)_k / (1)_k^2."""
-    num = pochhammer(a, k) * pochhammer(1 - Fraction(a), k)
-    return num / pochhammer(1, k) ** 2
-
-
-def rv_terms(a: Rat, count: int) -> list[Rat]:
-    """First `count` values of rv_term(a, .), by incremental products."""
-    a = Fraction(a)
-    out: list[Fraction] = []
-    t = Fraction(1)
-    for k in range(count):
-        out.append(t)
-        t = t * (a + k) * (1 - a + k) / (k + 1) ** 2
-    return out
-
-
-def signed_jacobi_term(x: Rat, s: int) -> Rat:
-    """(-x)_s (1+x)_s / (1)_s^2, equal to (-1)^s C(x,s) C(x+s,s)."""
-    x = Fraction(x)
-    return pochhammer(-x, s) * pochhammer(1 + x, s) / pochhammer(1, s) ** 2
-
-
-def delannoy_oracle(m: int, n: int) -> int:
-    """Lattice-path count from (0,0) to (m,n) with east, north and diagonal steps.
-
-    Plain dynamic programming D(i,j) = D(i-1,j) + D(i,j-1) + D(i-1,j-1);
-    independent oracle for d_val(n, m).
+    `steps` yields the integer pairs (m_s, d_s). Every division must be exact,
+    which holds when den is a common denominator of the whole column; a
+    remainder means a wrong den and raises ArithmeticError instead of
+    truncating.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    row = [1] * (n + 1)
-    for _ in range(m):
-        new = [1] * (n + 1)
-        for j in range(1, n + 1):
-            new[j] = row[j] + new[j - 1] + row[j - 1]
-        row = new
-    return row[n]
+    out = [den]
+    for s, (m, d) in enumerate(steps, 1):
+        q, r = divmod(out[-1] * m, d)
+        if r:
+            raise ArithmeticError(f"den is not a common denominator: step {s} leaves a remainder")
+        out.append(q)
+    return out
+
+
+def pair_binomial_values(x: Rat | int, smax: int) -> tuple[list[int], int]:
+    """Numerators of [C(x,s) * C(x+s,s) for s = 0..smax] over one denominator.
+
+    At x = a/b, C(x,s) C(x+s,s) = N_s / (b^{2s} s!^2) with N_s an integer, so
+    D = b^{2 smax} smax!^2 is a common denominator; the ratio of consecutive
+    terms is (a-(s-1)b)(a+sb) / (sb)^2.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    den = b ** (2 * smax) * math.factorial(smax) ** 2
+    steps = (((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, smax + 1))
+    return ratio_column(den, steps), den
+
+
+def central_binomial_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
+    """Numerators of [C(x+k, 2k) for k = 0..kmax] over E = b^{2 kmax} (2 kmax)!."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    den = b ** (2 * kmax) * math.factorial(2 * kmax)
+    steps = (
+        ((a + k * b) * (a - (k - 1) * b), 2 * k * (2 * k - 1) * b * b)
+        for k in range(1, kmax + 1)
+    )
+    return ratio_column(den, steps), den
+
+
+def s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
+    """Numerators of [s_0(x), ..., s_kmax(x)] over the pair-binomial denominator.
+
+    S_k = sum_j C(k,j) U_j is the binomial transform of the pair-binomial
+    numerators U, read off the first entry of repeated pairwise sums of the
+    U row: additions only, O(kmax^2) of them.
+    """
+    row, den = pair_binomial_values(x, kmax)
+    out = []
+    while row:
+        out.append(row[0])
+        row = [u + v for u, v in zip(row, row[1:])]
+    return out, den
+
+
+def rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
+    """Numerators of the first `count` terms (a)_k (1-a)_k / (1)_k^2 over one denominator.
+
+    At a = n/q the terms up to K = count-1 share D = q^{2K} K!^2; the ratio
+    of consecutive terms is (n+kq)(q-n+kq) / ((k+1)q)^2.
+    """
+    a = Fraction(a)
+    n, q = a.numerator, a.denominator
+    top = max(count - 1, 0)
+    den = q ** (2 * top) * math.factorial(top) ** 2
+    steps = (((n + k * q) * (q - n + k * q), ((k + 1) * q) ** 2) for k in range(top))
+    return ratio_column(den, steps)[:count], den
 
 
 def schmidt_coefficient(n: int, k: int) -> int:

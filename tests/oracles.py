@@ -1,0 +1,228 @@
+"""Slow, independent Fraction oracles for the tests.
+
+The library evaluates its columns as int numerators over one known
+denominator. The builders here accumulate one reduced Fraction per term,
+the plain way, and the *_sides functions compute each congruence check's
+two sides (or its valued quantity) with them, so the tests can require the
+fast path to equal this one element by element.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+
+from scv.exact_arith import Rat, legendre
+from scv.integrality import IntegralityParams, sun_guo_expr
+from scv.sequences import RVFamily
+
+
+def pochhammer(x: Rat | int, k: int) -> Rat:
+    """Rising factorial (x)_k; (x)_0 = 1."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    out = Fraction(1)
+    x = Fraction(x)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
+def gen_binomial(x: Rat | int, k: int) -> Rat:
+    """Generalized binomial C(x, k) for rational x and integer k >= 0."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    out = Fraction(1)
+    x = Fraction(x)
+    for i in range(k):
+        out = out * (x - i) / (i + 1)
+    return out
+
+
+def d_val(n: int, x: Rat | int) -> Rat:
+    """d_n(x) by direct summation with incremental C(x, k)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x = Fraction(x)
+    b = Fraction(1)  # C(x, k)
+    acc = Fraction(0)
+    for k in range(n + 1):
+        if k:
+            b = b * (x - k + 1) / k
+        acc += math.comb(n, k) * b * 2**k
+    return acc
+
+
+def s_val(n: int, x: Rat | int) -> Rat:
+    """s_n(x) by direct summation with incremental binomial products."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    u = pair_binomial_values(x, n)
+    return sum((math.comb(n, k) * u[k] for k in range(n + 1)), Fraction(0))
+
+
+def s_values(x: Rat | int, kmax: int) -> list[Rat]:
+    """[s_0(x), ..., s_kmax(x)] in O(kmax^2) rational operations."""
+    u = pair_binomial_values(x, kmax)
+    out: list[Fraction] = []
+    row = [1]  # binomial row C(k, 0..k)
+    for k in range(kmax + 1):
+        out.append(sum((row[j] * u[j] for j in range(k + 1)), Fraction(0)))
+        row = [1] + [row[j] + row[j + 1] for j in range(k)] + [1]
+    return out
+
+
+def pair_binomial_values(x: Rat | int, smax: int) -> list[Rat]:
+    """[C(x,s) * C(x+s,s) for s = 0..smax], built incrementally."""
+    x = Fraction(x)
+    out = [Fraction(1)]
+    b = Fraction(1)  # C(x, s)
+    c = Fraction(1)  # C(x+s, s)
+    for s in range(1, smax + 1):
+        b = b * (x - s + 1) / s
+        c = c * (x + s) / s
+        out.append(b * c)
+    return out
+
+
+def central_binomial_values(x: Rat | int, kmax: int) -> list[Rat]:
+    """[C(x+k, 2k) for k = 0..kmax], built incrementally."""
+    x = Fraction(x)
+    out = [Fraction(1)]
+    w = Fraction(1)
+    for k in range(1, kmax + 1):
+        w = w * (x + k) * (x - k + 1) / ((2 * k) * (2 * k - 1))
+        out.append(w)
+    return out
+
+
+def rv_term(a: Rat, k: int) -> Rat:
+    """Hypergeometric summand (a)_k (1-a)_k / (1)_k^2."""
+    num = pochhammer(a, k) * pochhammer(1 - Fraction(a), k)
+    return num / pochhammer(1, k) ** 2
+
+
+def rv_terms(a: Rat, count: int) -> list[Rat]:
+    """First `count` values of rv_term(a, .), by incremental products."""
+    a = Fraction(a)
+    out: list[Fraction] = []
+    t = Fraction(1)
+    for k in range(count):
+        out.append(t)
+        t = t * (a + k) * (1 - a + k) / (k + 1) ** 2
+    return out
+
+
+def signed_jacobi_term(x: Rat, s: int) -> Rat:
+    """(-x)_s (1+x)_s / (1)_s^2, equal to (-1)^s C(x,s) C(x+s,s)."""
+    x = Fraction(x)
+    return pochhammer(-x, s) * pochhammer(1 + x, s) / pochhammer(1, s) ** 2
+
+
+def delannoy_oracle(m: int, n: int) -> int:
+    """Lattice-path count from (0,0) to (m,n) with east, north and diagonal steps.
+
+    Plain dynamic programming D(i,j) = D(i-1,j) + D(i,j-1) + D(i-1,j-1);
+    independent oracle for d_val(n, m).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
+    row = [1] * (n + 1)
+    for _ in range(m):
+        new = [1] * (n + 1)
+        for j in range(1, n + 1):
+            new[j] = row[j] + new[j - 1] + row[j - 1]
+        row = new
+    return row[n]
+
+
+def integer_window_oracle(params: IntegralityParams) -> bool:
+    """Brute-force integrality of sun_guo_expr over one full degree window.
+
+    Tests every integer in [-(D+1), D+1] where D is the polynomial degree;
+    independent of the binomial-basis route.
+    """
+    expr = sun_guo_expr(params)
+    d = max(expr.degree, 0)
+    return all(expr.eval(t).denominator == 1 for t in range(-(d + 1), d + 2))
+
+
+def fraction_column(column: tuple[list[int], int]) -> list[Rat]:
+    """A library column (int numerators, int denominator) as Fractions."""
+    nums, den = column
+    assert all(type(n) is int for n in nums) and type(den) is int
+    return [Fraction(n, den) for n in nums]
+
+
+# Each check's sides, term by term in Fraction arithmetic.
+
+
+def rv_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+    lhs = sum(rv_terms(fam.a, p), Fraction(0))
+    return lhs, Fraction(legendre(fam.discriminant, p))
+
+
+def lemma2p_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+    lhs = sum(rv_terms(fam.a, 2 * p), Fraction(0))
+    return lhs, fam.lemma2_constant * legendre(fam.discriminant, p)
+
+
+@functools.lru_cache(maxsize=None)
+def weighted_s_square_sum(x: Rat, p: int) -> Rat:
+    # sum_{k<p} (2k+1) s_k(x)^2
+    sv = s_values(x, p - 1)
+    return sum(((2 * k + 1) * sv[k] * sv[k] for k in range(p)), Fraction(0))
+
+
+def sun_p4_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+    rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
+    return weighted_s_square_sum(fam.sun_x, p), rhs
+
+
+def guo_bb1_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
+    w = central_binomial_values(x, p - 1)
+    u = pair_binomial_values(x, p - 1)
+    total = Fraction(0)
+    for k in range(p):
+        inner = sum((u[j] * math.comb(2 * k, j + k) for j in range(k + 1)), Fraction(0))
+        total += Fraction((-1) ** k, k + 1) * w[k] * inner
+    return weighted_s_square_sum(x, p), p * p * total
+
+
+@functools.lru_cache(maxsize=None)
+def cc_row_sum(s: int, p: int) -> Rat:
+    # sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k)
+    return sum(
+        (
+            Fraction((-1) ** k * math.comb(2 * k, s) * math.comb(s, k), k + 1)
+            for k in range(p)
+        ),
+        Fraction(0),
+    )
+
+
+def cc5_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
+    u = pair_binomial_values(x, 2 * p - 2)
+    total = sum((cc_row_sum(s, p) * u[s] for s in range(2 * p - 1)), Fraction(0))
+    return weighted_s_square_sum(x, p), p * p * total
+
+
+def cc7_sides(s: int, p: int) -> tuple[Rat, Rat]:
+    return cc_row_sum(s, p), (-1) ** s * (Fraction(2 * p, s + 1) - 1)
+
+
+def cc8_value(x: Rat, p: int) -> Rat:
+    return pair_binomial_values(x, 2 * p - 1)[2 * p - 1]
+
+
+def cc9_value(x: Rat, p: int) -> Rat:
+    u = pair_binomial_values(x, 2 * p - 1)
+    return sum((Fraction((-1) ** s, s + 1) * u[s] for s in range(p, 2 * p)), Fraction(0))
+
+
+def cc10_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
+    u = pair_binomial_values(x, 2 * p - 1)
+    head = sum(((-1) ** s * u[s] for s in range(p)), Fraction(0))
+    full = sum(((-1) ** s * u[s] for s in range(2 * p)), Fraction(0))
+    return weighted_s_square_sum(x, p), p * p * (2 * head - full)

@@ -12,13 +12,9 @@ import time
 from fractions import Fraction
 
 import scv.identities as identities
-from scv.integrality import (
-    IntegralityParams,
-    integer_window_oracle,
-    verify_integer_valued,
-)
+from oracles import d_val, delannoy_oracle, integer_window_oracle
+from scv.integrality import IntegralityParams, verify_integer_valued
 from scv.poly import UniPoly, newton_coefficients
-from scv.sequences import d_val, delannoy_oracle
 from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
 

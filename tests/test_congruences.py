@@ -146,6 +146,22 @@ def test_cc_chain_holds_to_p_100():
     assert all(r.passed for r in results)
 
 
+def test_sun_p4_holds_to_p_200():
+    from scv.sweeps import SWEEPS, run_tasks
+
+    results = run_tasks(SWEEPS["sun-p4"].grid(200))
+    assert len(results) == 176
+    assert all(r.passed for r in results)
+
+
+def test_lemma2p_holds_to_p_400():
+    from scv.sweeps import SWEEPS, run_tasks
+
+    results = run_tasks(SWEEPS["lemma2p"].grid(400))
+    assert len(results) == 304
+    assert all(r.passed for r in results)
+
+
 def test_skipped_result_shape():
     r = skipped_result("guo-bb1", {"x": "1/3", "p": 3}, "not a p-adic integer")
     assert r.skipped and not r.passed

@@ -34,6 +34,8 @@ def test_padic_valuation_examples():
     assert padic_valuation(7, 7) == 1
     with pytest.raises(InvalidPrime):
         padic_valuation(Fraction(1, 2), 6)
+    with pytest.raises(InvalidPrime):
+        padic_valuation(Fraction(1, 3), 9)
 
 
 def test_mod_reduce_examples():
@@ -47,6 +49,18 @@ def test_congruent_examples():
     assert congruent(26, 1, PAdicContext(5, 2))
     assert congruent(Fraction(1, 2), 13, PAdicContext(5, 2))
     assert not congruent(Fraction(1, 5), 0, PAdicContext(5, 1))
+
+
+def test_congruent_does_not_test_the_prime_again(monkeypatch):
+    import scv.exact_arith as exact_arith
+
+    contexts = [PAdicContext(5, 2), PAdicContext(5, 1), PAdicContext(7, 4)]
+    calls = []
+    monkeypatch.setattr(exact_arith, "is_prime", lambda n: calls.append(n) or True)
+    assert congruent(26, 1, contexts[0])
+    assert not congruent(Fraction(1, 5), 0, contexts[1])
+    assert congruent(Fraction(3, 4) * 49, Fraction(3, 4) * 49 + 7**4, contexts[2])
+    assert calls == []
 
 
 def test_legendre_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import scv.identities as identities
+from oracles import d_val, s_val
 from scv.identities import (
     CoefficientError,
     RecurrenceOrder4,
@@ -21,7 +22,7 @@ from scv.identities import (
     self_test_transcription,
 )
 from scv.poly import UniPoly
-from scv.sequences import d_val, pair_binomial_poly, s_val
+from scv.sequences import pair_binomial_poly
 
 
 def test_cc1_examples():

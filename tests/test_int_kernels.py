@@ -1,0 +1,117 @@
+"""The int column kernels and the verifiers built on them, against the Fraction oracles.
+
+Every prime p <= 100; every RV family, every cc x, every default guo-bb1
+point and one point of each height class the benchmark draws guo-bb1 points
+from.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from oracles import fraction_column
+import scv.congruences as congruences
+from scv.exact_arith import primes_in_range
+from scv.sequences import (
+    RV_FAMILIES,
+    RVFamily,
+    central_binomial_values,
+    pair_binomial_values,
+    ratio_column,
+    rv_terms,
+    s_values,
+)
+from scv.sweeps import DEFAULT_BB1_X
+
+PRIMES = primes_in_range(3, 100)
+CC_X = tuple(Fraction(x) for x in congruences.SUPPORTED_X)
+HEIGHT_X = (Fraction(-1, 5), Fraction(-8, 11), Fraction(-16, 19))
+BB1_X = tuple(dict.fromkeys((*map(Fraction, DEFAULT_BB1_X), *CC_X, *HEIGHT_X)))
+
+
+@pytest.mark.parametrize("x", BB1_X, ids=str)
+def test_columns_match_fraction_oracle(x):
+    for p in PRIMES:
+        pairs = pair_binomial_values(x, 2 * p - 1)
+        assert fraction_column(pairs) == oracles.pair_binomial_values(x, 2 * p - 1)
+        central = central_binomial_values(x, p - 1)
+        assert fraction_column(central) == oracles.central_binomial_values(x, p - 1)
+        assert fraction_column(s_values(x, p - 1)) == oracles.s_values(x, p - 1)
+
+
+def test_rv_columns_match_fraction_oracle():
+    for fam in RV_FAMILIES:
+        for p in PRIMES:
+            for count in (p, 2 * p):
+                assert fraction_column(rv_terms(fam.a, count)) == oracles.rv_terms(fam.a, count)
+    assert rv_terms(Fraction(1, 2), 0) == ([], 1)
+
+
+def _spy(monkeypatch, name: str) -> list[tuple]:
+    """Record the first two arguments of every call to the decision function `congruences.<name>`."""
+    seen = []
+    real = getattr(congruences, name)
+
+    def spy(*args):
+        seen.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(congruences, name, spy)
+    return seen
+
+
+def _denominator(point) -> int:
+    return point.a.denominator if isinstance(point, RVFamily) else point.denominator
+
+
+# check -> (verifier, oracle, points, least p, decision function given the sides)
+_CHECKS = {
+    "rv": (congruences.verify_rv, oracles.rv_sides, RV_FAMILIES, 5, "congruent"),
+    "lemma2p": (congruences.verify_lemma_2p, oracles.lemma2p_sides, RV_FAMILIES, 5, "congruent"),
+    "sun-p4": (congruences.verify_sun_p4, oracles.sun_p4_sides, RV_FAMILIES, 5, "congruent"),
+    "guo-bb1": (congruences.verify_guo_bb1, oracles.guo_bb1_sides, BB1_X, 3, "congruent"),
+    "cc5": (congruences.verify_cc5, oracles.cc5_sides, CC_X, 5, "congruent"),
+    "cc8": (congruences.verify_cc8_fact, oracles.cc8_value, CC_X, 5, "padic_valuation"),
+    "cc9": (congruences.verify_cc9, oracles.cc9_value, CC_X, 5, "padic_valuation"),
+    "cc10": (congruences.verify_cc10, oracles.cc10_sides, CC_X, 5, "congruent"),
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+def test_verifier_sides_match_fraction_oracle(monkeypatch, check):
+    verify, oracle, points, least, decision = _CHECKS[check]
+    seen = _spy(monkeypatch, decision)
+    for point in points:
+        for p in PRIMES:
+            if p < least or _denominator(point) % p == 0:
+                continue
+            seen.clear()
+            assert verify(point, p).passed
+            (sides,) = seen
+            if decision == "congruent":
+                assert all(type(side) is Fraction for side in sides)
+                assert sides == oracle(point, p)
+            else:
+                assert sides == (oracle(point, p), p)
+
+
+def test_cc7_sides_match_fraction_oracle(monkeypatch):
+    seen = _spy(monkeypatch, "congruent")
+    for p in primes_in_range(5, 100):
+        for s in range(p, 2 * p - 1):
+            seen.clear()
+            assert congruences.verify_cc7(s, p).passed
+            assert seen == [oracles.cc7_sides(s, p)]
+
+
+def test_wrong_denominator_raises():
+    x = Fraction(-1, 6)
+    a, b = x.numerator, x.denominator
+    steps = [((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, 11)]
+    nums, den = pair_binomial_values(x, 10)
+    assert ratio_column(den, steps) == nums
+    with pytest.raises(ArithmeticError, match="not a common denominator"):
+        ratio_column(den // b, steps)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import integer_window_oracle
 from scv.integrality import (
     IntegralityParams,
     crosscheck_specialization,
-    integer_window_oracle,
     schmidt_power_sum,
     sun_guo_expr,
     verify_integer_valued,

@@ -248,6 +248,19 @@ def test_cli_out_file(tmp_path):
     assert payload["summary"]["pass"] == 12  # primes 5, 7, 11 x four families
 
 
+def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch):
+    calls = []
+    rv = sweeps.KINDS["rv"]
+    monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
+    res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "missing" / "x.json"))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert "does not exist" in res.output
+    assert calls == []
+    assert run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "x.json")).exit_code == 0
+    assert len(calls) == 8
+
+
 def _stripped(payload: dict) -> dict:
     payload = dict(payload)
     payload.pop("elapsed_seconds")

@@ -6,26 +6,29 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    d_val,
+    delannoy_oracle,
+    fraction_column,
+    gen_binomial,
+    pochhammer,
+    rv_term,
+    s_val,
+    signed_jacobi_term,
+)
 from scv.poly import UniPoly, is_integer_valued
 from scv.sequences import (
     RV_FAMILIES,
     central_binomial_values,
     d_poly,
-    d_val,
-    delannoy_oracle,
     f_poly,
     family_by_label,
-    gen_binomial,
     pair_binomial_poly,
     pair_binomial_values,
-    pochhammer,
-    rv_term,
     rv_terms,
     s_poly,
-    s_val,
     s_values,
     schmidt_linear_form,
-    signed_jacobi_term,
 )
 
 
@@ -76,7 +79,7 @@ def test_s_family():
 
 def test_s_values_column_matches_single_evaluations():
     x = Fraction(-1, 3)
-    col = s_values(x, 12)
+    col = fraction_column(s_values(x, 12))
     assert col == [s_val(k, x) for k in range(13)]
 
 
@@ -93,8 +96,8 @@ def test_delannoy_oracle():
 
 def test_pair_and_central_binomial_columns():
     x = Fraction(-1, 6)
-    u = pair_binomial_values(x, 10)
-    w = central_binomial_values(x, 10)
+    u = fraction_column(pair_binomial_values(x, 10))
+    w = fraction_column(central_binomial_values(x, 10))
     for s in range(11):
         assert u[s] == gen_binomial(x, s) * gen_binomial(x + s, s)
         assert w[s] == gen_binomial(x + s, 2 * s)
@@ -134,7 +137,7 @@ def test_rv_term_examples():
     assert rv_term(Fraction(1, 4), 0) == 1
     assert rv_term(Fraction(1, 3), 1) == Fraction(2, 9)
     for fam in RV_FAMILIES:
-        assert rv_terms(fam.a, 25) == [rv_term(fam.a, k) for k in range(25)]
+        assert fraction_column(rv_terms(fam.a, 25)) == [rv_term(fam.a, k) for k in range(25)]
 
 
 def test_signed_jacobi_term():
