@@ -21,11 +21,10 @@ from .exact_arith import (
     NotPAdicInteger,
     PAdicContext,
     Rat,
+    _legendre,
+    _rat_valuation,
     congruent,
-    is_prime,
-    legendre,
     mod_reduce,
-    padic_valuation,
     rat_str,
 )
 from .sequences import (
@@ -107,11 +106,12 @@ def _congruence_result(
     )
 
 
-def _require_prime(p: int, minimum: int) -> None:
-    if not is_prime(p):
-        raise InvalidPrime(f"p = {p} is not prime")
+def _require_prime(p: int, minimum: int, k: int = 1) -> PAdicContext:
+    """The check's PAdicContext(p, k); building it is the one primality test of p."""
+    ctx = PAdicContext(p, k)
     if p < minimum:
         raise OutOfRange(f"p = {p} is below the minimum prime {minimum}")
+    return ctx
 
 
 # the x of the cc checks, as written in their report parameters
@@ -127,21 +127,19 @@ def _require_supported_x(x: Rat) -> Fraction:
 
 def verify_rv(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
-    _require_prime(p, 5)
-    ctx = PAdicContext(p, 2)
+    ctx = _require_prime(p, 5, 2)
     terms, den = rv_terms(fam.a, p)
     lhs = Fraction(sum(terms), den)
-    rhs = Fraction(legendre(fam.discriminant, p))
+    rhs = Fraction(_legendre(fam.discriminant, p))
     return _congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
     """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
-    _require_prime(p, 5)
-    ctx = PAdicContext(p, 2)
+    ctx = _require_prime(p, 5, 2)
     terms, den = rv_terms(fam.a, 2 * p)
     lhs = Fraction(sum(terms), den)
-    rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
+    rhs = fam.lemma2_constant * _legendre(fam.discriminant, p)
     return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
@@ -172,10 +170,9 @@ def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
 
 def verify_sun_p4(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (2k+1) s_k(x)^2 against constant * Legendre * p^2, mod p^4."""
-    _require_prime(p, 5)
-    ctx = PAdicContext(p, 4)
+    ctx = _require_prime(p, 5, 4)
     lhs = _weighted_s_square_sum(fam.sun_x, p)
-    rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
+    rhs = fam.sun_constant * _legendre(fam.discriminant, p) * p * p
     return _congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
@@ -187,12 +184,12 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     modulo p^4, for any odd prime p and p-adic integer x.  The k = p-1 weight
     has valuation -1, so the comparison must stay valuation-aware.
     """
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise InvalidPrime(f"p = {p} is not an odd prime")
+    ctx = _require_prime(p, 3, 4)
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPAdicInteger(f"x = {rat_str(x)} is not a p-adic integer for p = {p}")
-    ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
     w, e = central_binomial_values(x, p - 1)
     u, d = pair_binomial_values(x, p - 1)
@@ -212,9 +209,8 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     p^2 * sum_{s<=2p-2} sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) C(x,s) C(x+s,s)
     modulo p^4.
     """
-    _require_prime(p, 5)
+    ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
-    ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
     u, d = pair_binomial_values(x, 2 * p - 2)
     rows, weight = _cc_row_sums(p)
@@ -228,10 +224,9 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     For p <= s <= 2p-2:
     sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) == (-1)^s (-1 + 2p/(s+1)).
     """
-    _require_prime(p, 5)
+    ctx = _require_prime(p, 5, 2)
     if not p <= s <= 2 * p - 2:
         raise OutOfRange(f"s = {s} outside [p, 2p-2] = [{p}, {2 * p - 2}]")
-    ctx = PAdicContext(p, 2)
     rows, weight = _cc_row_sums(p)
     lhs = Fraction(rows[s], weight)
     rhs = (-1) ** s * (Fraction(2 * p, s + 1) - 1)
@@ -243,7 +238,7 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     _require_prime(p, 5)
     x = _require_supported_x(x)
     u, d = pair_binomial_values(x, 2 * p - 1)
-    v = padic_valuation(Fraction(u[-1], d), p)
+    v = _rat_valuation(Fraction(u[-1], d), p)
     return CheckResult(
         check_name="cc8-fact",
         parameters={"x": rat_str(x), "p": p},
@@ -265,7 +260,7 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     u, d = pair_binomial_values(x, 2 * p - 1)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
-    v = padic_valuation(Fraction(tail, weight * d), p)
+    v = _rat_valuation(Fraction(tail, weight * d), p)
     return CheckResult(
         check_name="cc9",
         parameters={"x": rat_str(x), "p": p},
@@ -283,9 +278,8 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     p^2 * ( 2 sum_{s<p} (-1)^s C(x,s) C(x+s,s) - sum_{s<2p} (-1)^s C(x,s) C(x+s,s) )
     modulo p^4.
     """
-    _require_prime(p, 5)
+    ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
-    ctx = PAdicContext(p, 4)
     lhs = _weighted_s_square_sum(x, p)
     u, d = pair_binomial_values(x, 2 * p - 1)
     head = sum((-1) ** s * u[s] for s in range(p))

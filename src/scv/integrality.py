@@ -1,22 +1,29 @@
 """Integer-valuedness of the averaged d^m s^m sums and Schmidt-power divisibility.
 
-The averaged expression (1/n) sum_{k<n} eps^k (2k+1) d_k(x)^m s_k(x)^m is
-decided integer-valued through the binomial-basis criterion; divisibility of
-the Schmidt power sums is checked over indeterminates, which is stronger than
-any specialization.  A cross check specializes x_k to f_k(t) and confirms the
-two computations agree at small integer points.
+For integer t, d_k(t) and s_k(t) are integers, so the sum
+V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is tabulated in plain int
+arithmetic at t = 0..D+1, D = 3(n-1)m being its degree bound. The forward
+differences of V at 0 are its binomial-basis coefficients, and V/n is
+integer-valued iff each of them is divisible by n; a nonzero (D+1)-th
+difference would mean the bound is wrong and raises.
+
+The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
+indeterminates, which is stronger than any specialization: each coefficient
+comes from the multinomial theorem, and the monomial count C(n+m-1, m) is
+checked against poly.TERM_LIMIT before any is computed.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .congruences import CheckResult
-from .exact_arith import Rat
-from .poly import MultiPoly, UniPoly, is_integer_valued, newton_coefficients
-from .sequences import d_poly, f_poly, s_poly, schmidt_linear_form
+from .poly import TERM_LIMIT, TermLimitExceeded
+from .sequences import s_values, schmidt_coefficient
 
 
 @dataclass(frozen=True)
@@ -37,90 +44,109 @@ class IntegralityParams:
         return {"n": self.n, "m": self.m, "eps": self.epsilon}
 
 
-@functools.lru_cache(maxsize=None)
-def _ds_power(k: int, m: int) -> UniPoly:
-    # (d_k * s_k)^m, degree 3km
-    return (d_poly(k) * s_poly(k)) ** m
+def degree_bound(n: int, m: int) -> int:
+    """3(n-1)m: d_k s_k has degree 3k, so each term of V has degree <= 3km."""
+    return 3 * (n - 1) * m
 
 
-def sun_guo_expr(params: IntegralityParams) -> UniPoly:
-    """(1/n) sum_{k<n} eps^k (2k+1) (d_k s_k)^m; degree 3(n-1)m for n >= 2."""
-    acc = UniPoly.zero()
+def _v_values(params: IntegralityParams, tmax: int) -> list[int]:
+    """V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m for t = 0..tmax."""
+    columns = [s_values(t, params.n - 1) for t in range(tmax + 1)]
+    out = [0] * (tmax + 1)
+    d = [1] * (tmax + 1)  # d_0(t)
     for k in range(params.n):
-        acc = acc + _ds_power(k, params.m).scale(params.epsilon**k * (2 * k + 1))
-    return acc.scale(Fraction(1, params.n))
+        if k:  # the Delannoy table: d_k(t) = d_{k-1}(t) + d_k(t-1) + d_{k-1}(t-1)
+            prev, d = d, [1] * (tmax + 1)
+            for t in range(1, tmax + 1):
+                d[t] = prev[t] + d[t - 1] + prev[t - 1]
+        weight = params.epsilon**k * (2 * k + 1)
+        for t, (sv, den) in enumerate(columns):
+            s, r = divmod(sv[k], den)
+            if r:
+                raise ArithmeticError(f"s_{k}({t}) is not an integer")
+            out[t] += weight * (d[t] * s) ** params.m
+    return out
 
 
 def verify_integer_valued(params: IntegralityParams) -> CheckResult:
-    """Binomial-basis criterion on sun_guo_expr; witness is the coefficient list."""
-    expansion = newton_coefficients(sun_guo_expr(params))
-    coeffs = expansion.coefficients
+    """Binomial-basis criterion on V/n; witness is the coefficient list."""
+    bound = degree_bound(params.n, params.m)
+    vals = _v_values(params, bound + 1)
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    if diffs.pop():
+        raise ArithmeticError(f"V has degree above its bound {bound}")
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    n = params.n
     return CheckResult(
         check_name="integer-valued",
         parameters=params.as_parameters(),
-        passed=expansion.all_integers(),
-        lhs_witness="[" + ", ".join(
-            str(c.numerator) if c.denominator == 1 else str(c) for c in coeffs
-        ) + "]",
+        passed=all(c % n == 0 for c in diffs),
+        lhs_witness="[" + ", ".join(str(Fraction(c, n)) for c in diffs) + "]",
         rhs_witness="all integers",
         modulus="exact",
     )
 
 
-def schmidt_power_sum(n: int, m: int, epsilon: int) -> MultiPoly:
-    """sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m in the n variables x_0..x_{n-1}."""
-    params = IntegralityParams(n, m, epsilon)
-    acc = MultiPoly.zero(n)
-    for k in range(params.n):
-        form = schmidt_linear_form(k, arity=n)
-        acc = acc + (form**m).scale(params.epsilon**k * (2 * k + 1))
-    return acc
+def schmidt_term_count(n: int, m: int) -> int:
+    """Monomials of degree m in n variables, C(n+m-1, m); raises above TERM_LIMIT."""
+    count = math.comb(n + m - 1, m)
+    if count > TERM_LIMIT:
+        raise TermLimitExceeded(
+            f"the Schmidt power sum at n={n}, m={m} has {count} monomials, above {TERM_LIMIT}"
+        )
+    return count
+
+
+def _schmidt_coefficients(params: IntegralityParams) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(exponent, coefficient) of each degree-m monomial of sum_{k<n} eps^k (2k+1) S_k^m.
+
+    By the multinomial theorem the coefficient of x^e in S_k^m is
+    m!/prod(e_i!) * prod(c_{k,i}^e_i), and S_k involves x_0..x_k only.
+    """
+    n, m = params.n, params.m
+    weights = [params.epsilon**k * (2 * k + 1) for k in range(n)]
+    c = [[schmidt_coefficient(k, i) for i in range(k + 1)] for k in range(n)]
+    fact = [math.factorial(j) for j in range(m + 1)]
+    for idx in combinations_with_replacement(range(n), m):
+        expo = [0] * n
+        for i in idx:
+            expo[i] += 1
+        multinomial = fact[m]
+        for e in expo:
+            multinomial //= fact[e]
+        total = 0
+        for k in range(idx[-1], n):
+            term = weights[k]
+            for i in idx:
+                term *= c[k][i]
+            total += term
+        yield tuple(expo), multinomial * total
 
 
 def verify_schmidt_divisibility(n: int, m: int, epsilon: int) -> CheckResult:
     """Every coefficient of the Schmidt power sum is an integer multiple of n."""
-    poly = schmidt_power_sum(n, m, epsilon)
-    violating: tuple[tuple[int, ...], Fraction] | None = None
-    for expo, c in poly.terms():
-        if c.denominator != 1 or c.numerator % n != 0:
-            if violating is None or expo < violating[0]:
+    params = IntegralityParams(n, m, epsilon)
+    schmidt_term_count(n, m)
+    count = 0
+    violating: tuple[tuple[int, ...], int] | None = None
+    for expo, c in _schmidt_coefficients(params):
+        if c:
+            count += 1
+            if c % n and (violating is None or expo < violating[0]):
                 violating = (expo, c)
     if violating is None:
-        lhs = f"all {poly.term_count()} coefficients divisible"
+        lhs = f"all {count} coefficients divisible"
     else:
         lhs = f"monomial {violating[0]} has coefficient {violating[1]}"
     return CheckResult(
         check_name="schmidt-divisibility",
-        parameters=IntegralityParams(n, m, epsilon).as_parameters(),
+        parameters=params.as_parameters(),
         passed=violating is None,
         lhs_witness=lhs,
         rhs_witness=f"multiples of {n}",
         modulus=f"{n}",
-    )
-
-
-def crosscheck_specialization(
-    n: int, m: int, epsilon: int, points: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
-) -> CheckResult:
-    """Substituting x_k = f_k(t) into the Schmidt power sum recovers n * sun_guo_expr(t).
-
-    Exercises the deduction chain from coefficient divisibility to
-    integer-valuedness at small integer points t.
-    """
-    params = IntegralityParams(n, m, epsilon)
-    power_sum = schmidt_power_sum(n, m, epsilon)
-    averaged = sun_guo_expr(params)
-    f_at: list[UniPoly] = [f_poly(k) for k in range(n)]
-    lhs_vals: list[Rat] = []
-    rhs_vals: list[Rat] = []
-    for t in points:
-        lhs_vals.append(power_sum.eval([fk.eval(t) for fk in f_at]))
-        rhs_vals.append(n * averaged.eval(t))
-    return CheckResult(
-        check_name="integrality-crosscheck",
-        parameters={**params.as_parameters(), "t": ",".join(str(t) for t in points)},
-        passed=lhs_vals == rhs_vals,
-        lhs_witness="[" + ", ".join(str(v) for v in lhs_vals) + "]",
-        rhs_witness="[" + ", ".join(str(v) for v in rhs_vals) + "]",
-        modulus="exact",
     )

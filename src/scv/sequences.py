@@ -27,6 +27,7 @@ from .exact_arith import Rat
 from .poly import MultiPoly, UniPoly, shifted_binomial_poly
 
 
+@functools.lru_cache(maxsize=None)
 def d_poly(n: int) -> UniPoly:
     """d_n as a polynomial in x (degree n)."""
     if n < 0:
@@ -37,6 +38,7 @@ def d_poly(n: int) -> UniPoly:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def s_poly(n: int) -> UniPoly:
     """s_n as a polynomial in x (degree 2n)."""
     if n < 0:
@@ -153,6 +155,7 @@ def schmidt_linear_form(n: int, arity: int | None = None) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
+@functools.lru_cache(maxsize=None)
 def f_poly(k: int) -> UniPoly:
     """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i.
 

@@ -23,6 +23,7 @@ import click
 from . import congruences, identities, integrality
 from .congruences import SUPPORTED_X, CheckResult, skipped_result
 from .exact_arith import primes_in_range, rat
+from .poly import TermLimitExceeded
 from .sequences import RV_FAMILIES, family_by_label
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -159,6 +160,15 @@ def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
         yield _task(kind, n=n, m=m, eps=e)
 
 
+def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
+    # the largest power sum of the grid is at (nmax, mmax); refuse it before any work
+    try:
+        integrality.schmidt_term_count(nmax, mmax)
+    except TermLimitExceeded as exc:
+        raise click.UsageError(str(exc))
+    return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)
+
+
 def _validate_rationals(ctx, param, value):
     for item in value:
         try:
@@ -240,6 +250,6 @@ SWEEPS = {
     "schmidt": Sweep(
         "Divisibility of Schmidt power-sum coefficients, over indeterminates.",
         (_at_least_one("--nmax", 6), _at_least_one("--mmax", 3), _EPS_OPTION),
-        partial(_n_m_eps, "schmidt-divisibility"),
+        _schmidt,
     ),
 }

@@ -5,6 +5,11 @@ denominator. The builders here accumulate one reduced Fraction per term,
 the plain way, and the *_sides functions compute each congruence check's
 two sides (or its valued quantity) with them, so the tests can require the
 fast path to equal this one element by element.
+
+The integrality checks tabulate integers and expand Schmidt powers by the
+multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
+whose Newton coefficients are taken, and the Schmidt power sum is built by
+repeated MultiPoly products, each turned into the same CheckResult.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import functools
 import math
 from fractions import Fraction
 
+from scv.congruences import CheckResult
 from scv.exact_arith import Rat, legendre
-from scv.integrality import IntegralityParams, sun_guo_expr
-from scv.sequences import RVFamily
+from scv.integrality import IntegralityParams
+from scv.poly import MultiPoly, UniPoly, newton_coefficients
+from scv.sequences import RVFamily, d_poly, f_poly, s_poly, schmidt_linear_form
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -135,6 +142,95 @@ def delannoy_oracle(m: int, n: int) -> int:
             new[j] = row[j] + new[j - 1] + row[j - 1]
         row = new
     return row[n]
+
+
+@functools.lru_cache(maxsize=None)
+def _ds_power(k: int, m: int) -> UniPoly:
+    # (d_k * s_k)^m, degree 3km
+    return (d_poly(k) * s_poly(k)) ** m
+
+
+def sun_guo_expr(params: IntegralityParams) -> UniPoly:
+    """(1/n) sum_{k<n} eps^k (2k+1) (d_k s_k)^m; degree 3(n-1)m for n >= 2."""
+    acc = UniPoly.zero()
+    for k in range(params.n):
+        acc = acc + _ds_power(k, params.m).scale(params.epsilon**k * (2 * k + 1))
+    return acc.scale(Fraction(1, params.n))
+
+
+def integer_valued_oracle(params: IntegralityParams) -> CheckResult:
+    """verify_integer_valued through the Newton coefficients of sun_guo_expr."""
+    expansion = newton_coefficients(sun_guo_expr(params))
+    coeffs = expansion.coefficients
+    return CheckResult(
+        check_name="integer-valued",
+        parameters=params.as_parameters(),
+        passed=expansion.all_integers(),
+        lhs_witness="[" + ", ".join(
+            str(c.numerator) if c.denominator == 1 else str(c) for c in coeffs
+        ) + "]",
+        rhs_witness="all integers",
+        modulus="exact",
+    )
+
+
+def schmidt_power_sum(n: int, m: int, epsilon: int) -> MultiPoly:
+    """sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m in the n variables x_0..x_{n-1}."""
+    params = IntegralityParams(n, m, epsilon)
+    acc = MultiPoly.zero(n)
+    for k in range(params.n):
+        form = schmidt_linear_form(k, arity=n)
+        acc = acc + (form**m).scale(params.epsilon**k * (2 * k + 1))
+    return acc
+
+
+def schmidt_divisibility_oracle(n: int, m: int, epsilon: int) -> CheckResult:
+    """verify_schmidt_divisibility through repeated MultiPoly products."""
+    poly = schmidt_power_sum(n, m, epsilon)
+    violating: tuple[tuple[int, ...], Fraction] | None = None
+    for expo, c in poly.terms():
+        if c.denominator != 1 or c.numerator % n != 0:
+            if violating is None or expo < violating[0]:
+                violating = (expo, c)
+    if violating is None:
+        lhs = f"all {poly.term_count()} coefficients divisible"
+    else:
+        lhs = f"monomial {violating[0]} has coefficient {violating[1]}"
+    return CheckResult(
+        check_name="schmidt-divisibility",
+        parameters=IntegralityParams(n, m, epsilon).as_parameters(),
+        passed=violating is None,
+        lhs_witness=lhs,
+        rhs_witness=f"multiples of {n}",
+        modulus=f"{n}",
+    )
+
+
+def crosscheck_specialization(
+    n: int, m: int, epsilon: int, points: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
+) -> CheckResult:
+    """Substituting x_k = f_k(t) into the Schmidt power sum recovers n * sun_guo_expr(t).
+
+    Exercises the deduction chain from coefficient divisibility to
+    integer-valuedness at small integer points t.
+    """
+    params = IntegralityParams(n, m, epsilon)
+    power_sum = schmidt_power_sum(n, m, epsilon)
+    averaged = sun_guo_expr(params)
+    f_at: list[UniPoly] = [f_poly(k) for k in range(n)]
+    lhs_vals: list[Rat] = []
+    rhs_vals: list[Rat] = []
+    for t in points:
+        lhs_vals.append(power_sum.eval([fk.eval(t) for fk in f_at]))
+        rhs_vals.append(n * averaged.eval(t))
+    return CheckResult(
+        check_name="integrality-crosscheck",
+        parameters={**params.as_parameters(), "t": ",".join(str(t) for t in points)},
+        passed=lhs_vals == rhs_vals,
+        lhs_witness="[" + ", ".join(str(v) for v in lhs_vals) + "]",
+        rhs_witness="[" + ", ".join(str(v) for v in rhs_vals) + "]",
+        modulus="exact",
+    )
 
 
 def integer_window_oracle(params: IntegralityParams) -> bool:

@@ -18,7 +18,7 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, NotPAdicInteger, legendre
+from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre
 from scv.sequences import RV_FAMILIES, family_by_label
 
 HALF = family_by_label("1/2")
@@ -168,3 +168,41 @@ def test_skipped_result_shape():
     assert isinstance(r, CheckResult)
     d = r.to_dict()
     assert d["skipped"] is True and d["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "verify, args",
+    [
+        (verify_rv, (HALF, 13)),
+        (verify_lemma_2p, (THIRD, 13)),
+        (verify_sun_p4, (QUARTER, 13)),
+        (verify_guo_bb1, (Fraction(2, 5), 13)),
+        (verify_cc5, (Fraction(-1, 2), 13)),
+        (verify_cc7, (15, 13)),
+        (verify_cc8_fact, (Fraction(-1, 3), 13)),
+        (verify_cc9, (Fraction(-1, 4), 13)),
+        (verify_cc10, (Fraction(-1, 6), 13)),
+    ],
+    ids=["rv", "lemma2p", "sun-p4", "guo-bb1", "cc5", "cc7", "cc8", "cc9", "cc10"],
+)
+def test_each_verifier_tests_the_prime_once(monkeypatch, verify, args):
+    import scv.congruences as congruences
+    import scv.exact_arith as exact_arith
+
+    calls = []
+    real = exact_arith.is_prime
+    counting = lambda n: calls.append(n) or real(n)  # noqa: E731
+    monkeypatch.setattr(exact_arith, "is_prime", counting)
+    # also where a verifier might import it directly
+    monkeypatch.setattr(congruences, "is_prime", counting, raising=False)
+    assert verify(*args).passed
+    assert calls == [13]
+
+
+def test_public_prime_checks_still_validate():
+    with pytest.raises(InvalidPrime):
+        legendre(-1, 9)
+    with pytest.raises(InvalidPrime):
+        PAdicContext(9, 2)
+    with pytest.raises(InvalidPrime):
+        verify_guo_bb1(Fraction(1), 9)

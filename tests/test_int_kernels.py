@@ -74,8 +74,8 @@ _CHECKS = {
     "sun-p4": (congruences.verify_sun_p4, oracles.sun_p4_sides, RV_FAMILIES, 5, "congruent"),
     "guo-bb1": (congruences.verify_guo_bb1, oracles.guo_bb1_sides, BB1_X, 3, "congruent"),
     "cc5": (congruences.verify_cc5, oracles.cc5_sides, CC_X, 5, "congruent"),
-    "cc8": (congruences.verify_cc8_fact, oracles.cc8_value, CC_X, 5, "padic_valuation"),
-    "cc9": (congruences.verify_cc9, oracles.cc9_value, CC_X, 5, "padic_valuation"),
+    "cc8": (congruences.verify_cc8_fact, oracles.cc8_value, CC_X, 5, "_rat_valuation"),
+    "cc9": (congruences.verify_cc9, oracles.cc9_value, CC_X, 5, "_rat_valuation"),
     "cc10": (congruences.verify_cc10, oracles.cc10_sides, CC_X, 5, "congruent"),
 }
 

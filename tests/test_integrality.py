@@ -4,16 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import integer_window_oracle
-from scv.integrality import (
-    IntegralityParams,
+from oracles import (
     crosscheck_specialization,
+    integer_valued_oracle,
+    integer_window_oracle,
+    schmidt_divisibility_oracle,
     schmidt_power_sum,
     sun_guo_expr,
+)
+from scv import integrality
+from scv.integrality import (
+    IntegralityParams,
     verify_integer_valued,
     verify_schmidt_divisibility,
 )
-from scv.poly import MultiPoly, UniPoly
+from scv.poly import MultiPoly, TermLimitExceeded, UniPoly
 
 
 def test_params_validation():
@@ -95,3 +100,82 @@ def test_window_oracle_rejects_non_integer_valued():
     from scv.poly import is_integer_valued
 
     assert not is_integer_valued(UniPoly([Fraction(1, 2), 1]))
+
+
+def test_integer_valued_matches_newton_oracle():
+    # the benchmark's integrality grid
+    for n in range(1, 15):
+        for m in range(1, 4):
+            for eps in (1, -1):
+                params = IntegralityParams(n, m, eps)
+                assert verify_integer_valued(params) == integer_valued_oracle(params)
+
+
+def test_schmidt_divisibility_matches_multipoly_oracle():
+    # the benchmark's Schmidt grid
+    for n in range(1, 9):
+        for m in range(1, 5):
+            for eps in (1, -1):
+                assert verify_schmidt_divisibility(n, m, eps) == schmidt_divisibility_oracle(
+                    n, m, eps
+                )
+
+
+def test_schmidt_violations_match_multipoly_oracle(monkeypatch):
+    # perturbed weights make some coefficients indivisible; both routes must name the same monomial
+    import scv.sequences as sequences
+
+    real = sequences.schmidt_coefficient
+    perturbed = lambda n, k: real(n, k) + (n == 2 and k == 1)  # noqa: E731
+    monkeypatch.setattr(sequences, "schmidt_coefficient", perturbed)
+    monkeypatch.setattr(integrality, "schmidt_coefficient", perturbed)
+    failed = 0
+    for n in range(1, 6):
+        for m in range(1, 4):
+            for eps in (1, -1):
+                r = verify_schmidt_divisibility(n, m, eps)
+                assert r == schmidt_divisibility_oracle(n, m, eps)
+                failed += not r.passed
+    assert failed > 0
+
+
+def test_integer_valued_degree_check_raises(monkeypatch):
+    monkeypatch.setattr(integrality, "degree_bound", lambda n, m: 3 * (n - 1) * m - 1)
+    with pytest.raises(ArithmeticError, match="above its bound"):
+        verify_integer_valued(IntegralityParams(2, 1, 1))
+
+
+def test_integer_valued_rejects_non_integral_coefficients(monkeypatch):
+    # V + 1 changes only the constant difference, which becomes odd at n = 2
+    real = integrality._v_values
+    monkeypatch.setattr(
+        integrality, "_v_values", lambda params, tmax: [v + 1 for v in real(params, tmax)]
+    )
+    r = verify_integer_valued(IntegralityParams(2, 1, 1))
+    assert not r.passed
+    assert r.lhs_witness == "[5/2, 12, 27, 18]"
+
+
+def test_schmidt_term_limit_raises_before_expanding(monkeypatch):
+    def expand(params):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(integrality, "_schmidt_coefficients", expand)
+    with pytest.raises(TermLimitExceeded):
+        verify_schmidt_divisibility(40, 5, 1)
+
+
+def test_integer_valued_holds_to_n_20():
+    from scv.sweeps import SWEEPS, run_tasks
+
+    results = run_tasks(SWEEPS["integrality"].grid(20, 3, "both"))
+    assert len(results) == 120
+    assert all(r.passed for r in results)
+
+
+def test_schmidt_holds_to_n_12_m_4():
+    from scv.sweeps import SWEEPS, run_tasks
+
+    results = run_tasks(SWEEPS["schmidt"].grid(12, 4, "both"))
+    assert len(results) == 96
+    assert all(r.passed for r in results)

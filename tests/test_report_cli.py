@@ -261,6 +261,25 @@ def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch
     assert len(calls) == 8
 
 
+def test_cli_schmidt_over_term_limit_rejected_before_work(monkeypatch):
+    calls = []
+    kind = sweeps.KINDS["schmidt-divisibility"]
+
+    def counting(**kw):
+        calls.append(kw)
+        # a stand-in beyond n = 2, so a grid that is wrongly not refused still ends fast
+        return kind(**kw) if kw["n"] <= 2 else _check("schmidt-divisibility", kw)
+
+    monkeypatch.setitem(sweeps.KINDS, "schmidt-divisibility", counting)
+    res = run_cli("verify", "schmidt", "--nmax", "40", "--mmax", "5")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert "1086008 monomials" in res.output
+    assert calls == []
+    assert run_cli("verify", "schmidt", "--nmax", "2", "--mmax", "2").exit_code == 0
+    assert len(calls) == 8
+
+
 def _stripped(payload: dict) -> dict:
     payload = dict(payload)
     payload.pop("elapsed_seconds")
