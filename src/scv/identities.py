@@ -1,11 +1,15 @@
 """Exact polynomial and integer identities behind the congruence chain.
 
 Polynomial identities are decided by canonical coefficient equality, never by
-sampling.  The order-4 recurrence certifying the two triple-sum sides of the
-product identity is stored as data (per-coefficient tables of
+sampling; cc1 builds both sides as integer coefficient lists over the one
+known denominator ((j+k)!)^2. The two sides of the double/triple-sum identity (bb4)
+are exact integers from factored forms: the double sum is d_n(m) s_n(m), and
+the triple sum is sum_k C(n+k,2k) C(2k,k) f_k(m), with f_0(m)..f_m(m) built
+once per m from the Delannoy row d_0(m)..d_m(m). The order-4 recurrence
+certifying both sides is stored as data (per-coefficient tables of
 (m-exponent, n-exponent, integer) triples) and must pass a transcription
-self-test against the independently computed double-sum side before it is
-used to certify the triple-sum side.
+self-test against the double-sum side before it is used to certify the
+triple-sum side.
 """
 
 from __future__ import annotations
@@ -17,8 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .congruences import CheckResult
-from .poly import UniPoly
-from .sequences import d_poly, f_poly, pair_binomial_poly, s_poly
+from .poly import UniPoly, int_poly_mul
+from .sequences import (
+    d_poly,
+    f_poly,
+    pair_binomial_numerator,
+    pair_binomial_poly,
+    s_poly,
+    schmidt_coefficient,
+)
 
 
 class CoefficientError(RuntimeError):
@@ -44,20 +55,40 @@ def _identity_result(
     )
 
 
+def _cc1_weight(j: int, k: int, s: int) -> int:
+    return math.comb(j + k, s) * math.comb(s, j) * math.comb(s, k)
+
+
 def check_cc1(j: int, k: int) -> CheckResult:
     """C(x,k)C(x+k,k) C(x,j)C(x+j,j) == sum_s C(j+k,s) C(s,j) C(s,k) C(x,s)C(x+s,s).
 
-    An exact identity of degree-2(j+k) polynomials in x.
+    An exact identity of degree-2(j+k) polynomials in x. Both sides are built
+    as integer coefficient lists over L = ((j+k)!)^2: with the integer
+    polynomials N_s = s!^2 C(x,s)C(x+s,s), L * lhs = C(j+k,k)^2 N_k N_j and
+    L * rhs = sum_s w_s ((j+k)!/s!)^2 N_s; each side is divided by L once.
     """
     if j < 0 or k < 0:
         raise ValueError("j, k must be >= 0")
-    lhs = pair_binomial_poly(k) * pair_binomial_poly(j)
-    rhs = UniPoly.zero()
-    for s in range(j + k + 1):
-        w = math.comb(j + k, s) * math.comb(s, j) * math.comb(s, k)
+    top = j + k
+    fact = math.factorial(top)
+    lhs = [
+        math.comb(top, k) ** 2 * c
+        for c in int_poly_mul(pair_binomial_numerator(k), pair_binomial_numerator(j))
+    ]
+    rhs = [0] * len(lhs)
+    for s in range(top + 1):
+        w = _cc1_weight(j, k, s)
         if w:
-            rhs = rhs + pair_binomial_poly(s).scale(w)
-    return _identity_result("cc1", {"j": j, "k": k}, lhs, rhs)
+            w *= (fact // math.factorial(s)) ** 2
+            for i, c in enumerate(pair_binomial_numerator(s)):
+                rhs[i] += w * c
+    den = fact**2
+    return _identity_result(
+        "cc1",
+        {"j": j, "k": k},
+        UniPoly(Fraction(c, den) for c in lhs),
+        UniPoly(Fraction(c, den) for c in rhs),
+    )
 
 
 def check_cc4(k: int, s: int) -> CheckResult:
@@ -146,40 +177,47 @@ SIDES = ("lhs", "rhs")
 
 
 @functools.lru_cache(maxsize=None)
+def _f_row(m: int) -> tuple[int, ...]:
+    """f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m) for k = 0..m.
+
+    d_j(m) = sum_i C(m,i) C(j,i) 2^i is the Delannoy row, built once per m;
+    f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
+    """
+    delannoy = [
+        sum(math.comb(m, i) * math.comb(j, i) * 2**i for i in range(j + 1))
+        for j in range(m + 1)
+    ]
+    return tuple(
+        sum(math.comb(m + j, k + j) * math.comb(k, j) * delannoy[j] for j in range(k + 1))
+        for k in range(m + 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def eval_bb4_side(side: str, m: int, n: int) -> int:
-    """One side of the double/triple binomial sum identity, as written.
+    """One side of the double/triple binomial sum identity.
 
     lhs: sum_{i,j<=m} C(n,i) C(m,i) C(n,j) C(m,j) C(m+j,j) 2^i
     rhs: sum_{k,j,i<=m} C(n+k,2k) C(2k,k) C(m+j,k+j) C(m,i) C(k,j) C(j,i) 2^i
 
-    Terms where a binomial vanishes are skipped; that is the only shortcut.
+    Both are evaluated in factored form. The lhs separates into the product
+    d_n(m) s_n(m) of two single sums over i, j <= min(m, n). In the rhs the
+    sum over i is the Delannoy number d_j(m) and the sum over j is f_k(m), so
+    rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), with the row f_0(m)..f_m(m)
+    built once per m by _f_row. tests/oracles.py evaluates the sums as
+    written, and the tests require equal values.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if m < 0 or n < 0:
         raise ValueError("m, n must be >= 0")
+    top = min(m, n)
     if side == "lhs":
-        total = 0
-        for i in range(m + 1):
-            wi = math.comb(n, i) * math.comb(m, i) * 2**i
-            if wi == 0:
-                continue
-            for j in range(m + 1):
-                wj = math.comb(n, j) * math.comb(m, j)
-                if wj:
-                    total += wi * wj * math.comb(m + j, j)
-        return total
-    total = 0
-    for k in range(min(m, n) + 1):
-        wk = math.comb(n + k, 2 * k) * math.comb(2 * k, k)
-        for j in range(k + 1):
-            wj = wk * math.comb(m + j, k + j) * math.comb(k, j)
-            if wj == 0:
-                continue
-            total += wj * sum(
-                math.comb(m, i) * math.comb(j, i) * 2**i for i in range(j + 1)
-            )
-    return total
+        d = sum(math.comb(n, i) * math.comb(m, i) * 2**i for i in range(top + 1))
+        s = sum(math.comb(n, j) * math.comb(m, j) * math.comb(m + j, j) for j in range(top + 1))
+        return d * s
+    f = _f_row(m)
+    return sum(schmidt_coefficient(n, k) * f[k] for k in range(top + 1))
 
 
 def check_bb4_direct(m: int, n: int) -> CheckResult:

@@ -2,10 +2,11 @@
 
 For integer t, d_k(t) and s_k(t) are integers, so the sum
 V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is tabulated in plain int
-arithmetic at t = 0..D+1, D = 3(n-1)m being its degree bound. The forward
-differences of V at 0 are its binomial-basis coefficients, and V/n is
-integer-valued iff each of them is divisible by n; a nonzero (D+1)-th
-difference would mean the bound is wrong and raises.
+arithmetic at t = 0..D+1, D = 3(n-1)m being its degree bound; the integer
+column s_0(t)..s_{n-1}(t) is cached per (t, n), so a grid builds it once for
+all its m and eps. The forward differences of V at 0 are its binomial-basis
+coefficients, and V/n is integer-valued iff each of them is divisible by n;
+a nonzero (D+1)-th difference would mean the bound is wrong and raises.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -15,6 +16,7 @@ checked against poly.TERM_LIMIT before any is computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +51,22 @@ def degree_bound(n: int, m: int) -> int:
     return 3 * (n - 1) * m
 
 
+@functools.lru_cache(maxsize=None)
+def _s_column(t: int, kmax: int) -> tuple[int, ...]:
+    """[s_0(t), ..., s_kmax(t)] at an integer t, each an exact quotient of s_values."""
+    nums, den = s_values(t, kmax)
+    out = []
+    for k, sv in enumerate(nums):
+        s, r = divmod(sv, den)
+        if r:
+            raise ArithmeticError(f"s_{k}({t}) is not an integer")
+        out.append(s)
+    return tuple(out)
+
+
 def _v_values(params: IntegralityParams, tmax: int) -> list[int]:
     """V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m for t = 0..tmax."""
-    columns = [s_values(t, params.n - 1) for t in range(tmax + 1)]
+    columns = [_s_column(t, params.n - 1) for t in range(tmax + 1)]
     out = [0] * (tmax + 1)
     d = [1] * (tmax + 1)  # d_0(t)
     for k in range(params.n):
@@ -60,11 +75,8 @@ def _v_values(params: IntegralityParams, tmax: int) -> list[int]:
             for t in range(1, tmax + 1):
                 d[t] = prev[t] + d[t - 1] + prev[t - 1]
         weight = params.epsilon**k * (2 * k + 1)
-        for t, (sv, den) in enumerate(columns):
-            s, r = divmod(sv[k], den)
-            if r:
-                raise ArithmeticError(f"s_{k}({t}) is not an integer")
-            out[t] += weight * (d[t] * s) ** params.m
+        for t, s in enumerate(columns):
+            out[t] += weight * (d[t] * s[k]) ** params.m
     return out
 
 

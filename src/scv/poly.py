@@ -177,15 +177,29 @@ def _as_unipoly(v: UniPoly | Rat | int) -> UniPoly:
     return UniPoly.constant(v)
 
 
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists (index = degree of x)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def shifted_binomial_poly(shift: int, s: int) -> UniPoly:
-    """C(x + shift, s) as a degree-s UniPoly: (x+shift)(x+shift-1)...(x+shift-s+1)/s!."""
+    """C(x + shift, s) as a degree-s UniPoly: (x+shift)(x+shift-1)...(x+shift-s+1)/s!.
+
+    The product of the linear factors is expanded in integers; each
+    coefficient becomes one Fraction over s! at the end.
+    """
     if s < 0:
         raise ValueError("s must be >= 0")
-    p = UniPoly.one()
+    coeffs = [1]
     for i in range(s):
-        p = p * UniPoly((shift - i, 1))
-    return p.scale(Fraction(1, math.factorial(s)))
+        coeffs = int_poly_mul(coeffs, (shift - i, 1))
+    den = math.factorial(s)
+    return UniPoly(Fraction(c, den) for c in coeffs)
 
 
 def binomial_poly(s: int) -> UniPoly:

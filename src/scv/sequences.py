@@ -5,7 +5,7 @@ Definitions (all exact over Rat):
     d_n(x)          sum_k C(n,k) C(x,k) 2^k          (degree n)
     s_n(x)          sum_k C(n,k) C(x,k) C(x+k,k)     (degree 2n)
     S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
-    f_k(x)          sum_{j<=k} sum_{i<=j} C(x+j,k+j) C(x,i) C(k,j) C(j,i) 2^i
+    f_k(x)          sum_{j<=k} C(x+j,k+j) C(k,j) d_j(x)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
 The polynomial families are UniPoly / MultiPoly values. The *_values and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rat
-from .poly import MultiPoly, UniPoly, shifted_binomial_poly
+from .poly import MultiPoly, UniPoly, int_poly_mul, shifted_binomial_poly
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,13 +50,25 @@ def s_poly(n: int) -> UniPoly:
 
 
 @functools.lru_cache(maxsize=None)
+def pair_binomial_numerator(s: int) -> tuple[int, ...]:
+    """Integer coefficients of s!^2 C(x,s) C(x+s,s) = prod_{i<s} (x-i)(x+s-i)."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    out = [1]
+    for i in range(s):
+        out = int_poly_mul(out, (-i * (s - i), s - 2 * i, 1))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
 def pair_binomial_poly(s: int) -> UniPoly:
-    """C(x, s) * C(x+s, s) as a degree-2s UniPoly.
+    """C(x, s) * C(x+s, s) as a degree-2s UniPoly, pair_binomial_numerator(s) / s!^2.
 
     The building block shared by s_n and the telescoping / summation-order
     identities.
     """
-    return shifted_binomial_poly(0, s) * shifted_binomial_poly(s, s)
+    den = math.factorial(s) ** 2
+    return UniPoly(Fraction(c, den) for c in pair_binomial_numerator(s))
 
 
 def ratio_column(den: int, steps: Iterable[tuple[int, int]]) -> list[int]:
@@ -159,18 +171,15 @@ def schmidt_linear_form(n: int, arity: int | None = None) -> MultiPoly:
 def f_poly(k: int) -> UniPoly:
     """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i.
 
-    Integer-valued for every k; these interpolate d_n * s_n against the
-    Schmidt weights: sum_k C(n+k,2k) C(2k,k) f_k = d_n * s_n.
+    The sum over i is d_j(x), so this is sum_{j<=k} C(k,j) C(x+j, k+j) d_j(x)
+    with the cached d_poly. Integer-valued for every k; these interpolate
+    d_n * s_n against the Schmidt weights: sum_k C(n+k,2k) C(2k,k) f_k = d_n * s_n.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     acc = UniPoly.zero()
     for j in range(k + 1):
-        outer = shifted_binomial_poly(j, k + j).scale(math.comb(k, j))
-        inner = UniPoly.zero()
-        for i in range(j + 1):
-            inner = inner + shifted_binomial_poly(0, i).scale(math.comb(j, i) * 2**i)
-        acc = acc + outer * inner
+        acc = acc + shifted_binomial_poly(j, k + j).scale(math.comb(k, j)) * d_poly(j)
     return acc
 
 

@@ -10,6 +10,11 @@ The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
 whose Newton coefficients are taken, and the Schmidt power sum is built by
 repeated MultiPoly products, each turned into the same CheckResult.
+
+The identity checks factor their sums and work over one known denominator;
+here the double/triple sums of bb4 are evaluated as written, f_k repeats its
+inner Delannoy sum for every j, cc1 multiplies Fraction UniPolys, and
+C(x+shift, s) is a product of Fraction UniPoly linear factors.
 """
 
 from __future__ import annotations
@@ -322,3 +327,89 @@ def cc10_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
     head = sum(((-1) ** s * u[s] for s in range(p)), Fraction(0))
     full = sum(((-1) ** s * u[s] for s in range(2 * p)), Fraction(0))
     return weighted_s_square_sum(x, p), p * p * (2 * head - full)
+
+
+# The identity checks' sums as written.
+
+
+def bb4_side_oracle(side: str, m: int, n: int) -> int:
+    """One side of the double/triple binomial sum identity, as written.
+
+    lhs: sum_{i,j<=m} C(n,i) C(m,i) C(n,j) C(m,j) C(m+j,j) 2^i
+    rhs: sum_{k,j,i<=m} C(n+k,2k) C(2k,k) C(m+j,k+j) C(m,i) C(k,j) C(j,i) 2^i
+    """
+    if side == "lhs":
+        total = 0
+        for i in range(m + 1):
+            wi = math.comb(n, i) * math.comb(m, i) * 2**i
+            if wi == 0:
+                continue
+            for j in range(m + 1):
+                wj = math.comb(n, j) * math.comb(m, j)
+                if wj:
+                    total += wi * wj * math.comb(m + j, j)
+        return total
+    total = 0
+    for k in range(min(m, n) + 1):
+        wk = math.comb(n + k, 2 * k) * math.comb(2 * k, k)
+        for j in range(k + 1):
+            wj = wk * math.comb(m + j, k + j) * math.comb(k, j)
+            if wj == 0:
+                continue
+            total += wj * sum(
+                math.comb(m, i) * math.comb(j, i) * 2**i for i in range(j + 1)
+            )
+    return total
+
+
+def shifted_binomial_oracle(shift: int, s: int) -> UniPoly:
+    """C(x + shift, s) by Fraction UniPoly products of the linear factors."""
+    p = UniPoly.one()
+    for i in range(s):
+        p = p * UniPoly((shift - i, 1))
+    return p.scale(Fraction(1, math.factorial(s)))
+
+
+def pair_binomial_oracle(s: int) -> UniPoly:
+    """C(x, s) * C(x+s, s) as the product of its two binomial polynomials."""
+    return shifted_binomial_oracle(0, s) * shifted_binomial_oracle(s, s)
+
+
+def f_poly_oracle(k: int) -> UniPoly:
+    """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i, as written."""
+    acc = UniPoly.zero()
+    for j in range(k + 1):
+        outer = shifted_binomial_oracle(j, k + j).scale(math.comb(k, j))
+        inner = UniPoly.zero()
+        for i in range(j + 1):
+            inner = inner + shifted_binomial_oracle(0, i).scale(math.comb(j, i) * 2**i)
+        acc = acc + outer * inner
+    return acc
+
+
+def _poly_witness(p: UniPoly) -> str:
+    return "[" + ", ".join(
+        str(c) if c.denominator > 1 else str(c.numerator) for c in p.coeffs
+    ) + "]"
+
+
+def cc1_weight(j: int, k: int, s: int) -> int:
+    return math.comb(j + k, s) * math.comb(s, j) * math.comb(s, k)
+
+
+def check_cc1_oracle(j: int, k: int, weight=cc1_weight) -> CheckResult:
+    """check_cc1 by Fraction UniPoly products of the pair binomials."""
+    lhs = pair_binomial_oracle(k) * pair_binomial_oracle(j)
+    rhs = UniPoly.zero()
+    for s in range(j + k + 1):
+        w = weight(j, k, s)
+        if w:
+            rhs = rhs + pair_binomial_oracle(s).scale(w)
+    return CheckResult(
+        check_name="cc1",
+        parameters={"j": j, "k": k},
+        passed=lhs == rhs,
+        lhs_witness=_poly_witness(lhs),
+        rhs_witness=_poly_witness(rhs),
+        modulus="exact",
+    )

@@ -6,8 +6,16 @@ from fractions import Fraction
 import pytest
 
 import scv.identities as identities
-from oracles import d_val, s_val
+from oracles import (
+    bb4_side_oracle,
+    cc1_weight,
+    check_cc1_oracle,
+    d_val,
+    f_poly_oracle,
+    s_val,
+)
 from scv.identities import (
+    SIDES,
     CoefficientError,
     RecurrenceOrder4,
     check_bb2,
@@ -22,7 +30,8 @@ from scv.identities import (
     self_test_transcription,
 )
 from scv.poly import UniPoly
-from scv.sequences import pair_binomial_poly
+from scv.sequences import f_poly, pair_binomial_poly
+from scv.sweeps import SWEEPS, run_tasks
 
 
 def test_cc1_examples():
@@ -200,3 +209,43 @@ def test_identity_checks_expose_exact_modulus():
     for r in [check_cc1(1, 2), check_cc4(2, 1), check_liu26(3), check_bb2(2)]:
         assert r.modulus == "exact"
         assert r.passed == (r.lhs_witness == r.rhs_witness)
+
+
+def test_bb4_sides_match_as_written_oracle():
+    # every point the default identity grids and the transcription self-test reach
+    for m in range(45):
+        for n in range(26):
+            for side in SIDES:
+                assert eval_bb4_side(side, m, n) == bb4_side_oracle(side, m, n), (side, m, n)
+
+
+def test_f_poly_matches_as_written_oracle():
+    for k in range(15):
+        assert f_poly(k) == f_poly_oracle(k), k
+
+
+def test_cc1_matches_unipoly_oracle():
+    for j in range(9):
+        for k in range(9):
+            assert check_cc1(j, k) == check_cc1_oracle(j, k), (j, k)
+
+
+def test_cc1_violations_match_unipoly_oracle(monkeypatch):
+    # a perturbed weight breaks the identity; both routes must give the same witnesses
+    perturbed = lambda j, k, s: cc1_weight(j, k, s) + (s == j + k - 1)  # noqa: E731
+    monkeypatch.setattr(identities, "_cc1_weight", perturbed)
+    failed = []
+    for j in range(5):
+        for k in range(5):
+            r = check_cc1(j, k)
+            assert r == check_cc1_oracle(j, k, weight=perturbed), (j, k)
+            if not r.passed:
+                failed.append(r)
+    assert len(failed) == 24
+    assert any("/" in r.rhs_witness for r in failed)
+
+
+def test_bb4_recurrence_holds_to_m_80():
+    results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 80))
+    assert len(results) == 4316
+    assert all(r.passed for r in results)

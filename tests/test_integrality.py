@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -179,3 +180,24 @@ def test_schmidt_holds_to_n_12_m_4():
     results = run_tasks(SWEEPS["schmidt"].grid(12, 4, "both"))
     assert len(results) == 96
     assert all(r.passed for r in results)
+
+
+def test_integrality_grid_builds_each_s_column_once(monkeypatch):
+    from scv.sweeps import SWEEPS, run_tasks
+
+    calls = Counter()
+    real = integrality.s_values
+
+    def counting(t, kmax):
+        calls[t, kmax] += 1
+        return real(t, kmax)
+
+    monkeypatch.setattr(integrality, "s_values", counting)
+    for f in vars(integrality).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    results = run_tasks(SWEEPS["integrality"].grid(14, 3, "both"))
+    assert len(results) == 84 and all(r.passed for r in results)
+    # n = 14 reads t = 0..3*13*3+1 for m = 3, which covers m = 1, 2 and both eps
+    assert sum(c for (t, kmax), c in calls.items() if kmax == 13) == 119
+    assert set(calls.values()) == {1}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scv.poly
+from oracles import shifted_binomial_oracle
 from scv.poly import (
     ArityError,
     MultiPoly,
@@ -75,6 +76,13 @@ def test_binomial_poly_examples():
     assert binomial_poly(2) == UniPoly([0, Fraction(-1, 2), Fraction(1, 2)])
     assert binomial_poly(3).eval(Fraction(-1, 2)) == Fraction(-5, 16)
     assert shifted_binomial_poly(2, 2) == UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
+
+
+def test_shifted_binomial_poly_matches_product_oracle():
+    # covers every C(x+j, k+j) of f_k for k <= 14 and both factors of the pair binomials
+    for shift in range(-3, 16):
+        for s in range(29):
+            assert shifted_binomial_poly(shift, s) == shifted_binomial_oracle(shift, s), (shift, s)
 
 
 def test_newton_coefficients_examples():

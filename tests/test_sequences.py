@@ -11,6 +11,7 @@ from oracles import (
     delannoy_oracle,
     fraction_column,
     gen_binomial,
+    pair_binomial_oracle,
     pochhammer,
     rv_term,
     s_val,
@@ -23,6 +24,7 @@ from scv.sequences import (
     d_poly,
     f_poly,
     family_by_label,
+    pair_binomial_numerator,
     pair_binomial_poly,
     pair_binomial_values,
     rv_terms,
@@ -169,3 +171,11 @@ def test_rv_family_table():
     assert family_by_label("1/4").discriminant == -2
     with pytest.raises(KeyError):
         family_by_label("1/5")
+
+
+def test_pair_binomial_poly_matches_product_oracle():
+    for s in range(17):
+        assert pair_binomial_poly(s) == pair_binomial_oracle(s), s
+        assert pair_binomial_poly(s).scale(math.factorial(s) ** 2).coeffs == pair_binomial_numerator(s)
+    with pytest.raises(ValueError):
+        pair_binomial_poly(-1)
