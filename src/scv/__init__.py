@@ -18,20 +18,25 @@ from .exact_arith import (
     primes_in_range,
     rat,
 )
-from .poly import (
-    ArityError,
-    MultiPoly,
-    NewtonExpansion,
-    TermLimitExceeded,
-    UniPoly,
-    binomial_poly,
-    is_integer_valued,
-    newton_coefficients,
-)
 from .congruences import CheckResult, OutOfRange
 from .sequences import RV_FAMILIES, RVFamily
 
 __version__ = "0.1.0"
+
+# served from scv.poly on first access (PEP 562), so `import scv` does not load it
+_POLY_EXPORTS = frozenset((
+    "ArityError", "MultiPoly", "NewtonExpansion", "TermLimitExceeded",
+    "UniPoly", "binomial_poly", "is_integer_valued", "newton_coefficients",
+))
+
+
+def __getattr__(name: str) -> object:
+    if name in _POLY_EXPORTS:
+        from . import poly
+
+        return getattr(poly, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArityError",

@@ -143,8 +143,9 @@ def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
     return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
+@functools.lru_cache(maxsize=None)
 def _weighted_s_square_sum(x: Rat, p: int) -> Fraction:
-    # sum_{k<p} (2k+1) s_k(x)^2, with s_k = S_k / D
+    # sum_{k<p} (2k+1) s_k(x)^2, with s_k = S_k / D; cc5 and cc10 share it at each (x, p)
     sv, den = s_values(x, p - 1)
     return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
 

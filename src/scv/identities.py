@@ -277,22 +277,28 @@ class RecurrenceOrder4:
     def default(cls) -> RecurrenceOrder4:
         return cls(_RECURRENCE_TRIPLES)
 
+    @functools.lru_cache(maxsize=None)
+    def coefficients(self, m: int, n: int) -> tuple[int, ...]:
+        """(c0, ..., c4) at (m, n); evaluated once and shared by both sides."""
+        return tuple(
+            sum(c * m**em * n**en for em, en, c in table) for table in self.tables
+        )
+
     def coefficient(self, index: int, m: int, n: int) -> int:
         """Value of the coefficient multiplying A_{m+index} at (m, n)."""
-        return sum(c * m**em * n**en for em, en, c in self.tables[index])
+        return self.coefficients(m, n)[index]
 
     def leading_coefficient(self, m: int, n: int) -> int:
         return self.coefficient(4, m, n)
 
     def residual(self, side: str, m: int, n: int) -> int:
         """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} at (m, n)."""
-        if self.leading_coefficient(m, n) == 0:
+        coeffs = self.coefficients(m, n)
+        if coeffs[4] == 0:
             raise CoefficientError(
                 f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
             )
-        return sum(
-            self.coefficient(i, m, n) * eval_bb4_side(side, m + i, n) for i in range(5)
-        )
+        return sum(c * eval_bb4_side(side, m + i, n) for i, c in enumerate(coeffs))
 
 
 _TRANSCRIPTION_CERTIFIED = False

@@ -24,7 +24,6 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .congruences import CheckResult
-from .poly import TERM_LIMIT, TermLimitExceeded
 from .sequences import s_values, schmidt_coefficient
 
 
@@ -105,6 +104,8 @@ def verify_integer_valued(params: IntegralityParams) -> CheckResult:
 
 def schmidt_term_count(n: int, m: int) -> int:
     """Monomials of degree m in n variables, C(n+m-1, m); raises above TERM_LIMIT."""
+    from .poly import TERM_LIMIT, TermLimitExceeded  # the integer-valued check never needs poly
+
     count = math.comb(n + m - 1, m)
     if count > TERM_LIMIT:
         raise TermLimitExceeded(

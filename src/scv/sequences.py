@@ -8,8 +8,9 @@ Definitions (all exact over Rat):
     f_k(x)          sum_{j<=k} C(x+j,k+j) C(k,j) d_j(x)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-The polynomial families are UniPoly / MultiPoly values. The *_values and
-rv_terms column builders evaluate a whole column at a rational point in
+The polynomial families are UniPoly / MultiPoly values; each imports
+scv.poly when called, so the congruence checks never load it. The *_values
+and rv_terms column builders evaluate a whole column at a rational point in
 plain int arithmetic: each returns (numerators, denominator), with one
 known common denominator for the column, so a congruence check builds a
 single Fraction per side at the end instead of reducing one per term.
@@ -22,14 +23,19 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exact_arith import Rat
-from .poly import MultiPoly, UniPoly, int_poly_mul, shifted_binomial_poly
+
+if TYPE_CHECKING:
+    from .poly import MultiPoly, UniPoly
 
 
 @functools.lru_cache(maxsize=None)
 def d_poly(n: int) -> UniPoly:
     """d_n as a polynomial in x (degree n)."""
+    from .poly import UniPoly, shifted_binomial_poly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     acc = UniPoly.zero()
@@ -41,6 +47,8 @@ def d_poly(n: int) -> UniPoly:
 @functools.lru_cache(maxsize=None)
 def s_poly(n: int) -> UniPoly:
     """s_n as a polynomial in x (degree 2n)."""
+    from .poly import UniPoly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     acc = UniPoly.zero()
@@ -52,6 +60,8 @@ def s_poly(n: int) -> UniPoly:
 @functools.lru_cache(maxsize=None)
 def pair_binomial_numerator(s: int) -> tuple[int, ...]:
     """Integer coefficients of s!^2 C(x,s) C(x+s,s) = prod_{i<s} (x-i)(x+s-i)."""
+    from .poly import int_poly_mul
+
     if s < 0:
         raise ValueError("s must be >= 0")
     out = [1]
@@ -67,6 +77,8 @@ def pair_binomial_poly(s: int) -> UniPoly:
     The building block shared by s_n and the telescoping / summation-order
     identities.
     """
+    from .poly import UniPoly
+
     den = math.factorial(s) ** 2
     return UniPoly(Fraction(c, den) for c in pair_binomial_numerator(s))
 
@@ -154,6 +166,8 @@ def schmidt_linear_form(n: int, arity: int | None = None) -> MultiPoly:
     The natural arity is n+1 (variables x_0..x_n); a larger arity embeds the
     same form in a bigger ring.
     """
+    from .poly import MultiPoly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if arity is None:
@@ -175,6 +189,8 @@ def f_poly(k: int) -> UniPoly:
     with the cached d_poly. Integer-valued for every k; these interpolate
     d_n * s_n against the Schmidt weights: sum_k C(n+k,2k) C(2k,k) f_k = d_n * s_n.
     """
+    from .poly import UniPoly, shifted_binomial_poly
+
     if k < 0:
         raise ValueError("k must be >= 0")
     acc = UniPoly.zero()

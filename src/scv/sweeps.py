@@ -13,17 +13,15 @@ identical results, returned in task order either way.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import click
 
-from . import congruences, identities, integrality
+from . import congruences
 from .congruences import SUPPORTED_X, CheckResult, skipped_result
 from .exact_arith import primes_in_range, rat
-from .poly import TermLimitExceeded
 from .sequences import RV_FAMILIES, family_by_label
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -39,6 +37,20 @@ def _task(kind: str, **kwargs: object) -> Task:
     return (kind, tuple(sorted(kwargs.items())))
 
 
+# identities and integrality (and through them poly) load on their first
+# check, so a congruence sweep never imports them.
+def _identities():
+    from . import identities
+
+    return identities
+
+
+def _integrality():
+    from . import integrality
+
+    return integrality
+
+
 KINDS = {
     "rv": lambda family, p: congruences.verify_rv(family_by_label(family), p),
     "lemma2p": lambda family, p: congruences.verify_lemma_2p(family_by_label(family), p),
@@ -52,18 +64,18 @@ KINDS = {
     "cc8": lambda x, p: congruences.verify_cc8_fact(rat(x), p),
     "cc9": lambda x, p: congruences.verify_cc9(rat(x), p),
     "cc10": lambda x, p: congruences.verify_cc10(rat(x), p),
-    "cc1": lambda j, k: identities.check_cc1(j, k),
-    "cc4": lambda k, s: identities.check_cc4(k, s),
-    "liu26": lambda s: identities.check_liu26(s),
-    "telescope": lambda n: identities.check_telescope(n),
-    "bb2": lambda n: identities.check_bb2(n),
-    "bb4-direct": lambda m, n: identities.check_bb4_direct(m, n),
-    "bb4-recurrence": lambda side, m, n: identities.check_bb4_recurrence(side, m, n),
-    "bb4-initial": lambda m, n: identities.check_bb4_initial(m, n),
-    "integer-valued": lambda n, m, eps: integrality.verify_integer_valued(
-        integrality.IntegralityParams(n, m, eps)
+    "cc1": lambda j, k: _identities().check_cc1(j, k),
+    "cc4": lambda k, s: _identities().check_cc4(k, s),
+    "liu26": lambda s: _identities().check_liu26(s),
+    "telescope": lambda n: _identities().check_telescope(n),
+    "bb2": lambda n: _identities().check_bb2(n),
+    "bb4-direct": lambda m, n: _identities().check_bb4_direct(m, n),
+    "bb4-recurrence": lambda side, m, n: _identities().check_bb4_recurrence(side, m, n),
+    "bb4-initial": lambda m, n: _identities().check_bb4_initial(m, n),
+    "integer-valued": lambda n, m, eps: _integrality().verify_integer_valued(
+        _integrality().IntegralityParams(n, m, eps)
     ),
-    "schmidt-divisibility": lambda n, m, eps: integrality.verify_schmidt_divisibility(
+    "schmidt-divisibility": lambda n, m, eps: _integrality().verify_schmidt_divisibility(
         n, m, eps
     ),
 }
@@ -93,6 +105,8 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [execute_task(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(execute_task, tasks, chunksize=chunk))
@@ -123,7 +137,7 @@ def _cc(which: str, pmax: int) -> Iterator[Task]:
 def _bb4_recurrence(top: int) -> Iterator[Task]:
     for m, n in product(range(4), range(BB4_N_MAX + 1)):
         yield _task("bb4-initial", m=m, n=n)
-    for side, m, n in product(identities.SIDES, range(top + 1), range(BB4_N_MAX + 1)):
+    for side, m, n in product(_identities().SIDES, range(top + 1), range(BB4_N_MAX + 1)):
         yield _task("bb4-recurrence", side=side, m=m, n=n)
 
 
@@ -161,9 +175,11 @@ def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
 
 
 def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
+    from .poly import TermLimitExceeded
+
     # the largest power sum of the grid is at (nmax, mmax); refuse it before any work
     try:
-        integrality.schmidt_term_count(nmax, mmax)
+        _integrality().schmidt_term_count(nmax, mmax)
     except TermLimitExceeded as exc:
         raise click.UsageError(str(exc))
     return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)

@@ -13,8 +13,9 @@ repeated MultiPoly products, each turned into the same CheckResult.
 
 The identity checks factor their sums and work over one known denominator;
 here the double/triple sums of bb4 are evaluated as written, f_k repeats its
-inner Delannoy sum for every j, cc1 multiplies Fraction UniPolys, and
-C(x+shift, s) is a product of Fraction UniPoly linear factors.
+inner Delannoy sum for every j, cc1 multiplies Fraction UniPolys,
+C(x+shift, s) is a product of Fraction UniPoly linear factors, and the bb4
+recurrence residual evaluates its five coefficients anew for each side.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 from scv.congruences import CheckResult
 from scv.exact_arith import Rat, legendre
+from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.integrality import IntegralityParams
 from scv.poly import MultiPoly, UniPoly, newton_coefficients
 from scv.sequences import RVFamily, d_poly, f_poly, s_poly, schmidt_linear_form
@@ -411,5 +413,31 @@ def check_cc1_oracle(j: int, k: int, weight=cc1_weight) -> CheckResult:
         passed=lhs == rhs,
         lhs_witness=_poly_witness(lhs),
         rhs_witness=_poly_witness(rhs),
+        modulus="exact",
+    )
+
+
+def recurrence_residual_oracle(side: str, m: int, n: int) -> int:
+    """RecurrenceOrder4.residual as written: five coefficients per side, the leading one twice."""
+
+    def coefficient(index: int) -> int:
+        return sum(c * m**em * n**en for em, en, c in _RECURRENCE_TRIPLES[index])
+
+    if coefficient(4) == 0:
+        raise CoefficientError(
+            f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
+        )
+    return sum(coefficient(i) * eval_bb4_side(side, m + i, n) for i in range(5))
+
+
+def check_bb4_recurrence_oracle(side: str, m: int, n: int) -> CheckResult:
+    """check_bb4_recurrence on the as-written residual."""
+    r = recurrence_residual_oracle(side, m, n)
+    return CheckResult(
+        check_name="bb4-recurrence",
+        parameters={"side": side, "m": m, "n": n},
+        passed=r == 0,
+        lhs_witness=str(r),
+        rhs_witness="0",
         modulus="exact",
     )

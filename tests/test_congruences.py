@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import scv.congruences as congruences
 from scv.congruences import (
+    SUPPORTED_X,
     CheckResult,
     OutOfRange,
     skipped_result,
@@ -18,8 +21,9 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre
+from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre, primes_in_range
 from scv.sequences import RV_FAMILIES, family_by_label
+from scv.sweeps import SWEEPS, run_tasks
 
 HALF = family_by_label("1/2")
 THIRD = family_by_label("1/3")
@@ -206,3 +210,22 @@ def test_public_prime_checks_still_validate():
         PAdicContext(9, 2)
     with pytest.raises(InvalidPrime):
         verify_guo_bb1(Fraction(1), 9)
+
+
+def test_cc_grid_sums_weighted_s_squares_once_per_point(monkeypatch):
+    # cc5 and cc10 both need sum_{k<p} (2k+1) s_k(x)^2; the grid computes it once per (x, p)
+    built = Counter()
+    s_values = congruences.s_values
+
+    def counting(x, kmax):
+        built[(x, kmax + 1)] += 1
+        return s_values(x, kmax)
+
+    monkeypatch.setattr(congruences, "s_values", counting)
+    congruences._weighted_s_square_sum.cache_clear()
+    results = run_tasks(SWEEPS["cc"].grid("all", 40))
+    congruences._weighted_s_square_sum.cache_clear()
+    assert all(r.passed for r in results)
+    assert built == Counter(
+        {(Fraction(x), p): 1 for x in SUPPORTED_X for p in primes_in_range(5, 40)}
+    )

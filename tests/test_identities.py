@@ -9,6 +9,7 @@ import scv.identities as identities
 from oracles import (
     bb4_side_oracle,
     cc1_weight,
+    check_bb4_recurrence_oracle,
     check_cc1_oracle,
     d_val,
     f_poly_oracle,
@@ -31,7 +32,7 @@ from scv.identities import (
 )
 from scv.poly import UniPoly
 from scv.sequences import f_poly, pair_binomial_poly
-from scv.sweeps import SWEEPS, run_tasks
+from scv.sweeps import IDENTITIES, SWEEPS, run_tasks
 
 
 def test_cc1_examples():
@@ -249,3 +250,19 @@ def test_bb4_recurrence_holds_to_m_80():
     results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 80))
     assert len(results) == 4316
     assert all(r.passed for r in results)
+
+
+def test_bb4_recurrence_matches_as_written_residual():
+    for top in (IDENTITIES["bb4-recurrence"].default_max, 80):
+        for kind, kv in SWEEPS["identity"].grid("bb4-recurrence", top):
+            if kind == "bb4-recurrence":
+                params = dict(kv)
+                assert check_bb4_recurrence(**params) == check_bb4_recurrence_oracle(**params)
+
+
+def test_recurrence_coefficients_evaluated_once_per_point():
+    RecurrenceOrder4.coefficients.cache_clear()
+    results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
+    assert all(r.passed for r in results)
+    # both sides and the leading-coefficient test share one evaluation per (m, n)
+    assert RecurrenceOrder4.coefficients.cache_info().misses == 41 * 26

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -229,7 +230,7 @@ def test_run_tasks_caps_workers(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
     assert sweeps.run_tasks(tasks, jobs=64) == sweeps.run_tasks(tasks)
