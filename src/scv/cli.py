@@ -24,6 +24,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """Read key=value lines into the command's defaults; keys are flag names."""
     if path is None:
         return
+    keys = {p.name for p in ctx.command.params if p.expose_value}
     values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -32,6 +33,11 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         if "=" not in line:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise click.UsageError(
+                f"{path}:{lineno}: {key!r} is not an option of {ctx.command.name}"
+                f" (keys: {', '.join(sorted(keys))})"
+            )
         values[key] = [x.strip() for x in value.split(",") if x.strip()] if key == "x" else value
     ctx.default_map = values
 

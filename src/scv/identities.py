@@ -1,15 +1,16 @@
 """Exact polynomial and integer identities behind the congruence chain.
 
-Polynomial identities are decided by canonical coefficient equality, never by
-sampling; cc1 builds both sides as integer coefficient lists over the one
-known denominator ((j+k)!)^2. The two sides of the double/triple-sum identity (bb4)
-are exact integers from factored forms: the double sum is d_n(m) s_n(m), and
-the triple sum is sum_k C(n+k,2k) C(2k,k) f_k(m), with f_0(m)..f_m(m) built
-once per m from the Delannoy row d_0(m)..d_m(m). The order-4 recurrence
-certifying both sides is stored as data (per-coefficient tables of
-(m-exponent, n-exponent, integer) triples) and must pass a transcription
-self-test against the double-sum side before it is used to certify the
-triple-sum side.
+Polynomial identities (cc1, telescope, bb2) are decided by canonical
+coefficient equality, never by sampling: each side is an integer coefficient
+list over one known denominator (scv.poly), reduced to one Fraction per
+coefficient only to compare and print the finished sides. The two sides of
+the double/triple-sum identity (bb4) are exact integers from factored forms:
+the double sum is d_n(m) s_n(m), and the triple sum is
+sum_k C(n+k,2k) C(2k,k) f_k(m), with f_0(m)..f_m(m) built once per m from
+the Delannoy row d_0(m)..d_m(m). The order-4 recurrence certifying both
+sides is stored as data (per-coefficient tables of (m-exponent, n-exponent,
+integer) triples) and must pass a transcription self-test against the
+double-sum side before it is used to certify the triple-sum side.
 """
 
 from __future__ import annotations
@@ -21,36 +22,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .congruences import CheckResult
-from .poly import UniPoly, int_poly_mul
-from .sequences import (
-    d_poly,
-    f_poly,
-    pair_binomial_numerator,
-    pair_binomial_poly,
-    s_poly,
-    schmidt_coefficient,
-)
+from .poly import IntPoly, d_poly, f_poly, pair_binomial_poly, poly_mul, poly_sum, s_poly
+from .sequences import schmidt_coefficient
 
 
 class CoefficientError(RuntimeError):
     """Raised when the stored recurrence coefficients fail a sanity check."""
 
 
-def _poly_witness(p: UniPoly) -> str:
-    return "[" + ", ".join(
-        str(c) if c.denominator > 1 else str(c.numerator) for c in p.coeffs
-    ) + "]"
+def _coefficients(p: IntPoly) -> list[Fraction]:
+    """The reduced coefficients of p, without trailing zeros."""
+    nums, den = p
+    out = [Fraction(c, den) for c in nums]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _identity_result(
-    name: str, parameters: dict[str, object], lhs: UniPoly, rhs: UniPoly
+    name: str, parameters: dict[str, object], lhs: IntPoly, rhs: IntPoly
 ) -> CheckResult:
+    lhs_coeffs, rhs_coeffs = _coefficients(lhs), _coefficients(rhs)
     return CheckResult(
         check_name=name,
         parameters=parameters,
-        passed=lhs == rhs,
-        lhs_witness=_poly_witness(lhs),
-        rhs_witness=_poly_witness(rhs),
+        passed=lhs_coeffs == rhs_coeffs,
+        lhs_witness="[" + ", ".join(map(str, lhs_coeffs)) + "]",
+        rhs_witness="[" + ", ".join(map(str, rhs_coeffs)) + "]",
         modulus="exact",
     )
 
@@ -62,33 +60,18 @@ def _cc1_weight(j: int, k: int, s: int) -> int:
 def check_cc1(j: int, k: int) -> CheckResult:
     """C(x,k)C(x+k,k) C(x,j)C(x+j,j) == sum_s C(j+k,s) C(s,j) C(s,k) C(x,s)C(x+s,s).
 
-    An exact identity of degree-2(j+k) polynomials in x. Both sides are built
-    as integer coefficient lists over L = ((j+k)!)^2: with the integer
-    polynomials N_s = s!^2 C(x,s)C(x+s,s), L * lhs = C(j+k,k)^2 N_k N_j and
-    L * rhs = sum_s w_s ((j+k)!/s!)^2 N_s; each side is divided by L once.
+    An exact identity of degree-2(j+k) polynomials in x; the rhs is built
+    over ((j+k)!)^2, which clears every C(x,s)C(x+s,s) with s <= j+k.
     """
     if j < 0 or k < 0:
         raise ValueError("j, k must be >= 0")
     top = j + k
-    fact = math.factorial(top)
-    lhs = [
-        math.comb(top, k) ** 2 * c
-        for c in int_poly_mul(pair_binomial_numerator(k), pair_binomial_numerator(j))
-    ]
-    rhs = [0] * len(lhs)
-    for s in range(top + 1):
-        w = _cc1_weight(j, k, s)
-        if w:
-            w *= (fact // math.factorial(s)) ** 2
-            for i, c in enumerate(pair_binomial_numerator(s)):
-                rhs[i] += w * c
-    den = fact**2
-    return _identity_result(
-        "cc1",
-        {"j": j, "k": k},
-        UniPoly(Fraction(c, den) for c in lhs),
-        UniPoly(Fraction(c, den) for c in rhs),
+    lhs = poly_mul(pair_binomial_poly(k), pair_binomial_poly(j))
+    rhs = poly_sum(
+        ((_cc1_weight(j, k, s), pair_binomial_poly(s)) for s in range(top + 1)),
+        math.factorial(top) ** 2,
     )
+    return _identity_result("cc1", {"j": j, "k": k}, lhs, rhs)
 
 
 def check_cc4(k: int, s: int) -> CheckResult:
@@ -138,38 +121,34 @@ def check_telescope(n: int) -> CheckResult:
     Verifies the denominator-cleared identity
         x(x+1) * sum_{s<n} (-1)^s/(s+1) C(x,s) C(x+s,s)
             == n (-1)^(n+1) C(x,n) C(x+n,n)
-    after confirming the right-hand product is exactly divisible by x(x+1)
-    (root checks at 0 and -1, then synthetic division).
+    by coefficient equality; the partial sum is built over n! (n-1)!. The
+    lhs carries the factor x(x+1), so equality also shows that the rhs is
+    divisible by it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    partial = UniPoly.zero()
-    for s in range(n):
-        partial = partial + pair_binomial_poly(s).scale(Fraction((-1) ** s, s + 1))
-    x_poly = UniPoly.x()
-    lhs = x_poly * (x_poly + 1) * partial
-    rhs = pair_binomial_poly(n).scale(n * (-1) ** (n + 1))
-    if rhs.eval(0) != 0 or rhs.eval(-1) != 0:
-        return CheckResult(
-            check_name="telescope",
-            parameters={"n": n},
-            passed=False,
-            lhs_witness=_poly_witness(lhs),
-            rhs_witness=_poly_witness(rhs),
-            modulus="exact",
-        )
-    rhs.deflate(0).deflate(-1)  # divisibility by x(x+1) must be exact
+    partial = poly_sum(
+        ((Fraction((-1) ** s, s + 1), pair_binomial_poly(s)) for s in range(n)),
+        math.factorial(n) * math.factorial(n - 1),
+    )
+    lhs = poly_mul(((0, 1, 1), 1), partial)
+    rhs = poly_sum([(n * (-1) ** (n + 1), pair_binomial_poly(n))], math.factorial(n) ** 2)
     return _identity_result("telescope", {"n": n}, lhs, rhs)
 
 
 def check_bb2(n: int) -> CheckResult:
-    """d_n * s_n == sum_{k<=n} C(n+k,2k) C(2k,k) f_k as degree-3n polynomials."""
+    """d_n * s_n == sum_{k<=n} C(n+k,2k) C(2k,k) f_k as degree-3n polynomials.
+
+    The lhs is over n!^3 and the rhs over (2n)! n!, which clears every f_k
+    with k <= n.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    lhs = d_poly(n) * s_poly(n)
-    rhs = UniPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + f_poly(k).scale(math.comb(n + k, 2 * k) * math.comb(2 * k, k))
+    lhs = poly_mul(d_poly(n), s_poly(n))
+    rhs = poly_sum(
+        ((schmidt_coefficient(n, k), f_poly(k)) for k in range(n + 1)),
+        math.factorial(2 * n) * math.factorial(n),
+    )
     return _identity_result("bb2", {"n": n}, lhs, rhs)
 
 

@@ -1,180 +1,37 @@
-"""Exact polynomial arithmetic: dense univariate and sparse multivariate rings over Rat.
+"""Polynomials in x as integer numerators over one known denominator.
 
-UniPoly is the workhorse for identities in one indeterminate; MultiPoly covers
-linear forms in x_0..x_N and their powers.  Both are immutable and canonical
-(no trailing zero coefficients, no stored zero terms), so equality is plain
-coefficient comparison.
+A polynomial is an IntPoly: a tuple of int numerators (index = degree of x)
+and one int denominator, so products and sums run in plain int arithmetic
+and a caller builds one Fraction per coefficient only when it compares or
+prints a finished polynomial. The families (all cached):
+
+    C(x+shift, s)   prod_{i<s} (x+shift-i)               over s!
+    C(x,s) C(x+s,s) prod_{i<s} (x-i)(x+s-i)              over s!^2
+    d_n(x)          sum_k C(n,k) C(x,k) 2^k              over n!
+    s_n(x)          sum_k C(n,k) C(x,k) C(x+k,k)         over n!^2
+    f_k(x)          sum_{j<=k} C(k,j) C(x+j,k+j) d_j(x)  over (2k)! k!
+
+tests/fraction_poly.py keeps the Fraction polynomial rings these replaced,
+as the differential oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_arith import Rat
 
-# Sparse products abort beyond this many monomials to keep desk-scale runs interactive.
+# Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
 TERM_LIMIT = 10**6
 
-
-class ArityError(ValueError):
-    """Raised when MultiPoly operands disagree on the number of variables."""
+IntPoly = tuple[tuple[int, ...], int]
 
 
 class TermLimitExceeded(RuntimeError):
-    """Raised when a sparse product would exceed TERM_LIMIT monomials."""
-
-
-class UniPoly:
-    """Dense univariate polynomial over Rat; index = degree of x."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat | int] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def constant(cls, c: Rat | int) -> UniPoly:
-        return cls((c,))
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> UniPoly:
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> UniPoly:
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: UniPoly | Rat | int) -> UniPoly:
-        other = _as_unipoly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: UniPoly | Rat | int) -> UniPoly:
-        return self + (-_as_unipoly(other))
-
-    def __rsub__(self, other: UniPoly | Rat | int) -> UniPoly:
-        return _as_unipoly(other) + (-self)
-
-    def __mul__(self, other: UniPoly | Rat | int) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def scale(self, c: Rat | int) -> UniPoly:
-        c = Fraction(c)
-        if c == 0:
-            return UniPoly.zero()
-        return UniPoly(a * c for a in self.coeffs)
-
-    def eval(self, point: Rat | int) -> Rat:
-        """Horner evaluation at an exact rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    __call__ = eval
-
-    def deflate(self, root: Rat | int) -> UniPoly:
-        """Exact synthetic division by (x - root); the remainder must vanish."""
-        root = Fraction(root)
-        out: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop() if out else Fraction(0)
-        if rem != 0:
-            raise ValueError(f"{root} is not a root (remainder {rem})")
-        # out currently holds quotient coefficients from high degree down,
-        # shifted by one: quotient has degree deg - 1.
-        return UniPoly(reversed(out))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def _as_unipoly(v: UniPoly | Rat | int) -> UniPoly:
-    if isinstance(v, UniPoly):
-        return v
-    return UniPoly.constant(v)
+    """Raised when an expansion would exceed TERM_LIMIT monomials."""
 
 
 def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -186,198 +43,82 @@ def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def shifted_binomial_poly(shift: int, s: int) -> UniPoly:
-    """C(x + shift, s) as a degree-s UniPoly: (x+shift)(x+shift-1)...(x+shift-s+1)/s!.
+def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
+    return tuple(int_poly_mul(p[0], q[0])), p[1] * q[1]
 
-    The product of the linear factors is expanded in integers; each
-    coefficient becomes one Fraction over s! at the end.
+
+def poly_sum(terms: Iterable[tuple[Rat | int, IntPoly]], den: int) -> IntPoly:
+    """sum_i w_i p_i as numerators over den.
+
+    den must clear every term: w_i * den / (denominator of p_i) has to be an
+    integer, or ArithmeticError is raised instead of truncating.
     """
+    out: list[int] = []
+    for w, (nums, d) in terms:
+        if not w:
+            continue
+        scale = Fraction(w) * den / d
+        if scale.denominator != 1:
+            raise ArithmeticError(f"{den} is not a common denominator")
+        out.extend([0] * (len(nums) - len(out)))
+        for i, c in enumerate(nums):
+            out[i] += scale.numerator * c
+    return tuple(out), den
+
+
+def _linear_product(factors: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    out = [1]
+    for f in factors:
+        out = int_poly_mul(out, f)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def shifted_binomial_poly(shift: int, s: int) -> IntPoly:
+    """C(x + shift, s) = (x+shift)(x+shift-1)...(x+shift-s+1) / s!."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    coeffs = [1]
-    for i in range(s):
-        coeffs = int_poly_mul(coeffs, (shift - i, 1))
-    den = math.factorial(s)
-    return UniPoly(Fraction(c, den) for c in coeffs)
+    return _linear_product((shift - i, 1) for i in range(s)), math.factorial(s)
 
 
-def binomial_poly(s: int) -> UniPoly:
-    """The binomial-basis polynomial C(x, s) = x(x-1)...(x-s+1)/s!."""
-    return shifted_binomial_poly(0, s)
+@functools.lru_cache(maxsize=None)
+def pair_binomial_poly(s: int) -> IntPoly:
+    """C(x, s) * C(x+s, s), the building block of s_n, cc1 and the telescoping sum."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    factors = ((-i * (s - i), s - 2 * i, 1) for i in range(s))
+    return _linear_product(factors), math.factorial(s) ** 2
 
 
-@dataclass(frozen=True)
-class NewtonExpansion:
-    """Coefficients c_j of a polynomial written as sum_j c_j * C(x, j)."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def all_integers(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
-
-    def to_poly(self) -> UniPoly:
-        acc = UniPoly.zero()
-        for j, c in enumerate(self.coefficients):
-            acc = acc + binomial_poly(j).scale(c)
-        return acc
+@functools.lru_cache(maxsize=None)
+def d_poly(n: int) -> IntPoly:
+    """d_n as a polynomial in x (degree n)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    terms = ((math.comb(n, k) * 2**k, shifted_binomial_poly(0, k)) for k in range(n + 1))
+    return poly_sum(terms, math.factorial(n))
 
 
-def newton_coefficients(p: UniPoly) -> NewtonExpansion:
-    """Binomial-basis coefficients c_j = (forward difference)^j p(0).
+@functools.lru_cache(maxsize=None)
+def s_poly(n: int) -> IntPoly:
+    """s_n as a polynomial in x (degree 2n)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    terms = ((math.comb(n, k), pair_binomial_poly(k)) for k in range(n + 1))
+    return poly_sum(terms, math.factorial(n) ** 2)
 
-    Computed by an in-place difference table on the values p(0..deg), which
-    is exact and O(deg^2).
+
+@functools.lru_cache(maxsize=None)
+def f_poly(k: int) -> IntPoly:
+    """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i.
+
+    The sum over i is d_j(x). Integer-valued for every k; these interpolate
+    d_n * s_n against the Schmidt weights: sum_k C(n+k,2k) C(2k,k) f_k = d_n * s_n.
     """
-    d = p.degree
-    vals = [p.eval(i) for i in range(d + 1)]
-    out: list[Fraction] = []
-    for _ in range(d + 1):
-        out.append(vals[0])
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    return NewtonExpansion(tuple(out))
-
-
-def is_integer_valued(p: UniPoly) -> bool:
-    """True iff p maps every integer to an integer (all Newton coefficients integral)."""
-    return newton_coefficients(p).all_integers()
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial over Rat in variables x_0..x_{arity-1}.
-
-    Terms map exponent tuples (one entry per variable) to nonzero coefficients.
-    """
-
-    __slots__ = ("arity", "_terms")
-
-    def __init__(
-        self, arity: int, terms: Mapping[tuple[int, ...], Rat | int] | None = None
-    ) -> None:
-        if arity < 0:
-            raise ArityError(f"arity must be >= 0, got {arity}")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for expo, c in (terms or {}).items():
-            expo = tuple(expo)
-            if len(expo) != arity:
-                raise ArityError(f"exponent {expo} has arity {len(expo)}, expected {arity}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
-            c = Fraction(c)
-            if c != 0:
-                clean[expo] = c
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("MultiPoly is immutable")
-
-    @classmethod
-    def zero(cls, arity: int) -> MultiPoly:
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity: int, c: Rat | int) -> MultiPoly:
-        return cls(arity, {(0,) * arity: c})
-
-    @classmethod
-    def variable(cls, arity: int, index: int) -> MultiPoly:
-        if not 0 <= index < arity:
-            raise ArityError(f"variable index {index} out of range for arity {arity}")
-        expo = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {expo: 1})
-
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self._terms.items())
-
-    def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
-
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _check_arity(self, other: MultiPoly) -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        self._check_arity(other)
-        out = dict(self._terms)
-        for expo, c in other._terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + c
-        return MultiPoly(self.arity, out)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.arity, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
-
-    def __mul__(self, other: MultiPoly) -> MultiPoly:
-        self._check_arity(other)
-        if len(self._terms) * len(other._terms) > TERM_LIMIT:
-            raise TermLimitExceeded(
-                f"product of {len(self._terms)} x {len(other._terms)} terms exceeds {TERM_LIMIT}"
-            )
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        if len(out) > TERM_LIMIT:
-            raise TermLimitExceeded(f"{len(out)} terms exceeds {TERM_LIMIT}")
-        return MultiPoly(self.arity, out)
-
-    def scale(self, c: Rat | int) -> MultiPoly:
-        c = Fraction(c)
-        return MultiPoly(self.arity, {e: v * c for e, v in self._terms.items()})
-
-    def __pow__(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = MultiPoly.constant(self.arity, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def extended(self, arity: int) -> MultiPoly:
-        """Embed into a ring with more variables (pad exponents with zeros)."""
-        if arity < self.arity:
-            raise ArityError(f"cannot shrink arity {self.arity} to {arity}")
-        pad = (0,) * (arity - self.arity)
-        return MultiPoly(arity, {e + pad: c for e, c in self._terms.items()})
-
-    def eval(self, points: Sequence[Rat | int]) -> Rat:
-        if len(points) != self.arity:
-            raise ArityError(f"{len(points)} points for arity {self.arity}")
-        pts = [Fraction(q) for q in points]
-        acc = Fraction(0)
-        for expo, c in self._terms.items():
-            term = c
-            for q, e in zip(pts, expo):
-                if e:
-                    term *= q**e
-            acc += term
-        return acc
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "MultiPoly(0)"
-        parts = []
-        for expo, c in sorted(self._terms.items()):
-            mono = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(expo) if e
-            )
-            parts.append(f"{c}*{mono}" if mono else str(c))
-        return "MultiPoly(" + " + ".join(parts) + ")"
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    terms = (
+        (math.comb(k, j), poly_mul(shifted_binomial_poly(j, k + j), d_poly(j)))
+        for j in range(k + 1)
+    )
+    return poly_sum(terms, math.factorial(2 * k) * math.factorial(k))

@@ -1,86 +1,28 @@
-"""Number and polynomial families used by the verifiers.
+"""Number families used by the verifiers, evaluated at one rational point.
 
 Definitions (all exact over Rat):
 
     d_n(x)          sum_k C(n,k) C(x,k) 2^k          (degree n)
     s_n(x)          sum_k C(n,k) C(x,k) C(x+k,k)     (degree 2n)
     S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
-    f_k(x)          sum_{j<=k} C(x+j,k+j) C(k,j) d_j(x)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-The polynomial families are UniPoly / MultiPoly values; each imports
-scv.poly when called, so the congruence checks never load it. The *_values
-and rv_terms column builders evaluate a whole column at a rational point in
-plain int arithmetic: each returns (numerators, denominator), with one
-known common denominator for the column, so a congruence check builds a
-single Fraction per side at the end instead of reducing one per term.
+The *_values and rv_terms column builders evaluate a whole column at a
+rational point in plain int arithmetic: each returns (numerators,
+denominator), with one known common denominator for the column, so a
+congruence check builds a single Fraction per side at the end instead of
+reducing one per term. The same families as polynomials in x are in
+scv.poly, which the congruence checks never load.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .exact_arith import Rat
-
-if TYPE_CHECKING:
-    from .poly import MultiPoly, UniPoly
-
-
-@functools.lru_cache(maxsize=None)
-def d_poly(n: int) -> UniPoly:
-    """d_n as a polynomial in x (degree n)."""
-    from .poly import UniPoly, shifted_binomial_poly
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = UniPoly.zero()
-    for k in range(n + 1):
-        acc = acc + shifted_binomial_poly(0, k).scale(math.comb(n, k) * 2**k)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def s_poly(n: int) -> UniPoly:
-    """s_n as a polynomial in x (degree 2n)."""
-    from .poly import UniPoly
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = UniPoly.zero()
-    for k in range(n + 1):
-        acc = acc + pair_binomial_poly(k).scale(math.comb(n, k))
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def pair_binomial_numerator(s: int) -> tuple[int, ...]:
-    """Integer coefficients of s!^2 C(x,s) C(x+s,s) = prod_{i<s} (x-i)(x+s-i)."""
-    from .poly import int_poly_mul
-
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    out = [1]
-    for i in range(s):
-        out = int_poly_mul(out, (-i * (s - i), s - 2 * i, 1))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def pair_binomial_poly(s: int) -> UniPoly:
-    """C(x, s) * C(x+s, s) as a degree-2s UniPoly, pair_binomial_numerator(s) / s!^2.
-
-    The building block shared by s_n and the telescoping / summation-order
-    identities.
-    """
-    from .poly import UniPoly
-
-    den = math.factorial(s) ** 2
-    return UniPoly(Fraction(c, den) for c in pair_binomial_numerator(s))
 
 
 def ratio_column(den: int, steps: Iterable[tuple[int, int]]) -> list[int]:
@@ -158,45 +100,6 @@ def rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
 def schmidt_coefficient(n: int, k: int) -> int:
     """Weight C(n+k, 2k) * C(2k, k) of x_k in the linear Schmidt form."""
     return math.comb(n + k, 2 * k) * math.comb(2 * k, k)
-
-
-def schmidt_linear_form(n: int, arity: int | None = None) -> MultiPoly:
-    """S_n = sum_{k<=n} C(n+k,2k) C(2k,k) x_k as a linear MultiPoly.
-
-    The natural arity is n+1 (variables x_0..x_n); a larger arity embeds the
-    same form in a bigger ring.
-    """
-    from .poly import MultiPoly
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if arity is None:
-        arity = n + 1
-    if arity < n + 1:
-        raise ValueError(f"arity {arity} too small for S_{n}")
-    terms = {}
-    for k in range(n + 1):
-        expo = tuple(1 if i == k else 0 for i in range(arity))
-        terms[expo] = schmidt_coefficient(n, k)
-    return MultiPoly(arity, terms)
-
-
-@functools.lru_cache(maxsize=None)
-def f_poly(k: int) -> UniPoly:
-    """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i.
-
-    The sum over i is d_j(x), so this is sum_{j<=k} C(k,j) C(x+j, k+j) d_j(x)
-    with the cached d_poly. Integer-valued for every k; these interpolate
-    d_n * s_n against the Schmidt weights: sum_k C(n+k,2k) C(2k,k) f_k = d_n * s_n.
-    """
-    from .poly import UniPoly, shifted_binomial_poly
-
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    acc = UniPoly.zero()
-    for j in range(k + 1):
-        acc = acc + shifted_binomial_poly(j, k + j).scale(math.comb(k, j)) * d_poly(j)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ repeated MultiPoly products, each turned into the same CheckResult.
 
 The identity checks factor their sums and work over one known denominator;
 here the double/triple sums of bb4 are evaluated as written, f_k repeats its
-inner Delannoy sum for every j, cc1 multiplies Fraction UniPolys,
-C(x+shift, s) is a product of Fraction UniPoly linear factors, and the bb4
-recurrence residual evaluates its five coefficients anew for each side.
+inner Delannoy sum for every j, cc1, telescope and bb2 multiply and add the
+Fraction UniPolys of fraction_poly (telescope also checks the roots 0 and -1
+and divides them out), and the bb4 recurrence residual evaluates its five
+coefficients anew for each side.
 """
 
 from __future__ import annotations
@@ -24,12 +25,23 @@ import functools
 import math
 from fractions import Fraction
 
+from fraction_poly import (
+    MultiPoly,
+    UniPoly,
+    d_poly,
+    f_poly,
+    newton_coefficients,
+    pair_binomial_poly,
+    s_poly,
+    schmidt_linear_form,
+    shifted_binomial_poly,
+)
+
 from scv.congruences import CheckResult
 from scv.exact_arith import Rat, legendre
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.integrality import IntegralityParams
-from scv.poly import MultiPoly, UniPoly, newton_coefficients
-from scv.sequences import RVFamily, d_poly, f_poly, s_poly, schmidt_linear_form
+from scv.sequences import RVFamily
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -364,27 +376,14 @@ def bb4_side_oracle(side: str, m: int, n: int) -> int:
     return total
 
 
-def shifted_binomial_oracle(shift: int, s: int) -> UniPoly:
-    """C(x + shift, s) by Fraction UniPoly products of the linear factors."""
-    p = UniPoly.one()
-    for i in range(s):
-        p = p * UniPoly((shift - i, 1))
-    return p.scale(Fraction(1, math.factorial(s)))
-
-
-def pair_binomial_oracle(s: int) -> UniPoly:
-    """C(x, s) * C(x+s, s) as the product of its two binomial polynomials."""
-    return shifted_binomial_oracle(0, s) * shifted_binomial_oracle(s, s)
-
-
 def f_poly_oracle(k: int) -> UniPoly:
     """f_k(x) = sum_{j<=k} sum_{i<=j} C(x+j, k+j) C(x,i) C(k,j) C(j,i) 2^i, as written."""
     acc = UniPoly.zero()
     for j in range(k + 1):
-        outer = shifted_binomial_oracle(j, k + j).scale(math.comb(k, j))
+        outer = shifted_binomial_poly(j, k + j).scale(math.comb(k, j))
         inner = UniPoly.zero()
         for i in range(j + 1):
-            inner = inner + shifted_binomial_oracle(0, i).scale(math.comb(j, i) * 2**i)
+            inner = inner + shifted_binomial_poly(0, i).scale(math.comb(j, i) * 2**i)
         acc = acc + outer * inner
     return acc
 
@@ -395,26 +394,64 @@ def _poly_witness(p: UniPoly) -> str:
     ) + "]"
 
 
-def cc1_weight(j: int, k: int, s: int) -> int:
-    return math.comb(j + k, s) * math.comb(s, j) * math.comb(s, k)
-
-
-def check_cc1_oracle(j: int, k: int, weight=cc1_weight) -> CheckResult:
-    """check_cc1 by Fraction UniPoly products of the pair binomials."""
-    lhs = pair_binomial_oracle(k) * pair_binomial_oracle(j)
-    rhs = UniPoly.zero()
-    for s in range(j + k + 1):
-        w = weight(j, k, s)
-        if w:
-            rhs = rhs + pair_binomial_oracle(s).scale(w)
+def _identity_oracle(name: str, parameters: dict, lhs: UniPoly, rhs: UniPoly) -> CheckResult:
     return CheckResult(
-        check_name="cc1",
-        parameters={"j": j, "k": k},
+        check_name=name,
+        parameters=parameters,
         passed=lhs == rhs,
         lhs_witness=_poly_witness(lhs),
         rhs_witness=_poly_witness(rhs),
         modulus="exact",
     )
+
+
+def cc1_weight(j: int, k: int, s: int) -> int:
+    return math.comb(j + k, s) * math.comb(s, j) * math.comb(s, k)
+
+
+def bb2_weight(n: int, k: int) -> int:
+    return math.comb(n + k, 2 * k) * math.comb(2 * k, k)
+
+
+def check_cc1_oracle(j: int, k: int, weight=cc1_weight) -> CheckResult:
+    """check_cc1 by Fraction UniPoly products of the pair binomials."""
+    lhs = pair_binomial_poly(k) * pair_binomial_poly(j)
+    rhs = UniPoly.zero()
+    for s in range(j + k + 1):
+        w = weight(j, k, s)
+        if w:
+            rhs = rhs + pair_binomial_poly(s).scale(w)
+    return _identity_oracle("cc1", {"j": j, "k": k}, lhs, rhs)
+
+
+def check_telescope_oracle(n: int, pair=pair_binomial_poly) -> CheckResult:
+    """check_telescope on UniPolys, with root checks at 0 and -1 and synthetic division."""
+    partial = UniPoly.zero()
+    for s in range(n):
+        partial = partial + pair(s).scale(Fraction((-1) ** s, s + 1))
+    x_poly = UniPoly.x()
+    lhs = x_poly * (x_poly + 1) * partial
+    rhs = pair(n).scale(n * (-1) ** (n + 1))
+    if rhs.eval(0) != 0 or rhs.eval(-1) != 0:
+        return CheckResult(
+            check_name="telescope",
+            parameters={"n": n},
+            passed=False,
+            lhs_witness=_poly_witness(lhs),
+            rhs_witness=_poly_witness(rhs),
+            modulus="exact",
+        )
+    rhs.deflate(0).deflate(-1)  # divisibility by x(x+1) must be exact
+    return _identity_oracle("telescope", {"n": n}, lhs, rhs)
+
+
+def check_bb2_oracle(n: int, weight=bb2_weight) -> CheckResult:
+    """check_bb2 by UniPoly products and sums of the Fraction d_n, s_n and f_k."""
+    lhs = d_poly(n) * s_poly(n)
+    rhs = UniPoly.zero()
+    for k in range(n + 1):
+        rhs = rhs + f_poly(k).scale(weight(n, k))
+    return _identity_oracle("bb2", {"n": n}, lhs, rhs)
 
 
 def recurrence_residual_oracle(side: str, m: int, n: int) -> int:

@@ -12,9 +12,9 @@ import time
 from fractions import Fraction
 
 import scv.identities as identities
+from fraction_poly import UniPoly, newton_coefficients
 from oracles import d_val, delannoy_oracle, integer_window_oracle
 from scv.integrality import IntegralityParams, verify_integer_valued
-from scv.poly import UniPoly, newton_coefficients
 from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
 

@@ -5,16 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly
 import scv.identities as identities
+from fraction_poly import as_unipoly
 from oracles import (
+    bb2_weight,
     bb4_side_oracle,
     cc1_weight,
+    check_bb2_oracle,
     check_bb4_recurrence_oracle,
     check_cc1_oracle,
+    check_telescope_oracle,
     d_val,
     f_poly_oracle,
     s_val,
 )
+from scv import poly
 from scv.identities import (
     SIDES,
     CoefficientError,
@@ -30,8 +36,6 @@ from scv.identities import (
     eval_bb4_side,
     self_test_transcription,
 )
-from scv.poly import UniPoly
-from scv.sequences import f_poly, pair_binomial_poly
 from scv.sweeps import IDENTITIES, SWEEPS, run_tasks
 
 
@@ -80,7 +84,7 @@ def test_telescope_examples():
 
 
 def test_telescope_degree_12_case():
-    cleared = pair_binomial_poly(6).scale(6 * (-1) ** 7)
+    cleared = as_unipoly(poly.pair_binomial_poly(6)).scale(6 * (-1) ** 7)
     assert cleared.degree == 12
     assert check_telescope(6).passed
 
@@ -222,7 +226,7 @@ def test_bb4_sides_match_as_written_oracle():
 
 def test_f_poly_matches_as_written_oracle():
     for k in range(15):
-        assert f_poly(k) == f_poly_oracle(k), k
+        assert as_unipoly(poly.f_poly(k)) == f_poly_oracle(k), k
 
 
 def test_cc1_matches_unipoly_oracle():
@@ -244,6 +248,49 @@ def test_cc1_violations_match_unipoly_oracle(monkeypatch):
                 failed.append(r)
     assert len(failed) == 24
     assert any("/" in r.rhs_witness for r in failed)
+
+
+def test_bb2_and_telescope_match_unipoly_oracle():
+    for n in range(26):
+        assert check_bb2(n) == check_bb2_oracle(n), n
+    for n in range(1, 21):
+        assert check_telescope(n) == check_telescope_oracle(n), n
+
+
+def test_bb2_violations_match_unipoly_oracle(monkeypatch):
+    # one perturbed Schmidt weight breaks the identity for every n >= 2
+    perturbed = lambda n, k: bb2_weight(n, k) + (k == 2)  # noqa: E731
+    monkeypatch.setattr(identities, "schmidt_coefficient", perturbed)
+    failed = []
+    for n in range(8):
+        r = check_bb2(n)
+        assert r == check_bb2_oracle(n, weight=perturbed), n
+        if not r.passed:
+            failed.append(r)
+    assert len(failed) == 6
+    assert any("/" in r.rhs_witness for r in failed)
+
+
+@pytest.mark.parametrize("shift", [1, Fraction(1, 3)])
+def test_telescope_violations_match_unipoly_oracle(monkeypatch, shift):
+    # C(x,3)C(x+3,3) + shift breaks the partial sums for n > 3 and the closed form at n = 3
+    def perturbed(s):
+        return fraction_poly.pair_binomial_poly(s) + (shift if s == 3 else 0)
+
+    def perturbed_int(s):
+        # over the same s!^2, so the library's denominators still clear every term
+        p = poly.pair_binomial_poly(s)
+        return poly.poly_sum([(1, p), (shift if s == 3 else 0, ((1,), 1))], p[1])
+
+    monkeypatch.setattr(identities, "pair_binomial_poly", perturbed_int)
+    failed = []
+    for n in range(1, 9):
+        r = check_telescope(n)
+        assert r == check_telescope_oracle(n, pair=perturbed), n
+        if not r.passed:
+            failed.append(r)
+    assert [r.parameters["n"] for r in failed] == [3, 4, 5, 6, 7, 8]
+    assert any("/" in r.lhs_witness for r in failed)
 
 
 def test_bb4_recurrence_holds_to_m_80():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly
+from fraction_poly import MultiPoly, UniPoly, is_integer_valued
 from oracles import (
     crosscheck_specialization,
     integer_valued_oracle,
@@ -19,7 +21,7 @@ from scv.integrality import (
     verify_integer_valued,
     verify_schmidt_divisibility,
 )
-from scv.poly import MultiPoly, TermLimitExceeded, UniPoly
+from scv.poly import TermLimitExceeded
 
 
 def test_params_validation():
@@ -98,8 +100,6 @@ def test_window_oracle_agrees_with_newton_route():
 
 def test_window_oracle_rejects_non_integer_valued():
     # 1/2 + x has Newton coefficients [1/2, 1]; both routes must reject it
-    from scv.poly import is_integer_valued
-
     assert not is_integer_valued(UniPoly([Fraction(1, 2), 1]))
 
 
@@ -124,11 +124,9 @@ def test_schmidt_divisibility_matches_multipoly_oracle():
 
 def test_schmidt_violations_match_multipoly_oracle(monkeypatch):
     # perturbed weights make some coefficients indivisible; both routes must name the same monomial
-    import scv.sequences as sequences
-
-    real = sequences.schmidt_coefficient
+    real = integrality.schmidt_coefficient
     perturbed = lambda n, k: real(n, k) + (n == 2 and k == 1)  # noqa: E731
-    monkeypatch.setattr(sequences, "schmidt_coefficient", perturbed)
+    monkeypatch.setattr(fraction_poly, "schmidt_coefficient", perturbed)
     monkeypatch.setattr(integrality, "schmidt_coefficient", perturbed)
     failed = 0
     for n in range(1, 6):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scv.poly
-from oracles import shifted_binomial_oracle
-from scv.poly import (
+import fraction_poly
+from fraction_poly import (
     ArityError,
     MultiPoly,
-    TermLimitExceeded,
     UniPoly,
+    as_unipoly,
     binomial_poly,
     is_integer_valued,
     newton_coefficients,
     shifted_binomial_poly,
 )
+from scv import poly
+from scv.poly import TermLimitExceeded
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 unipolys = st.lists(coeff, max_size=8).map(UniPoly)
@@ -82,7 +84,41 @@ def test_shifted_binomial_poly_matches_product_oracle():
     # covers every C(x+j, k+j) of f_k for k <= 14 and both factors of the pair binomials
     for shift in range(-3, 16):
         for s in range(29):
-            assert shifted_binomial_poly(shift, s) == shifted_binomial_oracle(shift, s), (shift, s)
+            p = poly.shifted_binomial_poly(shift, s)
+            assert p[1] == math.factorial(s)
+            assert as_unipoly(p) == shifted_binomial_poly(shift, s), (shift, s)
+
+
+def test_int_families_match_fraction_oracle():
+    for n in range(21):
+        assert poly.d_poly(n)[1] == math.factorial(n)
+        assert as_unipoly(poly.d_poly(n)) == fraction_poly.d_poly(n), n
+        assert poly.s_poly(n)[1] == math.factorial(n) ** 2
+        assert as_unipoly(poly.s_poly(n)) == fraction_poly.s_poly(n), n
+    for k in range(16):
+        assert as_unipoly(poly.f_poly(k)) == fraction_poly.f_poly(k), k
+    for bad in (poly.d_poly, poly.s_poly, poly.f_poly, poly.pair_binomial_poly):
+        with pytest.raises(ValueError):
+            bad(-1)
+
+
+def test_int_poly_arithmetic_matches_unipoly():
+    rng = random.Random(5)
+    for _ in range(50):
+        p = (tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6))), rng.randint(1, 12))
+        q = (tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6))), rng.randint(1, 12))
+        w = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        assert as_unipoly(poly.poly_mul(p, q)) == as_unipoly(p) * as_unipoly(q)
+        den = p[1] * q[1] * w.denominator
+        total = poly.poly_sum([(w, p), (1, q)], den)
+        assert total[1] == den
+        assert as_unipoly(total) == as_unipoly(p).scale(w) + as_unipoly(q)
+
+
+def test_poly_sum_rejects_a_denominator_that_does_not_clear():
+    # 1/3 * (x / 2) over 2 leaves a remainder; no silent truncation
+    with pytest.raises(ArithmeticError, match="not a common denominator"):
+        poly.poly_sum([(Fraction(1, 3), ((0, 1), 2))], 2)
 
 
 def test_newton_coefficients_examples():
@@ -175,7 +211,7 @@ def test_multipoly_extended():
 
 
 def test_term_limit_guard(monkeypatch):
-    monkeypatch.setattr(scv.poly, "TERM_LIMIT", 4)
+    monkeypatch.setattr(fraction_poly, "TERM_LIMIT", 4)
     dense = MultiPoly(1, {(i,): 1 for i in range(3)})
     with pytest.raises(TermLimitExceeded):
         dense * dense

@@ -326,6 +326,21 @@ def test_cli_config_rejects_bad_lines(tmp_path):
     assert run_cli("verify", "rv", "--config", str(cfg)).exit_code == 2
 
 
+@pytest.mark.parametrize("line", ["pmx=11", "which=cc5"])
+def test_cli_config_unknown_key_is_usage_error(tmp_path, monkeypatch, line):
+    # a misspelt flag, and a flag of another subcommand (cc), are not options of rv
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(sweeps, "run_tasks", no_run)
+    cfg = tmp_path / "scv.cfg"
+    cfg.write_text(f"# defaults\nformat=json\n{line}\n")
+    res = run_cli("verify", "rv", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    key = line.split("=")[0]
+    assert f"{cfg}:3: '{key}' is not an option of rv" in res.output
+
+
 def test_cli_config_flag_beats_config_max(tmp_path):
     cfg = tmp_path / "scv.cfg"
     cfg.write_text("max=60\n")

@@ -6,32 +6,46 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly
+from fraction_poly import MultiPoly, UniPoly, as_unipoly, is_integer_valued, schmidt_linear_form
 from oracles import (
     d_val,
     delannoy_oracle,
     fraction_column,
     gen_binomial,
-    pair_binomial_oracle,
     pochhammer,
     rv_term,
     s_val,
     signed_jacobi_term,
 )
-from scv.poly import UniPoly, is_integer_valued
+from scv import poly
 from scv.sequences import (
     RV_FAMILIES,
     central_binomial_values,
-    d_poly,
-    f_poly,
     family_by_label,
-    pair_binomial_numerator,
-    pair_binomial_poly,
     pair_binomial_values,
     rv_terms,
-    s_poly,
     s_values,
-    schmidt_linear_form,
 )
+
+
+# The library's integer polynomial families, as UniPolys.
+
+
+def d_poly(n: int) -> UniPoly:
+    return as_unipoly(poly.d_poly(n))
+
+
+def s_poly(n: int) -> UniPoly:
+    return as_unipoly(poly.s_poly(n))
+
+
+def f_poly(k: int) -> UniPoly:
+    return as_unipoly(poly.f_poly(k))
+
+
+def pair_binomial_poly(s: int) -> UniPoly:
+    return as_unipoly(poly.pair_binomial_poly(s))
 
 
 def test_pochhammer_examples():
@@ -107,8 +121,6 @@ def test_pair_and_central_binomial_columns():
 
 
 def test_schmidt_linear_form():
-    from scv.poly import MultiPoly
-
     assert schmidt_linear_form(0) == MultiPoly(1, {(1,): 1})
     assert schmidt_linear_form(1) == MultiPoly(2, {(1, 0): 1, (0, 1): 2})
     assert schmidt_linear_form(2) == MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): 6, (0, 0, 1): 6})
@@ -175,7 +187,7 @@ def test_rv_family_table():
 
 def test_pair_binomial_poly_matches_product_oracle():
     for s in range(17):
-        assert pair_binomial_poly(s) == pair_binomial_oracle(s), s
-        assert pair_binomial_poly(s).scale(math.factorial(s) ** 2).coeffs == pair_binomial_numerator(s)
+        assert pair_binomial_poly(s) == fraction_poly.pair_binomial_poly(s), s
+        assert poly.pair_binomial_poly(s)[1] == math.factorial(s) ** 2
     with pytest.raises(ValueError):
-        pair_binomial_poly(-1)
+        poly.pair_binomial_poly(-1)
