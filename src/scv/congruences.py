@@ -6,7 +6,7 @@ denominator, so each side is summed in int arithmetic and becomes a single
 Fraction, which the valuation-aware `congruent` then compares; sums whose
 individual terms are not p-adic integers (the 1/(k+1) weights at k = p-1,
 the s = 2p-1 tail terms) are handled correctly.
-Each verifier returns a CheckResult carrying residue or valuation witnesses.
+Each verdict shape (mod p^k, v_p >= k, exact equality) has one builder here.
 """
 
 from __future__ import annotations
@@ -85,8 +85,33 @@ def residue_witness(q: Rat, ctx: PAdicContext) -> str:
         return rat_str(q)
 
 
-def _valuation_str(v: int | float) -> str:
-    return "inf" if v == math.inf else str(v)
+def exact_result(
+    check_name: str, parameters: dict[str, object], lhs: object, rhs: object
+) -> CheckResult:
+    """An exact equality of two values, each printed with str()."""
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=lhs == rhs,
+        lhs_witness=str(lhs),
+        rhs_witness=str(rhs),
+        modulus="exact",
+    )
+
+
+def _valuation_result(
+    check_name: str, parameters: dict[str, object], q: Rat, p: int, k: int
+) -> CheckResult:
+    """The fact v_p(q) >= k, witnessed by v_p(q) ("inf" when q = 0) against k."""
+    v = _rat_valuation(q, p)
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=v >= k,
+        lhs_witness="inf" if v == math.inf else str(v),
+        rhs_witness=str(k),
+        modulus=f"{p}^{k}",
+    )
 
 
 def _congruence_result(
@@ -239,15 +264,7 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     _require_prime(p, 5)
     x = _require_supported_x(x)
     u, d = pair_binomial_values(x, 2 * p - 1)
-    v = _rat_valuation(Fraction(u[-1], d), p)
-    return CheckResult(
-        check_name="cc8-fact",
-        parameters={"x": rat_str(x), "p": p},
-        passed=v >= 2,
-        lhs_witness=_valuation_str(v),
-        rhs_witness="2",
-        modulus=f"{p}^2",
-    )
+    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, Fraction(u[-1], d), p, 2)
 
 
 def verify_cc9(x: Rat, p: int) -> CheckResult:
@@ -261,15 +278,7 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     u, d = pair_binomial_values(x, 2 * p - 1)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
-    v = _rat_valuation(Fraction(tail, weight * d), p)
-    return CheckResult(
-        check_name="cc9",
-        parameters={"x": rat_str(x), "p": p},
-        passed=v >= 1,
-        lhs_witness=_valuation_str(v),
-        rhs_witness="1",
-        modulus=f"{p}^1",
-    )
+    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, Fraction(tail, weight * d), p, 1)
 
 
 def verify_cc10(x: Rat, p: int) -> CheckResult:

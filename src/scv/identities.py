@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruences import CheckResult
+from .congruences import CheckResult, exact_result
 from .poly import IntPoly, d_poly, f_poly, pair_binomial_poly, poly_mul, poly_sum, s_poly
 from .sequences import schmidt_coefficient
 
@@ -83,36 +83,19 @@ def check_cc4(k: int, s: int) -> CheckResult:
         for j in range(k + 1)
     )
     rhs = math.comb(2 * k, s) * math.comb(2 * k, k)
-    return CheckResult(
-        check_name="cc4",
-        parameters={"k": k, "s": s},
-        passed=lhs == rhs,
-        lhs_witness=str(lhs),
-        rhs_witness=str(rhs),
-        modulus="exact",
-    )
+    return exact_result("cc4", {"k": k, "s": s}, lhs, rhs)
 
 
 def check_liu26(s: int) -> CheckResult:
     """sum_{k<=s} (-1)^k/(k+1) C(2k,s) C(s,k) == (-1)^s, exactly over Rat."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    lhs = sum(
-        (
-            Fraction((-1) ** k * math.comb(2 * k, s) * math.comb(s, k), k + 1)
-            for k in range(s + 1)
-        ),
-        Fraction(0),
+    den = math.factorial(s + 1)  # 1/(k+1) = ((s+1)!/(k+1)) / (s+1)! for k <= s
+    total = sum(
+        (-1) ** k * (den // (k + 1)) * math.comb(2 * k, s) * math.comb(s, k)
+        for k in range(s + 1)
     )
-    rhs = Fraction((-1) ** s)
-    return CheckResult(
-        check_name="liu26",
-        parameters={"s": s},
-        passed=lhs == rhs,
-        lhs_witness=str(lhs),
-        rhs_witness=str(rhs),
-        modulus="exact",
-    )
+    return exact_result("liu26", {"s": s}, Fraction(total, den), (-1) ** s)
 
 
 def check_telescope(n: int) -> CheckResult:
@@ -203,14 +186,7 @@ def check_bb4_direct(m: int, n: int) -> CheckResult:
     """Direct integer equality of the two sides at one (m, n)."""
     lhs = eval_bb4_side("lhs", m, n)
     rhs = eval_bb4_side("rhs", m, n)
-    return CheckResult(
-        check_name="bb4-direct",
-        parameters={"m": m, "n": n},
-        passed=lhs == rhs,
-        lhs_witness=str(lhs),
-        rhs_witness=str(rhs),
-        modulus="exact",
-    )
+    return exact_result("bb4-direct", {"m": m, "n": n}, lhs, rhs)
 
 
 # Expanded coefficient tables of the shared order-4 recurrence
@@ -263,13 +239,6 @@ class RecurrenceOrder4:
             sum(c * m**em * n**en for em, en, c in table) for table in self.tables
         )
 
-    def coefficient(self, index: int, m: int, n: int) -> int:
-        """Value of the coefficient multiplying A_{m+index} at (m, n)."""
-        return self.coefficients(m, n)[index]
-
-    def leading_coefficient(self, m: int, n: int) -> int:
-        return self.coefficient(4, m, n)
-
     def residual(self, side: str, m: int, n: int) -> int:
         """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} at (m, n)."""
         coeffs = self.coefficients(m, n)
@@ -316,14 +285,7 @@ def check_bb4_recurrence(side: str, m: int, n: int) -> CheckResult:
     if side == "rhs":
         self_test_transcription()
     r = RecurrenceOrder4.default().residual(side, m, n)
-    return CheckResult(
-        check_name="bb4-recurrence",
-        parameters={"side": side, "m": m, "n": n},
-        passed=r == 0,
-        lhs_witness=str(r),
-        rhs_witness="0",
-        modulus="exact",
-    )
+    return exact_result("bb4-recurrence", {"side": side, "m": m, "n": n}, r, 0)
 
 
 def check_bb4_initial(m: int, n: int) -> CheckResult:
@@ -332,11 +294,4 @@ def check_bb4_initial(m: int, n: int) -> CheckResult:
         raise ValueError("initial values are the rows m = 0..3")
     lhs = eval_bb4_side("lhs", m, n)
     rhs = eval_bb4_side("rhs", m, n)
-    return CheckResult(
-        check_name="bb4-initial",
-        parameters={"m": m, "n": n},
-        passed=lhs == rhs,
-        lhs_witness=str(lhs),
-        rhs_witness=str(rhs),
-        modulus="exact",
-    )
+    return exact_result("bb4-initial", {"m": m, "n": n}, lhs, rhs)

@@ -11,7 +11,7 @@ a nonzero (D+1)-th difference would mean the bound is wrong and raises.
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
 comes from the multinomial theorem, and the monomial count C(n+m-1, m) is
-checked against poly.TERM_LIMIT before any is computed.
+checked against TERM_LIMIT before any is computed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ from typing import Iterator
 
 from .congruences import CheckResult
 from .sequences import s_values, schmidt_coefficient
+
+# Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
+TERM_LIMIT = 10**6
+
+
+class TermLimitExceeded(RuntimeError):
+    """Raised when an expansion would exceed TERM_LIMIT monomials."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,6 @@ def verify_integer_valued(params: IntegralityParams) -> CheckResult:
 
 def schmidt_term_count(n: int, m: int) -> int:
     """Monomials of degree m in n variables, C(n+m-1, m); raises above TERM_LIMIT."""
-    from .poly import TERM_LIMIT, TermLimitExceeded  # the integer-valued check never needs poly
-
     count = math.comb(n + m - 1, m)
     if count > TERM_LIMIT:
         raise TermLimitExceeded(

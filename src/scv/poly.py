@@ -24,14 +24,7 @@ from fractions import Fraction
 
 from .exact_arith import Rat
 
-# Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
-TERM_LIMIT = 10**6
-
 IntPoly = tuple[tuple[int, ...], int]
-
-
-class TermLimitExceeded(RuntimeError):
-    """Raised when an expansion would exceed TERM_LIMIT monomials."""
 
 
 def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

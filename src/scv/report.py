@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .congruences import CheckResult
+from .congruences import CheckResult, skipped_result
 
 REPORT_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -64,8 +64,6 @@ REPORT_SCHEMA: dict = {
 
 
 def _param_sort_token(value: object) -> tuple:
-    if isinstance(value, bool):
-        return (2, str(value))
     if isinstance(value, int):
         return (0, value)
     return (1, str(value))
@@ -126,24 +124,18 @@ def _params_compact(parameters: dict[str, object]) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(parameters.items()))
 
 
+def _csv_cell(value: object) -> object:
+    if isinstance(value, dict):
+        return _params_compact(value)
+    return str(value).lower() if isinstance(value, bool) else value
+
+
 def render_csv(report: RunReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["check_name", "parameters", "pass", "skipped", "lhs_witness", "rhs_witness", "modulus"]
-    )
+    writer.writerow(list(skipped_result("", {}, "").to_dict()))
     for c in report.checks:
-        writer.writerow(
-            [
-                c.check_name,
-                _params_compact(c.parameters),
-                str(c.passed).lower(),
-                str(c.skipped).lower(),
-                c.lhs_witness,
-                c.rhs_witness,
-                c.modulus,
-            ]
-        )
+        writer.writerow([_csv_cell(v) for v in c.to_dict().values()])
     return buf.getvalue()
 
 

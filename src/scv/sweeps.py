@@ -2,8 +2,9 @@
 
 SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
 help text, its click options (type, range, default) and the grid function
-that turns the option values into tasks. KINDS maps each task kind to its
-verifier. Adding a sweep means adding one SWEEPS entry plus its KINDS entries.
+that turns the option values into tasks. KINDS maps each task kind, the
+check_name of its records, to its verifier. Adding a sweep means adding one
+SWEEPS entry plus its KINDS entries.
 
 A task is a picklable (kind, ((key, value), ...)) pair describing one pure
 check, so grids can run sequentially or across worker processes with
@@ -21,7 +22,7 @@ import click
 
 from . import congruences
 from .congruences import SUPPORTED_X, CheckResult, skipped_result
-from .exact_arith import primes_in_range, rat
+from .exact_arith import primes_in_range, rat, rat_str
 from .sequences import RV_FAMILIES, family_by_label
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -61,7 +62,7 @@ KINDS = {
     ),
     "cc5": lambda x, p: congruences.verify_cc5(rat(x), p),
     "cc7": lambda s, p: congruences.verify_cc7(s, p),
-    "cc8": lambda x, p: congruences.verify_cc8_fact(rat(x), p),
+    "cc8-fact": lambda x, p: congruences.verify_cc8_fact(rat(x), p),
     "cc9": lambda x, p: congruences.verify_cc9(rat(x), p),
     "cc10": lambda x, p: congruences.verify_cc10(rat(x), p),
     "cc1": lambda j, k: _identities().check_cc1(j, k),
@@ -123,8 +124,12 @@ def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
         yield _task(kind, x=one, p=p)
 
 
+# `scv verify cc --which` value -> the task kind (and check name) it sweeps
+CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10": "cc10"}
+
+
 def _cc(which: str, pmax: int) -> Iterator[Task]:
-    kinds = ("cc5", "cc7", "cc8", "cc9", "cc10") if which == "all" else (which,)
+    kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
     for kind, p in product(kinds, primes_in_range(5, pmax)):
         if kind == "cc7":
             for s in range(p, 2 * p - 1):
@@ -175,23 +180,23 @@ def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
 
 
 def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
-    from .poly import TermLimitExceeded
-
     # the largest power sum of the grid is at (nmax, mmax); refuse it before any work
     try:
         _integrality().schmidt_term_count(nmax, mmax)
-    except TermLimitExceeded as exc:
+    except _integrality().TermLimitExceeded as exc:
         raise click.UsageError(str(exc))
     return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)
 
 
 def _validate_rationals(ctx, param, value):
+    """Each point in its canonical a/b form, repeats dropped, in first-seen order."""
+    canonical = {}
     for item in value:
         try:
-            rat(item)
+            canonical[rat_str(rat(item))] = None
         except (ValueError, ZeroDivisionError):
             raise click.BadParameter(f"expected a rational like -1/2, got {item!r}")
-    return value
+    return tuple(canonical)
 
 
 def _pmax(default: int, least: int = 5) -> click.Option:
@@ -242,7 +247,7 @@ SWEEPS = {
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
         (click.Option(
-            ["--which"], type=click.Choice(["cc5", "cc7", "cc8", "cc9", "cc10", "all"]),
+            ["--which"], type=click.Choice([*CC_KINDS, "all"]),
             default="all", show_default=True, help="Which chain step to sweep.",
         ), _pmax(50)),
         _cc,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from scv.exact_arith import Rat
-from scv.poly import TERM_LIMIT, TermLimitExceeded
+from scv.integrality import TERM_LIMIT, TermLimitExceeded
 from scv.sequences import schmidt_coefficient
 
 

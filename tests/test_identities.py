@@ -161,14 +161,14 @@ def test_recurrence_table_matches_factored_forms():
     for _ in range(40):
         m, n = rng.randrange(0, 60), rng.randrange(0, 60)
         for i in range(5):
-            assert rec.coefficient(i, m, n) == factored[i](m, n)
+            assert rec.coefficients(m, n)[i] == factored[i](m, n)
 
 
 def test_recurrence_leading_coefficient_nonzero():
     rec = RecurrenceOrder4.default()
     for m in range(201):
-        assert rec.leading_coefficient(m, 0) > 0
-        assert rec.leading_coefficient(m, 17) > 0
+        assert rec.coefficients(m, 0)[4] > 0
+        assert rec.coefficients(m, 17)[4] > 0
 
 
 def test_transcription_self_test_runs_before_rhs_certification(monkeypatch):

@@ -18,10 +18,10 @@ from oracles import (
 from scv import integrality
 from scv.integrality import (
     IntegralityParams,
+    TermLimitExceeded,
     verify_integer_valued,
     verify_schmidt_divisibility,
 )
-from scv.poly import TermLimitExceeded
 
 
 def test_params_validation():

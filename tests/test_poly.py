@@ -20,7 +20,7 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 from scv import poly
-from scv.poly import TermLimitExceeded
+from scv.integrality import TermLimitExceeded
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 unipolys = st.lists(coeff, max_size=8).map(UniPoly)

@@ -135,6 +135,20 @@ def test_cli_guo_bb1_skips_non_padic_points():
     assert skipped[0]["parameters"] == {"p": 3, "x": "1/3"}
 
 
+def test_cli_guo_bb1_names_each_point_canonically():
+    res = run_cli("verify", "guo-bb1", "--pmax", "7", "--x", "2/6", "--format", "json")
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["invocation"]["x"] == ["1/3"]
+    assert payload["summary"] == {"pass": 2, "fail": 0, "skipped": 1}
+    assert {c["parameters"]["x"] for c in payload["checks"]} == {"1/3"}
+    # a repeat of the same point, in any spelling, runs no check twice
+    again = run_cli(
+        "verify", "guo-bb1", "--pmax", "7", "--x", "2/6", "--x", "1/3", "--format", "json"
+    )
+    assert _stripped(json.loads(again.output)) == _stripped(payload)
+
+
 def test_cli_integrality_single_point():
     res = run_cli("verify", "integrality", "--nmax", "1", "--mmax", "1", "--format", "json")
     assert res.exit_code == 0
@@ -212,6 +226,42 @@ def test_cli_raising_check_is_reported_failure(monkeypatch, error):
     assert first["parameters"] == {"s": 0} and first["pass"] is False
     assert first["lhs_witness"] == f"error: {error.__name__}: boom at s=0"
     assert first["modulus"] == "error"
+
+
+# one small point per sweep; together their grids reach every task kind
+_SMALL_GRIDS = {
+    "rv": {"pmax": 5},
+    "lemma2p": {"pmax": 5},
+    "sun-p4": {"pmax": 5},
+    "guo-bb1": {"pmax": 5, "x": ("1/3",)},
+    "cc": {"which": "all", "pmax": 5},
+    "identity": {"name": "all", "max": 1},
+    "integrality": {"nmax": 1, "mmax": 1, "eps": "+1"},
+    "schmidt": {"nmax": 1, "mmax": 1, "eps": "+1"},
+}
+
+
+def _first_task_of_each_kind() -> dict:
+    first = {}
+    for name, sweep in sweeps.SWEEPS.items():
+        for task in sweep.grid(**_SMALL_GRIDS[name]):
+            first.setdefault(task[0], task)
+    return first
+
+
+@pytest.mark.parametrize("kind", sorted(set(sweeps.KINDS) - {"guo-bb1-skip"}))
+def test_error_record_is_filed_under_its_check_name(monkeypatch, kind):
+    task = _first_task_of_each_kind()[kind]
+    passing = sweeps.execute_task(task)
+    assert passing.passed
+
+    def boom(**params):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(sweeps.KINDS, kind, boom)
+    error = sweeps.execute_task(task)
+    assert error.modulus == "error" and not error.passed
+    assert error.check_name == passing.check_name
 
 
 def test_run_tasks_caps_workers(monkeypatch):

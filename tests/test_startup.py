@@ -49,6 +49,18 @@ def test_congruence_sweep_loads_no_polynomial_code():
     assert [m for m in loaded if m in LAZY_SCV] == []
 
 
+def test_schmidt_sweep_loads_no_polynomial_code():
+    loaded = _loaded_after(
+        "import contextlib, io, scv.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = scv.cli.main(\n"
+        "        ['verify', 'schmidt', '--nmax', '2', '--mmax', '2'], standalone_mode=False\n"
+        "    )\n"
+        "assert rc == 0, rc"
+    )
+    assert [m for m in loaded if m in LAZY_SCV] == ["scv.integrality"]
+
+
 def test_public_api_resolves_after_lazy_import():
     result = _fresh(
         "import json, sys\n"
