@@ -7,6 +7,14 @@ Fraction, which the valuation-aware `congruent` then compares; sums whose
 individual terms are not p-adic integers (the 1/(k+1) weights at k = p-1,
 the s = 2p-1 tail terms) are handled correctly.
 Each verdict shape (mod p^k, v_p >= k, exact equality) has one builder here.
+
+The sides that are partial sums of a p-independent series read their
+prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
+(N = 2p) off the rv terms at a, the lhs of sun-p4, guo-bb1, cc5 and cc10
+off the weighted s_k^2 sum at x, and the guo-bb1 rhs off its own walk. So
+a sweep walks each series once per point instead of once per prime. The
+cc5 rows, cc7 and the cc8-cc10 windows depend on p through the k < p cut
+and build their columns per check.
 """
 
 from __future__ import annotations
@@ -27,13 +35,7 @@ from .exact_arith import (
     mod_reduce,
     rat_str,
 )
-from .sequences import (
-    RVFamily,
-    central_binomial_values,
-    pair_binomial_values,
-    rv_terms,
-    s_values,
-)
+from .sequences import RVFamily, bb1_walk, pair_binomial_values, rv_walk, s_square_walk
 
 
 class OutOfRange(ValueError):
@@ -153,8 +155,7 @@ def _require_supported_x(x: Rat) -> Fraction:
 def verify_rv(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
     ctx = _require_prime(p, 5, 2)
-    terms, den = rv_terms(fam.a, p)
-    lhs = Fraction(sum(terms), den)
+    lhs = Fraction(*rv_walk(fam.a).prefix(p))
     rhs = Fraction(_legendre(fam.discriminant, p))
     return _congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
@@ -162,17 +163,15 @@ def verify_rv(fam: RVFamily, p: int) -> CheckResult:
 def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
     """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
     ctx = _require_prime(p, 5, 2)
-    terms, den = rv_terms(fam.a, 2 * p)
-    lhs = Fraction(sum(terms), den)
+    lhs = Fraction(*rv_walk(fam.a).prefix(2 * p))
     rhs = fam.lemma2_constant * _legendre(fam.discriminant, p)
     return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 @functools.lru_cache(maxsize=None)
 def _weighted_s_square_sum(x: Rat, p: int) -> Fraction:
-    # sum_{k<p} (2k+1) s_k(x)^2, with s_k = S_k / D; cc5 and cc10 share it at each (x, p)
-    sv, den = s_values(x, p - 1)
-    return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
+    # sum_{k<p} (2k+1) s_k(x)^2; cc5 and cc10 share it at each (x, p)
+    return Fraction(*s_square_walk(x).prefix(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,14 +216,8 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     if x.denominator % p == 0:
         raise NotPAdicInteger(f"x = {rat_str(x)} is not a p-adic integer for p = {p}")
     lhs = _weighted_s_square_sum(x, p)
-    w, e = central_binomial_values(x, p - 1)
-    u, d = pair_binomial_values(x, p - 1)
-    weight = math.factorial(p)  # 1/(k+1) = (p!/(k+1)) / p! for k < p
-    total = 0
-    for k in range(p):
-        inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
-        total += (-1) ** k * (weight // (k + 1)) * w[k] * inner
-    rhs = Fraction(p * p * total, weight * e * d)
+    total, den = bb1_walk(x).prefix(p)
+    rhs = Fraction(p * p * total, den)
     return _congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 

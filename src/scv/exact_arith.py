@@ -42,8 +42,12 @@ def rat_str(q: Rat | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# the desk scale of is_prime and primes_in_range, and the largest --pmax of a sweep
+PRIME_LIMIT = 10**6
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; intended for desk scale (n <= 10**6)."""
+    """Deterministic primality by trial division; intended for desk scale (n <= PRIME_LIMIT)."""
     if n < 2:
         return False
     if n < 4:

@@ -7,20 +7,28 @@ Definitions (all exact over Rat):
     S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-The *_values and rv_terms column builders evaluate a whole column at a
-rational point in plain int arithmetic: each returns (numerators,
-denominator), with one known common denominator for the column, so a
-congruence check builds a single Fraction per side at the end instead of
-reducing one per term. The same families as polynomials in x are in
-scv.poly, which the congruence checks never load.
+The *_values column builders evaluate a whole column at a rational point in
+plain int arithmetic: each returns (numerators, denominator), with one known
+common denominator for the column.
+
+Most congruence sides are partial sums sum_{k<N} of a series that does not
+depend on p. A PrefixWalk walks such a series forward once per point and
+gives each exact prefix sum as (numerator, denominator) ints: term k is an
+int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
+so no term is ever reduced to a Fraction and a check builds one Fraction
+per side. rv_walk, s_square_walk and bb1_walk are the cached per-point
+walks; cache_clear() on them drops every cursor. The same families as
+polynomials in x are in scv.poly, which the congruence checks never load.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count
 
 from .exact_arith import Rat
 
@@ -56,18 +64,6 @@ def pair_binomial_values(x: Rat | int, smax: int) -> tuple[list[int], int]:
     return ratio_column(den, steps), den
 
 
-def central_binomial_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
-    """Numerators of [C(x+k, 2k) for k = 0..kmax] over E = b^{2 kmax} (2 kmax)!."""
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    den = b ** (2 * kmax) * math.factorial(2 * kmax)
-    steps = (
-        ((a + k * b) * (a - (k - 1) * b), 2 * k * (2 * k - 1) * b * b)
-        for k in range(1, kmax + 1)
-    )
-    return ratio_column(den, steps), den
-
-
 def s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
     """Numerators of [s_0(x), ..., s_kmax(x)] over the pair-binomial denominator.
 
@@ -83,18 +79,115 @@ def s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
     return out, den
 
 
-def rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
-    """Numerators of the first `count` terms (a)_k (1-a)_k / (1)_k^2 over one denominator.
+class PrefixWalk:
+    """A cursor over the exact prefix sums of one p-independent series.
 
-    At a = n/q the terms up to K = count-1 share D = q^{2K} K!^2; the ratio
-    of consecutive terms is (n+kq)(q-n+kq) / ((k+1)q)^2.
+    `series()` yields the pairs (r_k, m_k) for k = 0, 1, ...: term k is
+    m_k / D_k with D_k = r_k D_{k-1} and D_{-1} = 1. The cursor keeps only
+    the frontier: the running generator, the sum to N over D_{N-1} and N.
+    prefix(n) advances to n; an n below the frontier restarts the series
+    from k = 0, so a value never depends on the order of the requests.
+    `starts` counts the times the series began.
+    """
+
+    def __init__(self, series: Callable[[], Iterator[tuple[int, int]]]) -> None:
+        self._series = series
+        self.starts = 0
+        self._restart()
+
+    def _restart(self) -> None:
+        self._terms = self._series()
+        self._n, self._total, self._den = 0, 0, 1
+        self.starts += 1
+
+    def prefix(self, n: int) -> tuple[int, int]:
+        """(numerator, denominator) of the sum of the first n terms."""
+        if n < 0:
+            raise ValueError(f"n = {n} is negative")
+        if n < self._n:
+            self._restart()
+        total, den = self._total, self._den
+        for _ in range(n - self._n):
+            r, m = next(self._terms)
+            total, den = total * r + m, den * r
+        self._n, self._total, self._den = n, total, den
+        return total, den
+
+
+def rv_series(a: Rat) -> Iterator[tuple[int, int]]:
+    """The terms (a)_k (1-a)_k / (1)_k^2 at a = n/q, over D_k = q^{2k} k!^2.
+
+    The numerator of term k+1 is that of term k times (n+kq)(q-n+kq).
     """
     a = Fraction(a)
     n, q = a.numerator, a.denominator
-    top = max(count - 1, 0)
-    den = q ** (2 * top) * math.factorial(top) ** 2
-    steps = (((n + k * q) * (q - n + k * q), ((k + 1) * q) ** 2) for k in range(top))
-    return ratio_column(den, steps)[:count], den
+    yield 1, 1
+    m = 1
+    for k in count():
+        m *= (n + k * q) * (q - n + k * q)
+        yield ((k + 1) * q) ** 2, m
+
+
+def s_square_series(x: Rat) -> Iterator[tuple[int, int]]:
+    """The terms (2k+1) s_k(x)^2 at x = a/b, over D_k^2 with D_k = b^{2k} k!^2.
+
+    s_k is the binomial transform of the pair-binomial numerators U_k over
+    D_k: row_0 = U and row_r[i] = row_{r-1}[i] + row_{r-1}[i+1] give
+    s_k = row_k[0]. The series keeps only the anti-diagonal row_r[k-r],
+    r = 0..k, over D_k; the next one starts at U_{k+1} and adds each old
+    entry, rescaled by D_{k+1}/D_k, to the entry before it, so s_{k+1}, its
+    last entry, costs O(k) additions.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    u, diag, r = 1, [], 1
+    for k in count():
+        if k:
+            r = (k * b) ** 2
+            u *= (a - (k - 1) * b) * (a + k * b)
+        diag = list(accumulate(map(r.__mul__, diag), initial=u))
+        yield r * r, (2 * k + 1) * diag[-1] ** 2
+
+
+def bb1_series(x: Rat) -> Iterator[tuple[int, int]]:
+    """The terms (-1)^k/(k+1) C(x+k,2k) sum_{j<=k} C(x,j) C(x+j,j) C(2k,j+k) at x = a/b.
+
+    The pair binomials C(x,j) C(x+j,j) are numerators U_j over D_k =
+    b^{2k} k!^2, the row rescaled each step, and C(x+k,2k) = U_k / E_k with
+    E_k = b^{2k} (2k)!, so term k is over (k+1)! E_k D_k and each inner sum
+    is taken once.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    u, fact, row, r = 1, 1, [], 1
+    for k in count():
+        if k:
+            s = (k * b) ** 2
+            row = [v * s for v in row]
+            u *= (a - (k - 1) * b) * (a + k * b)
+            fact *= k
+            r = (k + 1) * 2 * k * (2 * k - 1) * b * b * s
+        row.append(u)
+        inner = sum(v * math.comb(2 * k, j + k) for j, v in enumerate(row))
+        yield r, (-1) ** k * fact * u * inner
+
+
+# A grid reads at most four points in turn (cc interleaves its x values), so
+# eight cursors per series keep every walk a grid needs; an evicted point
+# only restarts, and the frontiers held stay bounded however many --x points.
+@functools.lru_cache(maxsize=8)
+def rv_walk(a: Rat) -> PrefixWalk:
+    return PrefixWalk(functools.partial(rv_series, a))
+
+
+@functools.lru_cache(maxsize=8)
+def s_square_walk(x: Rat) -> PrefixWalk:
+    return PrefixWalk(functools.partial(s_square_series, x))
+
+
+@functools.lru_cache(maxsize=8)
+def bb1_walk(x: Rat) -> PrefixWalk:
+    return PrefixWalk(functools.partial(bb1_series, x))
 
 
 def schmidt_coefficient(n: int, k: int) -> int:

@@ -22,7 +22,7 @@ import click
 
 from . import congruences
 from .congruences import SUPPORTED_X, CheckResult, skipped_result
-from .exact_arith import primes_in_range, rat, rat_str
+from .exact_arith import PRIME_LIMIT, primes_in_range, rat, rat_str
 from .sequences import RV_FAMILIES, family_by_label
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -200,10 +200,11 @@ def _validate_rationals(ctx, param, value):
 
 
 def _pmax(default: int, least: int = 5) -> click.Option:
+    # the cap refuses a PMAX whose prime sieve alone would exhaust memory
     odd = "odd " if least == 3 else ""
     return click.Option(
-        ["--pmax"], type=click.IntRange(min=least), default=default, show_default=True,
-        help=f"Sweep {odd}primes {least} <= p <= PMAX.",
+        ["--pmax"], type=click.IntRange(min=least, max=PRIME_LIMIT), default=default,
+        show_default=True, help=f"Sweep {odd}primes {least} <= p <= PMAX.",
     )
 
 
@@ -225,19 +226,19 @@ class Sweep(NamedTuple):
 SWEEPS = {
     "rv": Sweep(
         "Hypergeometric partial sums against Legendre symbols, mod p^2.",
-        (_pmax(200),), partial(_families, "rv"),
+        (_pmax(1500),), partial(_families, "rv"),
     ),
     "lemma2p": Sweep(
         "The same sums taken to 2p-1 terms, against their rational constants.",
-        (_pmax(200),), partial(_families, "lemma2p"),
+        (_pmax(700),), partial(_families, "lemma2p"),
     ),
     "sun-p4": Sweep(
         "Weighted s_k^2 sums against constant * Legendre * p^2, mod p^4.",
-        (_pmax(100),), partial(_families, "sun-p4"),
+        (_pmax(400),), partial(_families, "sun-p4"),
     ),
     "guo-bb1": Sweep(
         "Mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.",
-        (_pmax(50, least=3), click.Option(
+        (_pmax(150, least=3), click.Option(
             ["--x"], multiple=True, default=DEFAULT_BB1_X, metavar="RAT",
             callback=_validate_rationals,
             help="Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X),

@@ -6,6 +6,11 @@ the plain way, and the *_sides functions compute each congruence check's
 two sides (or its valued quantity) with them, so the tests can require the
 fast path to equal this one element by element.
 
+The rv, lemma2p, sun-p4 and guo-bb1 verifiers read their sums off prefix
+walks; the *_oracle verifiers here build each int column from k = 0 for
+every prime instead, so the tests can require the same CheckResult from
+both routes.
+
 The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
 whose Newton coefficients are taken, and the Schmidt power sum is built by
@@ -37,11 +42,12 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 
+from scv import congruences, sequences
 from scv.congruences import CheckResult
-from scv.exact_arith import Rat, legendre
+from scv.exact_arith import Rat, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.integrality import IntegralityParams
-from scv.sequences import RVFamily
+from scv.sequences import RVFamily, ratio_column
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -341,6 +347,80 @@ def cc10_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
     head = sum(((-1) ** s * u[s] for s in range(p)), Fraction(0))
     full = sum(((-1) ** s * u[s] for s in range(2 * p)), Fraction(0))
     return weighted_s_square_sum(x, p), p * p * (2 * head - full)
+
+
+# The walked congruence verifiers by the per-check route: every check builds
+# its int columns from k = 0, and guo-bb1 takes each inner sum anew for
+# every (k, p).
+
+
+def int_rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
+    """Numerators of the first `count` terms (a)_k (1-a)_k / (1)_k^2 over one denominator.
+
+    At a = n/q the terms up to K = count-1 share D = q^{2K} K!^2; the ratio
+    of consecutive terms is (n+kq)(q-n+kq) / ((k+1)q)^2.
+    """
+    a = Fraction(a)
+    n, q = a.numerator, a.denominator
+    top = max(count - 1, 0)
+    den = q ** (2 * top) * math.factorial(top) ** 2
+    steps = (((n + k * q) * (q - n + k * q), ((k + 1) * q) ** 2) for k in range(top))
+    return ratio_column(den, steps)[:count], den
+
+
+def int_central_binomial_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
+    """Numerators of [C(x+k, 2k) for k = 0..kmax] over E = b^{2 kmax} (2 kmax)!."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    den = b ** (2 * kmax) * math.factorial(2 * kmax)
+    steps = (
+        ((a + k * b) * (a - (k - 1) * b), 2 * k * (2 * k - 1) * b * b)
+        for k in range(1, kmax + 1)
+    )
+    return ratio_column(den, steps), den
+
+
+def int_weighted_s_square_sum(x: Rat, p: int) -> Rat:
+    sv, den = sequences.s_values(x, p - 1)
+    return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
+
+
+def verify_rv_oracle(fam: RVFamily, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 2)
+    terms, den = int_rv_terms(fam.a, p)
+    lhs = Fraction(sum(terms), den)
+    rhs = Fraction(legendre(fam.discriminant, p))
+    return congruences._congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+
+
+def verify_lemma_2p_oracle(fam: RVFamily, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 2)
+    terms, den = int_rv_terms(fam.a, 2 * p)
+    lhs = Fraction(sum(terms), den)
+    rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
+    return congruences._congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+
+
+def verify_sun_p4_oracle(fam: RVFamily, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 4)
+    lhs = int_weighted_s_square_sum(fam.sun_x, p)
+    rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
+    return congruences._congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+
+
+def verify_guo_bb1_oracle(x: Rat, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 3, 4)
+    x = Fraction(x)
+    lhs = int_weighted_s_square_sum(x, p)
+    w, e = int_central_binomial_values(x, p - 1)
+    u, d = sequences.pair_binomial_values(x, p - 1)
+    weight = math.factorial(p)  # 1/(k+1) = (p!/(k+1)) / p! for k < p
+    total = 0
+    for k in range(p):
+        inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
+        total += (-1) ** k * (weight // (k + 1)) * w[k] * inner
+    rhs = Fraction(p * p * total, weight * e * d)
+    return congruences._congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
 # The identity checks' sums as written.

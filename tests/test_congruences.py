@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import scv.congruences as congruences
+import scv.sequences as sequences
 from scv.congruences import (
     SUPPORTED_X,
     CheckResult,
@@ -21,9 +21,9 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre, primes_in_range
+from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre
 from scv.sequences import RV_FAMILIES, family_by_label
-from scv.sweeps import SWEEPS, run_tasks
+from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
 HALF = family_by_label("1/2")
 THIRD = family_by_label("1/3")
@@ -166,6 +166,24 @@ def test_lemma2p_holds_to_p_400():
     assert all(r.passed for r in results)
 
 
+# The prefix walks take each sweep to O(p^2): these grids reach past the defaults.
+@pytest.mark.parametrize(
+    "sweep, args, checks",
+    [
+        ("rv", (2000,), 1204),
+        ("lemma2p", (1000,), 664),
+        ("sun-p4", (400,), 304),
+        ("guo-bb1", (150, DEFAULT_BB1_X), 238),
+    ],
+    ids=["rv-2000", "lemma2p-1000", "sun-p4-400", "guo-bb1-150"],
+)
+def test_walked_sweep_holds(sweep, args, checks):
+    results = run_tasks(SWEEPS[sweep].grid(*args))
+    assert len(results) == checks
+    assert sum(r.skipped for r in results) == (3 if sweep == "guo-bb1" else 0)
+    assert all(r.passed for r in results if not r.skipped)
+
+
 def test_skipped_result_shape():
     r = skipped_result("guo-bb1", {"x": "1/3", "p": 3}, "not a p-adic integer")
     assert r.skipped and not r.passed
@@ -212,20 +230,27 @@ def test_public_prime_checks_still_validate():
         verify_guo_bb1(Fraction(1), 9)
 
 
-def test_cc_grid_sums_weighted_s_squares_once_per_point(monkeypatch):
-    # cc5 and cc10 both need sum_{k<p} (2k+1) s_k(x)^2; the grid computes it once per (x, p)
-    built = Counter()
-    s_values = congruences.s_values
-
-    def counting(x, kmax):
-        built[(x, kmax + 1)] += 1
-        return s_values(x, kmax)
-
-    monkeypatch.setattr(congruences, "s_values", counting)
+def _walks_started(walk, points, grid) -> dict:
+    """How often `grid` starts the cached `walk` at each point it walks."""
+    walk.cache_clear()
     congruences._weighted_s_square_sum.cache_clear()
-    results = run_tasks(SWEEPS["cc"].grid("all", 40))
+    results = run_tasks(grid)
+    assert results and all(r.passed for r in results)
+    assert walk.cache_info().currsize == len(points)
+    started = {point: walk(point).starts for point in points}
+    walk.cache_clear()
     congruences._weighted_s_square_sum.cache_clear()
-    assert all(r.passed for r in results)
-    assert built == Counter(
-        {(Fraction(x), p): 1 for x in SUPPORTED_X for p in primes_in_range(5, 40)}
-    )
+    return started
+
+
+def test_cc_grid_walks_weighted_s_squares_once_per_point():
+    # cc5 and cc10 read sum_{k<p} (2k+1) s_k(x)^2 off one walk per x, for every p
+    xs = [Fraction(x) for x in SUPPORTED_X]
+    started = _walks_started(sequences.s_square_walk, xs, SWEEPS["cc"].grid("all", 40))
+    assert started == {x: 1 for x in xs}
+
+
+def test_lemma2p_grid_walks_rv_terms_once_per_family():
+    points = [fam.a for fam in RV_FAMILIES]
+    started = _walks_started(sequences.rv_walk, points, SWEEPS["lemma2p"].grid(200))
+    assert started == {a: 1 for a in points}

@@ -1,0 +1,104 @@
+"""The walked congruence verifiers against the per-check column oracles.
+
+Each walked verifier must return the same CheckResult as its oracle, the
+verifier body that builds every column from k = 0, whether the primes come
+ascending (the walk only advances) or in a seeded shuffle (the walk
+restarts whenever a prime is below its frontier).
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import oracles
+import scv.congruences as congruences
+import scv.sequences as sequences
+from scv.exact_arith import primes_in_range
+from scv.sequences import RV_FAMILIES, PrefixWalk
+from scv.sweeps import DEFAULT_BB1_X
+from test_int_kernels import BB1_X
+
+WALKS = (sequences.rv_walk, sequences.s_square_walk, sequences.bb1_walk)
+
+
+def _clear() -> None:
+    for walk in WALKS:
+        walk.cache_clear()
+    congruences._weighted_s_square_sum.cache_clear()
+
+
+# check -> (walked verifier, oracle, points, largest p)
+_CHECKS = {
+    "rv": (congruences.verify_rv, oracles.verify_rv_oracle, RV_FAMILIES, 200),
+    "lemma2p": (congruences.verify_lemma_2p, oracles.verify_lemma_2p_oracle, RV_FAMILIES, 200),
+    "sun-p4": (congruences.verify_sun_p4, oracles.verify_sun_p4_oracle, RV_FAMILIES, 200),
+    "guo-bb1": (congruences.verify_guo_bb1, oracles.verify_guo_bb1_oracle, BB1_X, 100),
+}
+
+
+def _tasks(check: str) -> list[tuple[object, int]]:
+    _, _, points, pmax = _CHECKS[check]
+    least = 3 if check == "guo-bb1" else 5
+    return [
+        (point, p)
+        for point in points
+        for p in primes_in_range(least, pmax)
+        if not isinstance(point, Fraction) or point.denominator % p
+    ]
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+def test_walked_verifier_matches_column_oracle(monkeypatch, check):
+    verify, oracle, _, _ = _CHECKS[check]
+    tasks = _tasks(check)
+    expected = {task: oracle(*task) for task in tasks}
+    shuffled = list(tasks)
+    random.Random(9).shuffle(shuffled)
+    starts = Counter()  # keyed by the walk itself, which keeps evicted walks apart
+    restart = PrefixWalk._restart
+
+    def counting(walk):
+        starts[walk] += 1
+        restart(walk)
+
+    monkeypatch.setattr(PrefixWalk, "_restart", counting)
+    for order, restarted in ((tasks, False), (shuffled, True)):
+        _clear()
+        starts.clear()
+        for task in order:
+            assert verify(*task) == expected[task], task
+        assert (max(starts.values()) > 1) == restarted  # ascending p never restarts a walk
+    _clear()
+
+
+def test_walk_restarts_below_its_frontier():
+    walk = PrefixWalk(lambda: sequences.rv_series(Fraction(1, 3)))
+    column, den = oracles.int_rv_terms(Fraction(1, 3), 30)
+    sums = [Fraction(sum(column[:n]), den) for n in range(31)]
+    for n in (0, 4, 4, 17, 30, 29, 3, 0, 29, 1):
+        assert Fraction(*walk.prefix(n)) == sums[n]
+    assert walk.starts == 5  # the first start, then one restart each for 29, 3, 0 and 1
+    with pytest.raises(ValueError):
+        walk.prefix(-1)
+    assert Fraction(*walk.prefix(2)) == sums[2]
+
+
+def test_walks_match_fraction_series():
+    for x in BB1_X:
+        s_walk, bb1_walk = sequences.s_square_walk(x), sequences.bb1_walk(x)
+        u = oracles.pair_binomial_values(x, 24)
+        w = oracles.central_binomial_values(x, 24)
+        sv = oracles.s_values(x, 24)
+        s_sum = bb1_sum = Fraction(0)
+        for k in range(25):
+            assert Fraction(*s_walk.prefix(k)) == s_sum
+            assert Fraction(*bb1_walk.prefix(k)) == bb1_sum
+            s_sum += (2 * k + 1) * sv[k] ** 2
+            inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
+            bb1_sum += Fraction((-1) ** k, k + 1) * w[k] * inner
+    _clear()

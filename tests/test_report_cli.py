@@ -13,6 +13,7 @@ import scv.sweeps as sweeps
 from scv import __version__
 from scv.cli import main
 from scv.congruences import CheckResult
+from scv.exact_arith import PRIME_LIMIT
 from scv.report import (
     REPORT_SCHEMA,
     RunReport,
@@ -209,6 +210,26 @@ def test_cli_bounds_checked_before_work(tmp_path, args, config, code):
         assert "Error:" in res.output
     else:
         assert len(json.loads(res.output)["checks"]) == 1
+
+
+@pytest.mark.parametrize("sweep", ["rv", "lemma2p", "sun-p4", "guo-bb1", "cc"])
+def test_cli_oversized_pmax_is_usage_error_before_any_work(monkeypatch, sweep):
+    # a PMAX past the desk scale would first allocate its whole prime sieve
+    ran = []
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"a sieve to {hi} was built")
+
+    for kind in ("rv", "lemma2p", "sun-p4", "guo-bb1", "cc5", "cc7"):
+        monkeypatch.setitem(sweeps.KINDS, kind, lambda **params: ran.append(params))
+    monkeypatch.setattr(sweeps, "primes_in_range", no_sieve)
+    res = run_cli("verify", sweep, "--pmax", str(PRIME_LIMIT + 1))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a click error, no MemoryError traceback
+    assert f"{PRIME_LIMIT + 1} is not in the range" in res.output
+    assert ran == []
+    assert run_cli("verify", sweep, "--pmax", str(10**11)).exit_code == 2
+    assert ran == []
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])

@@ -13,6 +13,7 @@ from oracles import (
     delannoy_oracle,
     fraction_column,
     gen_binomial,
+    int_central_binomial_values,
     pochhammer,
     rv_term,
     s_val,
@@ -21,10 +22,9 @@ from oracles import (
 from scv import poly
 from scv.sequences import (
     RV_FAMILIES,
-    central_binomial_values,
     family_by_label,
     pair_binomial_values,
-    rv_terms,
+    rv_walk,
     s_values,
 )
 
@@ -113,7 +113,7 @@ def test_delannoy_oracle():
 def test_pair_and_central_binomial_columns():
     x = Fraction(-1, 6)
     u = fraction_column(pair_binomial_values(x, 10))
-    w = fraction_column(central_binomial_values(x, 10))
+    w = fraction_column(int_central_binomial_values(x, 10))
     for s in range(11):
         assert u[s] == gen_binomial(x, s) * gen_binomial(x + s, s)
         assert w[s] == gen_binomial(x + s, 2 * s)
@@ -151,7 +151,9 @@ def test_rv_term_examples():
     assert rv_term(Fraction(1, 4), 0) == 1
     assert rv_term(Fraction(1, 3), 1) == Fraction(2, 9)
     for fam in RV_FAMILIES:
-        assert fraction_column(rv_terms(fam.a, 25)) == [rv_term(fam.a, k) for k in range(25)]
+        walk = rv_walk(fam.a)
+        for n in range(25):
+            assert Fraction(*walk.prefix(n)) == sum(rv_term(fam.a, k) for k in range(n))
 
 
 def test_signed_jacobi_term():
