@@ -13,16 +13,19 @@ prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
 (N = 2p) off the rv terms at a, the lhs of sun-p4, guo-bb1, cc5 and cc10
 off the weighted s_k^2 sum at x, and the guo-bb1 rhs off its own walk. So
 a sweep walks each series once per point instead of once per prime. The
-cc5 rows, cc7 and the cc8-cc10 windows depend on p through the k < p cut
-and build their columns per check.
+cc5 rows, cc7 and the cc8-cc10 windows depend on p through the k < p cut:
+the rows are built once per p and shared by cc5 and cc7, and one
+pair-binomial column per (x, p) is shared by cc5 and cc8-cc10.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .exact_arith import (
     InvalidPrime,
@@ -174,23 +177,31 @@ def _weighted_s_square_sum(x: Rat, p: int) -> Fraction:
     return Fraction(*s_square_walk(x).prefix(p))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
     """Numerators of sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, over p!.
 
     They depend on (s, p) only, so cc5 shares them across its x values and
-    cc7 across its s values. C(2k,s) C(s,k) vanishes unless s/2 <= k <= s.
+    cc7 across its s values; the cc grid runs p by p, so two held suffice.
+    Since C(2k,s) C(s,k) = C(2k,k) C(k,s-k), row s is the coefficient of t^s
+    in sum_{k<p} w_k C(2k,k) u^k with u = t + t^2 and w_k = (-1)^k p!/(k+1);
+    Horner's rule in u gives every row with O(p^2) additions and p binomials.
     """
     den = math.factorial(p)
-    weights = [(-1) ** k * (den // (k + 1)) for k in range(p)]
-    rows = tuple(
-        sum(
-            weights[k] * math.comb(2 * k, s) * math.comb(s, k)
-            for k in range((s + 1) // 2, min(s, p - 1) + 1)
-        )
-        for s in range(2 * p - 1)
-    )
-    return rows, den
+    coeffs = [(-1) ** k * (den // (k + 1)) * math.comb(2 * k, k) for k in range(p)]
+    rows = [coeffs.pop()]
+    for a in reversed(coeffs):  # rows <- a + (t + t^2) * rows
+        rows = [a, *map(operator.add, chain(rows, (0,)), chain((0,), rows))]
+    return tuple(rows), den
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_column(x: Fraction, p: int) -> tuple[list[int], int]:
+    """C(x,s) C(x+s,s) for s = 0..2p-1 over one denominator; cc5 and cc8-cc10 share it.
+
+    The cc grid asks for it point by point, so two columns held build each once.
+    """
+    return pair_binomial_values(x, 2 * p - 1)
 
 
 def verify_sun_p4(fam: RVFamily, p: int) -> CheckResult:
@@ -231,9 +242,9 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
     lhs = _weighted_s_square_sum(x, p)
-    u, d = pair_binomial_values(x, 2 * p - 2)
+    u, d = _pair_column(x, p)
     rows, weight = _cc_row_sums(p)
-    rhs = Fraction(p * p * sum(r * v for r, v in zip(rows, u)), weight * d)
+    rhs = Fraction(p * p * sum(map(operator.mul, rows, u)), weight * d)  # s <= 2p-2
     return _congruence_result("cc5", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -256,7 +267,7 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
     _require_prime(p, 5)
     x = _require_supported_x(x)
-    u, d = pair_binomial_values(x, 2 * p - 1)
+    u, d = _pair_column(x, p)
     return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, Fraction(u[-1], d), p, 2)
 
 
@@ -268,7 +279,7 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     """
     _require_prime(p, 5)
     x = _require_supported_x(x)
-    u, d = pair_binomial_values(x, 2 * p - 1)
+    u, d = _pair_column(x, p)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
     return _valuation_result("cc9", {"x": rat_str(x), "p": p}, Fraction(tail, weight * d), p, 1)
@@ -284,7 +295,7 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
     lhs = _weighted_s_square_sum(x, p)
-    u, d = pair_binomial_values(x, 2 * p - 1)
+    u, d = _pair_column(x, p)
     head = sum((-1) ** s * u[s] for s in range(p))
     full = sum((-1) ** s * u[s] for s in range(2 * p))
     rhs = Fraction(p * p * (2 * head - full), d)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .congruences import CheckResult, exact_result
@@ -224,20 +224,48 @@ _RECURRENCE_TRIPLES: tuple[tuple[tuple[int, int, int], ...], ...] = (
 
 @dataclass(frozen=True)
 class RecurrenceOrder4:
-    """Order-4 annihilator with bivariate-polynomial coefficients, stored as data."""
+    """Order-4 annihilator with bivariate-polynomial coefficients, stored as data.
+
+    The tables stay the only data. At each m they collapse, once, to one
+    polynomial in n per coefficient; every (m, n) then takes five Horner
+    evaluations in n.
+    """
 
     tables: tuple[tuple[tuple[int, int, int], ...], ...]
+    _by_m: dict[int, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def default(cls) -> RecurrenceOrder4:
-        return cls(_RECURRENCE_TRIPLES)
+        """The stored recurrence: one instance per table object, so its collapses are kept."""
+        global _default
+        if _default is None or _default.tables is not _RECURRENCE_TRIPLES:
+            _default = cls(_RECURRENCE_TRIPLES)
+        return _default
 
-    @functools.lru_cache(maxsize=None)
+    def _collapse(self, m: int) -> tuple[tuple[int, ...], ...]:
+        """Each coefficient at m as its coefficients in n: sum_e c m^e for each n-exponent."""
+        out = []
+        for table in self.tables:
+            in_n = [0] * (1 + max(en for _, en, _ in table))
+            for em, en, c in table:
+                in_n[en] += c * m**em
+            out.append(tuple(in_n))
+        return tuple(out)
+
     def coefficients(self, m: int, n: int) -> tuple[int, ...]:
-        """(c0, ..., c4) at (m, n); evaluated once and shared by both sides."""
-        return tuple(
-            sum(c * m**em * n**en for em, en, c in table) for table in self.tables
-        )
+        """(c0, ..., c4) at (m, n), from the tables collapsed once per m."""
+        by_n = self._by_m.get(m)
+        if by_n is None:
+            by_n = self._by_m[m] = self._collapse(m)
+        out = []
+        for in_n in by_n:
+            value = 0
+            for a in reversed(in_n):
+                value = value * n + a
+            out.append(value)
+        return tuple(out)
 
     def residual(self, side: str, m: int, n: int) -> int:
         """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} at (m, n)."""
@@ -249,6 +277,7 @@ class RecurrenceOrder4:
         return sum(c * eval_bb4_side(side, m + i, n) for i, c in enumerate(coeffs))
 
 
+_default: RecurrenceOrder4 | None = None
 _TRANSCRIPTION_CERTIFIED = False
 
 

@@ -4,6 +4,12 @@ Reports are deterministic byte-for-byte for identical inputs, except for the
 elapsed_seconds field: checks are stably sorted by check name and then by
 parameters, and all serialization uses sorted keys.  Witnesses are decimal
 strings, never truncated.
+
+The json report is the bytes of json.dumps(report.to_dict(), sort_keys=True,
+indent=2). REPORT_SCHEMA fixes every record's shape (seven keys, a flat
+parameters map), so render_json writes each record from one template, with
+strings escaped by the encoder json.dumps itself uses, and leaves only the
+small envelope to json.dumps; no per-record dict is built.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .congruences import CheckResult, skipped_result
 
@@ -39,7 +46,10 @@ REPORT_SCHEMA: dict = {
                 "additionalProperties": False,
                 "properties": {
                     "check_name": {"type": "string"},
-                    "parameters": {"type": "object"},
+                    "parameters": {
+                        "type": "object",
+                        "additionalProperties": {"type": ["integer", "string"]},
+                    },
                     "pass": {"type": "boolean"},
                     "skipped": {"type": "boolean"},
                     "lhs_witness": {"type": "string"},
@@ -116,8 +126,59 @@ class RunReport:
         }
 
 
+# one record as json.dumps(..., sort_keys=True, indent=2) writes it in the list
+_RECORD = """    {
+      "check_name": %s,
+      "lhs_witness": %s,
+      "modulus": %s,
+      "parameters": %s,
+      "pass": %s,
+      "rhs_witness": %s,
+      "skipped": %s
+    }"""
+_BOOL = {True: "true", False: "false"}
+
+
+def _json_value(value: object) -> str:
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"a report parameter is a str or an int, not a {type(value).__name__}")
+
+
+def _json_parameters(parameters: dict[str, object]) -> str:
+    if not parameters:
+        return "{}"
+    items = ",\n        ".join(
+        [f"{_json_str(k)}: {_json_value(v)}" for k, v in sorted(parameters.items())]
+    )
+    return "{\n        " + items + "\n      }"
+
+
 def render_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """json.dumps(report.to_dict(), sort_keys=True, indent=2) + newline, byte for byte."""
+    records = ",\n".join([
+        _RECORD % (
+            _json_str(c.check_name), _json_str(c.lhs_witness), _json_str(c.modulus),
+            _json_parameters(c.parameters), _BOOL[c.passed], _json_str(c.rhs_witness),
+            _BOOL[c.skipped],
+        )
+        for c in report.checks
+    ])
+    checks = f"[\n{records}\n  ]" if records else "[]"
+    envelope = json.dumps(
+        {
+            "version": report.tool_version,
+            "invocation": dict(report.invocation),
+            "summary": report.summary,
+            "elapsed_seconds": report.elapsed_seconds,
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    # "checks" sorts before every envelope key, so it opens the object
+    return f'{{\n  "checks": {checks},\n{envelope[2:]}\n'
 
 
 def _params_compact(parameters: dict[str, object]) -> str:

@@ -129,13 +129,15 @@ CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10":
 
 
 def _cc(which: str, pmax: int) -> Iterator[Task]:
+    # p by p, and x by x within p: the checks at one (x, p) share its pair-binomial
+    # column and each x's weighted s_k^2 walk only moves forward
     kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
-    for kind, p in product(kinds, primes_in_range(5, pmax)):
-        if kind == "cc7":
+    for p in primes_in_range(5, pmax):
+        if "cc7" in kinds:
             for s in range(p, 2 * p - 1):
                 yield _task("cc7", s=s, p=p)
-        else:
-            for x in SUPPORTED_X:
+        for x, kind in product(SUPPORTED_X, kinds):
+            if kind != "cc7":
                 yield _task(kind, x=x, p=p)
 
 

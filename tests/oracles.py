@@ -21,13 +21,19 @@ here the double/triple sums of bb4 are evaluated as written, f_k repeats its
 inner Delannoy sum for every j, cc1, telescope and bb2 multiply and add the
 Fraction UniPolys of fraction_poly (telescope also checks the roots 0 and -1
 and divides them out), and the bb4 recurrence residual evaluates its five
-coefficients anew for each side.
+coefficients anew for each side, each from its table of monomials as written.
+
+The cc rows are summed over k as written, one C(2k,s) C(s,k) product per
+term, and the json report is the whole-report json.dumps that render_json
+must equal byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from fraction_poly import (
@@ -47,6 +53,7 @@ from scv.congruences import CheckResult
 from scv.exact_arith import Rat, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.integrality import IntegralityParams
+from scv.report import RunReport
 from scv.sequences import RVFamily, ratio_column
 
 
@@ -323,6 +330,30 @@ def cc_row_sum(s: int, p: int) -> Rat:
     )
 
 
+def cc_row_sums(pmax: int) -> Iterator[tuple[int, tuple[tuple[int, ...], int]]]:
+    """(p, congruences._cc_row_sums(p)) for p = 1..pmax, by the sum over k as written.
+
+    Row s is sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, and
+    C(s,k) vanishes for s < k, C(2k,s) for s > 2k. The sums grow one k at a
+    time over the common denominator pmax!, and each p reads its rows off
+    them over p!.
+    """
+    big = math.factorial(pmax)
+    sums = [0] * (2 * pmax - 1)
+    for p in range(1, pmax + 1):
+        k = p - 1
+        weight = (-1) ** k * (big // (k + 1))
+        for s in range(k, 2 * k + 1):
+            sums[s] += weight * math.comb(2 * k, s) * math.comb(s, k)
+        den = math.factorial(p)
+        rows = []
+        for total in sums[: 2 * p - 1]:
+            row, rem = divmod(total * den, big)
+            assert rem == 0, f"p! does not clear row sum at p = {p}"
+            rows.append(row)
+        yield p, (tuple(rows), den)
+
+
 def cc5_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
     u = pair_binomial_values(x, 2 * p - 2)
     total = sum((cc_row_sum(s, p) * u[s] for s in range(2 * p - 1)), Fraction(0))
@@ -534,11 +565,16 @@ def check_bb2_oracle(n: int, weight=bb2_weight) -> CheckResult:
     return _identity_oracle("bb2", {"n": n}, lhs, rhs)
 
 
+def recurrence_coefficient(table: tuple[tuple[int, int, int], ...], m: int, n: int) -> int:
+    """One recurrence coefficient at (m, n): its monomials c m^a n^b summed as written."""
+    return sum(c * m**em * n**en for em, en, c in table)
+
+
 def recurrence_residual_oracle(side: str, m: int, n: int) -> int:
     """RecurrenceOrder4.residual as written: five coefficients per side, the leading one twice."""
 
     def coefficient(index: int) -> int:
-        return sum(c * m**em * n**en for em, en, c in _RECURRENCE_TRIPLES[index])
+        return recurrence_coefficient(_RECURRENCE_TRIPLES[index], m, n)
 
     if coefficient(4) == 0:
         raise CoefficientError(
@@ -558,3 +594,8 @@ def check_bb4_recurrence_oracle(side: str, m: int, n: int) -> CheckResult:
         rhs_witness="0",
         modulus="exact",
     )
+
+
+def render_json_oracle(report: RunReport) -> str:
+    """The json report by the stdlib: the whole report dict through json.dumps."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"

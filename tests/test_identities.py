@@ -18,6 +18,7 @@ from oracles import (
     check_telescope_oracle,
     d_val,
     f_poly_oracle,
+    recurrence_coefficient,
     s_val,
 )
 from scv import poly
@@ -164,6 +165,19 @@ def test_recurrence_table_matches_factored_forms():
             assert rec.coefficients(m, n)[i] == factored[i](m, n)
 
 
+@pytest.mark.parametrize("tables", [
+    identities._RECURRENCE_TRIPLES,
+    # n-exponents up to 3, a missing constant term and a zero coefficient
+    (((0, 3, 2), (5, 1, -1)), ((2, 0, 7),), ((0, 0, 0),), ((1, 2, -3), (1, 2, 4)), ((3, 0, 1),)),
+])
+def test_coefficients_per_m_match_tables_as_written(tables):
+    rec = RecurrenceOrder4(tables)
+    for m in range(81):
+        for n in range(26):
+            expected = tuple(recurrence_coefficient(table, m, n) for table in tables)
+            assert rec.coefficients(m, n) == expected, (m, n)
+
+
 def test_recurrence_leading_coefficient_nonzero():
     rec = RecurrenceOrder4.default()
     for m in range(201):
@@ -307,9 +321,14 @@ def test_bb4_recurrence_matches_as_written_residual():
                 assert check_bb4_recurrence(**params) == check_bb4_recurrence_oracle(**params)
 
 
-def test_recurrence_coefficients_evaluated_once_per_point():
-    RecurrenceOrder4.coefficients.cache_clear()
+def test_recurrence_tables_collapsed_once_per_m(monkeypatch):
+    collapsed = []
+    collapse = RecurrenceOrder4._collapse
+    monkeypatch.setattr(
+        RecurrenceOrder4, "_collapse", lambda self, m: collapsed.append(m) or collapse(self, m)
+    )
+    monkeypatch.setattr(identities, "_default", None)  # a fresh default, with nothing collapsed
     results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
     assert all(r.passed for r in results)
-    # both sides and the leading-coefficient test share one evaluation per (m, n)
-    assert RecurrenceOrder4.coefficients.cache_info().misses == 41 * 26
+    # both sides at every n, and the leading-coefficient test, share one collapse per m
+    assert sorted(collapsed) == list(range(41))

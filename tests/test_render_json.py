@@ -1,0 +1,90 @@
+"""render_json writes each record from a template; it must equal json.dumps byte for byte."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from oracles import render_json_oracle
+from test_report_golden import CASES
+
+import scv.cli
+import scv.sweeps
+from scv import __version__
+from scv.congruences import CheckResult, skipped_result
+from scv.report import RunReport, render_json
+from scv.sweeps import SWEEPS, execute_task, run_tasks
+
+ODD_TEXT = (
+    'quote " backslash \\ slash / newline \n tab \t nul \x00 bell \x07 del \x7f '
+    "e-acute \u00e9 pi \u03c0 line-sep \u2028 bom \ufeff astral \U0001d53d"
+)
+
+
+def _record(name, params, witness="1", passed=True, skipped=False, modulus="exact"):
+    return CheckResult(name, params, passed, witness, witness[::-1], modulus, skipped)
+
+
+def _same(report: RunReport) -> None:
+    got, want = render_json(report), render_json_oracle(report)
+    if got != want:  # not an assert: pytest would diff the megabyte strings
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        at = min(len(got), len(want)) if at is None else at
+        pytest.fail(f"first difference at {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cases_render_as_json_dumps(monkeypatch, name):
+    seen = []
+    monkeypatch.setitem(scv.cli._RENDERERS, "json", lambda r: seen.append(r) or render_json(r))
+    res = CliRunner().invoke(scv.cli.main, ["verify", *CASES[name], "--format", "json"])
+    assert res.exit_code == 0, res.output
+    (report,) = seen
+    assert report.checks
+    _same(report)
+
+
+@pytest.mark.parametrize("sweep,options", [
+    ("identity", {"name": "all", "max": None}),
+    ("cc", {"which": "all", "pmax": 40}),
+])
+def test_benchmark_grids_render_as_json_dumps(sweep, options):
+    checks = run_tasks(SWEEPS[sweep].grid(**options))
+    _same(RunReport(__version__, {"subcommand": f"verify {sweep}", **options}, checks, 0.125))
+
+
+def test_escaped_witnesses_and_error_messages_render_as_json_dumps(monkeypatch):
+    def raises(**params):
+        raise ValueError(ODD_TEXT)
+
+    checks = [
+        _record("plain", {"p": 5}, witness=ODD_TEXT),
+        _record(ODD_TEXT, {ODD_TEXT: ODD_TEXT, "p": -7}, passed=False, modulus=ODD_TEXT),
+        skipped_result("skip", {"x": "-1/2", "p": 3}, ODD_TEXT),
+        _record("", {"": ""}, witness=""),
+    ]
+    monkeypatch.setitem(scv.sweeps.KINDS, "odd", raises)
+    checks.append(execute_task(("odd", (("n", 10**40), ("x", "\u00e9")))))
+    assert checks[-1].lhs_witness.startswith("error: ValueError: quote")
+    report = RunReport(__version__, {"subcommand": ODD_TEXT, "x": [ODD_TEXT]}, checks, 0.5)
+    _same(report)
+    assert json.loads(render_json(report))["checks"][-1]["lhs_witness"].endswith("\U0001d53d")
+
+
+def test_parameter_shapes_and_empty_reports_render_as_json_dumps():
+    checks = [
+        _record("a", {}),
+        _record("a", {"s": "text"}),
+        _record("a", {"n": 0, "m": 12, "side": "lhs"}, passed=False),
+        _record("b", {"eps": -1, "n": 3, "m": 1}, skipped=True, passed=False),
+    ]
+    _same(RunReport(__version__, {"subcommand": "verify identity", "max": None}, checks, 1.5))
+    _same(RunReport(__version__, {}, [], 0.0))
+    _same(RunReport(__version__, {"out": None, "jobs": 2}, checks[:1], 3.25))
+
+
+@pytest.mark.parametrize("value", [[1, 2], {"a": 1}, 1.5, True, None])
+def test_parameters_other_than_str_or_int_are_refused(value):
+    with pytest.raises(TypeError):
+        render_json(RunReport(__version__, {}, [_record("a", {"x": value})]))
