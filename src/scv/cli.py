@@ -2,8 +2,9 @@
 
 The eight `verify` subcommands are built from `sweeps.SWEEPS`.
 
-Exit codes: 0 when no check fails (skips allowed), 1 on any failure,
-2 on usage errors.
+Exit codes: 0 when no check fails and at least one runs (skips allowed),
+1 on any failure, 2 on usage errors, which include bounds that select no
+checks or only skipped ones.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ def _execute(
     start = time.perf_counter()
     checks = sweeps.run_tasks(grid(**options), jobs=jobs)
     elapsed = time.perf_counter() - start
-    if not checks:
-        raise click.UsageError("these bounds select no checks")
+    # an empty or all-skipped grid would pass without deciding anything
+    if all(check.skipped for check in checks):
+        raise click.UsageError(
+            "every check these bounds select is skipped" if checks
+            else "these bounds select no checks"
+        )
     report = RunReport(
         tool_version=__version__,
         invocation=dict(subcommand=subcommand, **options, jobs=jobs, format=format, out=out),

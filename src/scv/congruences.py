@@ -2,10 +2,12 @@
 
 Every check computes both sides as exact rationals (no intermediate
 truncation). The terms are int numerators over one known common
-denominator, so each side is summed in int arithmetic and becomes a single
-Fraction, which the valuation-aware `congruent` then compares; sums whose
-individual terms are not p-adic integers (the 1/(k+1) weights at k = p-1,
-the s = 2p-1 tail terms) are handled correctly.
+denominator, so each side is summed in int arithmetic to an unreduced
+(numerator, denominator) int pair, and the verdict and its witnesses are
+read off those pairs (exact_arith.pair_congruent, pair_residue and
+pair_valuation) with no gcd; sums whose individual terms are not p-adic
+integers (the 1/(k+1) weights at k = p-1, the s = 2p-1 tail terms) are
+handled correctly, since only the valuation of the difference counts.
 Each verdict shape (mod p^k, v_p >= k, exact equality) has one builder here.
 
 The sides that are partial sums of a p-independent series read their
@@ -15,7 +17,8 @@ off the weighted s_k^2 sum at x, and the guo-bb1 rhs off its own walk. So
 a sweep walks each series once per point instead of once per prime. The
 cc5 rows, cc7 and the cc8-cc10 windows depend on p through the k < p cut:
 the rows are built once per p and shared by cc5 and cc7, and one
-pair-binomial column per (x, p) is shared by cc5 and cc8-cc10.
+pair-binomial column per (x, p) is shared by cc5 and cc8-cc10. cc5 and
+cc10 at one (x, p) read the same walk frontier, which costs nothing.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from .exact_arith import (
     InvalidPrime,
     NotPAdicInteger,
     PAdicContext,
+    Pair,
     Rat,
     _legendre,
-    _rat_valuation,
-    congruent,
-    mod_reduce,
+    pair_congruent,
+    pair_residue,
+    pair_valuation,
     rat_str,
 )
 from .sequences import RVFamily, bb1_walk, pair_binomial_values, rv_walk, s_square_walk
@@ -82,12 +86,10 @@ def skipped_result(check_name: str, parameters: dict[str, object], reason: str) 
     )
 
 
-def residue_witness(q: Rat, ctx: PAdicContext) -> str:
-    """Residue string when q is a p-adic integer, exact a/b otherwise."""
-    try:
-        return str(mod_reduce(q, ctx))
-    except NotPAdicInteger:
-        return rat_str(q)
+def residue_witness(side: Pair, ctx: PAdicContext) -> str:
+    """Residue string when the side is a p-adic integer, its reduced a/b otherwise."""
+    residue = pair_residue(*side, ctx)
+    return rat_str(Fraction(*side)) if residue is None else str(residue)
 
 
 def exact_result(
@@ -105,10 +107,10 @@ def exact_result(
 
 
 def _valuation_result(
-    check_name: str, parameters: dict[str, object], q: Rat, p: int, k: int
+    check_name: str, parameters: dict[str, object], q: Pair, p: int, k: int
 ) -> CheckResult:
     """The fact v_p(q) >= k, witnessed by v_p(q) ("inf" when q = 0) against k."""
-    v = _rat_valuation(q, p)
+    v = pair_valuation(*q, p)
     return CheckResult(
         check_name=check_name,
         parameters=parameters,
@@ -122,14 +124,14 @@ def _valuation_result(
 def _congruence_result(
     check_name: str,
     parameters: dict[str, object],
-    lhs: Rat,
-    rhs: Rat,
+    lhs: Pair,
+    rhs: Pair,
     ctx: PAdicContext,
 ) -> CheckResult:
     return CheckResult(
         check_name=check_name,
         parameters=parameters,
-        passed=congruent(lhs, rhs, ctx),
+        passed=pair_congruent(lhs, rhs, ctx),
         lhs_witness=residue_witness(lhs, ctx),
         rhs_witness=residue_witness(rhs, ctx),
         modulus=str(ctx),
@@ -158,23 +160,18 @@ def _require_supported_x(x: Rat) -> Fraction:
 def verify_rv(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
     ctx = _require_prime(p, 5, 2)
-    lhs = Fraction(*rv_walk(fam.a).prefix(p))
-    rhs = Fraction(_legendre(fam.discriminant, p))
+    lhs = rv_walk(fam.a).prefix(p)
+    rhs = (_legendre(fam.discriminant, p), 1)
     return _congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
     """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
     ctx = _require_prime(p, 5, 2)
-    lhs = Fraction(*rv_walk(fam.a).prefix(2 * p))
-    rhs = fam.lemma2_constant * _legendre(fam.discriminant, p)
+    lhs = rv_walk(fam.a).prefix(2 * p)
+    c, d = fam.lemma2_constant.as_integer_ratio()
+    rhs = (c * _legendre(fam.discriminant, p), d)
     return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
-
-
-@functools.lru_cache(maxsize=None)
-def _weighted_s_square_sum(x: Rat, p: int) -> Fraction:
-    # sum_{k<p} (2k+1) s_k(x)^2; cc5 and cc10 share it at each (x, p)
-    return Fraction(*s_square_walk(x).prefix(p))
 
 
 @functools.lru_cache(maxsize=2)
@@ -207,8 +204,9 @@ def _pair_column(x: Fraction, p: int) -> tuple[list[int], int]:
 def verify_sun_p4(fam: RVFamily, p: int) -> CheckResult:
     """sum_{k<p} (2k+1) s_k(x)^2 against constant * Legendre * p^2, mod p^4."""
     ctx = _require_prime(p, 5, 4)
-    lhs = _weighted_s_square_sum(fam.sun_x, p)
-    rhs = fam.sun_constant * _legendre(fam.discriminant, p) * p * p
+    lhs = s_square_walk(fam.sun_x).prefix(p)
+    c, d = fam.sun_constant.as_integer_ratio()
+    rhs = (c * _legendre(fam.discriminant, p) * p * p, d)
     return _congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
@@ -226,9 +224,9 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPAdicInteger(f"x = {rat_str(x)} is not a p-adic integer for p = {p}")
-    lhs = _weighted_s_square_sum(x, p)
+    lhs = s_square_walk(x).prefix(p)
     total, den = bb1_walk(x).prefix(p)
-    rhs = Fraction(p * p * total, den)
+    rhs = (p * p * total, den)
     return _congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -241,10 +239,10 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     """
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
-    lhs = _weighted_s_square_sum(x, p)
+    lhs = s_square_walk(x).prefix(p)
     u, d = _pair_column(x, p)
     rows, weight = _cc_row_sums(p)
-    rhs = Fraction(p * p * sum(map(operator.mul, rows, u)), weight * d)  # s <= 2p-2
+    rhs = (p * p * sum(map(operator.mul, rows, u)), weight * d)  # s <= 2p-2
     return _congruence_result("cc5", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -258,8 +256,8 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     if not p <= s <= 2 * p - 2:
         raise OutOfRange(f"s = {s} outside [p, 2p-2] = [{p}, {2 * p - 2}]")
     rows, weight = _cc_row_sums(p)
-    lhs = Fraction(rows[s], weight)
-    rhs = (-1) ** s * (Fraction(2 * p, s + 1) - 1)
+    lhs = (rows[s], weight)
+    rhs = ((-1) ** s * (2 * p - s - 1), s + 1)
     return _congruence_result("cc7", {"s": s, "p": p}, lhs, rhs, ctx)
 
 
@@ -268,7 +266,7 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     _require_prime(p, 5)
     x = _require_supported_x(x)
     u, d = _pair_column(x, p)
-    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, Fraction(u[-1], d), p, 2)
+    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, (u[-1], d), p, 2)
 
 
 def verify_cc9(x: Rat, p: int) -> CheckResult:
@@ -282,7 +280,7 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     u, d = _pair_column(x, p)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
-    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, Fraction(tail, weight * d), p, 1)
+    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, (tail, weight * d), p, 1)
 
 
 def verify_cc10(x: Rat, p: int) -> CheckResult:
@@ -294,9 +292,9 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     """
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
-    lhs = _weighted_s_square_sum(x, p)
+    lhs = s_square_walk(x).prefix(p)
     u, d = _pair_column(x, p)
     head = sum((-1) ** s * u[s] for s in range(p))
     full = sum((-1) ** s * u[s] for s in range(2 * p))
-    rhs = Fraction(p * p * (2 * head - full), d)
+    rhs = (p * p * (2 * head - full), d)
     return _congruence_result("cc10", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)

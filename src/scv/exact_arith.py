@@ -4,6 +4,11 @@ The universal scalar is :class:`fractions.Fraction` (re-exported as ``Rat``),
 which is always in canonical form: gcd(|numerator|, denominator) = 1 and
 denominator >= 1.  Congruence is valuation-based so it stays meaningful for
 rationals whose individual terms are not p-adic integers.
+
+The verifiers build every side as an unreduced (numerator, denominator)
+int pair, and pair_valuation, pair_congruent and pair_residue decide and
+witness on those pairs directly, with no gcd; padic_valuation, congruent
+and mod_reduce are the same routines for Rat arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
+
+# A congruence side: the unreduced (numerator, denominator) ints of a rational.
+Pair = tuple[int, int]
 
 INFINITY = math.inf
 
@@ -77,6 +85,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def _int_valuation(n: int, p: int) -> int:
+    # v_p(n) for n != 0
     v = 0
     while n % p == 0:
         n //= p
@@ -84,18 +93,19 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
+def pair_valuation(num: int, den: int, p: int) -> int | float:
+    """v_p(num/den) = v_p(num) - v_p(den) for an unreduced pair; +infinity for num = 0."""
+    if num == 0:
+        return INFINITY
+    return _int_valuation(num, p) - _int_valuation(den, p)
+
+
 def padic_valuation(q: Rat | int, p: int) -> int | float:
     """v_p(q) = v_p(numerator) - v_p(denominator); +infinity for q = 0."""
     if not is_prime(p):
         raise InvalidPrime(f"p = {p} is not prime")
-    return _rat_valuation(Fraction(q), p)
-
-
-def _rat_valuation(q: Rat, p: int) -> int | float:
-    # padic_valuation for a p the caller has already validated
-    if q == 0:
-        return INFINITY
-    return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
+    q = Fraction(q)
+    return pair_valuation(q.numerator, q.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -119,15 +129,41 @@ class PAdicContext:
         return f"{self.p}^{self.k}"
 
 
+def pair_residue(num: int, den: int, ctx: PAdicContext) -> int | None:
+    """num/den mod p^k in [0, p^k) for an unreduced pair; None if it is not a p-adic integer.
+
+    p^{v_p(den)} is stripped from both num and den, and the p-free den is
+    inverted mod p^k; a num that does not take that power leaves a p in
+    the reduced denominator.
+    """
+    strip = ctx.p ** _int_valuation(den, ctx.p)
+    num, rem = divmod(num, strip)
+    if rem:
+        return None
+    m = ctx.modulus
+    return num % m * pow(den // strip, -1, m) % m
+
+
+def pair_congruent(lhs: Pair, rhs: Pair, ctx: PAdicContext) -> bool:
+    """True iff v_p(a/b - c/d) >= k for the unreduced pairs (a, b) and (c, d).
+
+    That is p^{k + v_p(b d)} | a d - c b: one remainder, no valuation of the
+    difference.
+    """
+    (a, b), (c, d) = lhs, rhs
+    p = ctx.p
+    return (a * d - c * b) % p ** (ctx.k + _int_valuation(b, p) + _int_valuation(d, p)) == 0
+
+
 def mod_reduce(q: Rat | int, ctx: PAdicContext) -> int:
     """Residue of a p-adic integer q in [0, p^k): numerator * denominator^-1 mod p^k."""
     q = Fraction(q)
-    if q.denominator % ctx.p == 0:
+    residue = pair_residue(q.numerator, q.denominator, ctx)
+    if residue is None:
         raise NotPAdicInteger(
             f"{rat_str(q)} has denominator divisible by {ctx.p}"
         )
-    m = ctx.modulus
-    return q.numerator * pow(q.denominator, -1, m) % m
+    return residue
 
 
 def congruent(a: Rat | int, b: Rat | int, ctx: PAdicContext) -> bool:
@@ -137,7 +173,7 @@ def congruent(a: Rat | int, b: Rat | int, ctx: PAdicContext) -> bool:
     themselves p-adic integers (only their difference matters). ctx
     validated p when it was built, so p is not tested for primality again.
     """
-    return _rat_valuation(Fraction(a) - Fraction(b), ctx.p) >= ctx.k
+    return pair_congruent(Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio(), ctx)
 
 
 def legendre(a: int, p: int) -> int:

@@ -15,10 +15,11 @@ Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
 gives each exact prefix sum as (numerator, denominator) ints: term k is an
 int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
-so no term is ever reduced to a Fraction and a check builds one Fraction
-per side. rv_walk, s_square_walk and bb1_walk are the cached per-point
-walks; cache_clear() on them drops every cursor. The same families as
-polynomials in x are in scv.poly, which the congruence checks never load.
+so no term is ever reduced to a Fraction, and a check decides on that
+unreduced pair as it is. rv_walk, s_square_walk and bb1_walk are the
+cached per-point walks; cache_clear() on them drops every cursor. The
+same families as polynomials in x are in scv.poly, which the congruence
+checks never load.
 """
 
 from __future__ import annotations

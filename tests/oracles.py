@@ -26,6 +26,12 @@ coefficients anew for each side, each from its table of monomials as written.
 The cc rows are summed over k as written, one C(2k,s) C(s,k) product per
 term, and the json report is the whole-report json.dumps that render_json
 must equal byte for byte.
+
+The library decides each congruence and valuation on unreduced int pairs;
+congruence_result and valuation_result here are the Fraction verdict route
+it replaced: every side a reduced Fraction, congruence by the valuation of
+the difference, the residue by the inverse of the reduced denominator. They
+use no scv.exact_arith valuation or residue function.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from fraction_poly import (
 
 from scv import congruences, sequences
 from scv.congruences import CheckResult
-from scv.exact_arith import Rat, legendre, rat_str
+from scv.exact_arith import PAdicContext, Rat, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.integrality import IntegralityParams
 from scv.report import RunReport
@@ -283,6 +289,59 @@ def fraction_column(column: tuple[list[int], int]) -> list[Rat]:
     return [Fraction(n, den) for n in nums]
 
 
+# The Fraction verdict route: each side a reduced Fraction.
+
+
+def int_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def rat_valuation(q: Rat, p: int) -> int | float:
+    """v_p(q) of a reduced Fraction; +infinity for q = 0."""
+    if q == 0:
+        return math.inf
+    return int_valuation(abs(q.numerator), p) - int_valuation(q.denominator, p)
+
+
+def residue_witness(q: Rat, ctx: PAdicContext) -> str:
+    """q mod p^k when its reduced denominator is p-free, its exact a/b otherwise."""
+    if q.denominator % ctx.p == 0:
+        return rat_str(q)
+    m = ctx.modulus
+    return str(q.numerator * pow(q.denominator, -1, m) % m)
+
+
+def congruence_result(
+    check_name: str, parameters: dict[str, object], lhs: Rat, rhs: Rat, ctx: PAdicContext
+) -> CheckResult:
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=rat_valuation(Fraction(lhs) - Fraction(rhs), ctx.p) >= ctx.k,
+        lhs_witness=residue_witness(Fraction(lhs), ctx),
+        rhs_witness=residue_witness(Fraction(rhs), ctx),
+        modulus=str(ctx),
+    )
+
+
+def valuation_result(
+    check_name: str, parameters: dict[str, object], q: Rat, p: int, k: int
+) -> CheckResult:
+    v = rat_valuation(Fraction(q), p)
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=v >= k,
+        lhs_witness="inf" if v == math.inf else str(v),
+        rhs_witness=str(k),
+        modulus=f"{p}^{k}",
+    )
+
+
 # Each check's sides, term by term in Fraction arithmetic.
 
 
@@ -421,7 +480,7 @@ def verify_rv_oracle(fam: RVFamily, p: int) -> CheckResult:
     terms, den = int_rv_terms(fam.a, p)
     lhs = Fraction(sum(terms), den)
     rhs = Fraction(legendre(fam.discriminant, p))
-    return congruences._congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def verify_lemma_2p_oracle(fam: RVFamily, p: int) -> CheckResult:
@@ -429,14 +488,14 @@ def verify_lemma_2p_oracle(fam: RVFamily, p: int) -> CheckResult:
     terms, den = int_rv_terms(fam.a, 2 * p)
     lhs = Fraction(sum(terms), den)
     rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
-    return congruences._congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def verify_sun_p4_oracle(fam: RVFamily, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 4)
     lhs = int_weighted_s_square_sum(fam.sun_x, p)
     rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
-    return congruences._congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
 
 
 def verify_guo_bb1_oracle(x: Rat, p: int) -> CheckResult:
@@ -451,7 +510,7 @@ def verify_guo_bb1_oracle(x: Rat, p: int) -> CheckResult:
         inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
         total += (-1) ** k * (weight // (k + 1)) * w[k] * inner
     rhs = Fraction(p * p * total, weight * e * d)
-    return congruences._congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
+    return congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
 # The identity checks' sums as written.

@@ -234,13 +234,11 @@ def test_public_prime_checks_still_validate():
 def _walks_started(walk, points, grid) -> dict:
     """How often `grid` starts the cached `walk` at each point it walks."""
     walk.cache_clear()
-    congruences._weighted_s_square_sum.cache_clear()
     results = run_tasks(grid)
     assert results and all(r.passed for r in results)
     assert walk.cache_info().currsize == len(points)
     started = {point: walk(point).starts for point in points}
     walk.cache_clear()
-    congruences._weighted_s_square_sum.cache_clear()
     return started
 
 

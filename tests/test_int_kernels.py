@@ -43,12 +43,12 @@ def test_rv_columns_match_fraction_oracle():
 
 
 def _spy(monkeypatch, name: str) -> list[tuple]:
-    """Record the first two arguments of every call to the decision function `congruences.<name>`."""
+    """Record the arguments of every call to the pair decision function `congruences.<name>`."""
     seen = []
     real = getattr(congruences, name)
 
     def spy(*args):
-        seen.append(args[:2])
+        seen.append(args)
         return real(*args)
 
     monkeypatch.setattr(congruences, name, spy)
@@ -61,14 +61,14 @@ def _denominator(point) -> int:
 
 # check -> (verifier, oracle, points, least p, decision function given the sides)
 _CHECKS = {
-    "rv": (congruences.verify_rv, oracles.rv_sides, RV_FAMILIES, 5, "congruent"),
-    "lemma2p": (congruences.verify_lemma_2p, oracles.lemma2p_sides, RV_FAMILIES, 5, "congruent"),
-    "sun-p4": (congruences.verify_sun_p4, oracles.sun_p4_sides, RV_FAMILIES, 5, "congruent"),
-    "guo-bb1": (congruences.verify_guo_bb1, oracles.guo_bb1_sides, BB1_X, 3, "congruent"),
-    "cc5": (congruences.verify_cc5, oracles.cc5_sides, CC_X, 5, "congruent"),
-    "cc8": (congruences.verify_cc8_fact, oracles.cc8_value, CC_X, 5, "_rat_valuation"),
-    "cc9": (congruences.verify_cc9, oracles.cc9_value, CC_X, 5, "_rat_valuation"),
-    "cc10": (congruences.verify_cc10, oracles.cc10_sides, CC_X, 5, "congruent"),
+    "rv": (congruences.verify_rv, oracles.rv_sides, RV_FAMILIES, 5, "pair_congruent"),
+    "lemma2p": (congruences.verify_lemma_2p, oracles.lemma2p_sides, RV_FAMILIES, 5, "pair_congruent"),
+    "sun-p4": (congruences.verify_sun_p4, oracles.sun_p4_sides, RV_FAMILIES, 5, "pair_congruent"),
+    "guo-bb1": (congruences.verify_guo_bb1, oracles.guo_bb1_sides, BB1_X, 3, "pair_congruent"),
+    "cc5": (congruences.verify_cc5, oracles.cc5_sides, CC_X, 5, "pair_congruent"),
+    "cc8": (congruences.verify_cc8_fact, oracles.cc8_value, CC_X, 5, "pair_valuation"),
+    "cc9": (congruences.verify_cc9, oracles.cc9_value, CC_X, 5, "pair_valuation"),
+    "cc10": (congruences.verify_cc10, oracles.cc10_sides, CC_X, 5, "pair_congruent"),
 }
 
 
@@ -82,21 +82,25 @@ def test_verifier_sides_match_fraction_oracle(monkeypatch, check):
                 continue
             seen.clear()
             assert verify(point, p).passed
-            (sides,) = seen
-            if decision == "congruent":
-                assert all(type(side) is Fraction for side in sides)
-                assert sides == oracle(point, p)
+            (args,) = seen
+            if decision == "pair_congruent":
+                *sides, _ = args
+                assert all(type(n) is int for side in sides for n in side)
+                assert tuple(Fraction(*side) for side in sides) == oracle(point, p)
             else:
-                assert sides == (oracle(point, p), p)
+                num, den, prime = args
+                assert type(num) is int and type(den) is int
+                assert (Fraction(num, den), prime) == (oracle(point, p), p)
 
 
 def test_cc7_sides_match_fraction_oracle(monkeypatch):
-    seen = _spy(monkeypatch, "congruent")
+    seen = _spy(monkeypatch, "pair_congruent")
     for p in primes_in_range(5, 100):
         for s in range(p, 2 * p - 1):
             seen.clear()
             assert congruences.verify_cc7(s, p).passed
-            assert seen == [oracles.cc7_sides(s, p)]
+            sides = [(Fraction(*lhs), Fraction(*rhs)) for lhs, rhs, _ in seen]
+            assert sides == [oracles.cc7_sides(s, p)]
 
 
 def test_wrong_denominator_raises():

@@ -29,7 +29,6 @@ WALKS = (sequences.rv_walk, sequences.s_square_walk, sequences.bb1_walk)
 def _clear() -> None:
     for walk in WALKS:
         walk.cache_clear()
-    congruences._weighted_s_square_sum.cache_clear()
 
 
 # check -> (walked verifier, oracle, points, largest p)

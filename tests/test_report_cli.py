@@ -136,6 +136,19 @@ def test_cli_guo_bb1_skips_non_padic_points():
     assert skipped[0]["parameters"] == {"p": 3, "x": "1/3"}
 
 
+def test_cli_all_skipped_run_is_a_usage_error(tmp_path):
+    # 1/3 is not a 3-adic integer, so p = 3 alone would pass having decided nothing
+    out = tmp_path / "x.json"
+    res = run_cli("verify", "guo-bb1", "--pmax", "3", "--x", "1/3", "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert "every check these bounds select is skipped" in res.output
+    assert not out.exists()
+    res = run_cli("verify", "guo-bb1", "--pmax", "5", "--x", "1/3", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert "1 passed, 0 failed, 1 skipped" in res.output
+
+
 def test_cli_guo_bb1_names_each_point_canonically():
     res = run_cli("verify", "guo-bb1", "--pmax", "7", "--x", "2/6", "--format", "json")
     assert res.exit_code == 0, res.output
