@@ -42,12 +42,20 @@ def rat(value: int | str | Rat, den: int | None = None) -> Rat:
     return Fraction(value)
 
 
+def _int_str(n: int) -> str:
+    try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        return str(n)
+    except ValueError:  # split near half its digits: log10(2) > 0.3, so 10^k < |n|
+        hi, lo = divmod(abs(n), 10 ** (k := n.bit_length() * 3 // 20))
+        return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def rat_str(q: Rat | int) -> str:
     """Canonical 'a/b' (or plain 'a') rendering, exact at any size."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 # the desk scale of is_prime and primes_in_range, and the largest --pmax of a sweep

@@ -3,10 +3,11 @@
 For integer t, d_k(t) and s_k(t) are integers, so the sum
 V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is tabulated in plain int
 arithmetic at t = 0..D+1, D = 3(n-1)m being its degree bound; the integer
-column s_0(t)..s_{n-1}(t) is cached per (t, n), so a grid builds it once for
-all its m and eps. The forward differences of V at 0 are its binomial-basis
-coefficients, and V/n is integer-valued iff each of them is divisible by n;
-a nonzero (D+1)-th difference would mean the bound is wrong and raises.
+column s_0(t)..s_{n-1}(t), read off the recurrence of sequences.s_series, is
+cached per (t, n), so a grid builds it once for all its m and eps. The
+forward differences of V at 0 are its binomial-basis coefficients, and V/n
+is integer-valued iff each of them is divisible by n; a nonzero (D+1)-th
+difference would mean the bound is wrong and raises.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -20,11 +21,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Iterator
 
 from .congruences import CheckResult
-from .sequences import s_values, schmidt_coefficient
+from .sequences import s_series, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
 TERM_LIMIT = 10**6
@@ -59,11 +60,10 @@ def degree_bound(n: int, m: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _s_column(t: int, kmax: int) -> tuple[int, ...]:
-    """[s_0(t), ..., s_kmax(t)] at an integer t, each an exact quotient of s_values."""
-    nums, den = s_values(t, kmax)
+    """[s_0(t), ..., s_kmax(t)] at an integer t: each S_k of s_series over k!^2, exactly."""
     out = []
-    for k, sv in enumerate(nums):
-        s, r = divmod(sv, den)
+    for k, sk in enumerate(islice(s_series(t), kmax + 1)):
+        s, r = divmod(sk, math.factorial(k) ** 2)
         if r:
             raise ArithmeticError(f"s_{k}({t}) is not an integer")
         out.append(s)

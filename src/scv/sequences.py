@@ -7,9 +7,10 @@ Definitions (all exact over Rat):
     S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-The *_values column builders evaluate a whole column at a rational point in
-plain int arithmetic: each returns (numerators, denominator), with one known
-common denominator for the column.
+pair_binomial_values evaluates a whole column at a rational point in plain
+int arithmetic, as int numerators over one known common denominator.
+s_series, the one s_n kernel, runs the certified three-term recurrence of
+s_n at O(1) int operations per step.
 
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
@@ -29,7 +30,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 
 from .exact_arith import Rat
 
@@ -63,21 +64,6 @@ def pair_binomial_values(x: Rat | int, smax: int) -> tuple[list[int], int]:
     den = b ** (2 * smax) * math.factorial(smax) ** 2
     steps = (((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, smax + 1))
     return ratio_column(den, steps), den
-
-
-def s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
-    """Numerators of [s_0(x), ..., s_kmax(x)] over the pair-binomial denominator.
-
-    S_k = sum_j C(k,j) U_j is the binomial transform of the pair-binomial
-    numerators U, read off the first entry of repeated pairwise sums of the
-    U row: additions only, O(kmax^2) of them.
-    """
-    row, den = pair_binomial_values(x, kmax)
-    out = []
-    while row:
-        out.append(row[0])
-        row = [u + v for u, v in zip(row, row[1:])]
-    return out, den
 
 
 class PrefixWalk:
@@ -129,25 +115,25 @@ def rv_series(a: Rat) -> Iterator[tuple[int, int]]:
         yield ((k + 1) * q) ** 2, m
 
 
-def s_square_series(x: Rat) -> Iterator[tuple[int, int]]:
-    """The terms (2k+1) s_k(x)^2 at x = a/b, over D_k^2 with D_k = b^{2k} k!^2.
+def s_series(x: Rat | int) -> Iterator[int]:
+    """The integers S_k = s_k(x) b^{2k} k!^2 at x = a/b, for k = 0, 1, ...
 
-    s_k is the binomial transform of the pair-binomial numerators U_k over
-    D_k: row_0 = U and row_r[i] = row_{r-1}[i] + row_{r-1}[i+1] give
-    s_k = row_k[0]. The series keeps only the anti-diagonal row_r[k-r],
-    r = 0..k, over D_k; the next one starts at U_{k+1} and adds each old
-    entry, rescaled by D_{k+1}/D_k, to the entry before it, so s_{k+1}, its
-    last entry, costs O(k) additions.
+    (k+1)^2 s_{k+1} = A(k) s_k - k^2 s_{k-1} with A(k) = 2k^2 + 2k + 1 + x(x+1),
+    a recurrence whose certificate tests/test_s_recurrence.py checks.
     """
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    u, diag, r = 1, [], 1
+    prev, cur, c, b2 = 0, 1, a * (a + b), b * b
     for k in count():
-        if k:
-            r = (k * b) ** 2
-            u *= (a - (k - 1) * b) * (a + k * b)
-        diag = list(accumulate(map(r.__mul__, diag), initial=u))
-        yield r * r, (2 * k + 1) * diag[-1] ** 2
+        yield cur
+        prev, cur = cur, (b2 * (2 * k * k + 2 * k + 1) + c) * cur - (k * b) ** 4 * prev
+
+
+def s_square_series(x: Rat) -> Iterator[tuple[int, int]]:
+    """The terms (2k+1) s_k(x)^2 over D_k^2, D_k = b^{2k} k!^2 at x = a/b: s_k D_k is S_k."""
+    b = Fraction(x).denominator
+    for k, s in enumerate(s_series(x)):
+        yield (k * b) ** 4 if k else 1, (2 * k + 1) * s * s
 
 
 def bb1_series(x: Rat) -> Iterator[tuple[int, int]]:

@@ -14,7 +14,7 @@ identical results, returned in task order either way.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -39,13 +39,15 @@ def _task(kind: str, **kwargs: object) -> Task:
 
 
 # identities and integrality (and through them poly) load on their first
-# check, so a congruence sweep never imports them.
+# check, so a congruence sweep never imports them; the cache then holds each.
+@cache
 def _identities():
     from . import identities
 
     return identities
 
 
+@cache
 def _integrality():
     from . import integrality
 
@@ -236,7 +238,7 @@ SWEEPS = {
     ),
     "sun-p4": Sweep(
         "Weighted s_k^2 sums against constant * Legendre * p^2, mod p^4.",
-        (_pmax(400),), partial(_families, "sun-p4"),
+        (_pmax(1200),), partial(_families, "sun-p4"),
     ),
     "guo-bb1": Sweep(
         "Mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.",

@@ -9,7 +9,8 @@ fast path to equal this one element by element.
 The rv, lemma2p, sun-p4 and guo-bb1 verifiers read their sums off prefix
 walks; the *_oracle verifiers here build each int column from k = 0 for
 every prime instead, so the tests can require the same CheckResult from
-both routes.
+both routes. Their s_k come from int_s_values, the binomial transform of
+the pair-binomial column, not from the s_n recurrence of the library.
 
 The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
@@ -41,6 +42,7 @@ import json
 import math
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
 
 from fraction_poly import (
     MultiPoly,
@@ -470,8 +472,35 @@ def int_central_binomial_values(x: Rat | int, kmax: int) -> tuple[list[int], int
     return ratio_column(den, steps), den
 
 
+def int_s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
+    """Numerators of [s_0(x), ..., s_kmax(x)] over the pair-binomial denominator.
+
+    S_k = sum_j C(k,j) U_j is the binomial transform of the pair-binomial
+    numerators U, read off the first entry of repeated pairwise sums of the
+    U row: additions only, O(kmax^2) of them, and no use of the s_n
+    recurrence that sequences.s_series runs.
+    """
+    row, den = sequences.pair_binomial_values(x, kmax)
+    out = []
+    while row:
+        out.append(row[0])
+        row = [u + v for u, v in zip(row, row[1:])]
+    return out, den
+
+
+def s_series_column(x: Rat | int, kmax: int) -> list[Rat]:
+    """[s_0(x), ..., s_kmax(x)] from the S_k of sequences.s_series over b^{2k} k!^2."""
+    b = Fraction(x).denominator
+    out, den = [], 1
+    for k, s in enumerate(islice(sequences.s_series(x), kmax + 1)):
+        if k:
+            den *= (k * b) ** 2
+        out.append(Fraction(s, den))
+    return out
+
+
 def int_weighted_s_square_sum(x: Rat, p: int) -> Rat:
-    sv, den = sequences.s_values(x, p - 1)
+    sv, den = int_s_values(x, p - 1)
     return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from scv.congruences import residue_witness
 from scv.exact_arith import (
     INFINITY,
     InvalidPrime,
@@ -116,6 +117,27 @@ def test_rat_parsing():
     assert rat_str(Fraction(8, 4)) == "2"
     with pytest.raises(ValueError):
         rat("x")
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n, nine at a time from the low end, with no big int-to-str."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10**9:
+        n, r = divmod(n, 10**9)
+        chunks.append(f"{r:09d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def test_rat_str_is_exact_above_the_int_str_limit():
+    big = 10**5000 + 1  # more digits than str() renders by default
+    assert residue_witness((big, 49), PAdicContext(7, 2)) == "1" + "0" * 4999 + "1/49"
+    for q in (Fraction(-big, 7**6000), Fraction(3**20000, 2), Fraction(1 - 10**4300)):
+        expected = _digits(q.numerator)
+        if q.denominator != 1:
+            expected += "/" + _digits(q.denominator)
+        assert rat_str(q) == expected
+    q = Fraction(-(10**4299) - 7, 3)  # below the limit the rendering is str()'s
+    assert rat_str(q) == str(q)
 
 
 @given(rationals)

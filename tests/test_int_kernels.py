@@ -12,10 +12,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import fraction_column, int_central_binomial_values, int_rv_terms
+from oracles import fraction_column, int_central_binomial_values, int_rv_terms, s_series_column
 import scv.congruences as congruences
 from scv.exact_arith import primes_in_range
-from scv.sequences import RV_FAMILIES, RVFamily, pair_binomial_values, ratio_column, s_values
+from scv.sequences import RV_FAMILIES, RVFamily, pair_binomial_values, ratio_column
 from scv.sweeps import DEFAULT_BB1_X
 
 PRIMES = primes_in_range(3, 100)
@@ -31,7 +31,7 @@ def test_columns_match_fraction_oracle(x):
         assert fraction_column(pairs) == oracles.pair_binomial_values(x, 2 * p - 1)
         central = int_central_binomial_values(x, p - 1)
         assert fraction_column(central) == oracles.central_binomial_values(x, p - 1)
-        assert fraction_column(s_values(x, p - 1)) == oracles.s_values(x, p - 1)
+        assert s_series_column(x, p - 1) == oracles.s_values(x, p - 1)
 
 
 def test_rv_columns_match_fraction_oracle():

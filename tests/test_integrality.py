@@ -183,19 +183,30 @@ def test_schmidt_holds_to_n_12_m_4():
 def test_integrality_grid_builds_each_s_column_once(monkeypatch):
     from scv.sweeps import SWEEPS, run_tasks
 
-    calls = Counter()
-    real = integrality.s_values
+    runs = []  # [t, terms read] for each run of the s_n recurrence
+    real = integrality.s_series
 
-    def counting(t, kmax):
-        calls[t, kmax] += 1
-        return real(t, kmax)
+    def counting(t):
+        run = [t, 0]
+        runs.append(run)
+        for s in real(t):
+            run[1] += 1
+            yield s
 
-    monkeypatch.setattr(integrality, "s_values", counting)
+    monkeypatch.setattr(integrality, "s_series", counting)
     for f in vars(integrality).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     results = run_tasks(SWEEPS["integrality"].grid(14, 3, "both"))
     assert len(results) == 84 and all(r.passed for r in results)
+    calls = Counter((t, read - 1) for t, read in runs)  # (t, kmax) of each column built
     # n = 14 reads t = 0..3*13*3+1 for m = 3, which covers m = 1, 2 and both eps
     assert sum(c for (t, kmax), c in calls.items() if kmax == 13) == 119
     assert set(calls.values()) == {1}
+
+
+def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkeypatch):
+    integrality._s_column.cache_clear()
+    monkeypatch.setattr(integrality, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
+    with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
+        integrality._s_column(5, 2)

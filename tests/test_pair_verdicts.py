@@ -35,13 +35,14 @@ from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 # the guo-bb1 points the benchmark draws at seeds 1 and 7
 SEEDED_BB1_X = ("-1/5", "-8/11", "-16/19", "-2/7", "5/11", "15/19")
 
-# sweep -> grid arguments: the benchmark grids, then rv and lemma2p past them
+# sweep -> grid arguments: the benchmark grids, then sun-p4, rv and lemma2p past them
 GRIDS = {
     "sun-p4 110": ("sun-p4", (110,)),
     "lemma2p 200": ("lemma2p", (200,)),
     "cc all 40": ("cc", ("all", 40)),
     "cc7 100": ("cc", ("cc7", 100)),
     "guo-bb1 50": ("guo-bb1", (50, (*DEFAULT_BB1_X, *SEEDED_BB1_X))),
+    "sun-p4 400": ("sun-p4", (400,)),
     "rv 2000": ("rv", (2000,)),
     "lemma2p 1000": ("lemma2p", (1000,)),
 }
@@ -84,6 +85,13 @@ def test_grid_matches_fraction_verdict_route(monkeypatch, grid):
 def test_sweep_to_pmax_5000_passes(sweep):
     results = run_tasks(SWEEPS[sweep].grid(5000))
     assert len(results) == 4 * 667  # four families at the 667 primes 5 <= p <= 5000
+    assert not [r for r in results if r.lhs_witness.startswith("error:")]
+    assert all(r.passed for r in results)
+
+
+def test_sun_p4_sweep_to_pmax_2000_passes():
+    results = run_tasks(SWEEPS["sun-p4"].grid(2000))
+    assert len(results) == 4 * 301  # four families at the 301 primes 5 <= p <= 2000
     assert not [r for r in results if r.lhs_witness.startswith("error:")]
     assert all(r.passed for r in results)
 

@@ -16,6 +16,7 @@ from oracles import (
     int_central_binomial_values,
     pochhammer,
     rv_term,
+    s_series_column,
     s_val,
     signed_jacobi_term,
 )
@@ -25,7 +26,6 @@ from scv.sequences import (
     family_by_label,
     pair_binomial_values,
     rv_walk,
-    s_values,
 )
 
 
@@ -93,9 +93,9 @@ def test_s_family():
         assert s_poly(n).eval(x) == s_val(n, x)
 
 
-def test_s_values_column_matches_single_evaluations():
+def test_s_series_matches_single_evaluations():
     x = Fraction(-1, 3)
-    col = fraction_column(s_values(x, 12))
+    col = s_series_column(x, 12)
     assert col == [s_val(k, x) for k in range(13)]
 
 
