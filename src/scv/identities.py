@@ -9,16 +9,15 @@ the double sum is d_n(m) s_n(m), and the triple sum is
 sum_k C(n+k,2k) C(2k,k) f_k(m), with f_0(m)..f_m(m) built once per m from
 the Delannoy row d_0(m)..d_m(m). The order-4 recurrence certifying both
 sides is stored as data (per-coefficient tables of (m-exponent, n-exponent,
-integer) triples) and must pass a transcription self-test against the
-double-sum side before it is used to certify the triple-sum side.
+integer) triples). It certifies the triple-sum side at a point only if the
+same coefficients annihilate the double-sum side there, so a transcription
+error in the tables is caught at every point it would reach.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .congruences import CheckResult, exact_result
@@ -182,11 +181,13 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     return sum(schmidt_coefficient(n, k) * f[k] for k in range(top + 1))
 
 
+def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:
+    return exact_result(name, {"m": m, "n": n}, *(eval_bb4_side(side, m, n) for side in SIDES))
+
+
 def check_bb4_direct(m: int, n: int) -> CheckResult:
     """Direct integer equality of the two sides at one (m, n)."""
-    lhs = eval_bb4_side("lhs", m, n)
-    rhs = eval_bb4_side("rhs", m, n)
-    return exact_result("bb4-direct", {"m": m, "n": n}, lhs, rhs)
+    return _bb4_sides_equal("bb4-direct", m, n)
 
 
 # Expanded coefficient tables of the shared order-4 recurrence
@@ -222,98 +223,55 @@ _RECURRENCE_TRIPLES: tuple[tuple[tuple[int, int, int], ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RecurrenceOrder4:
-    """Order-4 annihilator with bivariate-polynomial coefficients, stored as data.
+@functools.lru_cache(maxsize=None)
+def _coefficients_in_n(m: int) -> tuple[tuple[int, ...], ...]:
+    """Each coefficient at m as its coefficients in n: sum_e c m^e for each n-exponent.
 
-    The tables stay the only data. At each m they collapse, once, to one
-    polynomial in n per coefficient; every (m, n) then takes five Horner
-    evaluations in n.
+    The tables stay the only data; they collapse once per m, so each (m, n)
+    then takes five Horner evaluations in n.
     """
-
-    tables: tuple[tuple[tuple[int, int, int], ...], ...]
-    _by_m: dict[int, tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    @classmethod
-    def default(cls) -> RecurrenceOrder4:
-        """The stored recurrence: one instance per table object, so its collapses are kept."""
-        global _default
-        if _default is None or _default.tables is not _RECURRENCE_TRIPLES:
-            _default = cls(_RECURRENCE_TRIPLES)
-        return _default
-
-    def _collapse(self, m: int) -> tuple[tuple[int, ...], ...]:
-        """Each coefficient at m as its coefficients in n: sum_e c m^e for each n-exponent."""
-        out = []
-        for table in self.tables:
-            in_n = [0] * (1 + max(en for _, en, _ in table))
-            for em, en, c in table:
-                in_n[en] += c * m**em
-            out.append(tuple(in_n))
-        return tuple(out)
-
-    def coefficients(self, m: int, n: int) -> tuple[int, ...]:
-        """(c0, ..., c4) at (m, n), from the tables collapsed once per m."""
-        by_n = self._by_m.get(m)
-        if by_n is None:
-            by_n = self._by_m[m] = self._collapse(m)
-        out = []
-        for in_n in by_n:
-            value = 0
-            for a in reversed(in_n):
-                value = value * n + a
-            out.append(value)
-        return tuple(out)
-
-    def residual(self, side: str, m: int, n: int) -> int:
-        """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} at (m, n)."""
-        coeffs = self.coefficients(m, n)
-        if coeffs[4] == 0:
-            raise CoefficientError(
-                f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
-            )
-        return sum(c * eval_bb4_side(side, m + i, n) for i, c in enumerate(coeffs))
+    out = []
+    for table in _RECURRENCE_TRIPLES:
+        in_n = [0] * (1 + max(en for _, en, _ in table))
+        for em, en, c in table:
+            in_n[en] += c * m**em
+        out.append(tuple(in_n))
+    return tuple(out)
 
 
-_default: RecurrenceOrder4 | None = None
-_TRANSCRIPTION_CERTIFIED = False
+def recurrence_coefficients(m: int, n: int) -> tuple[int, ...]:
+    """(c0, ..., c4) at (m, n)."""
+    out = []
+    for in_n in _coefficients_in_n(m):
+        value = 0
+        for a in reversed(in_n):
+            value = value * n + a
+        out.append(value)
+    return tuple(out)
 
 
-def self_test_transcription(points: int = 20, seed: int = 20230211) -> None:
-    """Certify the stored coefficients against the double-sum side.
-
-    Evaluates the recurrence residual at `points` pseudo-random (m, n) pairs
-    on the independently computed lhs values; any nonzero residual raises
-    CoefficientError.  Runs once per process; later calls are free.
-    """
-    global _TRANSCRIPTION_CERTIFIED
-    if _TRANSCRIPTION_CERTIFIED:
-        return
-    rec = RecurrenceOrder4.default()
-    rng = random.Random(seed)
-    for _ in range(points):
-        m = rng.randrange(0, 30)
-        n = rng.randrange(0, 26)
-        r = rec.residual("lhs", m, n)
-        if r != 0:
-            raise CoefficientError(
-                f"transcription self-test failed at m={m}, n={n}: residual {r}"
-            )
-    _TRANSCRIPTION_CERTIFIED = True
+def recurrence_residual(coeffs: tuple[int, ...], side: str, m: int, n: int) -> int:
+    """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} on one side at (m, n)."""
+    if coeffs[4] == 0:
+        raise CoefficientError(
+            f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
+        )
+    return sum(c * eval_bb4_side(side, m + i, n) for i, c in enumerate(coeffs))
 
 
 def check_bb4_recurrence(side: str, m: int, n: int) -> CheckResult:
     """Residual of the order-4 recurrence on one side at (m, n); must be exactly 0.
 
-    Certifying the rhs triggers the transcription self-test first.
+    The rhs is certified only where the same coefficients annihilate the
+    independently computed lhs: a nonzero lhs residual at (m, n) is a
+    transcription error in the tables and raises CoefficientError.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+    coeffs = recurrence_coefficients(m, n)
     if side == "rhs":
-        self_test_transcription()
-    r = RecurrenceOrder4.default().residual(side, m, n)
+        r = recurrence_residual(coeffs, "lhs", m, n)
+        if r != 0:
+            raise CoefficientError(f"transcription self-test failed at m={m}, n={n}: residual {r}")
+    r = recurrence_residual(coeffs, side, m, n)
     return exact_result("bb4-recurrence", {"side": side, "m": m, "n": n}, r, 0)
 
 
@@ -321,6 +279,4 @@ def check_bb4_initial(m: int, n: int) -> CheckResult:
     """Agreement of the two sides at a small m, seeding the recurrence argument."""
     if not 0 <= m <= 3:
         raise ValueError("initial values are the rows m = 0..3")
-    lhs = eval_bb4_side("lhs", m, n)
-    rhs = eval_bb4_side("rhs", m, n)
-    return exact_result("bb4-initial", {"m": m, "n": n}, lhs, rhs)
+    return _bb4_sides_equal("bb4-initial", m, n)

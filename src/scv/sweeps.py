@@ -54,14 +54,18 @@ def _integrality():
     return integrality
 
 
+def _guo_bb1_check(x: str, p: int) -> CheckResult:
+    if rat(x).denominator % p:
+        return congruences.verify_guo_bb1(rat(x), p)
+    reason = f"x = {x} is not a p-adic integer for p = {p}"
+    return skipped_result("guo-bb1", {"x": x, "p": p}, reason)
+
+
 KINDS = {
     "rv": lambda family, p: congruences.verify_rv(family_by_label(family), p),
     "lemma2p": lambda family, p: congruences.verify_lemma_2p(family_by_label(family), p),
     "sun-p4": lambda family, p: congruences.verify_sun_p4(family_by_label(family), p),
-    "guo-bb1": lambda x, p: congruences.verify_guo_bb1(rat(x), p),
-    "guo-bb1-skip": lambda x, p: skipped_result(
-        "guo-bb1", {"x": x, "p": p}, f"x = {x} is not a p-adic integer for p = {p}"
-    ),
+    "guo-bb1": _guo_bb1_check,
     "cc5": lambda x, p: congruences.verify_cc5(rat(x), p),
     "cc7": lambda s, p: congruences.verify_cc7(s, p),
     "cc8-fact": lambda x, p: congruences.verify_cc8_fact(rat(x), p),
@@ -103,9 +107,10 @@ def execute_task(task: Task) -> CheckResult:
 
 
 def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
-    """Results in task order, on at most `jobs` workers (never more than CPUs or tasks)."""
+    """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs)."""
     tasks = list(tasks)
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, cpus or 1, len(tasks))
     if workers <= 1:
         return [execute_task(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
@@ -122,8 +127,7 @@ def _families(kind: str, pmax: int) -> Iterator[Task]:
 
 def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
     for one, p in product(x, primes_in_range(3, pmax)):
-        kind = "guo-bb1-skip" if rat(one).denominator % p == 0 else "guo-bb1"
-        yield _task(kind, x=one, p=p)
+        yield _task("guo-bb1", x=one, p=p)
 
 
 # `scv verify cc --which` value -> the task kind (and check name) it sweeps

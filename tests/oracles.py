@@ -658,8 +658,16 @@ def recurrence_coefficient(table: tuple[tuple[int, int, int], ...], m: int, n: i
     return sum(c * m**em * n**en for em, en, c in table)
 
 
+def corrupted_recurrence_tables() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The stored tables with c2's m^6 monomial miswritten (-7 for -6): wrong at every m >= 1."""
+    return tuple(
+        table if i != 2 else table[:-1] + ((6, 0, -7),)
+        for i, table in enumerate(_RECURRENCE_TRIPLES)
+    )
+
+
 def recurrence_residual_oracle(side: str, m: int, n: int) -> int:
-    """RecurrenceOrder4.residual as written: five coefficients per side, the leading one twice."""
+    """identities.recurrence_residual as written: five coefficients per side, c4 twice."""
 
     def coefficient(index: int) -> int:
         return recurrence_coefficient(_RECURRENCE_TRIPLES[index], m, n)

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import scv.identities as identities
 from fraction_poly import UniPoly, newton_coefficients
-from oracles import d_val, delannoy_oracle, integer_window_oracle
+from oracles import corrupted_recurrence_tables, d_val, delannoy_oracle, integer_window_oracle
 from scv.integrality import IntegralityParams, verify_integer_valued
-from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
+from scv.sweeps import BB4_N_MAX, DEFAULT_BB1_X, SWEEPS, run_tasks
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -143,7 +143,7 @@ def test_criterion_09_schmidt_divisibility():
                f"{len(results)} checks, {elapsed:.2f}s")
 
 
-def test_criterion_10_oracles():
+def test_criterion_10_oracles(recurrence_tables):
     lattice_ok = all(
         d_val(n, m) == delannoy_oracle(m, n) for m in range(9) for n in range(9)
     )
@@ -157,18 +157,21 @@ def test_criterion_10_oracles():
         )
         round_trip_ok = round_trip_ok and newton_coefficients(p).to_poly() == p
 
-    saved = identities._TRANSCRIPTION_CERTIFIED
+    # the transcription self-test of each point of the default recurrence grid: the
+    # coefficients that certify the rhs there annihilate the lhs
+    points = [(m, n) for m in range(41) for n in range(BB4_N_MAX + 1)]
+    self_test_ok = all(
+        identities.recurrence_residual(identities.recurrence_coefficients(m, n), "lhs", m, n) == 0
+        for m, n in points
+    )
+    recurrence_tables(corrupted_recurrence_tables())
     try:
-        identities._TRANSCRIPTION_CERTIFIED = False
-        identities.self_test_transcription()
-        self_test_ok = identities._TRANSCRIPTION_CERTIFIED
-        identities._TRANSCRIPTION_CERTIFIED = False
         identities.check_bb4_recurrence("rhs", 2, 3)
-        certify_order_ok = identities._TRANSCRIPTION_CERTIFIED
-    finally:
-        identities._TRANSCRIPTION_CERTIFIED = saved or True
+        corruption_caught = False
+    except identities.CoefficientError:
+        corruption_caught = True
 
-    ok = lattice_ok and round_trip_ok and self_test_ok and certify_order_ok
+    ok = lattice_ok and round_trip_ok and self_test_ok and corruption_caught
     _criterion(10, "independent oracles (lattice paths, Newton round-trip, "
                    "recurrence transcription)", ok,
-               "81 lattice pairs, 25 round-trips, 20-point self-test")
+               f"81 lattice pairs, 25 round-trips, self-test at {len(points)} points")

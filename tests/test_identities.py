@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 import fraction_poly
 import scv.identities as identities
@@ -16,16 +19,17 @@ from oracles import (
     check_bb4_recurrence_oracle,
     check_cc1_oracle,
     check_telescope_oracle,
+    corrupted_recurrence_tables,
     d_val,
     f_poly_oracle,
     recurrence_coefficient,
     s_val,
 )
 from scv import poly
+from scv.cli import main
 from scv.identities import (
     SIDES,
     CoefficientError,
-    RecurrenceOrder4,
     check_bb2,
     check_bb4_direct,
     check_bb4_initial,
@@ -35,7 +39,8 @@ from scv.identities import (
     check_liu26,
     check_telescope,
     eval_bb4_side,
-    self_test_transcription,
+    recurrence_coefficients,
+    recurrence_residual,
 )
 from scv.sweeps import IDENTITIES, SWEEPS, run_tasks
 
@@ -126,7 +131,6 @@ def test_bb4_sides_are_nonnegative_integers():
 
 def test_recurrence_table_matches_factored_forms():
     # The stored triples must reproduce the factored coefficient polynomials.
-    rec = RecurrenceOrder4.default()
 
     def c0(m, n):
         return (m + 1) ** 3 * (m + 2) * (3 * m * m + 18 * m + 26)
@@ -162,7 +166,7 @@ def test_recurrence_table_matches_factored_forms():
     for _ in range(40):
         m, n = rng.randrange(0, 60), rng.randrange(0, 60)
         for i in range(5):
-            assert rec.coefficients(m, n)[i] == factored[i](m, n)
+            assert recurrence_coefficients(m, n)[i] == factored[i](m, n)
 
 
 @pytest.mark.parametrize("tables", [
@@ -170,50 +174,90 @@ def test_recurrence_table_matches_factored_forms():
     # n-exponents up to 3, a missing constant term and a zero coefficient
     (((0, 3, 2), (5, 1, -1)), ((2, 0, 7),), ((0, 0, 0),), ((1, 2, -3), (1, 2, 4)), ((3, 0, 1),)),
 ])
-def test_coefficients_per_m_match_tables_as_written(tables):
-    rec = RecurrenceOrder4(tables)
+def test_coefficients_per_m_match_tables_as_written(recurrence_tables, tables):
+    recurrence_tables(tables)
     for m in range(81):
         for n in range(26):
             expected = tuple(recurrence_coefficient(table, m, n) for table in tables)
-            assert rec.coefficients(m, n) == expected, (m, n)
+            assert recurrence_coefficients(m, n) == expected, (m, n)
 
 
 def test_recurrence_leading_coefficient_nonzero():
-    rec = RecurrenceOrder4.default()
     for m in range(201):
-        assert rec.coefficients(m, 0)[4] > 0
-        assert rec.coefficients(m, 17)[4] > 0
+        assert recurrence_coefficients(m, 0)[4] > 0
+        assert recurrence_coefficients(m, 17)[4] > 0
 
 
 def test_transcription_self_test_runs_before_rhs_certification(monkeypatch):
-    monkeypatch.setattr(identities, "_TRANSCRIPTION_CERTIFIED", False)
-    assert check_bb4_recurrence("rhs", 0, 0).passed
-    assert identities._TRANSCRIPTION_CERTIFIED
-
-
-def test_transcription_self_test_catches_corruption(monkeypatch):
-    bad = tuple(
-        tuple(t) if i != 2 else tuple(t[:-1] + ((6, 0, -7),))
-        for i, t in enumerate(identities._RECURRENCE_TRIPLES)
+    # the rhs at (m, n) is certified by the coefficients that annihilate the lhs there
+    residuals = []
+    residual = identities.recurrence_residual
+    monkeypatch.setattr(
+        identities, "recurrence_residual",
+        lambda coeffs, side, m, n: residuals.append((coeffs, side)) or residual(coeffs, side, m, n),
     )
-    monkeypatch.setattr(identities, "_RECURRENCE_TRIPLES", bad)
-    monkeypatch.setattr(identities, "_TRANSCRIPTION_CERTIFIED", False)
-    with pytest.raises(CoefficientError):
-        self_test_transcription()
+    assert check_bb4_recurrence("rhs", 5, 7).passed
+    coeffs = recurrence_coefficients(5, 7)
+    assert residuals == [(coeffs, "lhs"), (coeffs, "rhs")]
+    residuals.clear()
+    assert check_bb4_recurrence("lhs", 5, 7).passed
+    assert residuals == [(coeffs, "lhs")]
 
 
-def test_vanishing_leading_coefficient_is_an_error():
-    rec = RecurrenceOrder4(
-        (((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 0),))
+def test_transcription_self_test_catches_corruption(recurrence_tables):
+    stored = identities._RECURRENCE_TRIPLES
+    recurrence_tables(corrupted_recurrence_tables())
+    caught = 0
+    for m in range(8):
+        for n in range(26):
+            true = tuple(recurrence_coefficient(table, m, n) for table in stored)
+            if recurrence_coefficients(m, n) == true:
+                assert check_bb4_recurrence("rhs", m, n).passed, (m, n)
+                continue
+            # every point where the corrupted coefficients differ refuses to certify the rhs
+            assert not check_bb4_recurrence("lhs", m, n).passed, (m, n)
+            with pytest.raises(CoefficientError, match="transcription self-test failed"):
+                check_bb4_recurrence("rhs", m, n)
+            caught += 1
+    assert caught == 7 * 26  # the miswritten m^6 term vanishes only at m = 0
+
+
+def test_corrupted_table_fails_the_cli_run_at_both_sides(recurrence_tables):
+    recurrence_tables(corrupted_recurrence_tables())
+    res = CliRunner().invoke(
+        main, ["verify", "identity", "--name", "bb4-recurrence", "--max", "2", "--format", "json"]
     )
+    assert res.exit_code == 1
+    records = [c for c in json.loads(res.output)["checks"] if c["check_name"] == "bb4-recurrence"]
+    by_side = {side: {} for side in SIDES}
+    for c in records:
+        params = c["parameters"]
+        by_side[params["side"]][params["m"], params["n"]] = c
+    failed_lhs = {point for point, c in by_side["lhs"].items() if not c["pass"]}
+    errored_rhs = {
+        point for point, c in by_side["rhs"].items()
+        if c["modulus"] == "error" and c["lhs_witness"].startswith("error: CoefficientError: ")
+    }
+    assert len(by_side["lhs"]) == len(by_side["rhs"]) == 78
+    # the miswritten m^6 term vanishes at m = 0, so those 26 points pass on both sides
+    assert failed_lhs == errored_rhs == {(m, n) for m in (1, 2) for n in range(26)}
+    assert all(c["pass"] for point, c in by_side["rhs"].items() if point not in errored_rhs)
+
+
+def test_vanishing_leading_coefficient_is_an_error(recurrence_tables):
+    recurrence_tables((((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 0),)))
     with pytest.raises(CoefficientError):
-        rec.residual("lhs", 1, 1)
+        recurrence_residual(recurrence_coefficients(1, 1), "lhs", 1, 1)
+    with pytest.raises(CoefficientError, match="leading coefficient vanishes"):
+        check_bb4_recurrence("rhs", 1, 1)
 
 
 def test_bb4_recurrence_examples():
     assert check_bb4_recurrence("lhs", 0, 0).passed
     r = check_bb4_recurrence("rhs", 5, 7)
     assert r.passed and r.lhs_witness == "0"
+    with pytest.raises(ValueError, match="side must be one of"):
+        check_bb4_recurrence("middle", 1, 1)
 
 
 def test_bb4_initial_values():
@@ -323,12 +367,12 @@ def test_bb4_recurrence_matches_as_written_residual():
 
 def test_recurrence_tables_collapsed_once_per_m(monkeypatch):
     collapsed = []
-    collapse = RecurrenceOrder4._collapse
-    monkeypatch.setattr(
-        RecurrenceOrder4, "_collapse", lambda self, m: collapsed.append(m) or collapse(self, m)
-    )
-    monkeypatch.setattr(identities, "_default", None)  # a fresh default, with nothing collapsed
+    collapse = identities._coefficients_in_n.__wrapped__
+    # a fresh cache, with nothing collapsed
+    monkeypatch.setattr(identities, "_coefficients_in_n", functools.lru_cache(maxsize=None)(
+        lambda m: collapsed.append(m) or collapse(m)
+    ))
     results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
     assert all(r.passed for r in results)
-    # both sides at every n, and the leading-coefficient test, share one collapse per m
+    # both sides at every n, and the rhs's lhs self-test, share one collapse per m
     assert sorted(collapsed) == list(range(41))

@@ -276,14 +276,26 @@ _SMALL_GRIDS = {
 
 
 def _first_task_of_each_kind() -> dict:
+    # the first task of each kind whose check runs: a guo-bb1 point may be a skip
     first = {}
     for name, sweep in sweeps.SWEEPS.items():
         for task in sweep.grid(**_SMALL_GRIDS[name]):
-            first.setdefault(task[0], task)
+            if task[0] not in first and not sweeps.execute_task(task).skipped:
+                first[task[0]] = task
     return first
 
 
-@pytest.mark.parametrize("kind", sorted(set(sweeps.KINDS) - {"guo-bb1-skip"}))
+def test_every_kind_is_the_check_name_of_its_records():
+    first = _first_task_of_each_kind()
+    assert set(first) == set(sweeps.KINDS)
+    for kind, task in first.items():
+        assert sweeps.execute_task(task).check_name == kind
+    skip = sweeps.execute_task(("guo-bb1", (("p", 3), ("x", "1/3"))))
+    assert skip.skipped and skip.check_name == "guo-bb1"
+    assert skip.lhs_witness == "x = 1/3 is not a p-adic integer for p = 3"
+
+
+@pytest.mark.parametrize("kind", sorted(sweeps.KINDS))
 def test_error_record_is_filed_under_its_check_name(monkeypatch, kind):
     task = _first_task_of_each_kind()[kind]
     passing = sweeps.execute_task(task)
@@ -315,12 +327,25 @@ def test_run_tasks_caps_workers(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
     assert sweeps.run_tasks(tasks, jobs=64) == sweeps.run_tasks(tasks)
     assert started == [2]
     sweeps.run_tasks(tasks[:1], jobs=64)
     assert started == [2]  # one task runs in this process
+
+
+def test_run_tasks_counts_only_the_cpus_it_may_use(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # pinned to one CPU of a larger host, as under `taskset -c 0`
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+    tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
+    assert sweeps.run_tasks(tasks, jobs=2) == [sweeps.execute_task(t) for t in tasks]
 
 
 def test_cli_out_file(tmp_path):
