@@ -7,16 +7,11 @@ decided by p-adic valuation, identities by canonical coefficient equality.
 
 from .exact_arith import (
     InvalidPrime,
-    NotPAdicInteger,
     PAdicContext,
     Rat,
-    congruent,
     is_prime,
     legendre,
-    mod_reduce,
-    padic_valuation,
     primes_in_range,
-    rat,
 )
 from .congruences import CheckResult, OutOfRange
 from .sequences import RV_FAMILIES, RVFamily
@@ -26,18 +21,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "InvalidPrime",
-    "NotPAdicInteger",
     "OutOfRange",
     "PAdicContext",
     "Rat",
     "RVFamily",
     "RV_FAMILIES",
-    "congruent",
     "is_prime",
     "legendre",
-    "mod_reduce",
-    "padic_valuation",
     "primes_in_range",
-    "rat",
     "__version__",
 ]

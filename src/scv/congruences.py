@@ -32,7 +32,6 @@ from itertools import chain
 
 from .exact_arith import (
     InvalidPrime,
-    NotPAdicInteger,
     PAdicContext,
     Pair,
     Rat,
@@ -107,17 +106,17 @@ def exact_result(
 
 
 def _valuation_result(
-    check_name: str, parameters: dict[str, object], q: Pair, p: int, k: int
+    check_name: str, parameters: dict[str, object], q: Pair, ctx: PAdicContext
 ) -> CheckResult:
     """The fact v_p(q) >= k, witnessed by v_p(q) ("inf" when q = 0) against k."""
-    v = pair_valuation(*q, p)
+    v = pair_valuation(*q, ctx.p)
     return CheckResult(
         check_name=check_name,
         parameters=parameters,
-        passed=v >= k,
+        passed=v >= ctx.k,
         lhs_witness="inf" if v == math.inf else str(v),
-        rhs_witness=str(k),
-        modulus=f"{p}^{k}",
+        rhs_witness=str(ctx.k),
+        modulus=str(ctx),
     )
 
 
@@ -216,18 +215,21 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
     p^2 * sum_{k<p} sum_{j<=k} (-1)^k/(k+1) C(x+k,2k) C(x,j) C(x+j,j) C(2k,j+k)
     modulo p^4, for any odd prime p and p-adic integer x.  The k = p-1 weight
-    has valuation -1, so the comparison must stay valuation-aware.
+    has valuation -1, so the comparison must stay valuation-aware. p is
+    validated first; an x that is not a p-adic integer is a skipped record.
     """
     if p == 2:
         raise InvalidPrime(f"p = {p} is not an odd prime")
     ctx = _require_prime(p, 3, 4)
     x = Fraction(x)
+    parameters = {"x": rat_str(x), "p": p}
     if x.denominator % p == 0:
-        raise NotPAdicInteger(f"x = {rat_str(x)} is not a p-adic integer for p = {p}")
+        reason = f"x = {parameters['x']} is not a p-adic integer for p = {p}"
+        return skipped_result("guo-bb1", parameters, reason)
     lhs = s_square_walk(x).prefix(p)
     total, den = bb1_walk(x).prefix(p)
     rhs = (p * p * total, den)
-    return _congruence_result("guo-bb1", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
+    return _congruence_result("guo-bb1", parameters, lhs, rhs, ctx)
 
 
 def verify_cc5(x: Rat, p: int) -> CheckResult:
@@ -263,10 +265,10 @@ def verify_cc7(s: int, p: int) -> CheckResult:
 
 def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
-    _require_prime(p, 5)
+    ctx = _require_prime(p, 5, 2)
     x = _require_supported_x(x)
     u, d = _pair_column(x, p)
-    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, (u[-1], d), p, 2)
+    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, (u[-1], d), ctx)
 
 
 def verify_cc9(x: Rat, p: int) -> CheckResult:
@@ -275,12 +277,12 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     The s = 2p-1 term alone has a p in its 1/(s+1) weight, so only the
     valuation form of this statement is meaningful.
     """
-    _require_prime(p, 5)
+    ctx = _require_prime(p, 5)
     x = _require_supported_x(x)
     u, d = _pair_column(x, p)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
-    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, (tail, weight * d), p, 1)
+    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, (tail, weight * d), ctx)
 
 
 def verify_cc10(x: Rat, p: int) -> CheckResult:

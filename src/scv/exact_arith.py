@@ -7,8 +7,7 @@ rationals whose individual terms are not p-adic integers.
 
 The verifiers build every side as an unreduced (numerator, denominator)
 int pair, and pair_valuation, pair_congruent and pair_residue decide and
-witness on those pairs directly, with no gcd; padic_valuation, congruent
-and mod_reduce are the same routines for Rat arguments.
+witness on those pairs directly, with no gcd.
 """
 
 from __future__ import annotations
@@ -27,19 +26,6 @@ INFINITY = math.inf
 
 class InvalidPrime(ValueError):
     """Raised when an argument required to be (an odd) prime is not."""
-
-
-class NotPAdicInteger(ValueError):
-    """Raised when a rational with denominator divisible by p is reduced mod p^k."""
-
-
-def rat(value: int | str | Rat, den: int | None = None) -> Rat:
-    """Build a Rat from an int, a Fraction, or an 'a/b' / 'a' string."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    return Fraction(value)
 
 
 def _int_str(n: int) -> str:
@@ -108,14 +94,6 @@ def pair_valuation(num: int, den: int, p: int) -> int | float:
     return _int_valuation(num, p) - _int_valuation(den, p)
 
 
-def padic_valuation(q: Rat | int, p: int) -> int | float:
-    """v_p(q) = v_p(numerator) - v_p(denominator); +infinity for q = 0."""
-    if not is_prime(p):
-        raise InvalidPrime(f"p = {p} is not prime")
-    q = Fraction(q)
-    return pair_valuation(q.numerator, q.denominator, p)
-
-
 @dataclass(frozen=True)
 class PAdicContext:
     """A prime p together with an exponent k, defining congruence mod p^k."""
@@ -161,27 +139,6 @@ def pair_congruent(lhs: Pair, rhs: Pair, ctx: PAdicContext) -> bool:
     (a, b), (c, d) = lhs, rhs
     p = ctx.p
     return (a * d - c * b) % p ** (ctx.k + _int_valuation(b, p) + _int_valuation(d, p)) == 0
-
-
-def mod_reduce(q: Rat | int, ctx: PAdicContext) -> int:
-    """Residue of a p-adic integer q in [0, p^k): numerator * denominator^-1 mod p^k."""
-    q = Fraction(q)
-    residue = pair_residue(q.numerator, q.denominator, ctx)
-    if residue is None:
-        raise NotPAdicInteger(
-            f"{rat_str(q)} has denominator divisible by {ctx.p}"
-        )
-    return residue
-
-
-def congruent(a: Rat | int, b: Rat | int, ctx: PAdicContext) -> bool:
-    """True iff v_p(a - b) >= k.
-
-    Valuation-based, so it is well-defined even when a and b are not
-    themselves p-adic integers (only their difference matters). ctx
-    validated p when it was built, so p is not tested for primality again.
-    """
-    return pair_congruent(Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio(), ctx)
 
 
 def legendre(a: int, p: int) -> int:

@@ -22,7 +22,7 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, NotPAdicInteger, PAdicContext, legendre
+from scv.exact_arith import InvalidPrime, PAdicContext, legendre
 from scv.sequences import RV_FAMILIES, family_by_label
 from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
@@ -76,12 +76,22 @@ def test_verify_guo_bb1_examples():
 
 
 def test_verify_guo_bb1_errors():
-    with pytest.raises(NotPAdicInteger):
-        verify_guo_bb1(Fraction(1, 5), 5)
-    with pytest.raises(InvalidPrime):
-        verify_guo_bb1(Fraction(1), 2)
-    with pytest.raises(InvalidPrime):
-        verify_guo_bb1(Fraction(1), 9)
+    # an x that is not a p-adic integer is the verifier's own skip record
+    r = verify_guo_bb1(Fraction(2, 10), 5)
+    assert r.to_dict() == {
+        "check_name": "guo-bb1",
+        "parameters": {"x": "1/5", "p": 5},
+        "pass": False,
+        "skipped": True,
+        "lhs_witness": "x = 1/5 is not a p-adic integer for p = 5",
+        "rhs_witness": "",
+        "modulus": "",
+    }
+    assert list(r.parameters) == ["x", "p"]
+    # p is validated before x: a non-prime p is an error even where p | den(x)
+    for x, p in ((Fraction(1), 2), (Fraction(1, 2), 2), (Fraction(1), 9), (Fraction(1, 9), 9)):
+        with pytest.raises(InvalidPrime):
+            verify_guo_bb1(x, p)
 
 
 def test_verify_cc5_examples():

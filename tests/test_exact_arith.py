@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import click
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -11,17 +12,16 @@ from scv.congruences import residue_witness
 from scv.exact_arith import (
     INFINITY,
     InvalidPrime,
-    NotPAdicInteger,
     PAdicContext,
-    congruent,
     is_prime,
     legendre,
-    mod_reduce,
-    padic_valuation,
+    pair_congruent,
+    pair_residue,
+    pair_valuation,
     primes_in_range,
-    rat,
     rat_str,
 )
+from scv.sweeps import _validate_rationals
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -29,27 +29,26 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
 
 def test_padic_valuation_examples():
-    assert padic_valuation(Fraction(50, 3), 5) == 2
-    assert padic_valuation(Fraction(0), 7) == INFINITY
-    assert padic_valuation(Fraction(3, 125), 5) == -3
-    assert padic_valuation(7, 7) == 1
-    with pytest.raises(InvalidPrime):
-        padic_valuation(Fraction(1, 2), 6)
-    with pytest.raises(InvalidPrime):
-        padic_valuation(Fraction(1, 3), 9)
+    assert pair_valuation(50, 3, 5) == 2
+    assert pair_valuation(0, 1, 7) == INFINITY
+    assert pair_valuation(3, 125, 5) == -3
+    assert pair_valuation(7, 1, 7) == 1
+    assert pair_valuation(10, 250, 5) == -2  # 1/25, unreduced
+    with pytest.raises(InvalidPrime):  # the prime is validated where its context is built
+        PAdicContext(6, 1)
 
 
 def test_mod_reduce_examples():
-    assert mod_reduce(Fraction(1, 3), PAdicContext(5, 2)) == 17
-    assert mod_reduce(7, PAdicContext(5, 2)) == 7
-    with pytest.raises(NotPAdicInteger):
-        mod_reduce(Fraction(1, 5), PAdicContext(5, 1))
+    assert pair_residue(1, 3, PAdicContext(5, 2)) == 17
+    assert pair_residue(7, 1, PAdicContext(5, 2)) == 7
+    assert pair_residue(5, 15, PAdicContext(5, 2)) == 17  # 1/3, unreduced
+    assert pair_residue(1, 5, PAdicContext(5, 1)) is None
 
 
 def test_congruent_examples():
-    assert congruent(26, 1, PAdicContext(5, 2))
-    assert congruent(Fraction(1, 2), 13, PAdicContext(5, 2))
-    assert not congruent(Fraction(1, 5), 0, PAdicContext(5, 1))
+    assert pair_congruent((26, 1), (1, 1), PAdicContext(5, 2))
+    assert pair_congruent((1, 2), (13, 1), PAdicContext(5, 2))
+    assert not pair_congruent((1, 5), (0, 1), PAdicContext(5, 1))
 
 
 def test_congruent_does_not_test_the_prime_again(monkeypatch):
@@ -58,9 +57,10 @@ def test_congruent_does_not_test_the_prime_again(monkeypatch):
     contexts = [PAdicContext(5, 2), PAdicContext(5, 1), PAdicContext(7, 4)]
     calls = []
     monkeypatch.setattr(exact_arith, "is_prime", lambda n: calls.append(n) or True)
-    assert congruent(26, 1, contexts[0])
-    assert not congruent(Fraction(1, 5), 0, contexts[1])
-    assert congruent(Fraction(3, 4) * 49, Fraction(3, 4) * 49 + 7**4, contexts[2])
+    assert pair_congruent((26, 1), (1, 1), contexts[0])
+    assert not pair_congruent((1, 5), (0, 1), contexts[1])
+    assert pair_congruent((147, 4), (147 + 4 * 7**4, 4), contexts[2])
+    assert pair_residue(1, 3, contexts[0]) == 17
     assert calls == []
 
 
@@ -109,14 +109,15 @@ def test_padic_context_validation():
 
 
 def test_rat_parsing():
-    assert rat("3/4") == Fraction(3, 4)
-    assert rat("-1/2") == Fraction(-1, 2)
-    assert rat("7") == 7
-    assert rat(3, 6) == Fraction(1, 2)
+    # `--x` and config `x=` values: a or a/b, each part read with int()
+    assert _validate_rationals(None, None, ("3/4", "-1/2", "7", "3/6", "2/4")) == (
+        "3/4", "-1/2", "7", "1/2",
+    )
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(Fraction(8, 4)) == "2"
-    with pytest.raises(ValueError):
-        rat("x")
+    for bad in ("x", "1.5", "1e3", "1/0", "1/2/3", "", "1" + "0" * 4300):
+        with pytest.raises(click.BadParameter):
+            _validate_rationals(None, None, (bad,))
 
 
 def _digits(n: int) -> str:
@@ -146,16 +147,30 @@ def test_rat_canonical_form(q):
     assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
+def _product(a: Fraction, b: Fraction) -> tuple[int, int]:
+    # the unreduced pair of a * b
+    return a.numerator * b.numerator, a.denominator * b.denominator
+
+
+def _sum(a: Fraction, b: Fraction) -> tuple[int, int]:
+    # the unreduced pair of a + b over the product of the denominators
+    return a.numerator * b.denominator + b.numerator * a.denominator, a.denominator * b.denominator
+
+
+def _v(a: Fraction, p: int) -> int | float:
+    return pair_valuation(a.numerator, a.denominator, p)
+
+
 @given(rationals, rationals, st.sampled_from(SMALL_PRIMES))
 def test_valuation_additivity(a, b, p):
     assume(a != 0 and b != 0)
-    assert padic_valuation(a * b, p) == padic_valuation(a, p) + padic_valuation(b, p)
+    assert pair_valuation(*_product(a, b), p) == _v(a, p) + _v(b, p)
 
 
 @given(rationals, rationals, st.sampled_from(SMALL_PRIMES))
 def test_valuation_ultrametric(a, b, p):
-    va, vb = padic_valuation(a, p), padic_valuation(b, p)
-    vs = padic_valuation(a + b, p)
+    va, vb = _v(a, p), _v(b, p)
+    vs = pair_valuation(*_sum(a, b), p)
     assert vs >= min(va, vb)
     if va != vb:
         assert vs == min(va, vb)
@@ -171,8 +186,9 @@ def test_mod_reduce_is_ring_homomorphism(triple, k):
     p, a, b = triple
     ctx = PAdicContext(p, k)
     m = ctx.modulus
-    assert mod_reduce(a + b, ctx) == (mod_reduce(a, ctx) + mod_reduce(b, ctx)) % m
-    assert mod_reduce(a * b, ctx) == (mod_reduce(a, ctx) * mod_reduce(b, ctx)) % m
+    ra, rb = (pair_residue(*q.as_integer_ratio(), ctx) for q in (a, b))
+    assert pair_residue(*_sum(a, b), ctx) == (ra + rb) % m
+    assert pair_residue(*_product(a, b), ctx) == ra * rb % m
 
 
 @given(st.integers(-200, 200), st.integers(-200, 200), st.sampled_from([3, 5, 7, 11, 13]))
@@ -185,4 +201,5 @@ def test_legendre_multiplicativity(a, b, p):
 def test_congruent_agrees_with_residues(triple, k):
     p, a, b = triple
     ctx = PAdicContext(p, k)
-    assert congruent(a, b, ctx) == (mod_reduce(a, ctx) == mod_reduce(b, ctx))
+    lhs, rhs = a.as_integer_ratio(), b.as_integer_ratio()
+    assert pair_congruent(lhs, rhs, ctx) == (pair_residue(*lhs, ctx) == pair_residue(*rhs, ctx))

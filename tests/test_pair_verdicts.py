@@ -4,8 +4,8 @@ The library decides every congruence and valuation on the (numerator,
 denominator) pairs its builders make, with no gcd. Every CheckResult of the
 congruence grids must equal the one the oracle route gives on the same
 sides as reduced Fractions: pass flag, both witnesses and modulus. The
-public Rat functions and the pair functions are property-tested against the
-oracle on pairs that carry p in both the numerator and the denominator.
+pair functions are property-tested against the oracle on pairs that carry
+p in both the numerator and the denominator.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ import scv.congruences as congruences
 from scv.congruences import CheckResult
 from scv.exact_arith import (
     INFINITY,
-    NotPAdicInteger,
     PAdicContext,
-    congruent,
-    mod_reduce,
-    padic_valuation,
     pair_congruent,
     pair_residue,
     pair_valuation,
@@ -66,10 +62,10 @@ def test_grid_matches_fraction_verdict_route(monkeypatch, grid):
             oracles.congruence_result(name, params, Fraction(*lhs), Fraction(*rhs), ctx),
         )
 
-    def valuation_checked(name, params, q, p, k):
+    def valuation_checked(name, params, q, ctx):
         return compare(
-            valuation(name, params, q, p, k),
-            oracles.valuation_result(name, params, Fraction(*q), p, k),
+            valuation(name, params, q, ctx),
+            oracles.valuation_result(name, params, Fraction(*q), ctx.p, ctx.k),
         )
 
     monkeypatch.setattr(congruences, "_congruence_result", congruence_checked)
@@ -130,26 +126,12 @@ def test_pair_functions_match_fraction_oracle(drawn, k):
     assert result == oracles.congruence_result("t", {}, a, b, ctx)
 
 
-@given(prime_and_pairs(), st.integers(min_value=1, max_value=4))
-def test_public_rat_functions_match_fraction_oracle(drawn, k):
-    p, lhs, rhs = drawn
-    ctx = PAdicContext(p, k)
-    a, b = Fraction(*lhs), Fraction(*rhs)
-    assert congruent(a, b, ctx) == (oracles.rat_valuation(a - b, p) >= k)
-    assert padic_valuation(a, p) == oracles.rat_valuation(a, p)
-    if a.denominator % p:
-        assert str(mod_reduce(a, ctx)) == oracles.residue_witness(a, ctx)
-    else:
-        with pytest.raises(NotPAdicInteger, match=f"{a} has denominator divisible by {p}"):
-            mod_reduce(a, ctx)
-
-
 def test_pair_functions_on_zero_and_ints():
     ctx = PAdicContext(5, 2)
-    assert pair_valuation(0, 5**3, 5) == padic_valuation(0, 5) == INFINITY
+    assert pair_valuation(0, 5**3, 5) == pair_valuation(0, 1, 5) == INFINITY
     assert pair_residue(0, 5**3, ctx) == 0
     assert pair_congruent((0, 5), (25, 1), ctx)
     assert not pair_congruent((1, 5), (0, 1), PAdicContext(5, 1))
     assert pair_residue(1, 5, ctx) is None
     assert pair_residue(50, 125, ctx) is None  # 2/5
-    assert pair_residue(75, -25, ctx) == mod_reduce(-3, ctx)
+    assert pair_residue(75, -25, ctx) == pair_residue(-3, 1, ctx) == 22

@@ -163,6 +163,22 @@ def test_cli_guo_bb1_names_each_point_canonically():
     assert _stripped(json.loads(again.output)) == _stripped(payload)
 
 
+def test_cli_x_is_read_as_ints_a_and_b():
+    # 10^4300 has 4301 digits, past int()'s limit: a usage error, not a failed record
+    res = run_cli("verify", "guo-bb1", "--pmax", "3", "--x", "1e4300")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    for decimal in ("1.5", "1e3"):
+        assert run_cli("verify", "guo-bb1", "--x", decimal).exit_code == 2
+    # a 4300-digit numerator parses, and its canonical form parses again in the task
+    big = "1" + "0" * 4299
+    res = run_cli("verify", "guo-bb1", "--pmax", "5", "--x", f"{big}/7", "--format", "json")
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["summary"] == {"pass": 2, "fail": 0, "skipped": 0}
+    assert {c["parameters"]["x"] for c in payload["checks"]} == {f"{big}/7"}
+
+
 def test_cli_integrality_single_point():
     res = run_cli("verify", "integrality", "--nmax", "1", "--mmax", "1", "--format", "json")
     assert res.exit_code == 0
@@ -209,6 +225,8 @@ def test_cli_usage_errors():
         (("identity", "--name", "cc1", "--max", "0"), None, 0),
         (("rv",), "pmax=abc\n", 2),
         (("rv", "--pmax", "11"), "jobs=0\n", 2),
+        (("guo-bb1", "--pmax", "5"), "x=1/3, 1e3\n", 2),
+        (("guo-bb1", "--pmax", "3"), "x=4/2\n", 0),
     ],
 )
 def test_cli_bounds_checked_before_work(tmp_path, args, config, code):
@@ -293,6 +311,31 @@ def test_every_kind_is_the_check_name_of_its_records():
     skip = sweeps.execute_task(("guo-bb1", (("p", 3), ("x", "1/3"))))
     assert skip.skipped and skip.check_name == "guo-bb1"
     assert skip.lhs_witness == "x = 1/3 is not a p-adic integer for p = 3"
+
+
+# the nine congruence kinds, each with a point whose denominator p = 4 divides
+_CONGRUENCE_POINTS = {
+    "rv": {"family": "1/4"},
+    "lemma2p": {"family": "1/4"},
+    "sun-p4": {"family": "1/4"},
+    "guo-bb1": {"x": "1/4"},
+    "cc5": {"x": "-1/4"},
+    "cc7": {"s": 4},
+    "cc8-fact": {"x": "-1/4"},
+    "cc9": {"x": "-1/4"},
+    "cc10": {"x": "-1/4"},
+}
+
+
+@pytest.mark.parametrize("p", [4, 1])
+@pytest.mark.parametrize("kind", _CONGRUENCE_POINTS)
+def test_non_prime_p_is_an_error_for_every_congruence_kind(kind, p):
+    params = {**_CONGRUENCE_POINTS[kind], "p": p}
+    record = sweeps.execute_task(sweeps._task(kind, **params))
+    assert record.check_name == kind and record.parameters == params
+    assert not record.skipped and not record.passed
+    assert record.lhs_witness.startswith(f"error: InvalidPrime: p = {p} ")
+    assert record.modulus == "error"
 
 
 @pytest.mark.parametrize("kind", sorted(sweeps.KINDS))
