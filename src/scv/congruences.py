@@ -41,7 +41,7 @@ from .exact_arith import (
     pair_valuation,
     rat_str,
 )
-from .sequences import RVFamily, bb1_walk, pair_binomial_values, rv_walk, s_square_walk
+from .sequences import RV_FAMILIES, bb1_walk, pair_binomial_values, rv_walk, s_square_walk
 
 
 class OutOfRange(ValueError):
@@ -156,21 +156,23 @@ def _require_supported_x(x: Rat) -> Fraction:
     return x
 
 
-def verify_rv(fam: RVFamily, p: int) -> CheckResult:
+def verify_rv(family: str, p: int) -> CheckResult:
     """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
     ctx = _require_prime(p, 5, 2)
+    fam = RV_FAMILIES[family]
     lhs = rv_walk(fam.a).prefix(p)
     rhs = (_legendre(fam.discriminant, p), 1)
-    return _congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return _congruence_result("rv", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-def verify_lemma_2p(fam: RVFamily, p: int) -> CheckResult:
+def verify_lemma_2p(family: str, p: int) -> CheckResult:
     """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
     ctx = _require_prime(p, 5, 2)
+    fam = RV_FAMILIES[family]
     lhs = rv_walk(fam.a).prefix(2 * p)
     c, d = fam.lemma2_constant.as_integer_ratio()
     rhs = (c * _legendre(fam.discriminant, p), d)
-    return _congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return _congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 @functools.lru_cache(maxsize=2)
@@ -200,13 +202,14 @@ def _pair_column(x: Fraction, p: int) -> tuple[list[int], int]:
     return pair_binomial_values(x, 2 * p - 1)
 
 
-def verify_sun_p4(fam: RVFamily, p: int) -> CheckResult:
+def verify_sun_p4(family: str, p: int) -> CheckResult:
     """sum_{k<p} (2k+1) s_k(x)^2 against constant * Legendre * p^2, mod p^4."""
     ctx = _require_prime(p, 5, 4)
+    fam = RV_FAMILIES[family]
     lhs = s_square_walk(fam.sun_x).prefix(p)
     c, d = fam.sun_constant.as_integer_ratio()
     rhs = (c * _legendre(fam.discriminant, p) * p * p, d)
-    return _congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return _congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_guo_bb1(x: Rat, p: int) -> CheckResult:

@@ -79,7 +79,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    # v_p(n) for n != 0
+    # v_p(n) for n != 0 and p >= 2; n = 0 is always a pair's denominator here
+    if n == 0:
+        raise ZeroDivisionError("the denominator of a pair is 0")
     v = 0
     while n % p == 0:
         n //= p
@@ -89,9 +91,10 @@ def _int_valuation(n: int, p: int) -> int:
 
 def pair_valuation(num: int, den: int, p: int) -> int | float:
     """v_p(num/den) = v_p(num) - v_p(den) for an unreduced pair; +infinity for num = 0."""
-    if num == 0:
-        return INFINITY
-    return _int_valuation(num, p) - _int_valuation(den, p)
+    if p < 2:
+        raise ValueError(f"p = {p} is below 2")
+    v = _int_valuation(den, p)
+    return INFINITY if num == 0 else _int_valuation(num, p) - v
 
 
 @dataclass(frozen=True)

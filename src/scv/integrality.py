@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from typing import Iterator
@@ -35,22 +34,12 @@ class TermLimitExceeded(RuntimeError):
     """Raised when an expansion would exceed TERM_LIMIT monomials."""
 
 
-@dataclass(frozen=True)
-class IntegralityParams:
-    """Grid point (n, m, epsilon) with n, m >= 1 and epsilon = +-1."""
-
-    n: int
-    m: int
-    epsilon: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
-
-    def as_parameters(self) -> dict[str, object]:
-        return {"n": self.n, "m": self.m, "eps": self.epsilon}
+def _require_point(n: int, m: int, eps: int) -> None:
+    """A grid point has n, m >= 1 and eps = +-1."""
+    if n < 1 or m < 1:
+        raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
+    if eps not in (1, -1):
+        raise ValueError(f"epsilon must be +1 or -1, got {eps}")
 
 
 def degree_bound(n: int, m: int) -> int:
@@ -70,26 +59,27 @@ def _s_column(t: int, kmax: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _v_values(params: IntegralityParams, tmax: int) -> list[int]:
+def _v_values(n: int, m: int, eps: int, tmax: int) -> list[int]:
     """V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m for t = 0..tmax."""
-    columns = [_s_column(t, params.n - 1) for t in range(tmax + 1)]
+    columns = [_s_column(t, n - 1) for t in range(tmax + 1)]
     out = [0] * (tmax + 1)
     d = [1] * (tmax + 1)  # d_0(t)
-    for k in range(params.n):
+    for k in range(n):
         if k:  # the Delannoy table: d_k(t) = d_{k-1}(t) + d_k(t-1) + d_{k-1}(t-1)
             prev, d = d, [1] * (tmax + 1)
             for t in range(1, tmax + 1):
                 d[t] = prev[t] + d[t - 1] + prev[t - 1]
-        weight = params.epsilon**k * (2 * k + 1)
+        weight = eps**k * (2 * k + 1)
         for t, s in enumerate(columns):
-            out[t] += weight * (d[t] * s[k]) ** params.m
+            out[t] += weight * (d[t] * s[k]) ** m
     return out
 
 
-def verify_integer_valued(params: IntegralityParams) -> CheckResult:
+def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
     """Binomial-basis criterion on V/n; witness is the coefficient list."""
-    bound = degree_bound(params.n, params.m)
-    vals = _v_values(params, bound + 1)
+    _require_point(n, m, eps)
+    bound = degree_bound(n, m)
+    vals = _v_values(n, m, eps, bound + 1)
     diffs = []
     while vals:
         diffs.append(vals[0])
@@ -98,10 +88,9 @@ def verify_integer_valued(params: IntegralityParams) -> CheckResult:
         raise ArithmeticError(f"V has degree above its bound {bound}")
     while diffs and diffs[-1] == 0:
         diffs.pop()
-    n = params.n
     return CheckResult(
         check_name="integer-valued",
-        parameters=params.as_parameters(),
+        parameters={"n": n, "m": m, "eps": eps},
         passed=all(c % n == 0 for c in diffs),
         lhs_witness="[" + ", ".join(str(Fraction(c, n)) for c in diffs) + "]",
         rhs_witness="all integers",
@@ -119,14 +108,13 @@ def schmidt_term_count(n: int, m: int) -> int:
     return count
 
 
-def _schmidt_coefficients(params: IntegralityParams) -> Iterator[tuple[tuple[int, ...], int]]:
+def _schmidt_coefficients(n: int, m: int, eps: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(exponent, coefficient) of each degree-m monomial of sum_{k<n} eps^k (2k+1) S_k^m.
 
     By the multinomial theorem the coefficient of x^e in S_k^m is
     m!/prod(e_i!) * prod(c_{k,i}^e_i), and S_k involves x_0..x_k only.
     """
-    n, m = params.n, params.m
-    weights = [params.epsilon**k * (2 * k + 1) for k in range(n)]
+    weights = [eps**k * (2 * k + 1) for k in range(n)]
     c = [[schmidt_coefficient(k, i) for i in range(k + 1)] for k in range(n)]
     fact = [math.factorial(j) for j in range(m + 1)]
     for idx in combinations_with_replacement(range(n), m):
@@ -145,13 +133,13 @@ def _schmidt_coefficients(params: IntegralityParams) -> Iterator[tuple[tuple[int
         yield tuple(expo), multinomial * total
 
 
-def verify_schmidt_divisibility(n: int, m: int, epsilon: int) -> CheckResult:
+def verify_schmidt_divisibility(n: int, m: int, eps: int) -> CheckResult:
     """Every coefficient of the Schmidt power sum is an integer multiple of n."""
-    params = IntegralityParams(n, m, epsilon)
+    _require_point(n, m, eps)
     schmidt_term_count(n, m)
     count = 0
     violating: tuple[tuple[int, ...], int] | None = None
-    for expo, c in _schmidt_coefficients(params):
+    for expo, c in _schmidt_coefficients(n, m, eps):
         if c:
             count += 1
             if c % n and (violating is None or expo < violating[0]):
@@ -162,7 +150,7 @@ def verify_schmidt_divisibility(n: int, m: int, epsilon: int) -> CheckResult:
         lhs = f"monomial {violating[0]} has coefficient {violating[1]}"
     return CheckResult(
         check_name="schmidt-divisibility",
-        parameters=params.as_parameters(),
+        parameters={"n": n, "m": m, "eps": eps},
         passed=violating is None,
         lhs_witness=lhs,
         rhs_witness=f"multiples of {n}",

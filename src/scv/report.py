@@ -5,11 +5,13 @@ elapsed_seconds field: checks are stably sorted by check name and then by
 parameters, and all serialization uses sorted keys.  Witnesses are decimal
 strings, never truncated.
 
-The json report is the bytes of json.dumps(report.to_dict(), sort_keys=True,
-indent=2). REPORT_SCHEMA fixes every record's shape (seven keys, a flat
-parameters map), so render_json writes each record from one template, with
-strings escaped by the encoder json.dumps itself uses, and leaves only the
-small envelope to json.dumps; no per-record dict is built.
+The json report is the bytes json.dumps(..., sort_keys=True, indent=2) writes
+for the whole report as one dict: version, invocation, the checks as their
+CheckResult.to_dict(), summary and elapsed_seconds. REPORT_SCHEMA fixes
+every record's shape (seven keys, a flat parameters map), so render_json
+writes each record from one template, with strings escaped by the encoder
+json.dumps itself uses, and leaves only the small envelope to json.dumps;
+no per-record dict is built.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ class RunReport:
     def failures(self) -> int:
         return self.summary["fail"]
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "version": self.tool_version,
-            "invocation": dict(self.invocation),
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 # one record as json.dumps(..., sort_keys=True, indent=2) writes it in the list
 _RECORD = """    {
@@ -157,7 +150,7 @@ def _json_parameters(parameters: dict[str, object]) -> str:
 
 
 def render_json(report: RunReport) -> str:
-    """json.dumps(report.to_dict(), sort_keys=True, indent=2) + newline, byte for byte."""
+    """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
     records = ",\n".join([
         _RECORD % (
             _json_str(c.check_name), _json_str(c.lhs_witness), _json_str(c.modulus),

@@ -192,7 +192,6 @@ class RVFamily:
     mod-p^4 constant (times the Legendre symbol times p^2).
     """
 
-    label: str
     a: Fraction
     discriminant: int
     lemma2_constant: Fraction
@@ -200,16 +199,10 @@ class RVFamily:
     sun_constant: Fraction
 
 
-RV_FAMILIES: tuple[RVFamily, ...] = (
-    RVFamily("1/2", Fraction(1, 2), -1, Fraction(5, 4), Fraction(-1, 2), Fraction(3, 4)),
-    RVFamily("1/3", Fraction(1, 3), -3, Fraction(11, 9), Fraction(-1, 3), Fraction(7, 9)),
-    RVFamily("1/4", Fraction(1, 4), -2, Fraction(19, 16), Fraction(-1, 4), Fraction(13, 16)),
-    RVFamily("1/6", Fraction(1, 6), -1, Fraction(41, 36), Fraction(-1, 6), Fraction(31, 36)),
-)
-
-
-def family_by_label(label: str) -> RVFamily:
-    for fam in RV_FAMILIES:
-        if fam.label == label:
-            return fam
-    raise KeyError(f"unknown family {label!r}")
+# keyed by the family label that the sweep tasks and the reports print
+RV_FAMILIES: dict[str, RVFamily] = {
+    "1/2": RVFamily(Fraction(1, 2), -1, Fraction(5, 4), Fraction(-1, 2), Fraction(3, 4)),
+    "1/3": RVFamily(Fraction(1, 3), -3, Fraction(11, 9), Fraction(-1, 3), Fraction(7, 9)),
+    "1/4": RVFamily(Fraction(1, 4), -2, Fraction(19, 16), Fraction(-1, 4), Fraction(13, 16)),
+    "1/6": RVFamily(Fraction(1, 6), -1, Fraction(41, 36), Fraction(-1, 6), Fraction(31, 36)),
+}

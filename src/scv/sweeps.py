@@ -3,8 +3,9 @@
 SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
 help text, its click options (type, range, default) and the grid function
 that turns the option values into tasks. KINDS maps each task kind, the
-check_name of its records, to its verifier. Adding a sweep means adding one
-SWEEPS entry plus its KINDS entries.
+check_name of its records, to its verifier, which takes the task's
+parameters as they are and prints them unchanged in its record. Adding a
+sweep means adding one SWEEPS entry plus its KINDS entries.
 
 A task is a picklable (kind, ((key, value), ...)) pair describing one pure
 check, so grids can run sequentially or across worker processes with
@@ -17,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from importlib import import_module
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -25,7 +27,7 @@ import click
 from . import congruences
 from .congruences import SUPPORTED_X, CheckResult
 from .exact_arith import PRIME_LIMIT, primes_in_range, rat_str
-from .sequences import RV_FAMILIES, family_by_label
+from .sequences import RV_FAMILIES
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
 Grid = Callable[..., Iterator[Task]]
@@ -40,46 +42,37 @@ def _task(kind: str, **kwargs: object) -> Task:
     return (kind, tuple(sorted(kwargs.items())))
 
 
-# identities and integrality (and through them poly) load on their first
-# check, so a congruence sweep never imports them; the cache then holds each.
 @cache
-def _identities():
-    from . import identities
-
-    return identities
+def _load(module: str):
+    return import_module(f".{module}", __package__)
 
 
-@cache
-def _integrality():
-    from . import integrality
+def _lazy(module: str, verifier: str) -> Callable[..., CheckResult]:
+    # identities and integrality (and through them poly) load on their first
+    # check, so a congruence sweep never imports them
+    return lambda **params: getattr(_load(module), verifier)(**params)
 
-    return integrality
 
-
-KINDS = {
-    "rv": lambda family, p: congruences.verify_rv(family_by_label(family), p),
-    "lemma2p": lambda family, p: congruences.verify_lemma_2p(family_by_label(family), p),
-    "sun-p4": lambda family, p: congruences.verify_sun_p4(family_by_label(family), p),
-    "guo-bb1": lambda x, p: congruences.verify_guo_bb1(Fraction(x), p),
-    "cc5": lambda x, p: congruences.verify_cc5(Fraction(x), p),
-    "cc7": lambda s, p: congruences.verify_cc7(s, p),
-    "cc8-fact": lambda x, p: congruences.verify_cc8_fact(Fraction(x), p),
-    "cc9": lambda x, p: congruences.verify_cc9(Fraction(x), p),
-    "cc10": lambda x, p: congruences.verify_cc10(Fraction(x), p),
-    "cc1": lambda j, k: _identities().check_cc1(j, k),
-    "cc4": lambda k, s: _identities().check_cc4(k, s),
-    "liu26": lambda s: _identities().check_liu26(s),
-    "telescope": lambda n: _identities().check_telescope(n),
-    "bb2": lambda n: _identities().check_bb2(n),
-    "bb4-direct": lambda m, n: _identities().check_bb4_direct(m, n),
-    "bb4-recurrence": lambda side, m, n: _identities().check_bb4_recurrence(side, m, n),
-    "bb4-initial": lambda m, n: _identities().check_bb4_initial(m, n),
-    "integer-valued": lambda n, m, eps: _integrality().verify_integer_valued(
-        _integrality().IntegralityParams(n, m, eps)
-    ),
-    "schmidt-divisibility": lambda n, m, eps: _integrality().verify_schmidt_divisibility(
-        n, m, eps
-    ),
+KINDS: dict[str, Callable[..., CheckResult]] = {
+    "rv": congruences.verify_rv,
+    "lemma2p": congruences.verify_lemma_2p,
+    "sun-p4": congruences.verify_sun_p4,
+    "guo-bb1": congruences.verify_guo_bb1,
+    "cc5": congruences.verify_cc5,
+    "cc7": congruences.verify_cc7,
+    "cc8-fact": congruences.verify_cc8_fact,
+    "cc9": congruences.verify_cc9,
+    "cc10": congruences.verify_cc10,
+    "cc1": _lazy("identities", "check_cc1"),
+    "cc4": _lazy("identities", "check_cc4"),
+    "liu26": _lazy("identities", "check_liu26"),
+    "telescope": _lazy("identities", "check_telescope"),
+    "bb2": _lazy("identities", "check_bb2"),
+    "bb4-direct": _lazy("identities", "check_bb4_direct"),
+    "bb4-recurrence": _lazy("identities", "check_bb4_recurrence"),
+    "bb4-initial": _lazy("identities", "check_bb4_initial"),
+    "integer-valued": _lazy("integrality", "verify_integer_valued"),
+    "schmidt-divisibility": _lazy("integrality", "verify_schmidt_divisibility"),
 }
 
 
@@ -116,8 +109,8 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
 
 
 def _families(kind: str, pmax: int) -> Iterator[Task]:
-    for fam, p in product(RV_FAMILIES, primes_in_range(5, pmax)):
-        yield _task(kind, family=fam.label, p=p)
+    for family, p in product(RV_FAMILIES, primes_in_range(5, pmax)):
+        yield _task(kind, family=family, p=p)
 
 
 def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
@@ -145,7 +138,7 @@ def _cc(which: str, pmax: int) -> Iterator[Task]:
 def _bb4_recurrence(top: int) -> Iterator[Task]:
     for m, n in product(range(4), range(BB4_N_MAX + 1)):
         yield _task("bb4-initial", m=m, n=n)
-    for side, m, n in product(_identities().SIDES, range(top + 1), range(BB4_N_MAX + 1)):
+    for side, m, n in product(_load("identities").SIDES, range(top + 1), range(BB4_N_MAX + 1)):
         yield _task("bb4-recurrence", side=side, m=m, n=n)
 
 
@@ -184,9 +177,10 @@ def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
 
 def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
     # the largest power sum of the grid is at (nmax, mmax); refuse it before any work
+    integrality = _load("integrality")
     try:
-        _integrality().schmidt_term_count(nmax, mmax)
-    except _integrality().TermLimitExceeded as exc:
+        integrality.schmidt_term_count(nmax, mmax)
+    except integrality.TermLimitExceeded as exc:
         raise click.UsageError(str(exc))
     return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)
 

@@ -60,9 +60,8 @@ from scv import congruences, sequences
 from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
-from scv.integrality import IntegralityParams
 from scv.report import RunReport
-from scv.sequences import RVFamily, ratio_column
+from scv.sequences import RV_FAMILIES, ratio_column
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -190,21 +189,21 @@ def _ds_power(k: int, m: int) -> UniPoly:
     return (d_poly(k) * s_poly(k)) ** m
 
 
-def sun_guo_expr(params: IntegralityParams) -> UniPoly:
+def sun_guo_expr(n: int, m: int, eps: int) -> UniPoly:
     """(1/n) sum_{k<n} eps^k (2k+1) (d_k s_k)^m; degree 3(n-1)m for n >= 2."""
     acc = UniPoly.zero()
-    for k in range(params.n):
-        acc = acc + _ds_power(k, params.m).scale(params.epsilon**k * (2 * k + 1))
-    return acc.scale(Fraction(1, params.n))
+    for k in range(n):
+        acc = acc + _ds_power(k, m).scale(eps**k * (2 * k + 1))
+    return acc.scale(Fraction(1, n))
 
 
-def integer_valued_oracle(params: IntegralityParams) -> CheckResult:
+def integer_valued_oracle(n: int, m: int, eps: int) -> CheckResult:
     """verify_integer_valued through the Newton coefficients of sun_guo_expr."""
-    expansion = newton_coefficients(sun_guo_expr(params))
+    expansion = newton_coefficients(sun_guo_expr(n, m, eps))
     coeffs = expansion.coefficients
     return CheckResult(
         check_name="integer-valued",
-        parameters=params.as_parameters(),
+        parameters={"n": n, "m": m, "eps": eps},
         passed=expansion.all_integers(),
         lhs_witness="[" + ", ".join(
             str(c.numerator) if c.denominator == 1 else str(c) for c in coeffs
@@ -214,19 +213,18 @@ def integer_valued_oracle(params: IntegralityParams) -> CheckResult:
     )
 
 
-def schmidt_power_sum(n: int, m: int, epsilon: int) -> MultiPoly:
+def schmidt_power_sum(n: int, m: int, eps: int) -> MultiPoly:
     """sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m in the n variables x_0..x_{n-1}."""
-    params = IntegralityParams(n, m, epsilon)
     acc = MultiPoly.zero(n)
-    for k in range(params.n):
+    for k in range(n):
         form = schmidt_linear_form(k, arity=n)
-        acc = acc + (form**m).scale(params.epsilon**k * (2 * k + 1))
+        acc = acc + (form**m).scale(eps**k * (2 * k + 1))
     return acc
 
 
-def schmidt_divisibility_oracle(n: int, m: int, epsilon: int) -> CheckResult:
+def schmidt_divisibility_oracle(n: int, m: int, eps: int) -> CheckResult:
     """verify_schmidt_divisibility through repeated MultiPoly products."""
-    poly = schmidt_power_sum(n, m, epsilon)
+    poly = schmidt_power_sum(n, m, eps)
     violating: tuple[tuple[int, ...], Fraction] | None = None
     for expo, c in poly.terms():
         if c.denominator != 1 or c.numerator % n != 0:
@@ -238,7 +236,7 @@ def schmidt_divisibility_oracle(n: int, m: int, epsilon: int) -> CheckResult:
         lhs = f"monomial {violating[0]} has coefficient {violating[1]}"
     return CheckResult(
         check_name="schmidt-divisibility",
-        parameters=IntegralityParams(n, m, epsilon).as_parameters(),
+        parameters={"n": n, "m": m, "eps": eps},
         passed=violating is None,
         lhs_witness=lhs,
         rhs_witness=f"multiples of {n}",
@@ -247,16 +245,15 @@ def schmidt_divisibility_oracle(n: int, m: int, epsilon: int) -> CheckResult:
 
 
 def crosscheck_specialization(
-    n: int, m: int, epsilon: int, points: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
+    n: int, m: int, eps: int, points: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
 ) -> CheckResult:
     """Substituting x_k = f_k(t) into the Schmidt power sum recovers n * sun_guo_expr(t).
 
     Exercises the deduction chain from coefficient divisibility to
     integer-valuedness at small integer points t.
     """
-    params = IntegralityParams(n, m, epsilon)
-    power_sum = schmidt_power_sum(n, m, epsilon)
-    averaged = sun_guo_expr(params)
+    power_sum = schmidt_power_sum(n, m, eps)
+    averaged = sun_guo_expr(n, m, eps)
     f_at: list[UniPoly] = [f_poly(k) for k in range(n)]
     lhs_vals: list[Rat] = []
     rhs_vals: list[Rat] = []
@@ -265,7 +262,7 @@ def crosscheck_specialization(
         rhs_vals.append(n * averaged.eval(t))
     return CheckResult(
         check_name="integrality-crosscheck",
-        parameters={**params.as_parameters(), "t": ",".join(str(t) for t in points)},
+        parameters={"n": n, "m": m, "eps": eps, "t": ",".join(str(t) for t in points)},
         passed=lhs_vals == rhs_vals,
         lhs_witness="[" + ", ".join(str(v) for v in lhs_vals) + "]",
         rhs_witness="[" + ", ".join(str(v) for v in rhs_vals) + "]",
@@ -273,13 +270,13 @@ def crosscheck_specialization(
     )
 
 
-def integer_window_oracle(params: IntegralityParams) -> bool:
+def integer_window_oracle(n: int, m: int, eps: int) -> bool:
     """Brute-force integrality of sun_guo_expr over one full degree window.
 
     Tests every integer in [-(D+1), D+1] where D is the polynomial degree;
     independent of the binomial-basis route.
     """
-    expr = sun_guo_expr(params)
+    expr = sun_guo_expr(n, m, eps)
     d = max(expr.degree, 0)
     return all(expr.eval(t).denominator == 1 for t in range(-(d + 1), d + 2))
 
@@ -347,12 +344,14 @@ def valuation_result(
 # Each check's sides, term by term in Fraction arithmetic.
 
 
-def rv_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+def rv_sides(family: str, p: int) -> tuple[Rat, Rat]:
+    fam = RV_FAMILIES[family]
     lhs = sum(rv_terms(fam.a, p), Fraction(0))
     return lhs, Fraction(legendre(fam.discriminant, p))
 
 
-def lemma2p_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+def lemma2p_sides(family: str, p: int) -> tuple[Rat, Rat]:
+    fam = RV_FAMILIES[family]
     lhs = sum(rv_terms(fam.a, 2 * p), Fraction(0))
     return lhs, fam.lemma2_constant * legendre(fam.discriminant, p)
 
@@ -364,7 +363,8 @@ def weighted_s_square_sum(x: Rat, p: int) -> Rat:
     return sum(((2 * k + 1) * sv[k] * sv[k] for k in range(p)), Fraction(0))
 
 
-def sun_p4_sides(fam: RVFamily, p: int) -> tuple[Rat, Rat]:
+def sun_p4_sides(family: str, p: int) -> tuple[Rat, Rat]:
+    fam = RV_FAMILIES[family]
     rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
     return weighted_s_square_sum(fam.sun_x, p), rhs
 
@@ -504,27 +504,30 @@ def int_weighted_s_square_sum(x: Rat, p: int) -> Rat:
     return Fraction(sum((2 * k + 1) * s * s for k, s in enumerate(sv)), den * den)
 
 
-def verify_rv_oracle(fam: RVFamily, p: int) -> CheckResult:
+def verify_rv_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
+    fam = RV_FAMILIES[family]
     terms, den = int_rv_terms(fam.a, p)
     lhs = Fraction(sum(terms), den)
     rhs = Fraction(legendre(fam.discriminant, p))
-    return congruence_result("rv", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("rv", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-def verify_lemma_2p_oracle(fam: RVFamily, p: int) -> CheckResult:
+def verify_lemma_2p_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
+    fam = RV_FAMILIES[family]
     terms, den = int_rv_terms(fam.a, 2 * p)
     lhs = Fraction(sum(terms), den)
     rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
-    return congruence_result("lemma2p", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-def verify_sun_p4_oracle(fam: RVFamily, p: int) -> CheckResult:
+def verify_sun_p4_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 4)
+    fam = RV_FAMILIES[family]
     lhs = int_weighted_s_square_sum(fam.sun_x, p)
     rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
-    return congruence_result("sun-p4", {"family": fam.label, "p": p}, lhs, rhs, ctx)
+    return congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_guo_bb1_oracle(x: Rat, p: int) -> CheckResult:
@@ -694,4 +697,11 @@ def check_bb4_recurrence_oracle(side: str, m: int, n: int) -> CheckResult:
 
 def render_json_oracle(report: RunReport) -> str:
     """The json report by the stdlib: the whole report dict through json.dumps."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    whole = {
+        "version": report.tool_version,
+        "invocation": dict(report.invocation),
+        "checks": [c.to_dict() for c in report.checks],
+        "summary": report.summary,
+        "elapsed_seconds": report.elapsed_seconds,
+    }
+    return json.dumps(whole, sort_keys=True, indent=2) + "\n"

@@ -14,7 +14,7 @@ from fractions import Fraction
 import scv.identities as identities
 from fraction_poly import UniPoly, newton_coefficients
 from oracles import corrupted_recurrence_tables, d_val, delannoy_oracle, integer_window_oracle
-from scv.integrality import IntegralityParams, verify_integer_valued
+from scv.integrality import verify_integer_valued
 from scv.sweeps import BB4_N_MAX, DEFAULT_BB1_X, SWEEPS, run_tasks
 
 
@@ -127,9 +127,8 @@ def test_criterion_08_integer_valuedness():
     for n in range(1, 6):
         for m in (1, 2):
             for eps in (1, -1):
-                params = IntegralityParams(n, m, eps)
-                newton_route = verify_integer_valued(params).passed
-                window_route = integer_window_oracle(params)
+                newton_route = verify_integer_valued(n, m, eps).passed
+                window_route = integer_window_oracle(n, m, eps)
                 oracle_ok = oracle_ok and newton_route and window_route
     ok = ok and oracle_ok
     _criterion(8, "averaged d^m s^m sums integer-valued, n <= 10, m <= 3", ok,

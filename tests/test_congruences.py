@@ -23,13 +23,10 @@ from scv.congruences import (
     verify_sun_p4,
 )
 from scv.exact_arith import InvalidPrime, PAdicContext, legendre
-from scv.sequences import RV_FAMILIES, family_by_label
+from scv.sequences import RV_FAMILIES
 from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
 
-HALF = family_by_label("1/2")
-THIRD = family_by_label("1/3")
-QUARTER = family_by_label("1/4")
-SIXTH = family_by_label("1/6")
+HALF, THIRD, QUARTER, SIXTH = "1/2", "1/3", "1/4", "1/6"
 
 
 def test_verify_rv_examples():
@@ -135,15 +132,14 @@ def test_verify_cc10_examples():
 def test_cc10_constants_recombine():
     # the two-window residues recombine to the mod-p^4 constants:
     # 2 * 1 - lemma2_constant == sun_constant for each family
-    for fam in RV_FAMILIES:
+    for fam in RV_FAMILIES.values():
         assert 2 * Fraction(1) - fam.lemma2_constant == fam.sun_constant
 
 
 def test_parameters_reproduce_check():
     r1 = verify_sun_p4(THIRD, 7)
-    fam = family_by_label(r1.parameters["family"])
-    r2 = verify_sun_p4(fam, r1.parameters["p"])
-    assert r1 == r2
+    assert r1.parameters == {"family": THIRD, "p": 7}
+    assert verify_sun_p4(**r1.parameters) == r1
 
 
 def test_congruence_witness_relation():
@@ -260,7 +256,7 @@ def test_cc_grid_walks_weighted_s_squares_once_per_point():
 
 
 def test_lemma2p_grid_walks_rv_terms_once_per_family():
-    points = [fam.a for fam in RV_FAMILIES]
+    points = [fam.a for fam in RV_FAMILIES.values()]
     started = _walks_started(sequences.rv_walk, points, SWEEPS["lemma2p"].grid(200))
     assert started == {a: 1 for a in points}
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import click
 import pytest
@@ -62,6 +67,46 @@ def test_congruent_does_not_test_the_prime_again(monkeypatch):
     assert pair_congruent((147, 4), (147 + 4 * 7**4, 4), contexts[2])
     assert pair_residue(1, 3, contexts[0]) == 17
     assert calls == []
+
+
+# without their guards these loop forever in _int_valuation: 0 % p == 0 and n % 1 == 0 always hold
+_REFUSED_CALLS = """
+import json, time
+from scv.exact_arith import PAdicContext, pair_congruent, pair_residue, pair_valuation
+ctx = PAdicContext(5, 2)
+calls = [
+    lambda: pair_valuation(1, 0, 5),
+    lambda: pair_valuation(0, 0, 5),
+    lambda: pair_valuation(5, 1, 1),
+    lambda: pair_valuation(5, 1, -1),
+    lambda: pair_residue(1, 0, ctx),
+    lambda: pair_congruent((1, 0), (1, 1), ctx),
+    lambda: pair_congruent((1, 1), (1, 0), ctx),
+]
+out = []
+for call in calls:
+    start = time.perf_counter()
+    try:
+        call()
+        out.append(["returned", 0.0])
+    except Exception as exc:
+        out.append([type(exc).__name__, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def test_pair_routines_refuse_a_zero_denominator_and_p_below_2():
+    # in a child process, so a routine that hangs fails this test instead of the run
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSED_CALLS],
+        env=env, capture_output=True, text=True, check=True, timeout=10,
+    )
+    out = json.loads(proc.stdout)
+    names = [name for name, _ in out]
+    assert names == ["ZeroDivisionError", "ZeroDivisionError", "ValueError", "ValueError",
+                     "ZeroDivisionError", "ZeroDivisionError", "ZeroDivisionError"]
+    assert all(seconds < 1.0 for _, seconds in out)
 
 
 def test_legendre_examples():

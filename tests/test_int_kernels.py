@@ -15,7 +15,7 @@ import oracles
 from oracles import fraction_column, int_central_binomial_values, int_rv_terms, s_series_column
 import scv.congruences as congruences
 from scv.exact_arith import primes_in_range
-from scv.sequences import RV_FAMILIES, RVFamily, pair_binomial_values, ratio_column
+from scv.sequences import RV_FAMILIES, pair_binomial_values, ratio_column
 from scv.sweeps import DEFAULT_BB1_X
 
 PRIMES = primes_in_range(3, 100)
@@ -35,7 +35,7 @@ def test_columns_match_fraction_oracle(x):
 
 
 def test_rv_columns_match_fraction_oracle():
-    for fam in RV_FAMILIES:
+    for fam in RV_FAMILIES.values():
         for p in PRIMES:
             for count in (p, 2 * p):
                 assert fraction_column(int_rv_terms(fam.a, count)) == oracles.rv_terms(fam.a, count)
@@ -56,7 +56,7 @@ def _spy(monkeypatch, name: str) -> list[tuple]:
 
 
 def _denominator(point) -> int:
-    return point.a.denominator if isinstance(point, RVFamily) else point.denominator
+    return RV_FAMILIES[point].a.denominator if isinstance(point, str) else point.denominator
 
 
 # check -> (verifier, oracle, points, least p, decision function given the sides)

@@ -17,7 +17,6 @@ from oracles import (
 )
 from scv import integrality
 from scv.integrality import (
-    IntegralityParams,
     TermLimitExceeded,
     verify_integer_valued,
     verify_schmidt_divisibility,
@@ -25,21 +24,23 @@ from scv.integrality import (
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        IntegralityParams(0, 1, 1)
-    with pytest.raises(ValueError):
-        IntegralityParams(1, 0, 1)
-    with pytest.raises(ValueError):
-        IntegralityParams(1, 1, 2)
-    assert IntegralityParams(3, 2, -1).as_parameters() == {"n": 3, "m": 2, "eps": -1}
+    # both verifiers refuse a point off the grid and print the point they are given
+    for verify in (verify_integer_valued, verify_schmidt_divisibility):
+        with pytest.raises(ValueError, match="n and m must be >= 1, got n=0, m=1"):
+            verify(0, 1, 1)
+        with pytest.raises(ValueError, match="n and m must be >= 1, got n=1, m=0"):
+            verify(1, 0, 1)
+        with pytest.raises(ValueError, match="epsilon must be \\+1 or -1, got 2"):
+            verify(1, 1, 2)
+        assert verify(3, 2, -1).parameters == {"n": 3, "m": 2, "eps": -1}
 
 
 def test_sun_guo_expr_examples():
-    assert sun_guo_expr(IntegralityParams(1, 1, 1)) == UniPoly.one()
-    assert sun_guo_expr(IntegralityParams(1, 4, -1)) == UniPoly.one()
-    plus = sun_guo_expr(IntegralityParams(2, 1, 1))
+    assert sun_guo_expr(1, 1, 1) == UniPoly.one()
+    assert sun_guo_expr(1, 4, -1) == UniPoly.one()
+    plus = sun_guo_expr(2, 1, 1)
     assert plus == UniPoly([2, Fraction(9, 2), Fraction(9, 2), 3])
-    minus = sun_guo_expr(IntegralityParams(2, 1, -1))
+    minus = sun_guo_expr(2, 1, -1)
     assert minus == UniPoly([-1, Fraction(-9, 2), Fraction(-9, 2), -3])
 
 
@@ -47,18 +48,18 @@ def test_sun_guo_degree_law():
     for n in range(2, 6):
         for m in range(1, 4):
             for eps in (1, -1):
-                expr = sun_guo_expr(IntegralityParams(n, m, eps))
+                expr = sun_guo_expr(n, m, eps)
                 assert expr.degree == 3 * (n - 1) * m
 
 
 def test_verify_integer_valued_examples():
-    r = verify_integer_valued(IntegralityParams(2, 1, 1))
+    r = verify_integer_valued(2, 1, 1)
     assert r.passed
     assert r.lhs_witness == "[2, 12, 27, 18]"
     for m in (1, 2, 3):
         for eps in (1, -1):
-            assert verify_integer_valued(IntegralityParams(1, m, eps)).passed
-    assert verify_integer_valued(IntegralityParams(3, 2, -1)).passed
+            assert verify_integer_valued(1, m, eps).passed
+    assert verify_integer_valued(3, 2, -1).passed
 
 
 def test_schmidt_power_sum_examples():
@@ -94,8 +95,7 @@ def test_window_oracle_agrees_with_newton_route():
     for n in range(1, 5):
         for m in (1, 2):
             for eps in (1, -1):
-                params = IntegralityParams(n, m, eps)
-                assert verify_integer_valued(params).passed == integer_window_oracle(params)
+                assert verify_integer_valued(n, m, eps).passed == integer_window_oracle(n, m, eps)
 
 
 def test_window_oracle_rejects_non_integer_valued():
@@ -108,8 +108,7 @@ def test_integer_valued_matches_newton_oracle():
     for n in range(1, 15):
         for m in range(1, 4):
             for eps in (1, -1):
-                params = IntegralityParams(n, m, eps)
-                assert verify_integer_valued(params) == integer_valued_oracle(params)
+                assert verify_integer_valued(n, m, eps) == integer_valued_oracle(n, m, eps)
 
 
 def test_schmidt_divisibility_matches_multipoly_oracle():
@@ -141,22 +140,22 @@ def test_schmidt_violations_match_multipoly_oracle(monkeypatch):
 def test_integer_valued_degree_check_raises(monkeypatch):
     monkeypatch.setattr(integrality, "degree_bound", lambda n, m: 3 * (n - 1) * m - 1)
     with pytest.raises(ArithmeticError, match="above its bound"):
-        verify_integer_valued(IntegralityParams(2, 1, 1))
+        verify_integer_valued(2, 1, 1)
 
 
 def test_integer_valued_rejects_non_integral_coefficients(monkeypatch):
     # V + 1 changes only the constant difference, which becomes odd at n = 2
     real = integrality._v_values
     monkeypatch.setattr(
-        integrality, "_v_values", lambda params, tmax: [v + 1 for v in real(params, tmax)]
+        integrality, "_v_values", lambda *args: [v + 1 for v in real(*args)]
     )
-    r = verify_integer_valued(IntegralityParams(2, 1, 1))
+    r = verify_integer_valued(2, 1, 1)
     assert not r.passed
     assert r.lhs_witness == "[5/2, 12, 27, 18]"
 
 
 def test_schmidt_term_limit_raises_before_expanding(monkeypatch):
-    def expand(params):
+    def expand(n, m, eps):
         raise AssertionError("expanded")
 
     monkeypatch.setattr(integrality, "_schmidt_coefficients", expand)

@@ -304,10 +304,14 @@ def _first_task_of_each_kind() -> dict:
 
 
 def test_every_kind_is_the_check_name_of_its_records():
-    first = _first_task_of_each_kind()
-    assert set(first) == set(sweeps.KINDS)
-    for kind, task in first.items():
-        assert sweeps.execute_task(task).check_name == kind
+    # every verifier takes its task's parameters as they are and prints them unchanged
+    assert set(_first_task_of_each_kind()) == set(sweeps.KINDS)
+    for name, sweep in sweeps.SWEEPS.items():
+        for task in sweep.grid(**_SMALL_GRIDS[name]):
+            record = sweeps.execute_task(task)
+            assert record.modulus != "error", (task, record.lhs_witness)
+            assert record.check_name == task[0], task
+            assert record.parameters == dict(task[1]), task
     skip = sweeps.execute_task(("guo-bb1", (("p", 3), ("x", "1/3"))))
     assert skip.skipped and skip.check_name == "guo-bb1"
     assert skip.lhs_witness == "x = 1/3 is not a p-adic integer for p = 3"

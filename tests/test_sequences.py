@@ -23,7 +23,6 @@ from oracles import (
 from scv import poly
 from scv.sequences import (
     RV_FAMILIES,
-    family_by_label,
     pair_binomial_values,
     rv_walk,
 )
@@ -150,7 +149,7 @@ def test_rv_term_examples():
     assert rv_term(Fraction(1, 2), 1) == Fraction(1, 4)
     assert rv_term(Fraction(1, 4), 0) == 1
     assert rv_term(Fraction(1, 3), 1) == Fraction(2, 9)
-    for fam in RV_FAMILIES:
+    for fam in RV_FAMILIES.values():
         walk = rv_walk(fam.a)
         for n in range(25):
             assert Fraction(*walk.prefix(n)) == sum(rv_term(fam.a, k) for k in range(n))
@@ -177,14 +176,14 @@ def test_signed_jacobi_polynomial_identity():
 
 
 def test_rv_family_table():
-    assert len(RV_FAMILIES) == 4
-    assert {f.label for f in RV_FAMILIES} == {"1/2", "1/3", "1/4", "1/6"}
-    for fam in RV_FAMILIES:
+    assert list(RV_FAMILIES) == ["1/2", "1/3", "1/4", "1/6"]
+    for label, fam in RV_FAMILIES.items():
+        assert fam.a == Fraction(label)  # each family is keyed by its a
         assert fam.sun_x == -fam.a
         assert 2 - fam.lemma2_constant == fam.sun_constant
-    assert family_by_label("1/4").discriminant == -2
+    assert RV_FAMILIES["1/4"].discriminant == -2
     with pytest.raises(KeyError):
-        family_by_label("1/5")
+        RV_FAMILIES["1/5"]
 
 
 def test_pair_binomial_poly_matches_product_oracle():
