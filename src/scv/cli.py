@@ -1,4 +1,4 @@
-"""Command-line driver: scv verify <sweep> [flags].
+"""Command-line driver: scv verify <sweep> [flags], on the standard library's argparse.
 
 The eight `verify` subcommands are built from `sweeps.SWEEPS`.
 
@@ -9,83 +9,121 @@ checks or only skipped ones.
 
 from __future__ import annotations
 
+import argparse
+import os
+import sys
 import time
-from functools import partial
 from pathlib import Path
-
-import click
 
 from . import __version__, sweeps
 from .report import RunReport, render_csv, render_json, render_text
+from .sweeps import Option, UsageError, choice_option, int_option
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
-def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
-    """Read key=value lines into the command's defaults; keys are flag names."""
-    if path is None:
-        return
-    keys = {p.name for p in ctx.command.params if p.expose_value}
+def _writable(path: str) -> str:
+    """Refuse an --out FILE that could not be written, before the sweep runs."""
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"directory {Path(path).parent} does not exist")
+    if Path(path).is_dir() or Path(path).exists() and not os.access(path, os.W_OK):
+        raise UsageError(f"{path} is a directory or is not writable")
+    return path
+
+
+_COMMON_OPTIONS = (
+    int_option("jobs", 1, 1, help="Worker processes for the sweep grid."),
+    choice_option("format", _RENDERERS, "text", "Report format."),
+    Option("out", None, _writable, "Write the report to FILE instead of stdout."),
+)
+
+
+def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
+    """Read key=value lines as the texts of the command's flags; x is comma-separated."""
+    if not Path(path).is_file():
+        raise UsageError(f"Invalid value for '--config': file {path!r} does not exist")
+    keys = {option.name for option in options}
     values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
-            raise click.UsageError(
-                f"{path}:{lineno}: {key!r} is not an option of {ctx.command.name}"
+            raise UsageError(
+                f"{path}:{lineno}: {key!r} is not an option of {command}"
                 f" (keys: {', '.join(sorted(keys))})"
             )
         values[key] = [x.strip() for x in value.split(",") if x.strip()] if key == "x" else value
-    ctx.default_map = values
+    return values
 
 
-def _out_dir_exists(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
-    """Reject an --out FILE in a missing directory before the sweep runs."""
-    if path is not None and not Path(path).parent.is_dir():
-        raise click.BadParameter(f"directory {Path(path).parent} does not exist")
-    return path
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
-_COMMON_OPTIONS = (
-    click.Option(
-        ["--config"], type=click.Path(exists=True, dir_okay=False), default=None,
-        is_eager=True, expose_value=False, callback=_load_config,
-        help="key=value file supplying defaults; explicit flags win.",
-    ),
-    click.Option(
-        ["--jobs"], type=click.IntRange(min=1), default=1, show_default=True,
-        help="Worker processes for the sweep grid.",
-    ),
-    click.Option(
-        ["--format"], type=click.Choice(list(_RENDERERS)), default="text", show_default=True,
-        help="Report format.",
-    ),
-    click.Option(
-        ["--out"], type=click.Path(dir_okay=False, writable=True), default=None,
-        callback=_out_dir_exists, help="Write the report to FILE instead of stdout.",
-    ),
-)
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = _Parser(prog=prog, description="Exact-arithmetic verification of binomial-sum"
+                     " congruences and integrality claims.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    verify = parser.add_subparsers(dest="command", required=True).add_parser(
+        "verify", help="Run one verification sweep and report every check."
+    )
+    subcommands = verify.add_subparsers(dest="sweep", required=True)
+    for name, sweep in sweeps.SWEEPS.items():
+        # only the flags given land in the namespace; a config file and the defaults fill the rest
+        sub = subcommands.add_parser(name, help=sweep.help, description=sweep.help,
+                                     allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        sub.add_argument("--config", help="key=value file supplying defaults; explicit flags win.")
+        for option in (*sweep.options, *_COMMON_OPTIONS):
+            sub.add_argument(f"--{option.name}", help=option.help,
+                             action="append" if option.repeatable else "store")
+    return parser
 
 
-def _execute(
-    subcommand: str, grid: sweeps.Grid, jobs: int, format: str, out: str | None, **options
-) -> None:
+def _join_values(argv: list[str]) -> list[str]:
+    """--x -1/5 as --x=-1/5: every flag but --help takes one value, which may start with "-"."""
+    flags = {"--config", *(f"--{o.name}" for s in sweeps.SWEEPS.values() for o in s.options),
+             *(f"--{o.name}" for o in _COMMON_OPTIONS)}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in flags:
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _run(argv: list[str], prog: str) -> int:
+    given = vars(_parser(prog).parse_args(_join_values(argv)))
+    name = given["sweep"]
+    sweep = sweeps.SWEEPS[name]
+    options = (*sweep.options, *_COMMON_OPTIONS)
+    texts = _load_config(given["config"], name, options) if "config" in given else {}
+    texts.update(given)
+    values = {}
+    for o in options:
+        try:
+            values[o.name] = o.convert(texts[o.name]) if o.name in texts else o.default
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '--{o.name}': {exc}") from None
+    jobs, format, out = values.pop("jobs"), values.pop("format"), values.pop("out")
     start = time.perf_counter()
-    checks = sweeps.run_tasks(grid(**options), jobs=jobs)
+    checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
     elapsed = time.perf_counter() - start
     # an empty or all-skipped grid would pass without deciding anything
     if all(check.skipped for check in checks):
-        raise click.UsageError(
+        raise UsageError(
             "every check these bounds select is skipped" if checks
             else "these bounds select no checks"
         )
     report = RunReport(
         tool_version=__version__,
-        invocation=dict(subcommand=subcommand, **options, jobs=jobs, format=format, out=out),
+        invocation=dict(subcommand=f"verify {name}", **values, jobs=jobs, format=format, out=out),
         checks=checks,
         elapsed_seconds=round(elapsed, 6),
     )
@@ -93,31 +131,32 @@ def _execute(
     if out:
         Path(out).write_text(rendered)
         s = report.summary
-        click.echo(
-            f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped"
-        )
+        print(f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped")
     else:
-        click.echo(rendered, nl=False)
-    click.get_current_context().exit(0 if report.failures == 0 else 1)
+        sys.stdout.write(rendered)
+    return 0 if report.failures == 0 else 1
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="scv")
-def main() -> None:
-    """Exact-arithmetic verification of binomial-sum congruences and integrality claims."""
+def main(
+    argv: list[str] | None = None, prog_name: str = "scv", standalone_mode: bool = True
+) -> int:
+    """Run `scv` on argv (default sys.argv[1:]) and exit with its code.
+
+    With standalone_mode=False the code is returned, and a UsageError propagates.
+    """
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv, prog_name)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
-@main.group()
-def verify() -> None:
-    """Run one verification sweep and report every check."""
-
-
-for _name, _sweep in sweeps.SWEEPS.items():
-    verify.add_command(click.Command(
-        _name, callback=partial(_execute, f"verify {_name}", _sweep.grid),
-        params=[*_sweep.options, *_COMMON_OPTIONS], help=_sweep.help,
-    ))
-
+main.main = main  # so scv.cli.main.main(argv, prog_name="scv", standalone_mode=False) works too
 
 if __name__ == "__main__":
     main()

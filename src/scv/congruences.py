@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .exact_arith import (
     InvalidPrime,
@@ -48,8 +48,7 @@ class OutOfRange(ValueError):
     """Raised when a sweep parameter is outside its documented range."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification, with enough data to reproduce it."""
 
     check_name: str
@@ -58,7 +57,7 @@ class CheckResult:
     lhs_witness: str
     rhs_witness: str
     modulus: str
-    skipped: bool = field(default=False)
+    skipped: bool = False
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -109,7 +108,7 @@ def _valuation_result(
     check_name: str, parameters: dict[str, object], q: Pair, ctx: PAdicContext
 ) -> CheckResult:
     """The fact v_p(q) >= k, witnessed by v_p(q) ("inf" when q = 0) against k."""
-    v = pair_valuation(*q, ctx.p)
+    v = pair_valuation(*q, ctx)
     return CheckResult(
         check_name=check_name,
         parameters=parameters,

@@ -13,7 +13,6 @@ witness on those pairs directly, with no gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
@@ -89,26 +88,17 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def pair_valuation(num: int, den: int, p: int) -> int | float:
-    """v_p(num/den) = v_p(num) - v_p(den) for an unreduced pair; +infinity for num = 0."""
-    if p < 2:
-        raise ValueError(f"p = {p} is below 2")
-    v = _int_valuation(den, p)
-    return INFINITY if num == 0 else _int_valuation(num, p) - v
-
-
-@dataclass(frozen=True)
 class PAdicContext:
     """A prime p together with an exponent k, defining congruence mod p^k."""
 
-    p: int
-    k: int
+    __slots__ = ("p", "k")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise InvalidPrime(f"p = {self.p} is not prime")
-        if self.k < 1:
-            raise ValueError(f"exponent k must be >= 1, got {self.k}")
+    def __init__(self, p: int, k: int) -> None:
+        if not is_prime(p):
+            raise InvalidPrime(f"p = {p} is not prime")
+        if k < 1:
+            raise ValueError(f"exponent k must be >= 1, got {k}")
+        self.p, self.k = p, k
 
     @property
     def modulus(self) -> int:
@@ -116,6 +106,16 @@ class PAdicContext:
 
     def __str__(self) -> str:
         return f"{self.p}^{self.k}"
+
+
+def pair_valuation(num: int, den: int, p: int | PAdicContext) -> int | float:
+    """v_p(num/den) = v_p(num) - v_p(den) for an unreduced pair; +infinity for num = 0.
+
+    p is a prime, which is tested, or the PAdicContext of a prime already tested.
+    """
+    p = (p if isinstance(p, PAdicContext) else PAdicContext(p, 1)).p
+    v = _int_valuation(den, p)
+    return INFINITY if num == 0 else _int_valuation(num, p) - v
 
 
 def pair_residue(num: int, den: int, ctx: PAdicContext) -> int | None:

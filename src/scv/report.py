@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .congruences import CheckResult, skipped_result
@@ -92,16 +92,15 @@ def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
     return sorted(checks, key=check_sort_key)
 
 
-@dataclass
 class RunReport:
     """One CLI invocation's worth of checks, kept in canonical order, plus bookkeeping."""
 
-    tool_version: str
-    invocation: dict[str, object]
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, tool_version: str, invocation: dict[str, object],
+        checks: Iterable[CheckResult] = (), elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.tool_version, self.invocation, self.checks = tool_version, invocation, checks
+        self.elapsed_seconds = elapsed_seconds
         self.checks = sort_checks(self.checks)
 
     @property

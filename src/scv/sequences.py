@@ -28,9 +28,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import NamedTuple
 
 from .exact_arith import Rat
 
@@ -182,8 +182,7 @@ def schmidt_coefficient(n: int, k: int) -> int:
     return math.comb(n + k, 2 * k) * math.comb(2 * k, k)
 
 
-@dataclass(frozen=True)
-class RVFamily:
+class RVFamily(NamedTuple):
     """One of the four hypergeometric families with its sweep constants.
 
     a is the hypergeometric parameter, discriminant the Legendre-symbol

@@ -1,7 +1,7 @@
 """The sweep registry, task generation and execution.
 
 SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
-help text, its click options (type, range, default) and the grid function
+help text, its options (converter, range, default) and the grid function
 that turns the option values into tasks. KINDS maps each task kind, the
 check_name of its records, to its verifier, which takes the task's
 parameters as they are and prints them unchanged in its record. Adding a
@@ -20,9 +20,7 @@ from fractions import Fraction
 from functools import cache, partial
 from importlib import import_module
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
-
-import click
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from . import congruences
 from .congruences import SUPPORTED_X, CheckResult
@@ -181,11 +179,46 @@ def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
     try:
         integrality.schmidt_term_count(nmax, mmax)
     except integrality.TermLimitExceeded as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)
 
 
-def _validate_rationals(ctx, param, value):
+class UsageError(ValueError):
+    """A bad flag, option value or bound: refused before any check runs (exit 2)."""
+
+
+class Option(NamedTuple):
+    """A flag --name taking one value; a repeatable flag collects a tuple of them."""
+
+    name: str
+    default: Any  # used as it is
+    convert: Callable[[Any], Any]  # the text (tuple of texts) to the value; ValueError if bad
+    help: str = ""
+    repeatable: bool = False
+
+
+def int_option(name: str, default: int | None, least: int, most: int | None = None,
+               help: str = "") -> Option:
+    span = f"x>={least}" if most is None else f"{least}<=x<={most}"
+
+    def convert(text: str) -> int:
+        if not least <= (value := int(text)) <= (value if most is None else most):
+            raise UsageError(f"{value} is not in the range {span}")
+        return value
+
+    return Option(name, default, convert, f"{help} [default: {default}; {span}]")
+
+
+def choice_option(name: str, choices: Collection[str], default: str, help: str = "") -> Option:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+
+    return Option(name, default, convert, f"{help} [default: {default}; {'|'.join(choices)}]")
+
+
+def _validate_rationals(value: Iterable[str]) -> tuple[str, ...]:
     """Each point in its canonical a/b form, repeats dropped, in first-seen order.
 
     a and b are read with int(), whose digit limit refuses a huge point before
@@ -196,45 +229,38 @@ def _validate_rationals(ctx, param, value):
         try:
             canonical[rat_str(Fraction(*map(int, item.split("/", 1))))] = None
         except (ValueError, ZeroDivisionError):
-            raise click.BadParameter(
+            raise UsageError(
                 f"expected a rational a/b or a of integers of at most"
                 f" {sys.get_int_max_str_digits()} digits, like -1/2, got {item!r}"
-            )
+            ) from None
     return tuple(canonical)
 
 
-def _pmax(default: int, least: int = 5) -> click.Option:
+def _pmax(default: int, least: int = 5) -> Option:
     # the cap refuses a PMAX whose prime sieve alone would exhaust memory
     odd = "odd " if least == 3 else ""
-    return click.Option(
-        ["--pmax"], type=click.IntRange(min=least, max=PRIME_LIMIT), default=default,
-        show_default=True, help=f"Sweep {odd}primes {least} <= p <= PMAX.",
+    return int_option(
+        "pmax", default, least, PRIME_LIMIT, f"Sweep {odd}primes {least} <= p <= PMAX."
     )
 
 
-def _at_least_one(flag: str, default: int) -> click.Option:
-    return click.Option([flag], type=click.IntRange(min=1), default=default, show_default=True)
-
-
-_EPS_OPTION = click.Option(
-    ["--eps"], type=click.Choice(list(_EPS)), default="both", show_default=True
-)
+_MMAX_EPS = (int_option("mmax", 3, 1), choice_option("eps", _EPS, "both"))
 
 
 class Sweep(NamedTuple):
     help: str
-    options: tuple[click.Option, ...]
+    options: tuple[Option, ...]
     grid: Grid
 
 
 SWEEPS = {
     "rv": Sweep(
         "Hypergeometric partial sums against Legendre symbols, mod p^2.",
-        (_pmax(1500),), partial(_families, "rv"),
+        (_pmax(8000),), partial(_families, "rv"),
     ),
     "lemma2p": Sweep(
         "The same sums taken to 2p-1 terms, against their rational constants.",
-        (_pmax(700),), partial(_families, "lemma2p"),
+        (_pmax(4000),), partial(_families, "lemma2p"),
     ),
     "sun-p4": Sweep(
         "Weighted s_k^2 sums against constant * Legendre * p^2, mod p^4.",
@@ -242,40 +268,30 @@ SWEEPS = {
     ),
     "guo-bb1": Sweep(
         "Mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.",
-        (_pmax(150, least=3), click.Option(
-            ["--x"], multiple=True, default=DEFAULT_BB1_X, metavar="RAT",
-            callback=_validate_rationals,
-            help="Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X),
+        (_pmax(150, least=3), Option(
+            "x", DEFAULT_BB1_X, _validate_rationals,
+            "Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X), True,
         )),
         _guo_bb1,
     ),
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
-        (click.Option(
-            ["--which"], type=click.Choice([*CC_KINDS, "all"]),
-            default="all", show_default=True, help="Which chain step to sweep.",
-        ), _pmax(50)),
+        (choice_option("which", [*CC_KINDS, "all"], "all", "Which chain step to sweep."),
+         _pmax(50)),
         _cc,
     ),
     "identity": Sweep(
         "Exact polynomial and integer identities (coefficient-level equality).",
-        (click.Option(
-            ["--name"], type=click.Choice([*IDENTITIES, "all"]), default="all",
-            show_default=True, help="Which identity to check.",
-        ), click.Option(
-            ["--max"], type=click.IntRange(min=0), default=None, metavar="N",
-            help="Upper index bound; default depends on the identity.",
-        )),
+        (choice_option("name", [*IDENTITIES, "all"], "all", "Which identity to check."),
+         int_option("max", None, 0, help="Upper index bound; default depends on the identity.")),
         _identity,
     ),
     "integrality": Sweep(
         "Integer-valuedness of the averaged d^m s^m sums (binomial-basis criterion).",
-        (_at_least_one("--nmax", 10), _at_least_one("--mmax", 3), _EPS_OPTION),
-        partial(_n_m_eps, "integer-valued"),
+        (int_option("nmax", 10, 1), *_MMAX_EPS), partial(_n_m_eps, "integer-valued"),
     ),
     "schmidt": Sweep(
         "Divisibility of Schmidt power-sum coefficients, over indeterminates.",
-        (_at_least_one("--nmax", 6), _at_least_one("--mmax", 3), _EPS_OPTION),
-        _schmidt,
+        (int_option("nmax", 6, 1), *_MMAX_EPS), _schmidt,
     ),
 }

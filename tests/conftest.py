@@ -1,10 +1,36 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+from typing import NamedTuple
 
 import pytest
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    exception: BaseException | None  # the SystemExit of a non-zero exit, or what was raised
+
+
+def run_cli(*args: str) -> CliResult:
+    """Run `scv *args` in this process, as from a shell: main() in standalone mode."""
+    from scv.cli import main
+
+    output = io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, output.getvalue(), exception)
 
 
 @pytest.fixture

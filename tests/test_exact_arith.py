@@ -8,7 +8,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -26,7 +25,7 @@ from scv.exact_arith import (
     primes_in_range,
     rat_str,
 )
-from scv.sweeps import _validate_rationals
+from scv.sweeps import UsageError, _validate_rationals
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -41,6 +40,8 @@ def test_padic_valuation_examples():
     assert pair_valuation(10, 250, 5) == -2  # 1/25, unreduced
     with pytest.raises(InvalidPrime):  # the prime is validated where its context is built
         PAdicContext(6, 1)
+    with pytest.raises(InvalidPrime):  # v_4(4) would read 1, yet v_4(2 * 2) != v_4(2) + v_4(2)
+        pair_valuation(4, 1, 4)
 
 
 def test_mod_reduce_examples():
@@ -66,6 +67,7 @@ def test_congruent_does_not_test_the_prime_again(monkeypatch):
     assert not pair_congruent((1, 5), (0, 1), contexts[1])
     assert pair_congruent((147, 4), (147 + 4 * 7**4, 4), contexts[2])
     assert pair_residue(1, 3, contexts[0]) == 17
+    assert pair_valuation(50, 3, contexts[0]) == 2
     assert calls == []
 
 
@@ -104,7 +106,7 @@ def test_pair_routines_refuse_a_zero_denominator_and_p_below_2():
     )
     out = json.loads(proc.stdout)
     names = [name for name, _ in out]
-    assert names == ["ZeroDivisionError", "ZeroDivisionError", "ValueError", "ValueError",
+    assert names == ["ZeroDivisionError", "ZeroDivisionError", "InvalidPrime", "InvalidPrime",
                      "ZeroDivisionError", "ZeroDivisionError", "ZeroDivisionError"]
     assert all(seconds < 1.0 for _, seconds in out)
 
@@ -155,14 +157,14 @@ def test_padic_context_validation():
 
 def test_rat_parsing():
     # `--x` and config `x=` values: a or a/b, each part read with int()
-    assert _validate_rationals(None, None, ("3/4", "-1/2", "7", "3/6", "2/4")) == (
+    assert _validate_rationals(("3/4", "-1/2", "7", "3/6", "2/4")) == (
         "3/4", "-1/2", "7", "1/2",
     )
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(Fraction(8, 4)) == "2"
     for bad in ("x", "1.5", "1e3", "1/0", "1/2/3", "", "1" + "0" * 4300):
-        with pytest.raises(click.BadParameter):
-            _validate_rationals(None, None, (bad,))
+        with pytest.raises(UsageError):
+            _validate_rationals((bad,))
 
 
 def _digits(n: int) -> str:

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 import fraction_poly
 import scv.identities as identities
+from conftest import run_cli
 from fraction_poly import as_unipoly
 from oracles import (
     bb2_weight,
@@ -26,7 +26,6 @@ from oracles import (
     s_val,
 )
 from scv import poly
-from scv.cli import main
 from scv.identities import (
     SIDES,
     CoefficientError,
@@ -224,8 +223,8 @@ def test_transcription_self_test_catches_corruption(recurrence_tables):
 
 def test_corrupted_table_fails_the_cli_run_at_both_sides(recurrence_tables):
     recurrence_tables(corrupted_recurrence_tables())
-    res = CliRunner().invoke(
-        main, ["verify", "identity", "--name", "bb4-recurrence", "--max", "2", "--format", "json"]
+    res = run_cli(
+        "verify", "identity", "--name", "bb4-recurrence", "--max", "2", "--format", "json"
     )
     assert res.exit_code == 1
     records = [c for c in json.loads(res.output)["checks"] if c["check_name"] == "bb4-recurrence"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from oracles import render_json_oracle
 from test_report_golden import CASES
 
@@ -38,7 +38,7 @@ def _same(report: RunReport) -> None:
 def test_golden_cases_render_as_json_dumps(monkeypatch, name):
     seen = []
     monkeypatch.setitem(scv.cli._RENDERERS, "json", lambda r: seen.append(r) or render_json(r))
-    res = CliRunner().invoke(scv.cli.main, ["verify", *CASES[name], "--format", "json"])
+    res = run_cli("verify", *CASES[name], "--format", "json")
     assert res.exit_code == 0, res.output
     (report,) = seen
     assert report.checks

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
+import re
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 import scv.sweeps as sweeps
 from scv import __version__
@@ -94,10 +96,6 @@ def test_render_csv_and_text():
     assert "1 passed, 1 failed, 0 skipped" in text
 
 
-def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
-
-
 def test_cli_rv_small_sweep():
     res = run_cli("verify", "rv", "--pmax", "30")
     assert res.exit_code == 0
@@ -141,7 +139,7 @@ def test_cli_all_skipped_run_is_a_usage_error(tmp_path):
     out = tmp_path / "x.json"
     res = run_cli("verify", "guo-bb1", "--pmax", "3", "--x", "1/3", "--out", str(out))
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
     assert "every check these bounds select is skipped" in res.output
     assert not out.exists()
     res = run_cli("verify", "guo-bb1", "--pmax", "5", "--x", "1/3", "--out", str(out))
@@ -167,7 +165,7 @@ def test_cli_x_is_read_as_ints_a_and_b():
     # 10^4300 has 4301 digits, past int()'s limit: a usage error, not a failed record
     res = run_cli("verify", "guo-bb1", "--pmax", "3", "--x", "1e4300")
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
     for decimal in ("1.5", "1e3"):
         assert run_cli("verify", "guo-bb1", "--x", decimal).exit_code == 2
     # a 4300-digit numerator parses, and its canonical form parses again in the task
@@ -237,7 +235,7 @@ def test_cli_bounds_checked_before_work(tmp_path, args, config, code):
     res = run_cli(*argv)
     assert res.exit_code == code, res.output
     if code == 2:
-        assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+        assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
         assert "Error:" in res.output
     else:
         assert len(json.loads(res.output)["checks"]) == 1
@@ -256,7 +254,7 @@ def test_cli_oversized_pmax_is_usage_error_before_any_work(monkeypatch, sweep):
     monkeypatch.setattr(sweeps, "primes_in_range", no_sieve)
     res = run_cli("verify", sweep, "--pmax", str(PRIME_LIMIT + 1))
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)  # a click error, no MemoryError traceback
+    assert isinstance(res.exception, SystemExit)  # a usage error, no MemoryError traceback
     assert f"{PRIME_LIMIT + 1} is not in the range" in res.output
     assert ran == []
     assert run_cli("verify", sweep, "--pmax", str(10**11)).exit_code == 2
@@ -411,8 +409,12 @@ def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch
     monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
     res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "missing" / "x.json"))
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
     assert "does not exist" in res.output
+    res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage error, no IsADirectoryError traceback
+    assert "is a directory" in res.output
     assert calls == []
     assert run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "x.json")).exit_code == 0
     assert len(calls) == 8
@@ -430,7 +432,7 @@ def test_cli_schmidt_over_term_limit_rejected_before_work(monkeypatch):
     monkeypatch.setitem(sweeps.KINDS, "schmidt-divisibility", counting)
     res = run_cli("verify", "schmidt", "--nmax", "40", "--mmax", "5")
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
     assert "1086008 monomials" in res.output
     assert calls == []
     assert run_cli("verify", "schmidt", "--nmax", "2", "--mmax", "2").exit_code == 0
@@ -513,6 +515,45 @@ def test_cli_config_bad_enum_is_usage_error(tmp_path):
     cfg.write_text("eps=sometimes\n")
     res = run_cli("verify", "schmidt", "--nmax", "1", "--config", str(cfg))
     assert res.exit_code == 2
+
+
+def test_cli_main_main_returns_the_exit_code(tmp_path, monkeypatch):
+    # the in-process form of `scv verify ...`: main.main(argv, prog_name, standalone_mode=False)
+    argv = ["verify", "rv", "--pmax", "7", "--format", "json", "--out", str(tmp_path / "r.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        passed = main.main(argv, prog_name="scv", standalone_mode=False)
+        monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: _check("rv", kw, passed=False))
+        failed = main.main(argv, prog_name="scv", standalone_mode=False)
+    assert (type(passed), passed, type(failed), failed) == (int, 0, int, 1)
+    with pytest.raises(sweeps.UsageError, match="is not in the range"):
+        main.main(["verify", "rv", "--pmax", "4"], prog_name="scv", standalone_mode=False)
+
+
+def test_cli_negative_x_needs_no_equals_sign():
+    # a value that starts with "-" is still the value of the flag before it
+    def report(*xs):
+        res = run_cli("verify", "guo-bb1", "--pmax", "11", *xs, "--format", "json")
+        assert res.exit_code == 0, res.output
+        return re.sub(r'^  "elapsed_seconds": .*\n', "", res.output, flags=re.M)
+
+    spaced = report("--x", "-1/5", "--x", "-8/11")
+    assert spaced == report("--x=-1/5", "--x=-8/11")
+    assert json.loads(spaced)["invocation"]["x"] == ["-1/5", "-8/11"]
+
+
+def test_cli_help_lists_every_flag_with_default_and_range():
+    def help_text(name):
+        res = run_cli("verify", name, "--help")
+        assert res.exit_code == 0, res.output
+        return " ".join(res.output.split())
+
+    for name, sweep in sweeps.SWEEPS.items():
+        text = help_text(name)
+        for flag in (*[o.name for o in sweep.options], "config", "jobs", "format", "out"):
+            assert f"--{flag}" in text, (name, flag)
+        assert "[default: 1; x>=1]" in text and "[default: text; json|csv|text]" in text
+    assert "[default: 1200; 5<=x<=1000000]" in help_text("sun-p4")
+    assert "[default: both; +1|-1|both]" in help_text("schmidt")
 
 
 def test_cli_version():

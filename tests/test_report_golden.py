@@ -12,9 +12,7 @@ import hashlib
 import re
 
 import pytest
-from click.testing import CliRunner
-
-from scv.cli import main
+from conftest import run_cli
 
 CASES = {
     "rv": ("rv", "--pmax", "13"),
@@ -65,6 +63,6 @@ def _digest(fmt: str, report: str) -> str:
 
 @pytest.mark.parametrize("name,fmt", sorted(DIGESTS))
 def test_report_digest(name, fmt):
-    res = CliRunner().invoke(main, ["verify", *CASES[name], "--format", fmt])
+    res = run_cli("verify", *CASES[name], "--format", fmt)
     assert res.exit_code == 0, res.output
     assert _digest(fmt, res.output) == DIGESTS[name, fmt]

@@ -27,16 +27,30 @@ def _fresh(code: str) -> object:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _loaded_after(code: str) -> list[str]:
-    watched = json.dumps([POOL, *LAZY_SCV])
+def _loaded_after(code: str, watched: tuple[str, ...] = (POOL, *LAZY_SCV)) -> list[str]:
     return _fresh(
         f"import json, sys\n{code}\n"
-        f"print(json.dumps([m for m in {watched} if m in sys.modules]))"
+        f"print(json.dumps([m for m in {json.dumps(watched)} if m in sys.modules]))"
     )
 
 
 def test_cli_import_loads_no_pool_and_no_polynomial_code():
     assert _loaded_after("import scv.cli") == []
+
+
+def test_cli_import_loads_no_click_and_no_dataclasses():
+    assert _loaded_after("import scv.cli", ("click", "dataclasses", "inspect")) == []
+
+
+def test_cli_runs_without_site_packages():
+    # -S: no site-packages on the path, so the run needs nothing but the standard library
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "scv.cli", "verify", "guo-bb1", "--pmax", "7",
+         "--x", "-1/5", "--x", "2/3", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["invocation"]["x"] == ["-1/5", "2/3"]
 
 
 def test_congruence_sweep_loads_no_polynomial_code():
