@@ -7,8 +7,8 @@ check_name of its records, to its verifier, which takes the task's
 parameters as they are and prints them unchanged in its record. Adding a
 sweep means adding one SWEEPS entry plus its KINDS entries.
 
-A task is a picklable (kind, ((key, value), ...)) pair describing one pure
-check, so grids can run sequentially or across worker processes with
+A task is a (kind, ((key, value), ...)) pair describing one pure check, so
+grids can run sequentially or as contiguous slices in forked workers with
 identical results, returned in task order either way.
 """
 
@@ -93,17 +93,57 @@ def execute_task(task: Task) -> CheckResult:
 
 
 def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
-    """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs)."""
+    """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs).
+
+    Each worker is a forked child that runs one contiguous slice of the tasks,
+    so a grid laid out point by point gives each worker its own walk points.
+    Forking a process that runs other threads is unsafe: such a caller passes jobs=1.
+    """
     tasks = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, cpus or 1, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [execute_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+    import pickle  # only a parallel run pays its import
 
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(execute_task, tasks, chunksize=chunk))
+    cuts = [len(tasks) * i // workers for i in range(workers + 1)]
+    pipes, pids, statuses, sent = [], [], [], None
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                if (pid := os.fork()) == 0:  # the worker never returns into its parent's code
+                    code = 1
+                    try:
+                        pickle.dump([execute_task(t) for t in tasks[lo:hi]], out)
+                        out.flush()  # os._exit does not flush
+                        code = 0
+                    except BaseException:
+                        sys.excepthook(*sys.exc_info())
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if sent is None:  # stopped before every slice arrived: stop the workers left
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results: list[CheckResult] = []
+    for lo, hi, status, data in zip(cuts, cuts[1:], statuses, sent):
+        where = f"the worker on tasks {lo}..{hi - 1} of {len(tasks)}"
+        if status:
+            raise RuntimeError(f"{where} exited with status {status}")
+        try:
+            results += pickle.loads(data)
+        except Exception as exc:
+            raise RuntimeError(f"{where} sent a result that does not unpickle: {exc!r}") from None
+    return results
 
 
 def _families(kind: str, pmax: int) -> Iterator[Task]:

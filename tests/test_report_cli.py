@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import io
@@ -356,36 +355,28 @@ def test_error_record_is_filed_under_its_check_name(monkeypatch, kind):
 
 
 def test_run_tasks_caps_workers(monkeypatch):
-    started = []
+    forks = []
+    fork = sweeps.os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps.os, "fork", counting_fork)
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
     assert sweeps.run_tasks(tasks, jobs=64) == sweeps.run_tasks(tasks)
-    assert started == [2]
+    assert len(forks) == 2
     sweeps.run_tasks(tasks[:1], jobs=64)
-    assert started == [2]  # one task runs in this process
+    assert len(forks) == 2  # one task runs in this process
 
 
 def test_run_tasks_counts_only_the_cpus_it_may_use(monkeypatch):
-    def no_pool(max_workers):
-        raise AssertionError(f"a pool of {max_workers} workers started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweeps.os, "fork", no_fork)
     # pinned to one CPU of a larger host, as under `taskset -c 0`
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-POOL = "concurrent.futures.process"
+POOL = ("concurrent.futures", "multiprocessing")
 LAZY_SCV = ("scv.identities", "scv.integrality", "scv.poly")
 
 
@@ -27,7 +27,7 @@ def _fresh(code: str) -> object:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _loaded_after(code: str, watched: tuple[str, ...] = (POOL, *LAZY_SCV)) -> list[str]:
+def _loaded_after(code: str, watched: tuple[str, ...] = (*POOL, *LAZY_SCV)) -> list[str]:
     return _fresh(
         f"import json, sys\n{code}\n"
         f"print(json.dumps([m for m in {json.dumps(watched)} if m in sys.modules]))"
@@ -61,6 +61,21 @@ def test_congruence_sweep_loads_no_polynomial_code():
         "assert rc == 0, rc"
     )
     assert [m for m in loaded if m in LAZY_SCV] == []
+
+
+def test_parallel_sweep_forks_without_a_pool_module():
+    # two usable CPUs whatever the host has, so --jobs 2 forks two workers
+    loaded = _loaded_after(
+        "import contextlib, io, os, scv.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = scv.cli.main(\n"
+        "        ['verify', 'sun-p4', '--pmax', '13', '--jobs', '2'], standalone_mode=False\n"
+        "    )\n"
+        "assert rc == 0, rc",
+        (*POOL, "pickle"),
+    )
+    assert loaded == ["pickle"]  # the workers' results came back pickled, through no pool
 
 
 def test_schmidt_sweep_loads_no_polynomial_code():
