@@ -3,13 +3,14 @@
 The eight `verify` subcommands are built from `sweeps.SWEEPS`.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
-1 on any failure, 2 on usage errors, which include bounds that select no
-checks or only skipped ones.
+1 on any failure, including a --jobs worker that dies, 2 on usage errors,
+which include bounds that select no checks or only skipped ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -58,6 +59,10 @@ def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[s
             )
         values[key] = [x.strip() for x in value.split(",") if x.strip()] if key == "x" else value
     return values
+
+
+class WorkerFailure(RuntimeError):
+    """The sweep's workers could not deliver its results (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +118,11 @@ def _run(argv: list[str], prog: str) -> int:
             raise UsageError(f"Invalid value for '--{o.name}': {exc}") from None
     jobs, format, out = values.pop("jobs"), values.pop("format"), values.pop("out")
     start = time.perf_counter()
-    checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
+    try:
+        checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
+    except (OSError, RuntimeError) as exc:
+        # a worker that exits non-zero or sends a result that does not unpickle, or a failed fork
+        raise WorkerFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
     # an empty or all-skipped grid would pass without deciding anything
     if all(check.skipped for check in checks):
@@ -142,15 +151,22 @@ def main(
 ) -> int:
     """Run `scv` on argv (default sys.argv[1:]) and exit with its code.
 
-    With standalone_mode=False the code is returned, and a UsageError propagates.
+    With standalone_mode=False the code is returned, and a UsageError or
+    WorkerFailure propagates. Called with no argv in standalone mode, as the
+    program is, main freezes the collector's objects as it exits, so the
+    interpreter's shutdown skips collecting every module's cyclic objects;
+    stdout, stderr and atexit are still handled as usual.
     """
     try:
         code = _run(sys.argv[1:] if argv is None else argv, prog_name)
-    except UsageError as exc:
+    except (UsageError, WorkerFailure) as exc:
         if not standalone_mode:
             raise
         print(f"Error: {exc}", file=sys.stderr)
-        code = 2
+        code = 2 if isinstance(exc, UsageError) else 1
+    finally:
+        if argv is None and standalone_mode:
+            gc.freeze()
     if standalone_mode:
         sys.exit(code)
     return code

@@ -2,17 +2,28 @@
 
 Polynomial identities (cc1, telescope, bb2) are decided by canonical
 coefficient equality, never by sampling: each side is an integer coefficient
-list over one known denominator (scv.poly), reduced to one Fraction per
-coefficient only to print the finished side. Reduced Fractions print
-canonically, so the two printed sides are equal iff the polynomials are.
+list over one known denominator (scv.poly), printed coefficient by
+coefficient as its reduced fraction, with one gcd per coefficient. Reduced
+fractions print canonically, so the two printed sides are equal iff the
+polynomials are.
+
 The two sides of the double/triple-sum identity (bb4) are exact integers
 from factored forms: the double sum is d_n(m) s_n(m), and the triple sum is
-sum_k C(n+k,2k) C(2k,k) f_k(m), with f_0(m)..f_m(m) built once per m from
-the Delannoy row d_0(m)..d_m(m). The order-4 recurrence certifying both
-sides is stored as data (per-coefficient tables of (m-exponent, n-exponent,
-integer) triples). It certifies the triple-sum side at a point only if the
-same coefficients annihilate the double-sum side there, so a transcription
-error in the tables is caught at every point it would reach.
+sum_k C(n+k,2k) C(2k,k) f_k(m). Each is a dot product of integer rows,
+cached once per index:
+
+    C(n, .)           the binomial row of n
+    Schmidt row of n  C(n+k,2k) C(2k,k) for k = 0..n
+    a row of m        C(m,i) 2^i        so d_n(m) = C(n, .) . a
+    b row of m        C(m,j) C(m+j,j)   so s_n(m) = C(n, .) . b
+    f row of m        f_0(m)..f_m(m), each Delannoy value d_j(m) read as C(j, .) . a
+
+so the lhs is (C(n, .) . a)(C(n, .) . b) and the rhs is the Schmidt row of n
+dotted with the f row of m. The order-4 recurrence certifying both sides is
+stored as data (per-coefficient tables of (m-exponent, n-exponent, integer)
+triples). It certifies the triple-sum side at a point only if the same
+coefficients annihilate the double-sum side there, so a transcription error
+in the tables is caught at every point it would reach.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from .congruences import CheckResult, exact_result
 from .poly import IntPoly, d_poly, f_poly, pair_binomial_poly, poly_mul, poly_sum, s_poly
@@ -31,12 +44,19 @@ class CoefficientError(RuntimeError):
 
 
 def _coefficients(p: IntPoly) -> str:
-    """The reduced coefficients of p, without trailing zeros, printed as "[c0, c1, ...]"."""
+    """The reduced coefficients of p, without trailing zeros, printed as "[c0, c1, ...]".
+
+    Each prints as str(Fraction(c, den)) does: "a" when den divides c, else "a/b".
+    """
     nums, den = p
-    out = [Fraction(c, den) for c in nums]
-    while out and out[-1] == 0:
-        out.pop()
-    return "[" + ", ".join(map(str, out)) + "]"
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    out = []
+    for c in nums[:top]:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return "[" + ", ".join(out) + "]"
 
 
 def _cc1_weight(j: int, k: int, s: int) -> int:
@@ -125,18 +145,39 @@ SIDES = ("lhs", "rhs")
 
 
 @functools.lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, 0), ..., C(n, n)."""
+    return tuple(map(math.comb, repeat(n), range(n + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _schmidt_row(n: int) -> tuple[int, ...]:
+    """The Schmidt weights C(n+k,2k) C(2k,k) for k = 0..n."""
+    return tuple(map(schmidt_coefficient, repeat(n), range(n + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_rows(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows a_i = C(m,i) 2^i and b_j = C(m,j) C(m+j,j) for i, j = 0..m."""
+    row = _binomial_row(m)
+    return (
+        tuple(c << i for i, c in enumerate(row)),
+        tuple(c * math.comb(m + j, j) for j, c in enumerate(row)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _f_row(m: int) -> tuple[int, ...]:
     """f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m) for k = 0..m.
 
-    d_j(m) = sum_i C(m,i) C(j,i) 2^i is the Delannoy row, built once per m;
-    f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
+    The Delannoy values d_j(m) = sum_i C(j,i) C(m,i) 2^i are C(j, .) . a over
+    the a row of m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
     """
-    delannoy = [
-        sum(math.comb(m, i) * math.comb(j, i) * 2**i for i in range(j + 1))
-        for j in range(m + 1)
-    ]
+    a = _weight_rows(m)[0]
+    delannoy = [sum(map(mul, _binomial_row(j), a)) for j in range(m + 1)]
     return tuple(
-        sum(math.comb(m + j, k + j) * math.comb(k, j) * delannoy[j] for j in range(k + 1))
+        sum(map(mul, map(mul, _binomial_row(k), delannoy),
+                map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
         for k in range(m + 1)
     )
 
@@ -148,24 +189,22 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     lhs: sum_{i,j<=m} C(n,i) C(m,i) C(n,j) C(m,j) C(m+j,j) 2^i
     rhs: sum_{k,j,i<=m} C(n+k,2k) C(2k,k) C(m+j,k+j) C(m,i) C(k,j) C(j,i) 2^i
 
-    Both are evaluated in factored form. The lhs separates into the product
+    Both are evaluated in factored form, as dot products over cached rows
+    (see the module docstring). The lhs separates into the product
     d_n(m) s_n(m) of two single sums over i, j <= min(m, n). In the rhs the
     sum over i is the Delannoy number d_j(m) and the sum over j is f_k(m), so
-    rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), with the row f_0(m)..f_m(m)
-    built once per m by _f_row. tests/oracles.py evaluates the sums as
-    written, and the tests require equal values.
+    rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m). Each dot product stops
+    at the shorter row, where the terms beyond it vanish. tests/oracles.py
+    evaluates the sums as written, and the tests require equal values.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if m < 0 or n < 0:
         raise ValueError("m, n must be >= 0")
-    top = min(m, n)
     if side == "lhs":
-        d = sum(math.comb(n, i) * math.comb(m, i) * 2**i for i in range(top + 1))
-        s = sum(math.comb(n, j) * math.comb(m, j) * math.comb(m + j, j) for j in range(top + 1))
-        return d * s
-    f = _f_row(m)
-    return sum(schmidt_coefficient(n, k) * f[k] for k in range(top + 1))
+        row, (a, b) = _binomial_row(n), _weight_rows(m)
+        return sum(map(mul, row, a)) * sum(map(mul, row, b))
+    return sum(map(mul, _schmidt_row(n), _f_row(m)))
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:
@@ -243,7 +282,7 @@ def recurrence_residual(coeffs: tuple[int, ...], side: str, m: int, n: int) -> i
         raise CoefficientError(
             f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
         )
-    return sum(c * eval_bb4_side(side, m + i, n) for i, c in enumerate(coeffs))
+    return sum(map(mul, coeffs, map(eval_bb4_side, repeat(side, 5), range(m, m + 5), repeat(n))))
 
 
 def check_bb4_recurrence(side: str, m: int, n: int) -> CheckResult:

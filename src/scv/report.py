@@ -75,17 +75,12 @@ REPORT_SCHEMA: dict = {
 }
 
 
-def _param_sort_token(value: object) -> tuple:
-    if isinstance(value, int):
-        return (0, value)
-    return (1, str(value))
-
-
 def check_sort_key(check: CheckResult) -> tuple:
-    params = tuple(
-        (k, _param_sort_token(v)) for k, v in sorted(check.parameters.items())
-    )
-    return (check.check_name, params)
+    """The check name, then each parameter by name: ints by value, before other values as text."""
+    return (check.check_name, tuple([
+        (k, (0, v) if isinstance(v, int) else (1, str(v)))
+        for k, v in sorted(check.parameters.items())
+    ]))
 
 
 def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:

@@ -26,7 +26,8 @@ coefficients anew for each side, each from its table of monomials as written.
 
 The cc rows are summed over k as written, one C(2k,s) C(s,k) product per
 term, and the json report is the whole-report json.dumps that render_json
-must equal byte for byte.
+must equal byte for byte. A polynomial side prints through one Fraction per
+coefficient, and the report's sort key takes one helper call per parameter.
 
 The library decides each congruence and valuation on unreduced int pairs;
 congruence_result and valuation_result here are the Fraction verdict route
@@ -590,6 +591,15 @@ def f_poly_oracle(k: int) -> UniPoly:
     return acc
 
 
+def coefficients_oracle(p: tuple[tuple[int, ...], int]) -> str:
+    """identities._coefficients through Fractions: one reduced Fraction per coefficient."""
+    nums, den = p
+    out = [Fraction(c, den) for c in nums]
+    while out and out[-1] == 0:
+        out.pop()
+    return "[" + ", ".join(map(str, out)) + "]"
+
+
 def _poly_witness(p: UniPoly) -> str:
     return "[" + ", ".join(
         str(c) if c.denominator > 1 else str(c.numerator) for c in p.coeffs
@@ -705,3 +715,17 @@ def render_json_oracle(report: RunReport) -> str:
         "elapsed_seconds": report.elapsed_seconds,
     }
     return json.dumps(whole, sort_keys=True, indent=2) + "\n"
+
+
+def _param_sort_token(value: object) -> tuple:
+    if isinstance(value, int):
+        return (0, value)
+    return (1, str(value))
+
+
+def check_sort_key_oracle(check: CheckResult) -> tuple:
+    """report.check_sort_key with one helper call per parameter value."""
+    params = tuple(
+        (k, _param_sort_token(v)) for k, v in sorted(check.parameters.items())
+    )
+    return (check.check_name, params)

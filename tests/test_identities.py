@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraction_poly
 import scv.identities as identities
@@ -19,6 +22,7 @@ from oracles import (
     check_bb4_recurrence_oracle,
     check_cc1_oracle,
     check_telescope_oracle,
+    coefficients_oracle,
     corrupted_recurrence_tables,
     d_val,
     f_poly_oracle,
@@ -279,6 +283,22 @@ def test_bb4_sides_match_as_written_oracle():
         for n in range(26):
             for side in SIDES:
                 assert eval_bb4_side(side, m, n) == bb4_side_oracle(side, m, n), (side, m, n)
+
+
+@settings(deadline=None)  # what is checked is the string, not its time
+@given(
+    st.lists(st.one_of(st.integers(-60, 60), st.integers()), max_size=10),
+    st.integers(0, 3),
+    st.one_of(
+        st.integers(1, 60),
+        st.integers(min_value=1),
+        st.sampled_from([math.factorial(n) ** 2 for n in range(12)]),
+    ),
+)
+def test_coefficients_print_as_their_fraction_oracle(nums, trailing_zeros, den):
+    # negative, zero and trailing-zero numerators over any denominator >= 1
+    p = ((*nums, *[0] * trailing_zeros), den)
+    assert identities._coefficients(p) == coefficients_oracle(p)
 
 
 def test_f_poly_matches_as_written_oracle():

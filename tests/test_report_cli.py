@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import re
@@ -9,6 +10,9 @@ import re
 import jsonschema
 import pytest
 from conftest import run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import check_sort_key_oracle
 
 import scv.sweeps as sweeps
 from scv import __version__
@@ -18,6 +22,7 @@ from scv.exact_arith import PRIME_LIMIT
 from scv.report import (
     REPORT_SCHEMA,
     RunReport,
+    check_sort_key,
     render_csv,
     render_json,
     render_text,
@@ -72,6 +77,19 @@ def test_sort_checks_is_canonical_and_numeric():
     shuffled = checks[:]
     random.Random(5).shuffle(shuffled)
     assert sort_checks(shuffled) == ordered
+
+
+@settings(deadline=None)  # what is checked is the string, not its time
+@given(st.lists(st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.dictionaries(
+        st.sampled_from(["m", "n", "p", "side", "x"]),
+        st.one_of(st.integers(), st.booleans(), st.text(max_size=3)),
+    ),
+)))
+def test_sort_key_matches_its_oracle(records):
+    checks = [_check(name, params) for name, params in records]
+    assert [check_sort_key(c) for c in checks] == [check_sort_key_oracle(c) for c in checks]
 
 
 def test_render_json_deterministic_and_schema_valid():
@@ -518,6 +536,19 @@ def test_cli_main_main_returns_the_exit_code(tmp_path, monkeypatch):
     assert (type(passed), passed, type(failed), failed) == (int, 0, int, 1)
     with pytest.raises(sweeps.UsageError, match="is not in the range"):
         main.main(["verify", "rv", "--pmax", "4"], prog_name="scv", standalone_mode=False)
+
+
+def test_in_process_runs_leave_the_collector_unfrozen(tmp_path):
+    # only the program's own exit freezes; a caller of main(argv) keeps its collector
+    assert gc.get_freeze_count() == 0
+    assert run_cli("verify", "identity", "--name", "cc4", "--max", "2").exit_code == 0
+    assert run_cli("--version").exit_code == 0
+    assert run_cli("verify", "rv", "--pmax", "4").exit_code == 2
+    assert gc.get_freeze_count() == 0
+    argv = ["verify", "rv", "--pmax", "7", "--out", str(tmp_path / "r.txt")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main.main(argv, prog_name="scv", standalone_mode=False) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_cli_negative_x_needs_no_equals_sign():

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 POOL = ("concurrent.futures", "multiprocessing")
@@ -53,6 +55,36 @@ def test_cli_runs_without_site_packages():
     assert json.loads(proc.stdout)["invocation"]["x"] == ["-1/5", "2/3"]
 
 
+def test_program_report_into_a_pipe_is_whole():
+    # stdout is a pipe, not a file, and the program exits with its collector frozen
+    proc = subprocess.run(
+        [sys.executable, "-m", "scv.cli", "verify", "identity", "--name", "all",
+         "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["checks"]) == 3244
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "rv", "--pmax", "7"], 0),
+    (["verify", "rv", "--pmax", "4"], 2),
+    (["--version"], 0),
+], ids=["passing-run", "usage-error", "version"])
+def test_program_exit_freezes_the_collector_before_atexit(argv, code):
+    # as `python -m scv.cli`: main() with no argv, then the interpreter's exit
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, gc, runpy, sys\n"
+         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+         f"sys.argv = ['scv', *{argv!r}]\n"
+         "runpy.run_module('scv.cli', run_name='__main__')"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
 def test_congruence_sweep_loads_no_polynomial_code():
     loaded = _loaded_after(
         "import contextlib, io, scv.cli\n"
@@ -88,6 +120,24 @@ def test_schmidt_sweep_loads_no_polynomial_code():
         "assert rc == 0, rc"
     )
     assert [m for m in loaded if m in LAZY_SCV] == ["scv.integrality"]
+
+
+def test_lazy_verifiers_resolve_once_and_keep_a_replaced_entry():
+    result = _fresh(
+        "import json, sys\n"
+        "import scv.sweeps as sweeps\n"
+        "before = 'scv.identities' in sys.modules\n"
+        "liu26 = sweeps.KINDS['liu26']\n"
+        "sweeps.KINDS['liu26'] = wrapped = lambda **params: liu26(**params)\n"
+        "grid = sweeps.SWEEPS['identity'].grid\n"
+        "tasks = [*grid('cc4', 1), *grid('liu26', 1)]\n"
+        "passed = all(r.passed for r in sweeps.run_tasks(tasks))\n"
+        "from scv import identities\n"
+        "print(json.dumps([before, passed, sweeps.KINDS['cc4'] is identities.check_cc4,\n"
+        "                  sweeps.KINDS['liu26'] is wrapped]))"
+    )
+    # loaded by the first check, which put the verifier itself in KINDS
+    assert result == [False, True, True, True]
 
 
 def test_public_api_resolves_after_lazy_import():

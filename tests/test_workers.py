@@ -123,6 +123,10 @@ with pytest.MonkeyPatch.context() as mp:
     mp.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     mp.setattr(sweeps.os, "fork", fork)
     mp.setitem(sweeps.KINDS, "liu26", check)
+    if sys.argv[2:]:  # the same tasks through `scv verify ...`, which exits here
+        import scv.cli
+
+        scv.cli.main(sys.argv[2:])
     try:
         outcome = ["returned", len(sweeps.run_tasks(tasks, jobs=2))]
     except Exception as exc:
@@ -135,15 +139,30 @@ print(json.dumps([outcome, left, len(forks)]))
 """
 
 
-@pytest.mark.parametrize("mode, error, message", [
+_FAILURES = [
     ("exit-first", "RuntimeError", "the worker on tasks 0..4 of 10 exited with status 3"),
     ("exit-second", "RuntimeError", "the worker on tasks 5..9 of 10 exited with status 3"),
     ("unpickle", "RuntimeError", "the worker on tasks 5..9 of 10 sent a result that does not"
                                  " unpickle: ValueError('refused')"),
     ("fork-fails", "BlockingIOError", "no more processes"),
-])
+]
+
+
+@pytest.mark.parametrize("mode, error, message", _FAILURES)
 def test_a_failing_worker_raises_and_leaves_no_child(mode, error, message):
     outcome, left, forks = _fresh(_FAILING_WORKER, mode)
     assert outcome == [error, message]  # raised, so no partial list came back
     assert left is None  # every worker was reaped
     assert forks == 2
+
+
+@pytest.mark.parametrize("mode, error, message", _FAILURES)
+def test_a_failing_worker_ends_the_cli_run_with_an_error_line(mode, error, message):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_WORKER, mode,
+         "verify", "identity", "--name", "liu26", "--max", "9", "--jobs", "2"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True, timeout=30,
+    )
+    # no traceback: one line on stderr, no report, exit 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"Error: --jobs 2: {message}\n")
