@@ -35,6 +35,7 @@ from .exact_arith import (
     PAdicContext,
     Pair,
     Rat,
+    _int_str,
     _legendre,
     pair_congruent,
     pair_residue,
@@ -87,19 +88,19 @@ def skipped_result(check_name: str, parameters: dict[str, object], reason: str) 
 def residue_witness(side: Pair, ctx: PAdicContext) -> str:
     """Residue string when the side is a p-adic integer, its reduced a/b otherwise."""
     residue = pair_residue(*side, ctx)
-    return rat_str(Fraction(*side)) if residue is None else str(residue)
+    return rat_str(*side) if residue is None else str(residue)
 
 
 def exact_result(
-    check_name: str, parameters: dict[str, object], lhs: object, rhs: object
+    check_name: str, parameters: dict[str, object], lhs: int | str, rhs: int | str
 ) -> CheckResult:
-    """An exact equality of two values, each printed with str()."""
+    """An exact equality of two ints or two canonical strings; _int_str passes a string on."""
     return CheckResult(
         check_name=check_name,
         parameters=parameters,
         passed=lhs == rhs,
-        lhs_witness=str(lhs),
-        rhs_witness=str(rhs),
+        lhs_witness=_int_str(lhs),
+        rhs_witness=_int_str(rhs),
         modulus="exact",
     )
 

@@ -1,18 +1,17 @@
 """Exact rational scalars, p-adic valuation and congruence, primes, Legendre symbol.
 
-The universal scalar is :class:`fractions.Fraction` (re-exported as ``Rat``),
-which is always in canonical form: gcd(|numerator|, denominator) = 1 and
-denominator >= 1.  Congruence is valuation-based so it stays meaningful for
-rationals whose individual terms are not p-adic integers.
-
-The verifiers build every side as an unreduced (numerator, denominator)
-int pair, and pair_valuation, pair_congruent and pair_residue decide and
-witness on those pairs directly, with no gcd.
+The verifiers build every side as an int or an unreduced (numerator,
+denominator) int pair, and pair_valuation, pair_congruent and pair_residue
+decide and witness on those pairs directly, with no gcd. Congruence is
+valuation-based so it stays meaningful for rationals whose individual terms
+are not p-adic integers. rat_str and coefficients_str are the one place where
+an exact value becomes text, exact whatever the int-string digit limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 Rat = Fraction
@@ -27,7 +26,7 @@ class InvalidPrime(ValueError):
     """Raised when an argument required to be (an odd) prime is not."""
 
 
-def _int_str(n: int) -> str:
+def _int_str(n: int | str) -> str:
     try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
         return str(n)
     except ValueError:  # split near half its digits: log10(2) > 0.3, so 10^k < |n|
@@ -35,12 +34,23 @@ def _int_str(n: int) -> str:
         return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def rat_str(q: Rat | int) -> str:
-    """Canonical 'a/b' (or plain 'a') rendering, exact at any size."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return _int_str(q.numerator)
-    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+def rat_str(num: Rat | int, den: int = 1) -> str:
+    """The reduced 'a/b' (or plain 'a') of an int or Fraction num over den, exact at any size."""
+    num, den = num.numerator, num.denominator * den
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    if g == den:
+        return _int_str(num // g)
+    return f"{_int_str(num // g)}/{_int_str(den // g)}"
+
+
+def coefficients_str(nums: Sequence[int], den: int) -> str:
+    """The list "[c0, c1, ...]" of each nums[i]/den by rat_str, trailing zeros dropped."""
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    return "[" + ", ".join([rat_str(c, den) for c in nums[:top]]) + "]"
 
 
 # the desk scale of is_prime and primes_in_range, and the largest --pmax of a sweep

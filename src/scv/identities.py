@@ -2,10 +2,10 @@
 
 Polynomial identities (cc1, telescope, bb2) are decided by canonical
 coefficient equality, never by sampling: each side is an integer coefficient
-list over one known denominator (scv.poly), printed coefficient by
-coefficient as its reduced fraction, with one gcd per coefficient. Reduced
-fractions print canonically, so the two printed sides are equal iff the
-polynomials are.
+list over one known denominator (scv.poly, which only these three checks
+load), printed by exact_arith.coefficients_str as its reduced coefficients.
+Reduced fractions print canonically, so the two printed sides are equal iff
+the polynomials are.
 
 The two sides of the double/triple-sum identity (bb4) are exact integers
 from factored forms: the double sum is d_n(m) s_n(m), and the triple sum is
@@ -35,28 +35,12 @@ from itertools import repeat
 from operator import mul
 
 from .congruences import CheckResult, exact_result
-from .poly import IntPoly, d_poly, f_poly, pair_binomial_poly, poly_mul, poly_sum, s_poly
+from .exact_arith import _int_str, coefficients_str, rat_str
 from .sequences import schmidt_coefficient
 
 
 class CoefficientError(RuntimeError):
     """Raised when the stored recurrence coefficients fail a sanity check."""
-
-
-def _coefficients(p: IntPoly) -> str:
-    """The reduced coefficients of p, without trailing zeros, printed as "[c0, c1, ...]".
-
-    Each prints as str(Fraction(c, den)) does: "a" when den divides c, else "a/b".
-    """
-    nums, den = p
-    top = len(nums)
-    while top and not nums[top - 1]:
-        top -= 1
-    out = []
-    for c in nums[:top]:
-        g = math.gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return "[" + ", ".join(out) + "]"
 
 
 def _cc1_weight(j: int, k: int, s: int) -> int:
@@ -71,13 +55,14 @@ def check_cc1(j: int, k: int) -> CheckResult:
     """
     if j < 0 or k < 0:
         raise ValueError("j, k must be >= 0")
+    from .poly import pair_binomial_poly, poly_mul, poly_sum
     top = j + k
     lhs = poly_mul(pair_binomial_poly(k), pair_binomial_poly(j))
     rhs = poly_sum(
         ((_cc1_weight(j, k, s), pair_binomial_poly(s)) for s in range(top + 1)),
         math.factorial(top) ** 2,
     )
-    return exact_result("cc1", {"j": j, "k": k}, _coefficients(lhs), _coefficients(rhs))
+    return exact_result("cc1", {"j": j, "k": k}, coefficients_str(*lhs), coefficients_str(*rhs))
 
 
 def check_cc4(k: int, s: int) -> CheckResult:
@@ -101,7 +86,7 @@ def check_liu26(s: int) -> CheckResult:
         (-1) ** k * (den // (k + 1)) * math.comb(2 * k, s) * math.comb(s, k)
         for k in range(s + 1)
     )
-    return exact_result("liu26", {"s": s}, Fraction(total, den), (-1) ** s)
+    return exact_result("liu26", {"s": s}, rat_str(total, den), str((-1) ** s))
 
 
 def check_telescope(n: int) -> CheckResult:
@@ -116,13 +101,14 @@ def check_telescope(n: int) -> CheckResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .poly import pair_binomial_poly, poly_mul, poly_sum
     partial = poly_sum(
         ((Fraction((-1) ** s, s + 1), pair_binomial_poly(s)) for s in range(n)),
         math.factorial(n) * math.factorial(n - 1),
     )
     lhs = poly_mul(((0, 1, 1), 1), partial)
     rhs = poly_sum([(n * (-1) ** (n + 1), pair_binomial_poly(n))], math.factorial(n) ** 2)
-    return exact_result("telescope", {"n": n}, _coefficients(lhs), _coefficients(rhs))
+    return exact_result("telescope", {"n": n}, coefficients_str(*lhs), coefficients_str(*rhs))
 
 
 def check_bb2(n: int) -> CheckResult:
@@ -133,12 +119,13 @@ def check_bb2(n: int) -> CheckResult:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    from .poly import d_poly, f_poly, poly_mul, poly_sum, s_poly
     lhs = poly_mul(d_poly(n), s_poly(n))
     rhs = poly_sum(
         ((schmidt_coefficient(n, k), f_poly(k)) for k in range(n + 1)),
         math.factorial(2 * n) * math.factorial(n),
     )
-    return exact_result("bb2", {"n": n}, _coefficients(lhs), _coefficients(rhs))
+    return exact_result("bb2", {"n": n}, coefficients_str(*lhs), coefficients_str(*rhs))
 
 
 SIDES = ("lhs", "rhs")
@@ -296,7 +283,9 @@ def check_bb4_recurrence(side: str, m: int, n: int) -> CheckResult:
     if side == "rhs":
         r = recurrence_residual(coeffs, "lhs", m, n)
         if r != 0:
-            raise CoefficientError(f"transcription self-test failed at m={m}, n={n}: residual {r}")
+            raise CoefficientError(
+                f"transcription self-test failed at m={m}, n={n}: residual {_int_str(r)}"
+            )
     r = recurrence_residual(coeffs, side, m, n)
     return exact_result("bb4-recurrence", {"side": side, "m": m, "n": n}, r, 0)
 

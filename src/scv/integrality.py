@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from typing import Iterator
 
 from .congruences import CheckResult
+from .exact_arith import _int_str, coefficients_str
 from .sequences import s_series, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
@@ -86,13 +86,11 @@ def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
         vals = [b - a for a, b in zip(vals, vals[1:])]
     if diffs.pop():
         raise ArithmeticError(f"V has degree above its bound {bound}")
-    while diffs and diffs[-1] == 0:
-        diffs.pop()
     return CheckResult(
         check_name="integer-valued",
         parameters={"n": n, "m": m, "eps": eps},
         passed=all(c % n == 0 for c in diffs),
-        lhs_witness="[" + ", ".join(str(Fraction(c, n)) for c in diffs) + "]",
+        lhs_witness=coefficients_str(diffs, n),
         rhs_witness="all integers",
         modulus="exact",
     )
@@ -147,7 +145,7 @@ def verify_schmidt_divisibility(n: int, m: int, eps: int) -> CheckResult:
     if violating is None:
         lhs = f"all {count} coefficients divisible"
     else:
-        lhs = f"monomial {violating[0]} has coefficient {violating[1]}"
+        lhs = f"monomial {violating[0]} has coefficient {_int_str(violating[1])}"
     return CheckResult(
         check_name="schmidt-divisibility",
         parameters={"n": n, "m": m, "eps": eps},

@@ -2,8 +2,8 @@
 
 A polynomial is an IntPoly: a tuple of int numerators (index = degree of x)
 and one int denominator, so products and sums run in plain int arithmetic
-and a caller builds one Fraction per coefficient only when it compares or
-prints a finished polynomial. The families (all cached):
+and a caller prints a finished polynomial with exact_arith.coefficients_str,
+one gcd per coefficient. The families (all cached):
 
     C(x+shift, s)   prod_{i<s} (x+shift-i)               over s!
     C(x,s) C(x+s,s) prod_{i<s} (x-i)(x+s-i)              over s!^2
@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
-from .exact_arith import Rat
+from .exact_arith import Rat, _int_str
 
 IntPoly = tuple[tuple[int, ...], int]
 
@@ -50,12 +49,12 @@ def poly_sum(terms: Iterable[tuple[Rat | int, IntPoly]], den: int) -> IntPoly:
     for w, (nums, d) in terms:
         if not w:
             continue
-        scale = Fraction(w) * den / d
-        if scale.denominator != 1:
-            raise ArithmeticError(f"{den} is not a common denominator")
+        scale, r = divmod(w.numerator * den, w.denominator * d)
+        if r:
+            raise ArithmeticError(f"{_int_str(den)} is not a common denominator")
         out.extend([0] * (len(nums) - len(out)))
         for i, c in enumerate(nums):
-            out[i] += scale.numerator * c
+            out[i] += scale * c
     return tuple(out), den
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from functools import cache, partial
 from importlib import import_module
 from itertools import product
@@ -275,7 +274,7 @@ def _validate_rationals(value: Iterable[str]) -> tuple[str, ...]:
     canonical = {}
     for item in value:
         try:
-            canonical[rat_str(Fraction(*map(int, item.split("/", 1))))] = None
+            canonical[rat_str(*map(int, item.split("/", 1)))] = None
         except (ValueError, ZeroDivisionError):
             raise UsageError(
                 f"expected a rational a/b or a of integers of at most"

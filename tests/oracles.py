@@ -592,7 +592,7 @@ def f_poly_oracle(k: int) -> UniPoly:
 
 
 def coefficients_oracle(p: tuple[tuple[int, ...], int]) -> str:
-    """identities._coefficients through Fractions: one reduced Fraction per coefficient."""
+    """exact_arith.coefficients_str through Fractions: one reduced Fraction per coefficient."""
     nums, den = p
     out = [Fraction(c, den) for c in nums]
     while out and out[-1] == 0:

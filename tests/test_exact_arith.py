@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scv.congruences import residue_witness
@@ -25,6 +26,8 @@ from scv.exact_arith import (
     primes_in_range,
     rat_str,
 )
+from scv.identities import check_cc4
+from scv.integrality import verify_integer_valued
 from scv.sweeps import UsageError, _validate_rationals
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -186,6 +189,47 @@ def test_rat_str_is_exact_above_the_int_str_limit():
         assert rat_str(q) == expected
     q = Fraction(-(10**4299) - 7, 3)  # below the limit the rendering is str()'s
     assert rat_str(q) == str(q)
+
+
+def _under_int_str_limit(limit: int, f, *args):
+    """f(*args) with sys.set_int_max_str_digits(limit); 0 sets no limit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return f(*args)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_cc4, (600, 600)),
+    (verify_integer_valued, (2, 120, 1)),
+], ids=["cc4", "integer-valued"])
+def test_witnesses_are_exact_under_a_low_int_str_limit(check, args):
+    low = _under_int_str_limit(640, check, *args)
+    assert low.passed
+    assert max(map(len, re.split(r"[][, /]+", low.lhs_witness))) > 640
+    assert low == _under_int_str_limit(0, check, *args)
+
+
+def test_residue_witness_of_a_non_integral_side_is_exact_under_a_low_int_str_limit():
+    a, b = 10**699 + 2, 10**699 + 3  # coprime, 700 digits each, and 7 divides neither
+    witness = _under_int_str_limit(640, residue_witness, (3 * a, 3 * 49 * b), PAdicContext(7, 2))
+    assert witness == _digits(a) + "/" + _digits(49 * b)
+
+
+@example(0, -5)
+@example(-12, -8)
+@example(12, 4)
+@given(st.integers(), st.integers().filter(bool))
+def test_rat_str_prints_as_its_fraction_oracle(n, d):
+    assert rat_str(n, d) == str(Fraction(n, d))
+
+
+def test_rat_str_refuses_a_zero_denominator():
+    for n in (-3, 0, 5):
+        with pytest.raises(ZeroDivisionError):
+            rat_str(n, 0)
 
 
 @given(rationals)

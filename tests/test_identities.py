@@ -30,6 +30,7 @@ from oracles import (
     s_val,
 )
 from scv import poly
+from scv.exact_arith import coefficients_str
 from scv.identities import (
     SIDES,
     CoefficientError,
@@ -298,7 +299,8 @@ def test_bb4_sides_match_as_written_oracle():
 def test_coefficients_print_as_their_fraction_oracle(nums, trailing_zeros, den):
     # negative, zero and trailing-zero numerators over any denominator >= 1
     p = ((*nums, *[0] * trailing_zeros), den)
-    assert identities._coefficients(p) == coefficients_oracle(p)
+    assert coefficients_str(*p) == coefficients_oracle(p)
+    assert coefficients_str([0] * len(nums), den) == "[]"
 
 
 def test_f_poly_matches_as_written_oracle():
@@ -354,12 +356,15 @@ def test_telescope_violations_match_unipoly_oracle(monkeypatch, shift):
     def perturbed(s):
         return fraction_poly.pair_binomial_poly(s) + (shift if s == 3 else 0)
 
+    pair_binomial_poly = poly.pair_binomial_poly
+
     def perturbed_int(s):
         # over the same s!^2, so the library's denominators still clear every term
-        p = poly.pair_binomial_poly(s)
+        p = pair_binomial_poly(s)
         return poly.poly_sum([(1, p), (shift if s == 3 else 0, ((1,), 1))], p[1])
 
-    monkeypatch.setattr(identities, "pair_binomial_poly", perturbed_int)
+    # check_telescope imports its builders from scv.poly when it runs
+    monkeypatch.setattr(poly, "pair_binomial_poly", perturbed_int)
     failed = []
     for n in range(1, 9):
         r = check_telescope(n)

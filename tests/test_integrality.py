@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,18 @@ def test_schmidt_violations_match_multipoly_oracle(monkeypatch):
                 assert r == schmidt_divisibility_oracle(n, m, eps)
                 failed += not r.passed
     assert failed > 0
+
+
+def test_integrality_sweep_passes_under_a_low_int_str_limit():
+    # its largest binomial-basis coefficients have more than 640 digits
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "scv.cli", "verify",
+         "integrality", "--nmax", "2", "--mmax", "120", "--eps", "+1"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    assert "240 passed, 0 failed" in proc.stdout
 
 
 def test_integer_valued_degree_check_raises(monkeypatch):

@@ -9,6 +9,7 @@ restarts whenever a prime is below its frontier).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -100,4 +101,19 @@ def test_walks_match_fraction_series():
             s_sum += (2 * k + 1) * sv[k] ** 2
             inner = sum(u[j] * math.comb(2 * k, j + k) for j in range(k + 1))
             bb1_sum += Fraction((-1) ** k, k + 1) * w[k] * inner
+    _clear()
+
+
+def test_cc5_and_cc10_sums_equal_the_bb1_and_rv_walks():
+    # the cc5 rhs and the cc10 windows are prefixes of walks that guo-bb1 and rv already take
+    for x in map(Fraction, congruences.SUPPORTED_X):
+        for p in primes_in_range(5, 59):
+            u, d = congruences._pair_column(x, p)
+            rows, weight = congruences._cc_row_sums(p)
+            cc5 = Fraction(sum(map(operator.mul, rows, u)), weight * d)
+            assert cc5 == Fraction(*sequences.bb1_walk(x).prefix(p)), (x, p)
+            head = sum((-1) ** s * u[s] for s in range(p))
+            full = sum((-1) ** s * u[s] for s in range(2 * p))
+            assert Fraction(head, d) == Fraction(*sequences.rv_walk(-x).prefix(p)), (x, p)
+            assert Fraction(full, d) == Fraction(*sequences.rv_walk(-x).prefix(2 * p)), (x, p)
     _clear()

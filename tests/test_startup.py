@@ -95,6 +95,19 @@ def test_congruence_sweep_loads_no_polynomial_code():
     assert [m for m in loaded if m in LAZY_SCV] == []
 
 
+@pytest.mark.parametrize("name", ["cc4", "bb4-direct"])
+def test_integer_identities_load_no_polynomial_code(name):
+    loaded = _loaded_after(
+        "import contextlib, io, scv.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = scv.cli.main(\n"
+        f"        ['verify', 'identity', '--name', {name!r}, '--max', '2'], standalone_mode=False\n"
+        "    )\n"
+        "assert rc == 0, rc"
+    )
+    assert [m for m in loaded if m in LAZY_SCV] == ["scv.identities"]
+
+
 def test_parallel_sweep_forks_without_a_pool_module():
     # two usable CPUs whatever the host has, so --jobs 2 forks two workers
     loaded = _loaded_after(
