@@ -71,7 +71,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
+    """Every sweep's subcommand, with the flags of the sweep `only` alone."""
     parser = _Parser(prog=prog, description="Exact-arithmetic verification of binomial-sum"
                      " congruences and integrality claims.")
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
@@ -83,6 +84,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         # only the flags given land in the namespace; a config file and the defaults fill the rest
         sub = subcommands.add_parser(name, help=sweep.help, description=sweep.help,
                                      allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        if name != only:  # argparse reads a sweep's flags only when that sweep is named
+            continue
         sub.add_argument("--config", help="key=value file supplying defaults; explicit flags win.")
         for option in (*sweep.options, *_COMMON_OPTIONS):
             sub.add_argument(f"--{option.name}", help=option.help,
@@ -104,7 +107,9 @@ def _join_values(argv: list[str]) -> list[str]:
 
 
 def _run(argv: list[str], prog: str) -> int:
-    given = vars(_parser(prog).parse_args(_join_values(argv)))
+    argv = _join_values(argv)
+    named = argv[1] if argv[:1] == ["verify"] and len(argv) > 1 else None
+    given = vars(_parser(prog, named).parse_args(argv))
     name = given["sweep"]
     sweep = sweeps.SWEEPS[name]
     options = (*sweep.options, *_COMMON_OPTIONS)
@@ -121,7 +126,7 @@ def _run(argv: list[str], prog: str) -> int:
     try:
         checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
     except (OSError, RuntimeError) as exc:
-        # a worker that exits non-zero or sends a result that does not unpickle, or a failed fork
+        # a worker that exits non-zero or sends a result that does not decode, or a failed fork
         raise WorkerFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
     # an empty or all-skipped grid would pass without deciding anything

@@ -14,6 +14,7 @@ identical results, returned in task order either way.
 
 from __future__ import annotations
 
+import marshal
 import os
 import sys
 from functools import cache, partial
@@ -23,7 +24,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from . import congruences
 from .congruences import SUPPORTED_X, CheckResult
-from .exact_arith import PRIME_LIMIT, primes_in_range, rat_str
+from .exact_arith import PRIME_LIMIT, Rat, primes_in_range, rat_str
 from .sequences import RV_FAMILIES
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -91,7 +92,8 @@ def execute_task(task: Task) -> CheckResult:
     except Exception as exc:  # a raising check is a reported failure, not a crash
         return CheckResult(
             check_name=kind,
-            parameters=params,
+            # a Fraction prints as each verifier prints it, so a forked worker can send it
+            parameters={k: rat_str(v) if isinstance(v, Rat) else v for k, v in params.items()},
             passed=False,
             lhs_witness=f"error: {type(exc).__name__}: {exc}",
             rhs_witness="",
@@ -102,8 +104,11 @@ def execute_task(task: Task) -> CheckResult:
 def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs).
 
-    Each worker is a forked child that runs one contiguous slice of the tasks,
-    so a grid laid out point by point gives each worker its own walk points.
+    The tasks are cut into one contiguous slice per worker, so a grid laid out
+    point by point gives each worker its own walk points. This process forks a
+    child for each slice but the last, runs the last itself, then reads each
+    child's records from a pipe as marshal data of plain tuples, so a forked
+    record's values must be of types marshal writes, as every SWEEPS grid's are.
     Forking a process that runs other threads is unsafe: such a caller passes jobs=1.
     """
     tasks = list(tasks)
@@ -111,26 +116,25 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     workers = min(jobs, cpus or 1, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [execute_task(t) for t in tasks]
-    import pickle  # only a parallel run pays its import
-
     cuts = [len(tasks) * i // workers for i in range(workers + 1)]
     pipes, pids, statuses, sent = [], [], [], None
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in zip(cuts, cuts[1:-1]):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             with open(write, "wb") as out:
                 if (pid := os.fork()) == 0:  # the worker never returns into its parent's code
                     code = 1
                     try:
-                        pickle.dump([execute_task(t) for t in tasks[lo:hi]], out)
-                        out.flush()  # os._exit does not flush
+                        marshal.dump([tuple(execute_task(t)) for t in tasks[lo:hi]], out)
+                        out.close()  # os._exit does not flush
                         code = 0
                     except BaseException:
                         sys.excepthook(*sys.exc_info())
                     finally:
                         os._exit(code)
             pids.append(pid)
+        own = [execute_task(t) for t in tasks[cuts[-2]:]]
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -147,10 +151,10 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
         if status:
             raise RuntimeError(f"{where} exited with status {status}")
         try:
-            results += pickle.loads(data)
+            results += [CheckResult(*record) for record in marshal.loads(data)]
         except Exception as exc:
-            raise RuntimeError(f"{where} sent a result that does not unpickle: {exc!r}") from None
-    return results
+            raise RuntimeError(f"{where} sent a result that does not decode: {exc!r}") from None
+    return results + own
 
 
 def _families(kind: str, pmax: int) -> Iterator[Task]:

@@ -109,18 +109,21 @@ def test_integer_identities_load_no_polynomial_code(name):
 
 
 def test_parallel_sweep_forks_without_a_pool_module():
-    # two usable CPUs whatever the host has, so --jobs 2 forks two workers
+    # two usable CPUs whatever the host has, so --jobs 2 forks one worker and runs a slice itself
     loaded = _loaded_after(
         "import contextlib, io, os, scv.cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = scv.cli.main(\n"
         "        ['verify', 'sun-p4', '--pmax', '13', '--jobs', '2'], standalone_mode=False\n"
         "    )\n"
-        "assert rc == 0, rc",
+        "assert rc == 0, rc\n"
+        "assert forks == [1], forks",
         (*POOL, "pickle"),
     )
-    assert loaded == ["pickle"]  # the workers' results came back pickled, through no pool
+    assert loaded == []  # the worker's results came back as marshal data, through no pool
 
 
 def test_schmidt_sweep_loads_no_polynomial_code():

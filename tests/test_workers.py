@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from scv.sweeps import SWEEPS, run_tasks
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    # two usable CPUs whatever the host has, so jobs=2 forks two workers
+    # two usable CPUs whatever the host has, so jobs=2 forks one worker and runs a slice itself
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -31,14 +32,41 @@ GRIDS = {
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
-def test_forked_slices_equal_the_in_process_run(grid):
+def test_forked_slices_equal_the_in_process_run(grid, monkeypatch):
     tasks = list(SWEEPS[grid[0]].grid(*grid[1:]))
-    # forked first, so the in-process run has not filled the caches the workers start from
-    forked = run_tasks(tasks, jobs=2)
-    assert forked == run_tasks(tasks)
+    # jobs=3 first: each run's last slice fills this process's caches, which later workers inherit
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forked = run_tasks(tasks, jobs=3)
+    assert run_tasks(tasks, jobs=2) == forked == run_tasks(tasks)
     assert [(r.check_name, r.parameters) for r in forked] == [
         (kind, dict(kv)) for kind, kv in tasks
     ]
+
+
+def test_a_check_raising_in_this_process_slice_is_the_same_error_record(monkeypatch):
+    liu26 = sweeps.KINDS["liu26"]
+
+    def check(s):
+        if s in (1, 8):  # one in the forked slice, one in the slice this process runs
+            raise ValueError("refused")
+        return liu26(s=s)
+
+    monkeypatch.setitem(sweeps.KINDS, "liu26", check)
+    tasks = list(SWEEPS["identity"].grid("liu26", 9))
+    forked = run_tasks(tasks, jobs=2)
+    assert forked == run_tasks(tasks)
+    assert [r.lhs_witness for r in forked if not r.passed] == ["error: ValueError: refused"] * 2
+
+
+def test_a_raising_check_prints_a_fraction_parameter_as_the_verifiers_do(monkeypatch):
+    def check(x, p):
+        raise ValueError("refused")
+
+    monkeypatch.setitem(sweeps.KINDS, "cc5", check)
+    tasks = [("cc5", (("x", Fraction(-1, 5)), ("p", p))) for p in (7, 11)]
+    forked = run_tasks(tasks, jobs=2)
+    assert forked == run_tasks(tasks)
+    assert [r.parameters for r in forked] == [{"x": "-1/5", "p": 7}, {"x": "-1/5", "p": 11}]
 
 
 def test_grids_reach_the_cases_they_are_named_for():
@@ -53,14 +81,14 @@ def test_grids_reach_the_cases_they_are_named_for():
 
 
 _LARGE_SLICES = """
-import json, os, pickle
+import json, marshal, os
 import scv.sweeps as sweeps
 
 os.sched_getaffinity = lambda pid: {0, 1}
 tasks = list(sweeps.SWEEPS["identity"].grid("all", None))
 forked = sweeps.run_tasks(tasks, jobs=2)
 cut = len(tasks) // 2
-sizes = [len(pickle.dumps(forked[:cut])), len(pickle.dumps(forked[cut:]))]
+sizes = [len(marshal.dumps([tuple(r) for r in part])) for part in (forked[:cut], forked[cut:])]
 print(json.dumps([len(tasks), forked == sweeps.run_tasks(tasks), sizes]))
 """
 
@@ -78,34 +106,35 @@ def _fresh(code, *args):
 def test_slices_larger_than_a_pipe_buffer_do_not_deadlock():
     count, equal, sizes = _fresh(_LARGE_SLICES)
     assert count == 3244 and equal
-    # a worker whose slice exceeds a 64 KiB pipe buffer blocks until the parent reads it
-    assert max(sizes) > 65536
+    # the forked worker's slice exceeds a 64 KiB pipe buffer, so it blocks until
+    # the parent has run its own slice and reads the pipe
+    assert sizes[0] > 65536
 
 
 _FAILING_WORKER = """
-import json, os, sys
+import json, marshal, os, sys, time
 import pytest
 import scv.sweeps as sweeps
 
-mode = sys.argv[1]
+mode, jobs = sys.argv[1], int(sys.argv[2])
 tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 9))
 liu26 = sweeps.KINDS["liu26"]
 
 
-def refuse():
-    raise ValueError("refused")
-
-
-class Unpicklable:
-    def __reduce__(self):
-        return (refuse, ())
+def short_dump(value, file):  # only workers dump: each one's result arrives cut short
+    file.write(marshal.dumps(value)[:-1])
 
 
 def check(s):
-    if mode == "exit-first" and s == 1 or mode == "exit-second" and s == 7:
+    # with 10 tasks, jobs=2 forks a worker on s = 0..4, and jobs=3 one on 0..2 and one on 3..5;
+    # this process runs the last slice
+    if mode == "exit-first" and s == 1 or mode == "exit-second" and s == 4:
         os._exit(3)
-    record = liu26(s=s)
-    return record._replace(modulus=Unpicklable()) if mode == "unpickle" and s == 8 else record
+    if mode == "interrupt" and s == 1:  # the worker is still running when the parent stops
+        time.sleep(60)
+    if mode == "interrupt" and s == 9:
+        raise KeyboardInterrupt
+    return liu26(s=s)
 
 
 real_fork = os.fork
@@ -120,16 +149,18 @@ def fork():
 
 
 with pytest.MonkeyPatch.context() as mp:
-    mp.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    mp.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(jobs)), raising=False)
     mp.setattr(sweeps.os, "fork", fork)
     mp.setitem(sweeps.KINDS, "liu26", check)
-    if sys.argv[2:]:  # the same tasks through `scv verify ...`, which exits here
+    if mode == "decode":
+        mp.setattr(marshal, "dump", short_dump)
+    if sys.argv[3:]:  # the same tasks through `scv verify ...`, which exits here
         import scv.cli
 
-        scv.cli.main(sys.argv[2:])
+        scv.cli.main(sys.argv[3:])
     try:
-        outcome = ["returned", len(sweeps.run_tasks(tasks, jobs=2))]
-    except Exception as exc:
+        outcome = ["returned", len(sweeps.run_tasks(tasks, jobs=jobs))]
+    except (Exception, KeyboardInterrupt) as exc:
         outcome = [type(exc).__name__, str(exc)]
 try:
     left = os.waitpid(-1, os.WNOHANG)
@@ -141,28 +172,42 @@ print(json.dumps([outcome, left, len(forks)]))
 
 _FAILURES = [
     ("exit-first", "RuntimeError", "the worker on tasks 0..4 of 10 exited with status 3"),
-    ("exit-second", "RuntimeError", "the worker on tasks 5..9 of 10 exited with status 3"),
-    ("unpickle", "RuntimeError", "the worker on tasks 5..9 of 10 sent a result that does not"
-                                 " unpickle: ValueError('refused')"),
+    ("exit-second", "RuntimeError", "the worker on tasks 3..5 of 10 exited with status 3"),
+    ("decode", "RuntimeError", "the worker on tasks 0..4 of 10 sent a result that does not"
+                               " decode: EOFError('EOF read where object expected')"),
     ("fork-fails", "BlockingIOError", "no more processes"),
 ]
+# a second forked worker needs three workers, as the parent runs the last slice
+_JOBS = {"exit-second": 3, "fork-fails": 3}
 
 
 @pytest.mark.parametrize("mode, error, message", _FAILURES)
 def test_a_failing_worker_raises_and_leaves_no_child(mode, error, message):
-    outcome, left, forks = _fresh(_FAILING_WORKER, mode)
+    jobs = _JOBS.get(mode, 2)
+    outcome, left, forks = _fresh(_FAILING_WORKER, mode, str(jobs))
     assert outcome == [error, message]  # raised, so no partial list came back
     assert left is None  # every worker was reaped
-    assert forks == 2
+    assert forks == jobs - 1  # the parent runs the last slice itself
+
+
+def test_an_interrupt_in_this_process_slice_stops_the_worker():
+    # the worker sleeps for a minute, so only a kill lets the run end within the timeout
+    outcome, left, forks = _fresh(_FAILING_WORKER, "interrupt", "2")
+    assert outcome == ["KeyboardInterrupt", ""]
+    assert left is None
+    assert forks == 1
 
 
 @pytest.mark.parametrize("mode, error, message", _FAILURES)
 def test_a_failing_worker_ends_the_cli_run_with_an_error_line(mode, error, message):
+    jobs = _JOBS.get(mode, 2)
     proc = subprocess.run(
-        [sys.executable, "-c", _FAILING_WORKER, mode,
-         "verify", "identity", "--name", "liu26", "--max", "9", "--jobs", "2"],
+        [sys.executable, "-c", _FAILING_WORKER, mode, str(jobs),
+         "verify", "identity", "--name", "liu26", "--max", "9", "--jobs", str(jobs)],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
         capture_output=True, text=True, timeout=30,
     )
     # no traceback: one line on stderr, no report, exit 1
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"Error: --jobs 2: {message}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"Error: --jobs {jobs}: {message}\n"
+    )
