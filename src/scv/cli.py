@@ -24,10 +24,19 @@ _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
 def _writable(path: str) -> str:
-    """Refuse an --out FILE that could not be written, before the sweep runs."""
-    if not Path(path).parent.is_dir():
-        raise UsageError(f"directory {Path(path).parent} does not exist")
-    if Path(path).is_dir() or Path(path).exists() and not os.access(path, os.W_OK):
+    """Refuse an --out FILE that could not be written, before the sweep runs.
+
+    A FILE that does not exist yet is made in its directory, which must then
+    be writable and searchable.
+    """
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise UsageError(f"directory {target.parent} does not exist")
+    if target.exists():
+        writable = not target.is_dir() and os.access(target, os.W_OK)
+    else:
+        writable = os.access(target.parent, os.W_OK | os.X_OK)
+    if not writable:
         raise UsageError(f"{path} is a directory or is not writable")
     return path
 

@@ -15,10 +15,12 @@ prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
 (N = 2p) off the rv terms at a, the lhs of sun-p4, guo-bb1, cc5 and cc10
 off the weighted s_k^2 sum at x, and the guo-bb1 rhs off its own walk. So
 a sweep walks each series once per point instead of once per prime. The
-cc5 rows, cc7 and the cc8-cc10 windows depend on p through the k < p cut:
-the rows are built once per p and shared by cc5 and cc7, and one
-pair-binomial column per (x, p) is shared by cc5 and cc8-cc10. cc5 and
-cc10 at one (x, p) read the same walk frontier, which costs nothing.
+cc5 rows, cc7 and the cc8-cc10 windows depend on p through their weights:
+the rows are built once per p and shared by cc5 and cc7, and the cc5 rhs
+and each cc8-cc10 window is one sequences.weighted_sum pass over the rv
+terms t_s at a = -x, since C(x,s) C(x+s,s) = (-1)^s t_s and each cc x is
+minus a family's a. cc5 and cc10 at one (x, p) read the same walk
+frontier, which costs nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .exact_arith import (
@@ -42,7 +44,7 @@ from .exact_arith import (
     pair_valuation,
     rat_str,
 )
-from .sequences import RV_FAMILIES, bb1_walk, pair_binomial_values, rv_walk, s_square_walk
+from .sequences import RV_FAMILIES, bb1_walk, rv_series, rv_walk, s_square_walk, weighted_sum
 
 
 class OutOfRange(ValueError):
@@ -145,8 +147,9 @@ def _require_prime(p: int, minimum: int, k: int = 1) -> PAdicContext:
     return ctx
 
 
-# the x of the cc checks, as written in their report parameters
-SUPPORTED_X = ("-1/2", "-1/3", "-1/4", "-1/6")
+# the x of the cc checks, as written in their report parameters: each -x is
+# a family's a, so the cc windows are passes over that family's rv terms
+SUPPORTED_X = tuple(rat_str(fam.sun_x) for fam in RV_FAMILIES.values())
 
 
 def _require_supported_x(x: Rat) -> Fraction:
@@ -193,15 +196,6 @@ def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
     return tuple(rows), den
 
 
-@functools.lru_cache(maxsize=2)
-def _pair_column(x: Fraction, p: int) -> tuple[list[int], int]:
-    """C(x,s) C(x+s,s) for s = 0..2p-1 over one denominator; cc5 and cc8-cc10 share it.
-
-    The cc grid asks for it point by point, so two columns held build each once.
-    """
-    return pair_binomial_values(x, 2 * p - 1)
-
-
 def verify_sun_p4(family: str, p: int) -> CheckResult:
     """sum_{k<p} (2k+1) s_k(x)^2 against constant * Legendre * p^2, mod p^4."""
     ctx = _require_prime(p, 5, 4)
@@ -245,9 +239,10 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
-    u, d = _pair_column(x, p)
     rows, weight = _cc_row_sums(p)
-    rhs = (p * p * sum(map(operator.mul, rows, u)), weight * d)  # s <= 2p-2
+    # C(x,s) C(x+s,s) = (-1)^s t_s, with t_s the rv term at a = -x
+    total, d = weighted_sum(((-1) ** s * row for s, row in enumerate(rows)), rv_series(-x))
+    rhs = (p * p * total, weight * d)
     return _congruence_result("cc5", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
 
 
@@ -270,8 +265,9 @@ def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
     ctx = _require_prime(p, 5, 2)
     x = _require_supported_x(x)
-    u, d = _pair_column(x, p)
-    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, (u[-1], d), ctx)
+    # the s = 2p-1 term alone, (-1)^{2p-1} t_{2p-1}
+    term = weighted_sum(chain(repeat(0, 2 * p - 1), (-1,)), rv_series(-x))
+    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, term, ctx)
 
 
 def verify_cc9(x: Rat, p: int) -> CheckResult:
@@ -282,9 +278,10 @@ def verify_cc9(x: Rat, p: int) -> CheckResult:
     """
     ctx = _require_prime(p, 5)
     x = _require_supported_x(x)
-    u, d = _pair_column(x, p)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
-    tail = sum((-1) ** s * (weight // (s + 1)) * u[s] for s in range(p, 2 * p))
+    # (-1)^s C(x,s) C(x+s,s) = t_s, the rv term at a = -x
+    weights = chain(repeat(0, p), (weight // (s + 1) for s in range(p, 2 * p)))
+    tail, d = weighted_sum(weights, rv_series(-x))
     return _valuation_result("cc9", {"x": rat_str(x), "p": p}, (tail, weight * d), ctx)
 
 
@@ -298,8 +295,7 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     x = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
-    u, d = _pair_column(x, p)
-    head = sum((-1) ** s * u[s] for s in range(p))
-    full = sum((-1) ** s * u[s] for s in range(2 * p))
-    rhs = (p * p * (2 * head - full), d)
+    # 2 head - full weighs the terms (-1)^s C(x,s) C(x+s,s) = t_s by +1 for s < p, -1 after
+    total, d = weighted_sum(chain(repeat(1, p), repeat(-1, p)), rv_series(-x))
+    rhs = (p * p * total, d)
     return _congruence_result("cc10", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)

@@ -7,8 +7,6 @@ Definitions (all exact over Rat):
     S_n(x_0..x_n)   sum_k C(n+k,2k) C(2k,k) x_k      (linear form)
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
-pair_binomial_values evaluates a whole column at a rational point in plain
-int arithmetic, as int numerators over one known common denominator.
 s_series, the one s_n kernel, runs the certified three-term recurrence of
 s_n at O(1) int operations per step.
 
@@ -18,9 +16,10 @@ gives each exact prefix sum as (numerator, denominator) ints: term k is an
 int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
 so no term is ever reduced to a Fraction, and a check decides on that
 unreduced pair as it is. rv_walk, s_square_walk and bb1_walk are the
-cached per-point walks; cache_clear() on them drops every cursor. The
-same families as polynomials in x are in scv.poly, which the congruence
-checks never load.
+cached per-point walks; cache_clear() on them drops every cursor. A side
+whose terms carry p-dependent weights is one weighted_sum pass over the
+same series, on the same unreduced pairs. The same families as
+polynomials in x are in scv.poly, which the congruence checks never load.
 """
 
 from __future__ import annotations
@@ -33,37 +32,6 @@ from itertools import count
 from typing import NamedTuple
 
 from .exact_arith import Rat
-
-
-def ratio_column(den: int, steps: Iterable[tuple[int, int]]) -> list[int]:
-    """[den * r_0, den * r_1, ...] for r_0 = 1 and r_s = r_{s-1} * m_s / d_s.
-
-    `steps` yields the integer pairs (m_s, d_s). Every division must be exact,
-    which holds when den is a common denominator of the whole column; a
-    remainder means a wrong den and raises ArithmeticError instead of
-    truncating.
-    """
-    out = [den]
-    for s, (m, d) in enumerate(steps, 1):
-        q, r = divmod(out[-1] * m, d)
-        if r:
-            raise ArithmeticError(f"den is not a common denominator: step {s} leaves a remainder")
-        out.append(q)
-    return out
-
-
-def pair_binomial_values(x: Rat | int, smax: int) -> tuple[list[int], int]:
-    """Numerators of [C(x,s) * C(x+s,s) for s = 0..smax] over one denominator.
-
-    At x = a/b, C(x,s) C(x+s,s) = N_s / (b^{2s} s!^2) with N_s an integer, so
-    D = b^{2 smax} smax!^2 is a common denominator; the ratio of consecutive
-    terms is (a-(s-1)b)(a+sb) / (sb)^2.
-    """
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    den = b ** (2 * smax) * math.factorial(smax) ** 2
-    steps = (((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, smax + 1))
-    return ratio_column(den, steps), den
 
 
 class PrefixWalk:
@@ -99,6 +67,19 @@ class PrefixWalk:
             total, den = total * r + m, den * r
         self._n, self._total, self._den = n, total, den
         return total, den
+
+
+def weighted_sum(weights: Iterable[int], series: Iterator[tuple[int, int]]) -> tuple[int, int]:
+    """(numerator, denominator) of sum_k w_k m_k / D_k over D_{n-1}, n = len(weights).
+
+    `series` yields the pairs (r_k, m_k) of a PrefixWalk series; exactly one
+    is taken per weight, and no weights give (0, 1). This is one pass for a
+    window whose weights depend on p, where a walk's prefix cannot serve.
+    """
+    total, den = 0, 1
+    for w, (r, m) in zip(weights, series):
+        total, den = total * r + w * m, den * r
+    return total, den
 
 
 def rv_series(a: Rat) -> Iterator[tuple[int, int]]:

@@ -172,8 +172,8 @@ CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10":
 
 
 def _cc(which: str, pmax: int) -> Iterator[Task]:
-    # p by p, and x by x within p: the checks at one (x, p) share its pair-binomial
-    # column and each x's weighted s_k^2 walk only moves forward
+    # p by p, and x by x within p: cc5 and cc7 share the rows of each p, and
+    # each x's weighted s_k^2 walk only moves forward
     kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
     for p in primes_in_range(5, pmax):
         if "cc7" in kinds:
@@ -257,7 +257,8 @@ def int_option(name: str, default: int | None, least: int, most: int | None = No
             raise UsageError(f"{value} is not in the range {span}")
         return value
 
-    return Option(name, default, convert, f"{help} [default: {default}; {span}]")
+    shown = span if default is None else f"default: {default}; {span}"
+    return Option(name, default, convert, f"{help} [{shown}]")
 
 
 def choice_option(name: str, choices: Collection[str], default: str, help: str = "") -> Option:

@@ -10,7 +10,10 @@ The rv, lemma2p, sun-p4 and guo-bb1 verifiers read their sums off prefix
 walks; the *_oracle verifiers here build each int column from k = 0 for
 every prime instead, so the tests can require the same CheckResult from
 both routes. Their s_k come from int_s_values, the binomial transform of
-the pair-binomial column, not from the s_n recurrence of the library.
+the pair-binomial column, not from the s_n recurrence of the library. The
+int columns divide each term out of one common denominator (ratio_column);
+int_pair_binomial_values builds the C(x,s) C(x+s,s) column that the
+library reads off the rv terms at a = -x.
 
 The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
@@ -41,7 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 
@@ -62,7 +65,7 @@ from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.report import RunReport
-from scv.sequences import RV_FAMILIES, ratio_column
+from scv.sequences import RV_FAMILIES
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -447,6 +450,38 @@ def cc10_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
 # every (k, p).
 
 
+def ratio_column(den: int, steps: Iterable[tuple[int, int]]) -> list[int]:
+    """[den * r_0, den * r_1, ...] for r_0 = 1 and r_s = r_{s-1} * m_s / d_s.
+
+    `steps` yields the integer pairs (m_s, d_s). Every division must be exact,
+    which holds when den is a common denominator of the whole column; a
+    remainder means a wrong den and raises ArithmeticError instead of
+    truncating.
+    """
+    out = [den]
+    for s, (m, d) in enumerate(steps, 1):
+        q, r = divmod(out[-1] * m, d)
+        if r:
+            raise ArithmeticError(f"den is not a common denominator: step {s} leaves a remainder")
+        out.append(q)
+    return out
+
+
+def int_pair_binomial_values(x: Rat | int, smax: int) -> tuple[list[int], int]:
+    """Numerators of [C(x,s) * C(x+s,s) for s = 0..smax] over one denominator.
+
+    At x = a/b, C(x,s) C(x+s,s) = N_s / (b^{2s} s!^2) with N_s an integer, so
+    D = b^{2 smax} smax!^2 is a common denominator; the ratio of consecutive
+    terms is (a-(s-1)b)(a+sb) / (sb)^2. The library reads these terms off the
+    rv series at a = -x instead, as (-1)^s times the rv terms.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    den = b ** (2 * smax) * math.factorial(smax) ** 2
+    steps = (((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, smax + 1))
+    return ratio_column(den, steps), den
+
+
 def int_rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
     """Numerators of the first `count` terms (a)_k (1-a)_k / (1)_k^2 over one denominator.
 
@@ -481,7 +516,7 @@ def int_s_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:
     U row: additions only, O(kmax^2) of them, and no use of the s_n
     recurrence that sequences.s_series runs.
     """
-    row, den = sequences.pair_binomial_values(x, kmax)
+    row, den = int_pair_binomial_values(x, kmax)
     out = []
     while row:
         out.append(row[0])
@@ -536,7 +571,7 @@ def verify_guo_bb1_oracle(x: Rat, p: int) -> CheckResult:
     x = Fraction(x)
     lhs = int_weighted_s_square_sum(x, p)
     w, e = int_central_binomial_values(x, p - 1)
-    u, d = sequences.pair_binomial_values(x, p - 1)
+    u, d = int_pair_binomial_values(x, p - 1)
     weight = math.factorial(p)  # 1/(k+1) = (p!/(k+1)) / p! for k < p
     total = 0
     for k in range(p):

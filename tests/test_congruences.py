@@ -265,20 +265,3 @@ def test_cc_rows_match_comb_sums_as_written():
     # every p, not only primes: the Horner rows in u = t + t^2 against the sum over k
     for p, rows in cc_row_sums(300):
         assert congruences._cc_row_sums.__wrapped__(p) == rows, p
-
-
-def test_cc_grid_builds_one_pair_column_per_point(monkeypatch):
-    built = []
-    build = congruences.pair_binomial_values
-
-    def counted(x, smax):
-        built.append((x, smax))
-        return build(x, smax)
-
-    monkeypatch.setattr(congruences, "pair_binomial_values", counted)
-    congruences._pair_column.cache_clear()
-    results = run_tasks(SWEEPS["cc"].grid("all", 40))
-    assert results and all(r.passed for r in results)
-    # cc5, cc8, cc9 and cc10 share one column at each of the 4 x and 10 primes
-    assert len(built) == len(set(built)) == 40
-    assert congruences._pair_column.cache_info().currsize <= 2

@@ -12,10 +12,17 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import fraction_column, int_central_binomial_values, int_rv_terms, s_series_column
+from oracles import (
+    fraction_column,
+    int_central_binomial_values,
+    int_pair_binomial_values,
+    int_rv_terms,
+    ratio_column,
+    s_series_column,
+)
 import scv.congruences as congruences
 from scv.exact_arith import primes_in_range
-from scv.sequences import RV_FAMILIES, pair_binomial_values, ratio_column
+from scv.sequences import RV_FAMILIES
 from scv.sweeps import DEFAULT_BB1_X
 
 PRIMES = primes_in_range(3, 100)
@@ -27,7 +34,7 @@ BB1_X = tuple(dict.fromkeys((*map(Fraction, DEFAULT_BB1_X), *CC_X, *HEIGHT_X)))
 @pytest.mark.parametrize("x", BB1_X, ids=str)
 def test_columns_match_fraction_oracle(x):
     for p in PRIMES:
-        pairs = pair_binomial_values(x, 2 * p - 1)
+        pairs = int_pair_binomial_values(x, 2 * p - 1)
         assert fraction_column(pairs) == oracles.pair_binomial_values(x, 2 * p - 1)
         central = int_central_binomial_values(x, p - 1)
         assert fraction_column(central) == oracles.central_binomial_values(x, p - 1)
@@ -107,7 +114,7 @@ def test_wrong_denominator_raises():
     x = Fraction(-1, 6)
     a, b = x.numerator, x.denominator
     steps = [((a - (s - 1) * b) * (a + s * b), (s * b) ** 2) for s in range(1, 11)]
-    nums, den = pair_binomial_values(x, 10)
+    nums, den = int_pair_binomial_values(x, 10)
     assert ratio_column(den, steps) == nums
     with pytest.raises(ArithmeticError, match="not a common denominator"):
         ratio_column(den // b, steps)

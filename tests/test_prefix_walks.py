@@ -15,6 +15,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import scv.congruences as congruences
@@ -22,7 +24,7 @@ import scv.sequences as sequences
 from scv.exact_arith import primes_in_range
 from scv.sequences import RV_FAMILIES, PrefixWalk
 from scv.sweeps import DEFAULT_BB1_X
-from test_int_kernels import BB1_X
+from test_int_kernels import BB1_X, _spy
 
 WALKS = (sequences.rv_walk, sequences.s_square_walk, sequences.bb1_walk)
 
@@ -104,16 +106,32 @@ def test_walks_match_fraction_series():
     _clear()
 
 
-def test_cc5_and_cc10_sums_equal_the_bb1_and_rv_walks():
-    # the cc5 rhs and the cc10 windows are prefixes of walks that guo-bb1 and rv already take
+def test_cc5_and_cc10_sums_equal_the_bb1_and_rv_walks(monkeypatch):
+    # the cc5 rhs pass and the cc10 window pass equal prefixes of walks that guo-bb1 and rv take
+    seen = _spy(monkeypatch, "pair_congruent")
     for x in map(Fraction, congruences.SUPPORTED_X):
+        rv = sequences.rv_walk(-x)
         for p in primes_in_range(5, 59):
-            u, d = congruences._pair_column(x, p)
-            rows, weight = congruences._cc_row_sums(p)
-            cc5 = Fraction(sum(map(operator.mul, rows, u)), weight * d)
-            assert cc5 == Fraction(*sequences.bb1_walk(x).prefix(p)), (x, p)
-            head = sum((-1) ** s * u[s] for s in range(p))
-            full = sum((-1) ** s * u[s] for s in range(2 * p))
-            assert Fraction(head, d) == Fraction(*sequences.rv_walk(-x).prefix(p)), (x, p)
-            assert Fraction(full, d) == Fraction(*sequences.rv_walk(-x).prefix(2 * p)), (x, p)
+            seen.clear()
+            assert congruences.verify_cc5(x, p).passed and congruences.verify_cc10(x, p).passed
+            (_, cc5, _), (_, cc10, _) = seen
+            assert Fraction(*cc5) == p * p * Fraction(*sequences.bb1_walk(x).prefix(p)), (x, p)
+            windows = 2 * Fraction(*rv.prefix(p)) - Fraction(*rv.prefix(2 * p))
+            assert Fraction(*cc10) == p * p * windows, (x, p)
     _clear()
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40)), max_size=30),
+)
+def test_weighted_sum_matches_fraction_sum(a, weights):
+    n = len(weights)
+    terms = oracles.rv_terms(a, n + 1)
+    series = sequences.rv_series(a)
+    total, den = sequences.weighted_sum(weights, series)
+    assert Fraction(total, den) == sum(map(operator.mul, weights, terms), Fraction(0))
+    # exactly n terms were taken, and den is D_{n-1}: the next pair is term n over D_n
+    r, m = next(series)
+    assert Fraction(m, den * r) == terms[n]
+    assert sequences.weighted_sum([], sequences.rv_series(a)) == (0, 1)

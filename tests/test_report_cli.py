@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import check_sort_key_oracle
 
+import scv.cli as cli
 import scv.sweeps as sweeps
 from scv import __version__
 from scv.cli import main
@@ -427,6 +428,20 @@ def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch
     assert calls == []
     assert run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "x.json")).exit_code == 0
     assert len(calls) == 8
+
+
+def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypatch):
+    # as a user without write permission sees it: os.access denies what root would pass
+    calls, asked = [], []
+    rv = sweeps.KINDS["rv"]
+    monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: asked.append((path, mode)) or False)
+    res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "new.json"))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage error, no PermissionError traceback
+    assert "is not writable" in res.output
+    assert asked == [(tmp_path, cli.os.W_OK | cli.os.X_OK)]  # the directory the file goes in
+    assert calls == [] and not (tmp_path / "new.json").exists()
 
 
 def test_cli_schmidt_over_term_limit_rejected_before_work(monkeypatch):

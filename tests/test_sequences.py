@@ -14,6 +14,7 @@ from oracles import (
     fraction_column,
     gen_binomial,
     int_central_binomial_values,
+    int_pair_binomial_values,
     pochhammer,
     rv_term,
     s_series_column,
@@ -21,11 +22,7 @@ from oracles import (
     signed_jacobi_term,
 )
 from scv import poly
-from scv.sequences import (
-    RV_FAMILIES,
-    pair_binomial_values,
-    rv_walk,
-)
+from scv.sequences import RV_FAMILIES, rv_walk
 
 
 # The library's integer polynomial families, as UniPolys.
@@ -111,7 +108,7 @@ def test_delannoy_oracle():
 
 def test_pair_and_central_binomial_columns():
     x = Fraction(-1, 6)
-    u = fraction_column(pair_binomial_values(x, 10))
+    u = fraction_column(int_pair_binomial_values(x, 10))
     w = fraction_column(int_central_binomial_values(x, 10))
     for s in range(11):
         assert u[s] == gen_binomial(x, s) * gen_binomial(x + s, s)
