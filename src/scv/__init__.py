@@ -3,31 +3,35 @@ combinatorial identities, and integer-valued polynomial families.
 
 Everything is computed over arbitrary-precision rationals; congruences are
 decided by p-adic valuation, identities by canonical coefficient equality.
-"""
 
-from .exact_arith import (
-    InvalidPrime,
-    PAdicContext,
-    Rat,
-    is_prime,
-    legendre,
-    primes_in_range,
-)
-from .congruences import CheckResult, OutOfRange
-from .sequences import RV_FAMILIES, RVFamily
+The names below are resolved on first access (PEP 562), so importing the
+package, as `scv verify` does, loads none of the modules they come from.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "InvalidPrime",
-    "OutOfRange",
-    "PAdicContext",
-    "Rat",
-    "RVFamily",
-    "RV_FAMILIES",
-    "is_prime",
-    "legendre",
-    "primes_in_range",
-    "__version__",
-]
+# each public name -> the submodule that defines it
+_EXPORTS = {
+    "CheckResult": "report",
+    "InvalidPrime": "exact_arith",
+    "OutOfRange": "congruences",
+    "PAdicContext": "exact_arith",
+    "Rat": "exact_arith",
+    "RVFamily": "sequences",
+    "RV_FAMILIES": "sequences",
+    "is_prime": "exact_arith",
+    "legendre": "exact_arith",
+    "primes_in_range": "exact_arith",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value

@@ -8,7 +8,10 @@ read off those pairs (exact_arith.pair_congruent, pair_residue and
 pair_valuation) with no gcd; sums whose individual terms are not p-adic
 integers (the 1/(k+1) weights at k = p-1, the s = 2p-1 tail terms) are
 handled correctly, since only the valuation of the difference counts.
-Each verdict shape (mod p^k, v_p >= k, exact equality) has one builder here.
+The verdict shapes mod p^k and v_p >= k have one builder each here; the
+record type CheckResult and the exact-equality and skip builders live in
+scv.report and are imported back, so `from scv.congruences import
+CheckResult` still works.
 
 The sides that are partial sums of a p-independent series read their
 prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
@@ -30,20 +33,19 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import NamedTuple
 
 from .exact_arith import (
     InvalidPrime,
     PAdicContext,
     Pair,
     Rat,
-    _int_str,
     _legendre,
     pair_congruent,
     pair_residue,
     pair_valuation,
     rat_str,
 )
+from .report import CheckResult, exact_result, skipped_result  # noqa: F401  (re-exported)
 from .sequences import RV_FAMILIES, bb1_walk, rv_series, rv_walk, s_square_walk, weighted_sum
 
 
@@ -51,60 +53,10 @@ class OutOfRange(ValueError):
     """Raised when a sweep parameter is outside its documented range."""
 
 
-class CheckResult(NamedTuple):
-    """Outcome of one verification, with enough data to reproduce it."""
-
-    check_name: str
-    parameters: dict[str, object]
-    passed: bool
-    lhs_witness: str
-    rhs_witness: str
-    modulus: str
-    skipped: bool = False
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "check_name": self.check_name,
-            "parameters": dict(self.parameters),
-            "pass": self.passed,
-            "skipped": self.skipped,
-            "lhs_witness": self.lhs_witness,
-            "rhs_witness": self.rhs_witness,
-            "modulus": self.modulus,
-        }
-
-
-def skipped_result(check_name: str, parameters: dict[str, object], reason: str) -> CheckResult:
-    """A Skipped record for sweep points whose preconditions do not apply."""
-    return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=False,
-        lhs_witness=reason,
-        rhs_witness="",
-        modulus="",
-        skipped=True,
-    )
-
-
 def residue_witness(side: Pair, ctx: PAdicContext) -> str:
     """Residue string when the side is a p-adic integer, its reduced a/b otherwise."""
     residue = pair_residue(*side, ctx)
     return rat_str(*side) if residue is None else str(residue)
-
-
-def exact_result(
-    check_name: str, parameters: dict[str, object], lhs: int | str, rhs: int | str
-) -> CheckResult:
-    """An exact equality of two ints or two canonical strings; _int_str passes a string on."""
-    return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=lhs == rhs,
-        lhs_witness=_int_str(lhs),
-        rhs_witness=_int_str(rhs),
-        modulus="exact",
-    )
 
 
 def _valuation_result(

@@ -34,8 +34,8 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .congruences import CheckResult, exact_result
 from .exact_arith import _int_str, coefficients_str, rat_str
+from .report import CheckResult, exact_result
 from .sequences import schmidt_coefficient
 
 

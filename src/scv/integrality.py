@@ -1,13 +1,15 @@
 """Integer-valuedness of the averaged d^m s^m sums and Schmidt-power divisibility.
 
-For integer t, d_k(t) and s_k(t) are integers, so the sum
-V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is tabulated in plain int
-arithmetic at t = 0..D+1, D = 3(n-1)m being its degree bound; the integer
-column s_0(t)..s_{n-1}(t), read off the recurrence of sequences.s_series, is
-cached per (t, n), so a grid builds it once for all its m and eps. The
-forward differences of V at 0 are its binomial-basis coefficients, and V/n
-is integer-valued iff each of them is divisible by n; a nonzero (D+1)-th
-difference would mean the bound is wrong and raises.
+V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is linear in its terms, so
+its forward differences at 0, its binomial-basis coefficients, are
+sum_{k<n} eps^k (2k+1) R_{k,m}, with R_{k,m} the forward differences at 0 of
+(d_k s_k)^m over t = 0..3km+1 (3km being the degree of d_k s_k times m).
+R_{k,m} is cached per (k, m), so a check only takes n (D+1) multiply-adds,
+D = 3(n-1)m, and V/n is integer-valued iff each coefficient is divisible by
+n; a nonzero (3km+1)-th difference would mean the bound is wrong and raises.
+Each value d_k(t) s_k(t) is an int computed once per (k, t): one column per
+t reads s_k(t) off one run of sequences.s_series and d_k(t) off the
+Delannoy recurrence in k.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .congruences import CheckResult
 from .exact_arith import _int_str, coefficients_str
+from .report import CheckResult
 from .sequences import s_series, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
@@ -47,50 +49,71 @@ def degree_bound(n: int, m: int) -> int:
     return 3 * (n - 1) * m
 
 
-@functools.lru_cache(maxsize=None)
-def _s_column(t: int, kmax: int) -> tuple[int, ...]:
-    """[s_0(t), ..., s_kmax(t)] at an integer t: each S_k of s_series over k!^2, exactly."""
-    out = []
-    for k, sk in enumerate(islice(s_series(t), kmax + 1)):
-        s, r = divmod(sk, math.factorial(k) ** 2)
+def _ds_series(t: int) -> Iterator[int]:
+    """d_k(t) s_k(t) for k = 0, 1, ... at an integer t, exactly.
+
+    s_k(t) is S_k of s_series over k!^2, and d_k(t) runs the Delannoy
+    recurrence (k+1) d_{k+1} = (2t+1) d_k + k d_{k-1} from d_0 = 1.
+    """
+    square, before, d = 1, 0, 1
+    for k, sk in enumerate(s_series(t)):
+        if k:
+            square *= k * k
+            step, r = divmod((2 * t + 1) * d + (k - 1) * before, k)
+            if r:
+                raise ArithmeticError(f"d_{k}({t}) is not an integer")
+            before, d = d, step
+        s, r = divmod(sk, square)
         if r:
             raise ArithmeticError(f"s_{k}({t}) is not an integer")
-        out.append(s)
-    return tuple(out)
+        yield d * s
 
 
-def _v_values(n: int, m: int, eps: int, tmax: int) -> list[int]:
-    """V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m for t = 0..tmax."""
-    columns = [_s_column(t, n - 1) for t in range(tmax + 1)]
-    out = [0] * (tmax + 1)
-    d = [1] * (tmax + 1)  # d_0(t)
-    for k in range(n):
-        if k:  # the Delannoy table: d_k(t) = d_{k-1}(t) + d_k(t-1) + d_{k-1}(t-1)
-            prev, d = d, [1] * (tmax + 1)
-            for t in range(1, tmax + 1):
-                d[t] = prev[t] + d[t - 1] + prev[t - 1]
-        weight = eps**k * (2 * k + 1)
-        for t, s in enumerate(columns):
-            out[t] += weight * (d[t] * s[k]) ** m
-    return out
+@functools.lru_cache(maxsize=None)
+def _ds_column(t: int) -> tuple[list[int], Iterator[int]]:
+    """The values d_k(t) s_k(t) read so far, k = 0, 1, ..., and the series that extends them.
+
+    A column grows in place, like the walks of scv.sequences, so two threads
+    must not extend one at the same time.
+    """
+    return [], _ds_series(t)
 
 
-def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
-    """Binomial-basis criterion on V/n; witness is the coefficient list."""
-    _require_point(n, m, eps)
-    bound = degree_bound(n, m)
-    vals = _v_values(n, m, eps, bound + 1)
+@functools.lru_cache(maxsize=None)
+def _term_differences(k: int, m: int) -> tuple[int, ...]:
+    """R_{k,m}: the forward differences at 0 of (d_k s_k)^m over t = 0..B+1, B = 3km.
+
+    B is the bound of V at n = k+1, and the (B+1)-th difference must be 0.
+    """
+    bound = degree_bound(k + 1, m)
+    vals = []
+    for t in range(bound + 2):
+        read, series = _ds_column(t)
+        while len(read) <= k:
+            read.append(next(series))
+        vals.append(read[k] ** m)
     diffs = []
     while vals:
         diffs.append(vals[0])
         vals = [b - a for a, b in zip(vals, vals[1:])]
     if diffs.pop():
         raise ArithmeticError(f"V has degree above its bound {bound}")
+    return tuple(diffs)
+
+
+def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
+    """Binomial-basis criterion on V/n; witness is the coefficient list."""
+    _require_point(n, m, eps)
+    coefficients = [0] * (degree_bound(n, m) + 1)
+    for k in range(n):
+        weight = eps**k * (2 * k + 1)
+        for j, r in enumerate(_term_differences(k, m)):
+            coefficients[j] += weight * r
     return CheckResult(
         check_name="integer-valued",
         parameters={"n": n, "m": m, "eps": eps},
-        passed=all(c % n == 0 for c in diffs),
-        lhs_witness=coefficients_str(diffs, n),
+        passed=all(c % n == 0 for c in coefficients),
+        lhs_witness=coefficients_str(coefficients, n),
         rhs_witness="all integers",
         modulus="exact",
     )

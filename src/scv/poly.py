@@ -109,8 +109,12 @@ def f_poly(k: int) -> IntPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    terms = (
-        (math.comb(k, j), poly_mul(shifted_binomial_poly(j, k + j), d_poly(j)))
-        for j in range(k + 1)
-    )
+    # the numerator (x+j)(x+j-1)...(x-k+1) of C(x+j, k+j) grows by one linear
+    # factor per j, from the falling factorial x(x-1)...(x-k+1) at j = 0
+    top = shifted_binomial_poly(0, k)[0]
+    terms = []
+    for j in range(k + 1):
+        if j:
+            top = int_poly_mul(top, (j, 1))
+        terms.append((math.comb(k, j), poly_mul((top, math.factorial(k + j)), d_poly(j))))
     return poly_sum(terms, math.factorial(2 * k) * math.factorial(k))

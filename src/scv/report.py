@@ -1,4 +1,9 @@
-"""Run reports: canonical ordering, summaries, and json/csv/text rendering.
+"""Check records and run reports: canonical ordering, summaries, and json/csv/text rendering.
+
+CheckResult is the record every verifier returns; exact_result and
+skipped_result are the builders shared by more than one verifier module.
+They live here, not in scv.congruences (which imports them back), so a
+sweep that runs no congruence check does not load the congruence code.
 
 Reports are deterministic byte-for-byte for identical inputs, except for the
 elapsed_seconds field: checks are stably sorted by check name and then by
@@ -16,13 +21,64 @@ no per-record dict is built.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
-from .congruences import CheckResult, skipped_result
+from .exact_arith import _int_str
+
+
+class CheckResult(NamedTuple):
+    """Outcome of one verification, with enough data to reproduce it."""
+
+    check_name: str
+    parameters: dict[str, object]
+    passed: bool
+    lhs_witness: str
+    rhs_witness: str
+    modulus: str
+    skipped: bool = False
+
+    def to_dict(self) -> dict[str, object]:
+        return {
+            "check_name": self.check_name,
+            "parameters": dict(self.parameters),
+            "pass": self.passed,
+            "skipped": self.skipped,
+            "lhs_witness": self.lhs_witness,
+            "rhs_witness": self.rhs_witness,
+            "modulus": self.modulus,
+        }
+
+
+def skipped_result(check_name: str, parameters: dict[str, object], reason: str) -> CheckResult:
+    """A Skipped record for sweep points whose preconditions do not apply."""
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=False,
+        lhs_witness=reason,
+        rhs_witness="",
+        modulus="",
+        skipped=True,
+    )
+
+
+def exact_result(
+    check_name: str, parameters: dict[str, object], lhs: int | str, rhs: int | str
+) -> CheckResult:
+    """An exact equality of two ints or two canonical strings; _int_str passes a string on."""
+    return CheckResult(
+        check_name=check_name,
+        parameters=parameters,
+        passed=lhs == rhs,
+        lhs_witness=_int_str(lhs),
+        rhs_witness=_int_str(rhs),
+        modulus="exact",
+    )
+
 
 REPORT_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -179,6 +235,8 @@ def _csv_cell(value: object) -> object:
 
 
 def render_csv(report: RunReport) -> str:
+    import csv  # here, so a json or text run does not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(skipped_result("", {}, "").to_dict()))

@@ -4,8 +4,10 @@ SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
 help text, its options (converter, range, default) and the grid function
 that turns the option values into tasks. KINDS maps each task kind, the
 check_name of its records, to its verifier, which takes the task's
-parameters as they are and prints them unchanged in its record. Adding a
-sweep means adding one SWEEPS entry plus its KINDS entries.
+parameters as they are and prints them unchanged in its record; each
+verifier's module is imported on the first check of its kind, so a sweep
+loads only the verifier module it runs. Adding a sweep means adding one
+SWEEPS entry plus its KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
 grids can run sequentially or as contiguous slices in forked workers with
@@ -22,9 +24,8 @@ from importlib import import_module
 from itertools import product
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
-from . import congruences
-from .congruences import SUPPORTED_X, CheckResult
 from .exact_arith import PRIME_LIMIT, Rat, primes_in_range, rat_str
+from .report import CheckResult
 from .sequences import RV_FAMILIES
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
@@ -46,8 +47,9 @@ def _load(module: str):
 
 
 def _lazy(module: str, verifier: str) -> Callable[..., CheckResult]:
-    # identities and integrality (and through them poly) load on their first
-    # check, so a congruence sweep never imports them. That check puts the
+    # every verifier module loads by its first check, so a sweep imports only
+    # the code it runs: a congruence sweep never loads identities, integrality
+    # or poly, and the others never load congruences. That check puts the
     # verifier itself in KINDS, so later tasks call it directly; an entry
     # replaced meanwhile, as a test's monkeypatch does, is left as it is.
     def resolve(**params: object) -> CheckResult:
@@ -60,15 +62,15 @@ def _lazy(module: str, verifier: str) -> Callable[..., CheckResult]:
 
 
 KINDS: dict[str, Callable[..., CheckResult]] = {
-    "rv": congruences.verify_rv,
-    "lemma2p": congruences.verify_lemma_2p,
-    "sun-p4": congruences.verify_sun_p4,
-    "guo-bb1": congruences.verify_guo_bb1,
-    "cc5": congruences.verify_cc5,
-    "cc7": congruences.verify_cc7,
-    "cc8-fact": congruences.verify_cc8_fact,
-    "cc9": congruences.verify_cc9,
-    "cc10": congruences.verify_cc10,
+    "rv": _lazy("congruences", "verify_rv"),
+    "lemma2p": _lazy("congruences", "verify_lemma_2p"),
+    "sun-p4": _lazy("congruences", "verify_sun_p4"),
+    "guo-bb1": _lazy("congruences", "verify_guo_bb1"),
+    "cc5": _lazy("congruences", "verify_cc5"),
+    "cc7": _lazy("congruences", "verify_cc7"),
+    "cc8-fact": _lazy("congruences", "verify_cc8_fact"),
+    "cc9": _lazy("congruences", "verify_cc9"),
+    "cc10": _lazy("congruences", "verify_cc10"),
     "cc1": _lazy("identities", "check_cc1"),
     "cc4": _lazy("identities", "check_cc4"),
     "liu26": _lazy("identities", "check_liu26"),
@@ -157,12 +159,16 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     return results + own
 
 
+# A congruence grid loads scv.congruences as run_tasks reads it, before any
+# fork, so --jobs workers inherit the module instead of each importing it.
 def _families(kind: str, pmax: int) -> Iterator[Task]:
+    _load("congruences")
     for family, p in product(RV_FAMILIES, primes_in_range(5, pmax)):
         yield _task(kind, family=family, p=p)
 
 
 def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
+    _load("congruences")
     for one, p in product(x, primes_in_range(3, pmax)):
         yield _task("guo-bb1", x=one, p=p)
 
@@ -175,11 +181,12 @@ def _cc(which: str, pmax: int) -> Iterator[Task]:
     # p by p, and x by x within p: cc5 and cc7 share the rows of each p, and
     # each x's weighted s_k^2 walk only moves forward
     kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
+    supported_x = _load("congruences").SUPPORTED_X
     for p in primes_in_range(5, pmax):
         if "cc7" in kinds:
             for s in range(p, 2 * p - 1):
                 yield _task("cc7", s=s, p=p)
-        for x, kind in product(SUPPORTED_X, kinds):
+        for x, kind in product(supported_x, kinds):
             if kind != "cc7":
                 yield _task(kind, x=x, p=p)
 

@@ -19,6 +19,10 @@ The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
 whose Newton coefficients are taken, and the Schmidt power sum is built by
 repeated MultiPoly products, each turned into the same CheckResult.
+integer_valued_triangle_oracle is the integer route the library replaced:
+for every check it tabulates V itself at t = 0..D+1 (the Delannoy table and
+one s column per (t, n)) and takes the whole difference triangle, where the
+library sums cached per-term differences.
 
 The identity checks factor their sums and work over one known denominator;
 here the double/triple sums of bb4 are evaluated as written, f_k repeats its
@@ -26,6 +30,8 @@ inner Delannoy sum for every j, cc1, telescope and bb2 multiply and add the
 Fraction UniPolys of fraction_poly (telescope also checks the roots 0 and -1
 and divides them out), and the bb4 recurrence residual evaluates its five
 coefficients anew for each side, each from its table of monomials as written.
+int_f_poly_oracle is the integer f_k the library replaced, each C(x+j, k+j)
+a new product of all its linear factors where the library adds one per j.
 
 The cc rows are summed over k as written, one C(2k,s) C(s,k) product per
 term, and the json report is the whole-report json.dumps that render_json
@@ -60,9 +66,9 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 
-from scv import congruences, sequences
+from scv import congruences, poly, sequences
 from scv.congruences import CheckResult
-from scv.exact_arith import PAdicContext, Rat, legendre, rat_str
+from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.report import RunReport
 from scv.sequences import RV_FAMILIES
@@ -212,6 +218,54 @@ def integer_valued_oracle(n: int, m: int, eps: int) -> CheckResult:
         lhs_witness="[" + ", ".join(
             str(c.numerator) if c.denominator == 1 else str(c) for c in coeffs
         ) + "]",
+        rhs_witness="all integers",
+        modulus="exact",
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def int_s_column(t: int, kmax: int) -> tuple[int, ...]:
+    """[s_0(t), ..., s_kmax(t)] at an integer t: each S_k of s_series over k!^2, exactly."""
+    out = []
+    for k, sk in enumerate(islice(sequences.s_series(t), kmax + 1)):
+        s, r = divmod(sk, math.factorial(k) ** 2)
+        if r:
+            raise ArithmeticError(f"s_{k}({t}) is not an integer")
+        out.append(s)
+    return tuple(out)
+
+
+def v_values(n: int, m: int, eps: int, tmax: int) -> list[int]:
+    """V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m for t = 0..tmax."""
+    columns = [int_s_column(t, n - 1) for t in range(tmax + 1)]
+    out = [0] * (tmax + 1)
+    d = [1] * (tmax + 1)  # d_0(t)
+    for k in range(n):
+        if k:  # the Delannoy table: d_k(t) = d_{k-1}(t) + d_k(t-1) + d_{k-1}(t-1)
+            prev, d = d, [1] * (tmax + 1)
+            for t in range(1, tmax + 1):
+                d[t] = prev[t] + d[t - 1] + prev[t - 1]
+        weight = eps**k * (2 * k + 1)
+        for t, s in enumerate(columns):
+            out[t] += weight * (d[t] * s[k]) ** m
+    return out
+
+
+def integer_valued_triangle_oracle(n: int, m: int, eps: int) -> CheckResult:
+    """verify_integer_valued by V's own values at t = 0..D+1 and their whole difference triangle."""
+    bound = 3 * (n - 1) * m
+    vals = v_values(n, m, eps, bound + 1)
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    if diffs.pop():
+        raise ArithmeticError(f"V has degree above its bound {bound}")
+    return CheckResult(
+        check_name="integer-valued",
+        parameters={"n": n, "m": m, "eps": eps},
+        passed=all(c % n == 0 for c in diffs),
+        lhs_witness=coefficients_str(diffs, n),
         rhs_witness="all integers",
         modulus="exact",
     )
@@ -624,6 +678,15 @@ def f_poly_oracle(k: int) -> UniPoly:
             inner = inner + shifted_binomial_poly(0, i).scale(math.comb(j, i) * 2**i)
         acc = acc + outer * inner
     return acc
+
+
+def int_f_poly_oracle(k: int) -> tuple[tuple[int, ...], int]:
+    """poly.f_poly with each C(x+j, k+j) built anew as a product of its k+j linear factors."""
+    terms = (
+        (math.comb(k, j), poly.poly_mul(poly.shifted_binomial_poly(j, k + j), poly.d_poly(j)))
+        for j in range(k + 1)
+    )
+    return poly.poly_sum(terms, math.factorial(2 * k) * math.factorial(k))
 
 
 def coefficients_oracle(p: tuple[tuple[int, ...], int]) -> str:

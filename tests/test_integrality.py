@@ -5,11 +5,13 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
 import fraction_poly
+import oracles
 from fraction_poly import MultiPoly, UniPoly, is_integer_valued
 from oracles import (
     crosscheck_specialization,
@@ -154,16 +156,18 @@ def test_integrality_sweep_passes_under_a_low_int_str_limit():
 
 
 def test_integer_valued_degree_check_raises(monkeypatch):
+    integrality._term_differences.cache_clear()  # cached per (k, m): build them under the bound
     monkeypatch.setattr(integrality, "degree_bound", lambda n, m: 3 * (n - 1) * m - 1)
     with pytest.raises(ArithmeticError, match="above its bound"):
         verify_integer_valued(2, 1, 1)
 
 
 def test_integer_valued_rejects_non_integral_coefficients(monkeypatch):
-    # V + 1 changes only the constant difference, which becomes odd at n = 2
-    real = integrality._v_values
+    # V + 1 changes only the constant difference, which becomes odd at n = 2;
+    # the k = 0 term (weight 1) carries it
+    real = integrality._term_differences
     monkeypatch.setattr(
-        integrality, "_v_values", lambda *args: [v + 1 for v in real(*args)]
+        integrality, "_term_differences", lambda k, m: (real(k, m)[0] + (k == 0), *real(k, m)[1:])
     )
     r = verify_integer_valued(2, 1, 1)
     assert not r.passed
@@ -221,7 +225,15 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
 
 
 def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkeypatch):
-    integrality._s_column.cache_clear()
     monkeypatch.setattr(integrality, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
     with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
-        integrality._s_column(5, 2)
+        list(islice(integrality._ds_series(5), 3))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_integer_valued_matches_the_full_triangle_route(jobs):
+    from scv.sweeps import SWEEPS, run_tasks
+
+    results = run_tasks(SWEEPS["integrality"].grid(20, 4, "both"), jobs=jobs)
+    grid = product(range(1, 21), range(1, 5), (1, -1))
+    assert results == [oracles.integer_valued_triangle_oracle(n, m, eps) for n, m, eps in grid]

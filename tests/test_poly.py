@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_poly
+import oracles
 from fraction_poly import (
     ArityError,
     MultiPoly,
@@ -97,6 +98,7 @@ def test_int_families_match_fraction_oracle():
         assert as_unipoly(poly.s_poly(n)) == fraction_poly.s_poly(n), n
     for k in range(16):
         assert as_unipoly(poly.f_poly(k)) == fraction_poly.f_poly(k), k
+        assert poly.f_poly(k) == oracles.int_f_poly_oracle(k), k  # the same tuples, not just values
     for bad in (poly.d_poly, poly.s_poly, poly.f_poly, poly.pair_binomial_poly):
         with pytest.raises(ValueError):
             bad(-1)

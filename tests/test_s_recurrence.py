@@ -164,5 +164,7 @@ def test_s_series_matches_the_binomial_transform(x):
 
 
 def test_integer_columns_match_the_binomial_transform():
+    # the integrality columns d_k(t) s_k(t): Delannoy path counts times the binomial transform
     for t in range(41):
-        assert integrality._s_column(t, 40) == tuple(oracles.s_values(t, 40))
+        expected = [oracles.delannoy_oracle(k, t) * s for k, s in enumerate(oracles.s_values(t, 40))]
+        assert list(islice(integrality._ds_series(t), 41)) == expected, t

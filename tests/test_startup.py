@@ -138,6 +138,43 @@ def test_schmidt_sweep_loads_no_polynomial_code():
     assert [m for m in loaded if m in LAZY_SCV] == ["scv.integrality"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["verify", "integrality", "--nmax", "2", "--mmax", "2"],
+    ["verify", "schmidt", "--nmax", "2", "--mmax", "2"],
+    ["verify", "identity", "--name", "all", "--max", "2"],
+], ids=["version", "integrality", "schmidt", "identity"])
+def test_runs_without_congruence_checks_load_no_congruence_code(argv):
+    loaded = _loaded_after(
+        "import contextlib, io, scv.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        rc = scv.cli.main({argv!r}, standalone_mode=False)\n"
+        "    except SystemExit as exc:  # --version exits from argparse\n"
+        "        rc = exc.code\n"
+        "assert rc == 0, rc",
+        ("scv.congruences",),
+    )
+    assert loaded == []
+
+
+def test_parallel_sweep_loads_its_verifier_module_before_forking():
+    # loaded while the grid is read, so the forked worker inherits it instead of importing it
+    seen = _fresh(
+        "import contextlib, io, json, os, sys, scv.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, seen = os.fork, []\n"
+        "os.fork = lambda: seen.append('scv.congruences' in sys.modules) or fork()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = scv.cli.main(\n"
+        "        ['verify', 'sun-p4', '--pmax', '13', '--jobs', '2'], standalone_mode=False\n"
+        "    )\n"
+        "assert rc == 0, rc\n"
+        "print(json.dumps(seen))"
+    )
+    assert seen == [True]
+
+
 def test_lazy_verifiers_resolve_once_and_keep_a_replaced_entry():
     result = _fresh(
         "import json, sys\n"
