@@ -9,21 +9,20 @@ the polynomials are.
 
 The two sides of the double/triple-sum identity (bb4) are exact integers
 from factored forms: the double sum is d_n(m) s_n(m), and the triple sum is
-sum_k C(n+k,2k) C(2k,k) f_k(m). Each is a dot product of integer rows,
-cached once per index:
+sum_k C(n+k,2k) C(2k,k) f_k(m). The pairs (d_j(m), s_j(m)) come from
+sequences.ds_value, one cached column per m shared with the integer-valued
+checks, and the rest from integer rows cached once per index:
 
     C(n, .)           the binomial row of n
     Schmidt row of n  C(n+k,2k) C(2k,k) for k = 0..n
-    a row of m        C(m,i) 2^i        so d_n(m) = C(n, .) . a
-    b row of m        C(m,j) C(m+j,j)   so s_n(m) = C(n, .) . b
-    f row of m        f_0(m)..f_m(m), each Delannoy value d_j(m) read as C(j, .) . a
+    f row of m        f_0(m)..f_m(m), from the Delannoy values d_j(m), j <= m
 
-so the lhs is (C(n, .) . a)(C(n, .) . b) and the rhs is the Schmidt row of n
-dotted with the f row of m. The order-4 recurrence certifying both sides is
-stored as data (per-coefficient tables of (m-exponent, n-exponent, integer)
-triples). It certifies the triple-sum side at a point only if the same
-coefficients annihilate the double-sum side there, so a transcription error
-in the tables is caught at every point it would reach.
+so the lhs is the product of the pair at (m, n) and the rhs is the Schmidt
+row of n dotted with the f row of m. The order-4 recurrence certifying both
+sides is stored as data (per-coefficient tables of (m-exponent, n-exponent,
+integer) triples). It certifies the triple-sum side at a point only if the
+same coefficients annihilate the double-sum side there, so a transcription
+error in the tables is caught at every point it would reach.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from operator import mul
 
 from .exact_arith import _int_str, coefficients_str, rat_str
 from .report import CheckResult, exact_result
-from .sequences import schmidt_coefficient
+from .sequences import ds_value, schmidt_coefficient
 
 
 class CoefficientError(RuntimeError):
@@ -144,24 +143,13 @@ def _schmidt_row(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _weight_rows(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rows a_i = C(m,i) 2^i and b_j = C(m,j) C(m+j,j) for i, j = 0..m."""
-    row = _binomial_row(m)
-    return (
-        tuple(c << i for i, c in enumerate(row)),
-        tuple(c * math.comb(m + j, j) for j, c in enumerate(row)),
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def _f_row(m: int) -> tuple[int, ...]:
     """f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m) for k = 0..m.
 
-    The Delannoy values d_j(m) = sum_i C(j,i) C(m,i) 2^i are C(j, .) . a over
-    the a row of m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
+    The Delannoy values d_j(m) are read off the column of sequences.ds_value
+    at m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
     """
-    a = _weight_rows(m)[0]
-    delannoy = [sum(map(mul, _binomial_row(j), a)) for j in range(m + 1)]
+    delannoy = [ds_value(m, j)[0] for j in range(m + 1)]
     return tuple(
         sum(map(mul, map(mul, _binomial_row(k), delannoy),
                 map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
@@ -176,21 +164,21 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     lhs: sum_{i,j<=m} C(n,i) C(m,i) C(n,j) C(m,j) C(m+j,j) 2^i
     rhs: sum_{k,j,i<=m} C(n+k,2k) C(2k,k) C(m+j,k+j) C(m,i) C(k,j) C(j,i) 2^i
 
-    Both are evaluated in factored form, as dot products over cached rows
-    (see the module docstring). The lhs separates into the product
-    d_n(m) s_n(m) of two single sums over i, j <= min(m, n). In the rhs the
-    sum over i is the Delannoy number d_j(m) and the sum over j is f_k(m), so
-    rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m). Each dot product stops
-    at the shorter row, where the terms beyond it vanish. tests/oracles.py
-    evaluates the sums as written, and the tests require equal values.
+    Both are evaluated in factored form (see the module docstring). The lhs
+    separates into the product d_n(m) s_n(m) of two single sums over
+    i, j <= min(m, n), read off the column of sequences.ds_value at m. In
+    the rhs the sum over i is the Delannoy number d_j(m) and the sum over j
+    is f_k(m), so rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), a dot
+    product that stops at the shorter row, where the terms beyond it vanish.
+    tests/oracles.py evaluates the sums as written, and the tests require
+    equal values.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if m < 0 or n < 0:
         raise ValueError("m, n must be >= 0")
     if side == "lhs":
-        row, (a, b) = _binomial_row(n), _weight_rows(m)
-        return sum(map(mul, row, a)) * sum(map(mul, row, b))
+        return math.prod(ds_value(m, n))
     return sum(map(mul, _schmidt_row(n), _f_row(m)))
 
 

@@ -7,9 +7,8 @@ sum_{k<n} eps^k (2k+1) R_{k,m}, with R_{k,m} the forward differences at 0 of
 R_{k,m} is cached per (k, m), so a check only takes n (D+1) multiply-adds,
 D = 3(n-1)m, and V/n is integer-valued iff each coefficient is divisible by
 n; a nonzero (3km+1)-th difference would mean the bound is wrong and raises.
-Each value d_k(t) s_k(t) is an int computed once per (k, t): one column per
-t reads s_k(t) off one run of sequences.s_series and d_k(t) off the
-Delannoy recurrence in k.
+Each value d_k(t) s_k(t) is the product of the pair sequences.ds_value
+reads off its cached column at t, the same column the bb4 sides read.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -21,12 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Iterator
 
 from .exact_arith import _int_str, coefficients_str
 from .report import CheckResult
-from .sequences import s_series, schmidt_coefficient
+from .sequences import ds_value, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
 TERM_LIMIT = 10**6
@@ -49,36 +48,6 @@ def degree_bound(n: int, m: int) -> int:
     return 3 * (n - 1) * m
 
 
-def _ds_series(t: int) -> Iterator[int]:
-    """d_k(t) s_k(t) for k = 0, 1, ... at an integer t, exactly.
-
-    s_k(t) is S_k of s_series over k!^2, and d_k(t) runs the Delannoy
-    recurrence (k+1) d_{k+1} = (2t+1) d_k + k d_{k-1} from d_0 = 1.
-    """
-    square, before, d = 1, 0, 1
-    for k, sk in enumerate(s_series(t)):
-        if k:
-            square *= k * k
-            step, r = divmod((2 * t + 1) * d + (k - 1) * before, k)
-            if r:
-                raise ArithmeticError(f"d_{k}({t}) is not an integer")
-            before, d = d, step
-        s, r = divmod(sk, square)
-        if r:
-            raise ArithmeticError(f"s_{k}({t}) is not an integer")
-        yield d * s
-
-
-@functools.lru_cache(maxsize=None)
-def _ds_column(t: int) -> tuple[list[int], Iterator[int]]:
-    """The values d_k(t) s_k(t) read so far, k = 0, 1, ..., and the series that extends them.
-
-    A column grows in place, like the walks of scv.sequences, so two threads
-    must not extend one at the same time.
-    """
-    return [], _ds_series(t)
-
-
 @functools.lru_cache(maxsize=None)
 def _term_differences(k: int, m: int) -> tuple[int, ...]:
     """R_{k,m}: the forward differences at 0 of (d_k s_k)^m over t = 0..B+1, B = 3km.
@@ -86,12 +55,7 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     B is the bound of V at n = k+1, and the (B+1)-th difference must be 0.
     """
     bound = degree_bound(k + 1, m)
-    vals = []
-    for t in range(bound + 2):
-        read, series = _ds_column(t)
-        while len(read) <= k:
-            read.append(next(series))
-        vals.append(read[k] ** m)
+    vals = [(d * s) ** m for d, s in map(ds_value, range(bound + 2), repeat(k))]
     diffs = []
     while vals:
         diffs.append(vals[0])

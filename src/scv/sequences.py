@@ -8,7 +8,10 @@ Definitions (all exact over Rat):
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
 s_series, the one s_n kernel, runs the certified three-term recurrence of
-s_n at O(1) int operations per step.
+s_n at O(1) int operations per step. At an integer t, ds_value(t, k) reads
+the pair (d_k(t), s_k(t)) off one cached column per t, which that recurrence
+and the Delannoy recurrence in k extend as far as any caller has read; the
+bb4 sides and the integer-valued checks share it.
 
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
@@ -108,6 +111,44 @@ def s_series(x: Rat | int) -> Iterator[int]:
     for k in count():
         yield cur
         prev, cur = cur, (b2 * (2 * k * k + 2 * k + 1) + c) * cur - (k * b) ** 4 * prev
+
+
+def _ds_series(t: int) -> Iterator[tuple[int, int]]:
+    """(d_k(t), s_k(t)) for k = 0, 1, ... at an integer t, exactly.
+
+    s_k(t) is S_k of s_series over k!^2, and d_k(t) runs the Delannoy
+    recurrence (k+1) d_{k+1} = (2t+1) d_k + k d_{k-1} from d_0 = 1.
+    """
+    square, before, d = 1, 0, 1
+    for k, sk in enumerate(s_series(t)):
+        if k:
+            square *= k * k
+            step, r = divmod((2 * t + 1) * d + (k - 1) * before, k)
+            if r:
+                raise ArithmeticError(f"d_{k}({t}) is not an integer")
+            before, d = d, step
+        s, r = divmod(sk, square)
+        if r:
+            raise ArithmeticError(f"s_{k}({t}) is not an integer")
+        yield d, s
+
+
+@functools.lru_cache(maxsize=None)
+def _ds_column(t: int) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
+    """The pairs read so far at t, k = 0, 1, ..., and the series that extends them."""
+    return [], _ds_series(t)
+
+
+def ds_value(t: int, k: int) -> tuple[int, int]:
+    """(d_k(t), s_k(t)) at integers t, k >= 0, off one cached column per t.
+
+    A column grows in place, like a PrefixWalk, so two threads must not
+    extend one at the same time.
+    """
+    read, series = _ds_column(t)
+    while len(read) <= k:
+        read.append(next(series))
+    return read[k]
 
 
 def s_square_series(x: Rat) -> Iterator[tuple[int, int]]:

@@ -159,7 +159,7 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     return results + own
 
 
-# A congruence grid loads scv.congruences as run_tasks reads it, before any
+# Each grid loads its verifier module as run_tasks reads it, before any
 # fork, so --jobs workers inherit the module instead of each importing it.
 def _families(kind: str, pmax: int) -> Iterator[Task]:
     _load("congruences")
@@ -219,6 +219,7 @@ IDENTITIES = {
 
 
 def _identity(name: str, max: int | None) -> Iterator[Task]:
+    _load("identities")
     for one in IDENTITIES if name == "all" else (name,):
         yield from IDENTITIES[one].grid(IDENTITIES[one].default_max if max is None else max)
 
@@ -227,6 +228,7 @@ _EPS = {"+1": (1,), "-1": (-1,), "both": (1, -1)}
 
 
 def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
+    _load("integrality")
     for n, m, e in product(range(1, nmax + 1), range(1, mmax + 1), _EPS[eps]):
         yield _task(kind, n=n, m=m, eps=e)
 

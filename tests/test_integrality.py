@@ -3,7 +3,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
@@ -21,7 +20,7 @@ from oracles import (
     schmidt_power_sum,
     sun_guo_expr,
 )
-from scv import integrality
+from scv import identities, integrality, sequences
 from scv.integrality import (
     TermLimitExceeded,
     verify_integer_valued,
@@ -203,7 +202,7 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
     from scv.sweeps import SWEEPS, run_tasks
 
     runs = []  # [t, terms read] for each run of the s_n recurrence
-    real = integrality.s_series
+    real = sequences.s_series
 
     def counting(t):
         run = [t, 0]
@@ -212,22 +211,28 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
             run[1] += 1
             yield s
 
-    monkeypatch.setattr(integrality, "s_series", counting)
-    for f in vars(integrality).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
+    monkeypatch.setattr(sequences, "s_series", counting)
+    for module in (sequences, identities, integrality):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    # bb4-direct reads the columns t = m <= 25 to k = 25, and the 14x3
+    # integrality grid then reads t = 0..3*13*3+1 to k = 13, which covers
+    # m = 1, 2 and both eps: one column per t serves both grids
+    bb4 = run_tasks(SWEEPS["identity"].grid("bb4-direct", None))
     results = run_tasks(SWEEPS["integrality"].grid(14, 3, "both"))
+    assert len(bb4) == 676 and all(r.passed for r in bb4)
     assert len(results) == 84 and all(r.passed for r in results)
-    calls = Counter((t, read - 1) for t, read in runs)  # (t, kmax) of each column built
-    # n = 14 reads t = 0..3*13*3+1 for m = 3, which covers m = 1, 2 and both eps
-    assert sum(c for (t, kmax), c in calls.items() if kmax == 13) == 119
-    assert set(calls.values()) == {1}
+    # (t, kmax) of each run: one run per t, and bb4's reach where it read first
+    assert sorted((t, read - 1) for t, read in runs) == [
+        (t, 25 if t <= 25 else 13) for t in range(119)
+    ]
 
 
 def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkeypatch):
-    monkeypatch.setattr(integrality, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
+    monkeypatch.setattr(sequences, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
     with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
-        list(islice(integrality._ds_series(5), 3))
+        list(islice(sequences._ds_series(5), 3))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

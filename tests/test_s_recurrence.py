@@ -35,7 +35,7 @@ from itertools import islice, product
 import pytest
 
 import oracles
-from scv import integrality
+from scv import sequences
 from scv.congruences import SUPPORTED_X
 from scv.sequences import s_series
 
@@ -164,7 +164,10 @@ def test_s_series_matches_the_binomial_transform(x):
 
 
 def test_integer_columns_match_the_binomial_transform():
-    # the integrality columns d_k(t) s_k(t): Delannoy path counts times the binomial transform
+    # the shared columns (d_k(t), s_k(t)), each against its own oracle: Delannoy
+    # path counts, and the binomial transform; ds_value reads the same pairs
     for t in range(41):
-        expected = [oracles.delannoy_oracle(k, t) * s for k, s in enumerate(oracles.s_values(t, 40))]
-        assert list(islice(integrality._ds_series(t), 41)) == expected, t
+        pairs = list(islice(sequences._ds_series(t), 41))
+        assert [d for d, _ in pairs] == [oracles.delannoy_oracle(k, t) for k in range(41)], t
+        assert [s for _, s in pairs] == oracles.s_values(t, 40), t
+        assert [sequences.ds_value(t, k) for k in reversed(range(41))] == pairs[::-1], t

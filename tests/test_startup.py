@@ -158,17 +158,20 @@ def test_runs_without_congruence_checks_load_no_congruence_code(argv):
     assert loaded == []
 
 
-def test_parallel_sweep_loads_its_verifier_module_before_forking():
+@pytest.mark.parametrize("argv, module", [
+    (["sun-p4", "--pmax", "13"], "scv.congruences"),
+    (["identity", "--name", "liu26", "--max", "8"], "scv.identities"),
+    (["integrality", "--nmax", "2", "--mmax", "2"], "scv.integrality"),
+], ids=["sun-p4", "identity", "integrality"])
+def test_parallel_sweep_loads_its_verifier_module_before_forking(argv, module):
     # loaded while the grid is read, so the forked worker inherits it instead of importing it
     seen = _fresh(
         "import contextlib, io, json, os, sys, scv.cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "fork, seen = os.fork, []\n"
-        "os.fork = lambda: seen.append('scv.congruences' in sys.modules) or fork()\n"
+        f"os.fork = lambda: seen.append({module!r} in sys.modules) or fork()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = scv.cli.main(\n"
-        "        ['verify', 'sun-p4', '--pmax', '13', '--jobs', '2'], standalone_mode=False\n"
-        "    )\n"
+        f"    rc = scv.cli.main(['verify', *{argv!r}, '--jobs', '2'], standalone_mode=False)\n"
         "assert rc == 0, rc\n"
         "print(json.dumps(seen))"
     )
