@@ -10,6 +10,10 @@ package, as `scv verify` does, loads none of the modules they come from.
 
 __version__ = "0.1.0"
 
+# the desk scale of exact_arith's is_prime and primes_in_range, and the largest
+# --pmax of a sweep: defined here, so the sweep table needs no arithmetic module
+PRIME_LIMIT = 10**6
+
 # each public name -> the submodule that defines it
 _EXPORTS = {
     "CheckResult": "report",

@@ -1,6 +1,9 @@
 """Command-line driver: scv verify <sweep> [flags], on the standard library's argparse.
 
-The eight `verify` subcommands are built from `sweeps.SWEEPS`.
+The eight `verify` subcommands are built from `sweeps.SWEEPS`. Importing this
+module loads no scv module but `scv` and `scv.sweeps`, so `--version`, `--help`
+and a usage error load no arithmetic; a run loads `scv.report` once its sweep
+has run.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
 1 on any failure, including a --jobs worker that dies, 2 on usage errors,
@@ -15,12 +18,25 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__, sweeps
-from .report import RunReport, render_csv, render_json, render_text
 from .sweeps import Option, UsageError, choice_option, int_option
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+if TYPE_CHECKING:
+    from .report import RunReport
+
+
+def _renderer(format: str) -> Callable[[RunReport], str]:
+    def render(run_report: RunReport) -> str:
+        from . import report  # looked up per call: the parser needs only the format names
+
+        return getattr(report, f"render_{format}")(run_report)
+
+    return render
+
+
+_RENDERERS = {format: _renderer(format) for format in ("json", "csv", "text")}
 
 
 def _writable(path: str) -> str:
@@ -138,6 +154,8 @@ def _run(argv: list[str], prog: str) -> int:
         # a worker that exits non-zero or sends a result that does not decode, or a failed fork
         raise WorkerFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
+    from .report import RunReport
+
     # an empty or all-skipped grid would pass without deciding anything
     if all(check.skipped for check in checks):
         raise UsageError(

@@ -14,6 +14,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
+from . import PRIME_LIMIT  # noqa: F401  (the cap is_prime and primes_in_range are meant for)
+
 Rat = Fraction
 
 # A congruence side: the unreduced (numerator, denominator) ints of a rational.
@@ -51,10 +53,6 @@ def coefficients_str(nums: Sequence[int], den: int) -> str:
     while top and not nums[top - 1]:
         top -= 1
     return "[" + ", ".join([rat_str(c, den) for c in nums[:top]]) + "]"
-
-
-# the desk scale of is_prime and primes_in_range, and the largest --pmax of a sweep
-PRIME_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:

@@ -4,9 +4,11 @@ V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is linear in its terms, so
 its forward differences at 0, its binomial-basis coefficients, are
 sum_{k<n} eps^k (2k+1) R_{k,m}, with R_{k,m} the forward differences at 0 of
 (d_k s_k)^m over t = 0..3km+1 (3km being the degree of d_k s_k times m).
-R_{k,m} is cached per (k, m), so a check only takes n (D+1) multiply-adds,
-D = 3(n-1)m, and V/n is integer-valued iff each coefficient is divisible by
-n; a nonzero (3km+1)-th difference would mean the bound is wrong and raises.
+R_{k,m} is cached per (k, m), and the coefficients are a running sum over k
+kept per (m, eps), which the grid asks for at n = 1, 2, ... in turn, so a
+check adds one weighted R_{n-1,m}, D+1 multiply-adds with D = 3(n-1)m. V/n is
+integer-valued iff each coefficient is divisible by n; a nonzero
+(3km+1)-th difference would mean the bound is wrong and raises.
 Each value d_k(t) s_k(t) is the product of the pair sequences.ds_value
 reads off its cached column at t, the same column the bb4 sides read.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, repeat, zip_longest
 from typing import Iterator
 
 from .exact_arith import _int_str, coefficients_str
@@ -65,14 +67,26 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     return tuple(diffs)
 
 
+# The grid asks for every (m, eps) of one n before the next n, so sixteen
+# running sums keep an --mmax up to 8; an evicted one only restarts, and
+# the sums held stay bounded.
+@functools.lru_cache(maxsize=16)
+def _frontier(m: int, eps: int) -> list:
+    """[n, sum_{k<n} eps^k (2k+1) R_{k,m}], from n = 0; verify_integer_valued advances it."""
+    return [0, []]
+
+
 def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
     """Binomial-basis criterion on V/n; witness is the coefficient list."""
     _require_point(n, m, eps)
-    coefficients = [0] * (degree_bound(n, m) + 1)
-    for k in range(n):
-        weight = eps**k * (2 * k + 1)
-        for j, r in enumerate(_term_differences(k, m)):
-            coefficients[j] += weight * r
+    frontier = _frontier(m, eps)
+    if n < frontier[0]:  # restart, as a PrefixWalk does, so no result depends on the order
+        frontier[:] = [0, []]
+    reached, coefficients = frontier
+    for k in range(reached, n):
+        weight, terms = eps**k * (2 * k + 1), _term_differences(k, m)
+        coefficients = [c + weight * r for c, r in zip_longest(coefficients, terms, fillvalue=0)]
+        frontier[:] = [k + 1, coefficients]
     return CheckResult(
         check_name="integer-valued",
         parameters={"n": n, "m": m, "eps": eps},

@@ -22,9 +22,7 @@ no per-record dict is built.
 from __future__ import annotations
 
 import io
-import json
 from collections.abc import Iterable
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from .exact_arith import _int_str
@@ -182,34 +180,34 @@ _RECORD = """    {
 _BOOL = {True: "true", False: "false"}
 
 
-def _json_value(value: object) -> str:
-    if type(value) is str:
-        return _json_str(value)
-    if type(value) is int:
-        return str(value)
-    raise TypeError(f"a report parameter is a str or an int, not a {type(value).__name__}")
-
-
-def _json_parameters(parameters: dict[str, object]) -> str:
-    if not parameters:
-        return "{}"
-    items = ",\n        ".join(
-        [f"{_json_str(k)}: {_json_value(v)}" for k, v in sorted(parameters.items())]
-    )
-    return "{\n        " + items + "\n      }"
-
-
 def render_json(report: RunReport) -> str:
     """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
+    import json  # here, so a text or csv run does not load it
+    from json.encoder import encode_basestring_ascii as json_str
+
+    def json_value(value: object) -> str:
+        if type(value) is str:
+            return json_str(value)
+        if type(value) is int:
+            return str(value)
+        raise TypeError(f"a report parameter is a str or an int, not a {type(value).__name__}")
+
+    def json_parameters(parameters: dict[str, object]) -> str:
+        if not parameters:
+            return "{}"
+        items = ",\n        ".join(
+            [f"{json_str(k)}: {json_value(v)}" for k, v in sorted(parameters.items())]
+        )
+        return "{\n        " + items + "\n      }"
+
     records = ",\n".join([
         _RECORD % (
-            _json_str(c.check_name), _json_str(c.lhs_witness), _json_str(c.modulus),
-            _json_parameters(c.parameters), _BOOL[c.passed], _json_str(c.rhs_witness),
+            json_str(c.check_name), json_str(c.lhs_witness), json_str(c.modulus),
+            json_parameters(c.parameters), _BOOL[c.passed], json_str(c.rhs_witness),
             _BOOL[c.skipped],
         )
         for c in report.checks
     ])
-    checks = f"[\n{records}\n  ]" if records else "[]"
     envelope = json.dumps(
         {
             "version": report.tool_version,
@@ -220,8 +218,10 @@ def render_json(report: RunReport) -> str:
         sort_keys=True,
         indent=2,
     )
-    # "checks" sorts before every envelope key, so it opens the object
-    return f'{{\n  "checks": {checks},\n{envelope[2:]}\n'
+    # "checks" sorts before every envelope key, so it opens the object; the
+    # records are copied once, by this join
+    checks = ("[\n", records, "\n  ]") if records else ("[]",)
+    return "".join(('{\n  "checks": ', *checks, ",\n", envelope[2:], "\n"))
 
 
 def _params_compact(parameters: dict[str, object]) -> str:

@@ -143,11 +143,17 @@ def ds_value(t: int, k: int) -> tuple[int, int]:
     """(d_k(t), s_k(t)) at integers t, k >= 0, off one cached column per t.
 
     A column grows in place, like a PrefixWalk, so two threads must not
-    extend one at the same time.
+    extend one at the same time. A series that raises is finished, so the
+    columns are dropped with it: the next read of t builds its column anew
+    and raises the same error.
     """
     read, series = _ds_column(t)
-    while len(read) <= k:
-        read.append(next(series))
+    try:
+        while len(read) <= k:
+            read.append(next(series))
+    except BaseException:
+        _ds_column.cache_clear()
+        raise
     return read[k]
 
 

@@ -6,8 +6,11 @@ that turns the option values into tasks. KINDS maps each task kind, the
 check_name of its records, to its verifier, which takes the task's
 parameters as they are and prints them unchanged in its record; each
 verifier's module is imported on the first check of its kind, so a sweep
-loads only the verifier module it runs. Adding a sweep means adding one
-SWEEPS entry plus its KINDS entries.
+loads only the verifier module it runs. Importing this module loads no scv
+module but the package, for PRIME_LIMIT: building the CLI needs only SWEEPS,
+and each grid imports the arithmetic it reads (with its verifier module)
+while it is built. Adding a sweep means adding one SWEEPS entry plus its
+KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
 grids can run sequentially or as contiguous slices in forked workers with
@@ -22,11 +25,12 @@ import sys
 from functools import cache, partial
 from importlib import import_module
 from itertools import product
-from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
-from .exact_arith import PRIME_LIMIT, Rat, primes_in_range, rat_str
-from .report import CheckResult
-from .sequences import RV_FAMILIES
+from . import PRIME_LIMIT
+
+if TYPE_CHECKING:
+    from .report import CheckResult
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
 Grid = Callable[..., Iterator[Task]]
@@ -92,6 +96,9 @@ def execute_task(task: Task) -> CheckResult:
     try:
         return verify(**params)
     except Exception as exc:  # a raising check is a reported failure, not a crash
+        from .exact_arith import Rat, rat_str
+        from .report import CheckResult
+
         return CheckResult(
             check_name=kind,
             # a Fraction prints as each verifier prints it, so a forked worker can send it
@@ -147,6 +154,8 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
 
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    from .report import CheckResult
+
     results: list[CheckResult] = []
     for lo, hi, status, data in zip(cuts, cuts[1:], statuses, sent):
         where = f"the worker on tasks {lo}..{hi - 1} of {len(tasks)}"
@@ -162,12 +171,17 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
 # Each grid loads its verifier module as run_tasks reads it, before any
 # fork, so --jobs workers inherit the module instead of each importing it.
 def _families(kind: str, pmax: int) -> Iterator[Task]:
+    from .exact_arith import primes_in_range
+    from .sequences import RV_FAMILIES
+
     _load("congruences")
     for family, p in product(RV_FAMILIES, primes_in_range(5, pmax)):
         yield _task(kind, family=family, p=p)
 
 
 def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
+    from .exact_arith import primes_in_range
+
     _load("congruences")
     for one, p in product(x, primes_in_range(3, pmax)):
         yield _task("guo-bb1", x=one, p=p)
@@ -180,6 +194,8 @@ CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10":
 def _cc(which: str, pmax: int) -> Iterator[Task]:
     # p by p, and x by x within p: cc5 and cc7 share the rows of each p, and
     # each x's weighted s_k^2 walk only moves forward
+    from .exact_arith import primes_in_range
+
     kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
     supported_x = _load("congruences").SUPPORTED_X
     for p in primes_in_range(5, pmax):
@@ -285,6 +301,8 @@ def _validate_rationals(value: Iterable[str]) -> tuple[str, ...]:
     a and b are read with int(), whose digit limit refuses a huge point before
     any arithmetic; reducing only shrinks them, so each canonical form parses again.
     """
+    from .exact_arith import rat_str
+
     canonical = {}
     for item in value:
         try:

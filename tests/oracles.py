@@ -22,7 +22,9 @@ repeated MultiPoly products, each turned into the same CheckResult.
 integer_valued_triangle_oracle is the integer route the library replaced:
 for every check it tabulates V itself at t = 0..D+1 (the Delannoy table and
 one s column per (t, n)) and takes the whole difference triangle, where the
-library sums cached per-term differences.
+library sums cached per-term differences. integer_valued_sum_oracle sums
+those cached differences over every k < n for each check, where the library
+keeps a running sum per (m, eps).
 
 The identity checks factor their sums and work over one known denominator;
 here the double/triple sums of bb4 are evaluated as written, f_k repeats its
@@ -66,7 +68,7 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 
-from scv import congruences, poly, sequences
+from scv import congruences, integrality, poly, sequences
 from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
@@ -266,6 +268,23 @@ def integer_valued_triangle_oracle(n: int, m: int, eps: int) -> CheckResult:
         parameters={"n": n, "m": m, "eps": eps},
         passed=all(c % n == 0 for c in diffs),
         lhs_witness=coefficients_str(diffs, n),
+        rhs_witness="all integers",
+        modulus="exact",
+    )
+
+
+def integer_valued_sum_oracle(n: int, m: int, eps: int) -> CheckResult:
+    """verify_integer_valued by its n (D+1) multiply-adds over the cached R_{k,m}, per check."""
+    coefficients = [0] * (integrality.degree_bound(n, m) + 1)
+    for k in range(n):
+        weight = eps**k * (2 * k + 1)
+        for j, r in enumerate(integrality._term_differences(k, m)):
+            coefficients[j] += weight * r
+    return CheckResult(
+        check_name="integer-valued",
+        parameters={"n": n, "m": m, "eps": eps},
+        passed=all(c % n == 0 for c in coefficients),
+        lhs_witness=coefficients_str(coefficients, n),
         rhs_witness="all integers",
         modulus="exact",
     )

@@ -15,12 +15,13 @@ from fraction_poly import MultiPoly, UniPoly, is_integer_valued
 from oracles import (
     crosscheck_specialization,
     integer_valued_oracle,
+    integer_valued_sum_oracle,
     integer_window_oracle,
     schmidt_divisibility_oracle,
     schmidt_power_sum,
     sun_guo_expr,
 )
-from scv import identities, integrality, sequences
+from scv import identities, integrality, sequences, sweeps
 from scv.integrality import (
     TermLimitExceeded,
     verify_integer_valued,
@@ -154,14 +155,29 @@ def test_integrality_sweep_passes_under_a_low_int_str_limit():
     assert "240 passed, 0 failed" in proc.stdout
 
 
-def test_integer_valued_degree_check_raises(monkeypatch):
-    integrality._term_differences.cache_clear()  # cached per (k, m): build them under the bound
+@pytest.fixture
+def fresh_caches():
+    """Every cache of the columns, the differences and the running sums, empty before and after."""
+
+    def clear():
+        for module in (sequences, identities, integrality):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_integer_valued_degree_check_raises(monkeypatch, fresh_caches):
+    # the differences are cached per (k, m) and summed per (m, eps): build them under the bound
     monkeypatch.setattr(integrality, "degree_bound", lambda n, m: 3 * (n - 1) * m - 1)
     with pytest.raises(ArithmeticError, match="above its bound"):
         verify_integer_valued(2, 1, 1)
 
 
-def test_integer_valued_rejects_non_integral_coefficients(monkeypatch):
+def test_integer_valued_rejects_non_integral_coefficients(monkeypatch, fresh_caches):
     # V + 1 changes only the constant difference, which becomes odd at n = 2;
     # the k = 0 term (weight 1) carries it
     real = integrality._term_differences
@@ -233,6 +249,44 @@ def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkey
     monkeypatch.setattr(sequences, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
     with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
         list(islice(sequences._ds_series(5), 3))
+
+
+def test_a_column_whose_series_raised_raises_the_same_error_again(monkeypatch, fresh_caches):
+    monkeypatch.setattr(sequences, "s_series", lambda t: iter([1, 2, 3, 4]))  # S_2 = 3, 2!^2 = 4
+    for _ in range(2):  # the first read finishes the series; the second must not see it finished
+        with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
+            sequences.ds_value(5, 2)
+    # the check reads k = 2 at t = 0 first; each run of it is the same error record
+    task = ("integer-valued", (("eps", 1), ("m", 1), ("n", 3)))
+    for _ in range(2):
+        r = sweeps.execute_task(task)
+        assert not r.passed and r.modulus == "error"
+        assert r.lhs_witness == "error: ArithmeticError: s_2(0) is not an integer"
+
+
+ORDERS = {
+    "ascending": lambda points: sorted(points),
+    "descending n": lambda points: sorted(points, key=lambda p: (-p[0], p[1:])),
+    "shuffled": lambda points: sorted(points, key=lambda p: hash((p, 7)) % 1009),
+    "each twice": lambda points: [p for p in sorted(points) for _ in range(2)],
+}
+
+
+@pytest.mark.parametrize("mmax", [3, 9], ids=["6 sums", "18 sums"])  # 16 sums are kept
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+def test_running_sums_equal_the_per_check_sum_in_any_order(order, mmax, fresh_caches):
+    points = list(product(range(1, 9), range(1, mmax + 1), (1, -1)))
+    for n, m, eps in order(points):
+        assert verify_integer_valued(n, m, eps) == integer_valued_sum_oracle(n, m, eps)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_integrality_slices_equal_the_per_check_sum(jobs, monkeypatch, fresh_caches):
+    # two usable CPUs, so jobs=2 forks one worker, whose slice starts at n = 8
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(14, 3, "both"), jobs=jobs)
+    grid = product(range(1, 15), range(1, 4), (1, -1))
+    assert results == [integer_valued_sum_oracle(n, m, eps) for n, m, eps in grid]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

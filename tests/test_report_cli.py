@@ -16,7 +16,7 @@ from oracles import check_sort_key_oracle
 
 import scv.cli as cli
 import scv.sweeps as sweeps
-from scv import __version__
+from scv import __version__, exact_arith
 from scv.cli import main
 from scv.congruences import CheckResult
 from scv.exact_arith import PRIME_LIMIT
@@ -269,7 +269,7 @@ def test_cli_oversized_pmax_is_usage_error_before_any_work(monkeypatch, sweep):
 
     for kind in ("rv", "lemma2p", "sun-p4", "guo-bb1", "cc5", "cc7"):
         monkeypatch.setitem(sweeps.KINDS, kind, lambda **params: ran.append(params))
-    monkeypatch.setattr(sweeps, "primes_in_range", no_sieve)
+    monkeypatch.setattr(exact_arith, "primes_in_range", no_sieve)  # where each grid imports it
     res = run_cli("verify", sweep, "--pmax", str(PRIME_LIMIT + 1))
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage error, no MemoryError traceback

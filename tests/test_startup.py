@@ -85,6 +85,35 @@ def test_program_exit_freezes_the_collector_before_atexit(argv, code):
     assert proc.stdout.splitlines()[-1] == "frozen True"
 
 
+@pytest.mark.parametrize("argv, code, shown", [
+    (["--version"], 0, "scv, version 0.1.0\n"),
+    (["verify", "cc", "--help"], 0, "usage: scv verify cc "),
+    (["verify", "sun-p4", "--pmax", "3"], 2,
+     "Error: Invalid value for '--pmax': 3 is not in the range 5<=x<=1000000\n"),
+], ids=["version", "help", "usage-error"])
+def test_runs_that_check_nothing_load_no_arithmetic(argv, code, shown):
+    # as the `scv` script: main() with no argv; the exit handler prints what scv loaded,
+    # by a probe that, unlike _loaded_after, imports no json itself
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, sys\n"
+         "before = set(sys.modules)\n"
+         "atexit.register(lambda: print('loaded', *sorted(set(sys.modules) - before)))\n"
+         f"sys.argv = ['scv', *{argv!r}]\n"
+         "import scv.cli\n"
+         "scv.cli.main()"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    output, loaded = proc.stdout.rsplit("loaded", 1)
+    assert shown in output + proc.stderr
+    loaded = loaded.split()
+    assert [m for m in loaded if m == "scv" or m.startswith("scv.")] == [
+        "scv", "scv.cli", "scv.sweeps"
+    ]
+    assert [m for m in ("fractions", "decimal", "json") if m in loaded] == []
+
+
 def test_congruence_sweep_loads_no_polynomial_code():
     loaded = _loaded_after(
         "import contextlib, io, scv.cli\n"
