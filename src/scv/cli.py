@@ -1,24 +1,34 @@
-"""Command-line driver: scv verify <sweep> [flags], on the standard library's argparse.
+"""Command-line entry point: scv verify <sweep> [flags], read off the sweep table.
 
-The eight `verify` subcommands are built from `sweeps.SWEEPS`. Importing this
-module loads no scv module but `scv` and `scv.sweeps`, so `--version`, `--help`
-and a usage error load no arithmetic; a run loads `scv.report` once its sweep
-has run.
+The eight `verify` subcommands, their flags and their help texts come from
+`sweeps.SWEEPS`, and one small parser reads argv against that table, so no
+run loads argparse (with gettext and locale). argv is one of
+
+    scv [-h | --help | --version]
+    scv verify [-h | --help]
+    scv verify SWEEP [-h | --help | --FLAG VALUE | --FLAG=VALUE] ...
+
+where FLAG is one of SWEEP's options, a common option or config, VALUE may
+start with "-" (--x -1/5), a flag given twice keeps its last value and only
+--x collects every value. Anything else is a usage error, refused at its
+first token that does not fit. Importing this module loads no scv module but
+`scv` and `scv.sweeps`, so `--version`, `--help` and a usage error load no
+arithmetic; a run loads `scv.report` once its sweep has run.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
-1 on any failure, including a --jobs worker that dies, 2 on usage errors,
-which include bounds that select no checks or only skipped ones.
+1 on any failure, including a --jobs worker that dies and a report that
+cannot be written, 2 on usage errors, which include bounds that select no
+checks or only skipped ones.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from . import __version__, sweeps
 from .sweeps import Option, UsageError, choice_option, int_option
@@ -62,6 +72,7 @@ _COMMON_OPTIONS = (
     choice_option("format", _RENDERERS, "text", "Report format."),
     Option("out", None, _writable, "Write the report to FILE instead of stdout."),
 )
+_CONFIG = Option("config", None, str, "key=value file supplying defaults; explicit flags win.")
 
 
 def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
@@ -86,59 +97,91 @@ def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[s
     return values
 
 
-class WorkerFailure(RuntimeError):
-    """The sweep's workers could not deliver its results (exit 1)."""
+class RunFailure(RuntimeError):
+    """The sweep's workers failed, or its report or help could not be written (exit 1)."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
+def _print(text: str) -> None:
+    """Write text to stdout now, so a write that fails is this run's error, not the shutdown's."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise RunFailure(f"could not write to stdout: {exc}") from exc
 
 
-def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
-    """Every sweep's subcommand, with the flags of the sweep `only` alone."""
-    parser = _Parser(prog=prog, description="Exact-arithmetic verification of binomial-sum"
-                     " congruences and integrality claims.")
-    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    verify = parser.add_subparsers(dest="command", required=True).add_parser(
-        "verify", help="Run one verification sweep and report every check."
-    )
-    subcommands = verify.add_subparsers(dest="sweep", required=True)
-    for name, sweep in sweeps.SWEEPS.items():
-        # only the flags given land in the namespace; a config file and the defaults fill the rest
-        sub = subcommands.add_parser(name, help=sweep.help, description=sweep.help,
-                                     allow_abbrev=False, argument_default=argparse.SUPPRESS)
-        if name != only:  # argparse reads a sweep's flags only when that sweep is named
-            continue
-        sub.add_argument("--config", help="key=value file supplying defaults; explicit flags win.")
-        for option in (*sweep.options, *_COMMON_OPTIONS):
-            sub.add_argument(f"--{option.name}", help=option.help,
-                             action="append" if option.repeatable else "store")
-    return parser
+_HELP = ("-h", "--help")
+_HELP_ROW = ("-h, --help", "Show this help and exit.")
+_VERIFY = "Run one verification sweep and report every check."
 
 
-def _join_values(argv: list[str]) -> list[str]:
-    """--x -1/5 as --x=-1/5: every flag but --help takes one value, which may start with "-"."""
-    flags = {"--config", *(f"--{o.name}" for s in sweeps.SWEEPS.values() for o in s.options),
-             *(f"--{o.name}" for o in _COMMON_OPTIONS)}
-    joined: list[str] = []
-    for arg in argv:
-        if joined and joined[-1] in flags:
-            joined[-1] += f"={arg}"
+def _help(usage: str, about: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [f"usage: {usage}", "", about]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _refuse(usage: str, message: str) -> NoReturn:
+    print(f"usage: {usage}", file=sys.stderr)
+    raise UsageError(message)
+
+
+def _parse(argv: list[str], prog: str) -> tuple[str, dict[str, object]] | str:
+    """The sweep argv names and the texts of the flags it gives, a list of them for --x;
+    or the help or version text that argv asks for."""
+    if argv[:1] == ["--version"]:
+        return f"{prog}, version {__version__}\n"
+    if argv[:1] != ["verify"]:
+        args, usage, wanted = argv, f"{prog} [-h] [--version] verify ...", "the command verify"
+        about = "Exact-arithmetic verification of binomial-sum congruences and integrality claims."
+        sections = {"commands": [("verify", _VERIFY)],
+                    "options": [_HELP_ROW, ("--version", "Show the version and exit.")]}
+    elif argv[1:2] and argv[1] in sweeps.SWEEPS:
+        return _parse_flags(argv[1], argv[2:], f"{prog} verify {argv[1]}")
+    else:
+        args, usage = argv[1:], f"{prog} verify [-h] {{{','.join(sweeps.SWEEPS)}}} ..."
+        about, wanted = _VERIFY, f"a sweep, one of {', '.join(sweeps.SWEEPS)}"
+        sections = {"sweeps": [(name, sweep.help) for name, sweep in sweeps.SWEEPS.items()],
+                    "options": [_HELP_ROW]}
+    if args and args[0] in _HELP:
+        return _help(usage, about, sections)
+    _refuse(usage, f"expected {wanted}, got {args[0]!r}" if args else f"expected {wanted}")
+
+
+def _parse_flags(name: str, args: list[str], command: str) -> tuple[str, dict[str, object]] | str:
+    sweep = sweeps.SWEEPS[name]
+    flags = {o.name: o for o in (_CONFIG, *sweep.options, *_COMMON_OPTIONS)}
+    usage = f"{command} [-h] " + " ".join(f"[--{flag} {flag.upper()}]" for flag in flags)
+    given: dict[str, object] = {}
+    rest = iter(args)
+    for arg in rest:
+        if arg in _HELP:
+            rows = [_HELP_ROW, *((f"--{o.name} {o.name.upper()}", o.help) for o in flags.values())]
+            return _help(usage, sweep.help, {"options": rows})
+        flag, equals, text = arg.partition("=")
+        option = flags.get(flag[2:]) if flag.startswith("--") else None
+        if option is None:
+            _refuse(usage, f"unrecognized argument: {arg}")
+        if not equals and (text := next(rest, None)) is None:
+            _refuse(usage, f"argument {flag}: expected one argument")
+        if option.repeatable:
+            given.setdefault(option.name, []).append(text)
         else:
-            joined.append(arg)
-    return joined
+            given[option.name] = text
+    return name, given
 
 
 def _run(argv: list[str], prog: str) -> int:
-    argv = _join_values(argv)
-    named = argv[1] if argv[:1] == ["verify"] and len(argv) > 1 else None
-    given = vars(_parser(prog, named).parse_args(argv))
-    name = given["sweep"]
+    parsed = _parse(argv, prog)
+    if isinstance(parsed, str):
+        _print(parsed)
+        return 0
+    name, given = parsed
     sweep = sweeps.SWEEPS[name]
     options = (*sweep.options, *_COMMON_OPTIONS)
-    texts = _load_config(given["config"], name, options) if "config" in given else {}
+    texts = _load_config(given.pop("config"), name, options) if "config" in given else {}
     texts.update(given)
     values = {}
     for o in options:
@@ -152,7 +195,7 @@ def _run(argv: list[str], prog: str) -> int:
         checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
     except (OSError, RuntimeError) as exc:
         # a worker that exits non-zero or sends a result that does not decode, or a failed fork
-        raise WorkerFailure(f"--jobs {jobs}: {exc}") from exc
+        raise RunFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
     from .report import RunReport
 
@@ -170,11 +213,13 @@ def _run(argv: list[str], prog: str) -> int:
     )
     rendered = _RENDERERS[format](report)
     if out:
-        Path(out).write_text(rendered)
+        try:
+            Path(out).write_text(rendered)
+        except OSError as exc:
+            raise RunFailure(f"could not write to {out}: {exc}") from exc
         s = report.summary
-        print(f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped")
-    else:
-        sys.stdout.write(rendered)
+        rendered = f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n"
+    _print(rendered)
     return 0 if report.failures == 0 else 1
 
 
@@ -184,14 +229,14 @@ def main(
     """Run `scv` on argv (default sys.argv[1:]) and exit with its code.
 
     With standalone_mode=False the code is returned, and a UsageError or
-    WorkerFailure propagates. Called with no argv in standalone mode, as the
+    RunFailure propagates. Called with no argv in standalone mode, as the
     program is, main freezes the collector's objects as it exits, so the
     interpreter's shutdown skips collecting every module's cyclic objects;
     stdout, stderr and atexit are still handled as usual.
     """
     try:
         code = _run(sys.argv[1:] if argv is None else argv, prog_name)
-    except (UsageError, WorkerFailure) as exc:
+    except (UsageError, RunFailure) as exc:
         if not standalone_mode:
             raise
         print(f"Error: {exc}", file=sys.stderr)

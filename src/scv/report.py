@@ -13,10 +13,11 @@ strings, never truncated.
 The json report is the bytes json.dumps(..., sort_keys=True, indent=2) writes
 for the whole report as one dict: version, invocation, the checks as their
 CheckResult.to_dict(), summary and elapsed_seconds. REPORT_SCHEMA fixes
-every record's shape (seven keys, a flat parameters map), so render_json
-writes each record from one template, with strings escaped by the encoder
-json.dumps itself uses, and leaves only the small envelope to json.dumps;
-no per-record dict is built.
+every record's shape (seven keys, a flat parameters map), and scv.cli fixes
+the envelope's (an invocation of str, int, None and tuple-of-str values), so
+render_json writes each record and the envelope from a template, with
+strings escaped by the C encoder json.dumps itself uses, taken from _json:
+no per-record dict is built and the json package is not loaded.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ class RunReport:
         return self.summary["fail"]
 
 
-# one record as json.dumps(..., sort_keys=True, indent=2) writes it in the list
+# one record, and the envelope after the records, as json.dumps(..., sort_keys=True, indent=2)
+# writes them; "checks" sorts before every envelope key, so the records open the object
 _RECORD = """    {
       "check_name": %s,
       "lhs_witness": %s,
@@ -177,20 +179,33 @@ _RECORD = """    {
       "rhs_witness": %s,
       "skipped": %s
     }"""
+_ENVELOPE = """,
+  "elapsed_seconds": %s,
+  "invocation": %s,
+  "summary": {
+    "fail": %d,
+    "pass": %d,
+    "skipped": %d
+  },
+  "version": %s
+}
+"""
 _BOOL = {True: "true", False: "false"}
 
 
 def render_json(report: RunReport) -> str:
     """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
-    import json  # here, so a text or csv run does not load it
-    from json.encoder import encode_basestring_ascii as json_str
+    try:  # the C escaper json.encoder binds, without loading the json package
+        from _json import encode_basestring_ascii as json_str
+    except ImportError:  # an interpreter built without _json
+        from json.encoder import encode_basestring_ascii as json_str
 
     def json_value(value: object) -> str:
         if type(value) is str:
             return json_str(value)
         if type(value) is int:
             return str(value)
-        raise TypeError(f"a report parameter is a str or an int, not a {type(value).__name__}")
+        raise TypeError(f"a report value is a str or an int, not a {type(value).__name__}")
 
     def json_parameters(parameters: dict[str, object]) -> str:
         if not parameters:
@@ -200,6 +215,15 @@ def render_json(report: RunReport) -> str:
         )
         return "{\n        " + items + "\n      }"
 
+    def flag_value(value: object) -> str:
+        # an invocation value: None for a flag left unset, a tuple of texts for --x
+        if value is None:
+            return "null"
+        if type(value) in (tuple, list):
+            items = ",\n      ".join([json_value(v) for v in value])
+            return "[\n      " + items + "\n    ]" if value else "[]"
+        return json_value(value)
+
     records = ",\n".join([
         _RECORD % (
             json_str(c.check_name), json_str(c.lhs_witness), json_str(c.modulus),
@@ -208,20 +232,17 @@ def render_json(report: RunReport) -> str:
         )
         for c in report.checks
     ])
-    envelope = json.dumps(
-        {
-            "version": report.tool_version,
-            "invocation": dict(report.invocation),
-            "summary": report.summary,
-            "elapsed_seconds": report.elapsed_seconds,
-        },
-        sort_keys=True,
-        indent=2,
+    invocation = ",\n    ".join(
+        [f"{json_str(k)}: {flag_value(v)}" for k, v in sorted(report.invocation.items())]
     )
-    # "checks" sorts before every envelope key, so it opens the object; the
-    # records are copied once, by this join
+    s = report.summary
+    envelope = _ENVELOPE % (
+        repr(report.elapsed_seconds), "{\n    " + invocation + "\n  }" if invocation else "{}",
+        s["fail"], s["pass"], s["skipped"], json_str(report.tool_version),
+    )
+    # the records are copied once, by this join
     checks = ("[\n", records, "\n  ]") if records else ("[]",)
-    return "".join(('{\n  "checks": ', *checks, ",\n", envelope[2:], "\n"))
+    return "".join(('{\n  "checks": ', *checks, envelope))
 
 
 def _params_compact(parameters: dict[str, object]) -> str:

@@ -40,6 +40,11 @@ term, and the json report is the whole-report json.dumps that render_json
 must equal byte for byte. A polynomial side prints through one Fraction per
 coefficient, and the report's sort key takes one helper call per parameter.
 
+The command line is read by scv.cli's own parser off the sweep table;
+argparse_parse is the argparse parser it replaced, built from the same table,
+with the value after each flag joined to it as --flag=value so a value may
+start with "-".
+
 The library decides each congruence and valuation on unreduced int pairs;
 congruence_result and valuation_result here are the Fraction verdict route
 it replaced: every side a reduced Fraction, congruence by the valuation of
@@ -49,9 +54,11 @@ use no scv.exact_arith valuation or residue function.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
@@ -68,7 +75,8 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 
-from scv import congruences, integrality, poly, sequences
+from scv import __version__, congruences, integrality, poly, sequences, sweeps
+from scv.cli import _COMMON_OPTIONS
 from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
@@ -846,3 +854,57 @@ def check_sort_key_oracle(check: CheckResult) -> tuple:
         (k, _param_sort_token(v)) for k, v in sorted(check.parameters.items())
     )
     return (check.check_name, params)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise sweeps.UsageError(message)
+
+
+def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
+    """Every sweep's subcommand, with the flags of the sweep `only` alone."""
+    parser = _Parser(prog=prog, description="Exact-arithmetic verification of binomial-sum"
+                     " congruences and integrality claims.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    verify = parser.add_subparsers(dest="command", required=True).add_parser(
+        "verify", help="Run one verification sweep and report every check."
+    )
+    subcommands = verify.add_subparsers(dest="sweep", required=True)
+    for name, sweep in sweeps.SWEEPS.items():
+        # only the flags given land in the namespace; a config file and the defaults fill the rest
+        sub = subcommands.add_parser(name, help=sweep.help, description=sweep.help,
+                                     allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        if name != only:  # argparse reads a sweep's flags only when that sweep is named
+            continue
+        sub.add_argument("--config", help="key=value file supplying defaults; explicit flags win.")
+        for option in (*sweep.options, *_COMMON_OPTIONS):
+            sub.add_argument(f"--{option.name}", help=option.help,
+                             action="append" if option.repeatable else "store")
+    return parser
+
+
+def join_values(argv: list[str]) -> list[str]:
+    """--x -1/5 as --x=-1/5: every flag but --help takes one value, which may start with "-"."""
+    flags = {"--config", *(f"--{o.name}" for s in sweeps.SWEEPS.values() for o in s.options),
+             *(f"--{o.name}" for o in _COMMON_OPTIONS)}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in flags:
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
+def argparse_parse(argv: list[str], prog: str = "scv") -> tuple[str, dict[str, object]]:
+    """The sweep argv names and the texts of its flags (a list for --x), read by argparse.
+
+    Help and --version print and raise SystemExit(0); any other refusal prints
+    the usage line and raises UsageError.
+    """
+    argv = join_values(argv)
+    named = argv[1] if argv[:1] == ["verify"] and len(argv) > 1 else None
+    given = vars(_parser(prog, named).parse_args(argv))
+    del given["command"]
+    return given.pop("sweep"), given

@@ -82,6 +82,19 @@ def test_parameter_shapes_and_empty_reports_render_as_json_dumps():
     _same(RunReport(__version__, {"subcommand": "verify identity", "max": None}, checks, 1.5))
     _same(RunReport(__version__, {}, [], 0.0))
     _same(RunReport(__version__, {"out": None, "jobs": 2}, checks[:1], 3.25))
+    # the envelope as scv.cli fills it: x a tuple, unset flags None, --out any path
+    odd_path = 'reports/r\u00e9sum\u00e9 "quoted" back\\slash.json'
+    invocations = [
+        {"subcommand": "verify guo-bb1", "pmax": 7, "x": (), "jobs": 1, "format": "json",
+         "out": None},
+        {"subcommand": "verify guo-bb1", "pmax": 7, "x": ("-1/5", "2/3"), "jobs": 2,
+         "format": "json", "out": odd_path},
+        {"subcommand": "verify identity", "name": "all", "max": None, "out": odd_path},
+    ]
+    for invocation in invocations:
+        for elapsed in (0.0, 1e-06, 12345.678901):
+            _same(RunReport(__version__, invocation, checks, elapsed))
+            _same(RunReport(__version__, invocation, [], elapsed))
 
 
 @pytest.mark.parametrize("value", [[1, 2], {"a": 1}, 1.5, True, None])

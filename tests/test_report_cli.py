@@ -5,7 +5,11 @@ import csv
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -442,6 +446,37 @@ def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypa
     assert "is not writable" in res.output
     assert asked == [(tmp_path, cli.os.W_OK | cli.os.X_OK)]  # the directory the file goes in
     assert calls == [] and not (tmp_path / "new.json").exists()
+
+
+def test_cli_report_that_cannot_be_written_is_one_error_line(tmp_path, monkeypatch):
+    def full(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.Path, "write_text", full)
+    out = tmp_path / "r.txt"
+    res = run_cli("verify", "rv", "--pmax", "7", "--out", str(out))
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)  # no OSError traceback
+    assert res.output == f"Error: could not write to {out}: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+@pytest.mark.parametrize("argv, target", [
+    (["verify", "rv", "--pmax", "7", "--out", "/dev/full"], "/dev/full"),
+    (["verify", "rv", "--pmax", "7", "--format", "json"], "stdout"),
+    (["verify", "rv", "--pmax", "7"], "stdout"),
+    (["--version"], "stdout"),
+], ids=["out", "json", "text", "version"])
+def test_program_output_to_a_full_device_is_one_error_line(argv, target):
+    # stdout too is the full device; a short write fails in the flush, not at the interpreter's exit
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scv.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)}, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"Error: could not write to {target}: [Errno 28] No space left on device\n"
 
 
 def test_cli_schmidt_over_term_limit_rejected_before_work(monkeypatch):

@@ -85,6 +85,29 @@ def test_program_exit_freezes_the_collector_before_atexit(argv, code):
     assert proc.stdout.splitlines()[-1] == "frozen True"
 
 
+# what a run of scv has no use for: the parser and the json writer need neither
+UNUSED_STDLIB = ("argparse", "gettext", "locale", "json")
+
+
+def _program(argv: list[str], launch: str = "import scv.cli\nscv.cli.main()") -> tuple:
+    """Run scv on argv as a program, by default as the `scv` script does: main() with no argv.
+
+    Returns the process, its stdout and stderr together, and the modules it loaded after the
+    interpreter's start, printed by an exit handler whose probe imports no json itself.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, sys\n"
+         "before = set(sys.modules)\n"
+         "atexit.register(lambda: print('loaded', *sorted(set(sys.modules) - before)))\n"
+         f"sys.argv = ['scv', *{argv!r}]\n"
+         f"{launch}"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    output, loaded = proc.stdout.rsplit("loaded", 1)
+    return proc, output + proc.stderr, loaded.split()
+
+
 @pytest.mark.parametrize("argv, code, shown", [
     (["--version"], 0, "scv, version 0.1.0\n"),
     (["verify", "cc", "--help"], 0, "usage: scv verify cc "),
@@ -92,26 +115,25 @@ def test_program_exit_freezes_the_collector_before_atexit(argv, code):
      "Error: Invalid value for '--pmax': 3 is not in the range 5<=x<=1000000\n"),
 ], ids=["version", "help", "usage-error"])
 def test_runs_that_check_nothing_load_no_arithmetic(argv, code, shown):
-    # as the `scv` script: main() with no argv; the exit handler prints what scv loaded,
-    # by a probe that, unlike _loaded_after, imports no json itself
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import atexit, sys\n"
-         "before = set(sys.modules)\n"
-         "atexit.register(lambda: print('loaded', *sorted(set(sys.modules) - before)))\n"
-         f"sys.argv = ['scv', *{argv!r}]\n"
-         "import scv.cli\n"
-         "scv.cli.main()"],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
-    )
+    proc, output, loaded = _program(argv)
     assert proc.returncode == code, proc.stderr
-    output, loaded = proc.stdout.rsplit("loaded", 1)
-    assert shown in output + proc.stderr
-    loaded = loaded.split()
+    assert shown in output
     assert [m for m in loaded if m == "scv" or m.startswith("scv.")] == [
         "scv", "scv.cli", "scv.sweeps"
     ]
-    assert [m for m in ("fractions", "decimal", "json") if m in loaded] == []
+    assert [m for m in ("fractions", "decimal", *UNUSED_STDLIB) if m in loaded] == []
+
+
+def test_json_run_loads_no_argparse_and_no_json_package():
+    # as `python -m scv.cli`: the report's strings are escaped by _json, the C part json binds
+    proc, output, loaded = _program(
+        ["verify", "sun-p4", "--pmax", "7", "--format", "json"],
+        "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(output)["summary"] == {"fail": 0, "pass": 8, "skipped": 0}
+    assert "scv.report" in loaded
+    assert [m for m in UNUSED_STDLIB if m in loaded] == []
 
 
 def test_congruence_sweep_loads_no_polynomial_code():
@@ -177,10 +199,7 @@ def test_runs_without_congruence_checks_load_no_congruence_code(argv):
     loaded = _loaded_after(
         "import contextlib, io, scv.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        f"        rc = scv.cli.main({argv!r}, standalone_mode=False)\n"
-        "    except SystemExit as exc:  # --version exits from argparse\n"
-        "        rc = exc.code\n"
+        f"    rc = scv.cli.main({argv!r}, standalone_mode=False)  # --version returns 0\n"
         "assert rc == 0, rc",
         ("scv.congruences",),
     )
