@@ -1,14 +1,15 @@
 """Congruence verifiers for the hypergeometric and binomial-sum families.
 
 Every check computes both sides as exact rationals (no intermediate
-truncation). The terms are int numerators over one known common
-denominator, so each side is summed in int arithmetic to an unreduced
-(numerator, denominator) int pair, and the verdict and its witnesses are
-read off those pairs (exact_arith.pair_congruent, pair_residue and
-pair_valuation) with no gcd; sums whose individual terms are not p-adic
-integers (the 1/(k+1) weights at k = p-1, the s = 2p-1 tail terms) are
-handled correctly, since only the valuation of the difference counts.
-The verdict shapes mod p^k and v_p >= k have one builder each here; the
+truncation) at an x that exact_arith.ratio reads as a reduced int pair,
+the form the family constants are stored in. The terms are int numerators
+over one known common denominator, so each side is summed in int
+arithmetic to an unreduced (numerator, denominator) int pair, and the
+verdict and its witnesses are read off those pairs (pair_congruent,
+pair_residue and pair_valuation) with no gcd; sums whose individual terms
+are not p-adic integers (the 1/(k+1) weights at k = p-1, the s = 2p-1 tail
+terms) are handled correctly, since only the valuation of the difference
+counts. The verdict shapes mod p^k and v_p >= k have one builder each; the
 record type CheckResult and the exact-equality and skip builders live in
 scv.report and are imported back, so `from scv.congruences import
 CheckResult` still works.
@@ -21,9 +22,7 @@ a sweep walks each series once per point instead of once per prime. The
 cc5 rows, cc7 and the cc8-cc10 windows depend on p through their weights:
 the rows are built once per p and shared by cc5 and cc7, and the cc5 rhs
 and each cc8-cc10 window is one sequences.weighted_sum pass over the rv
-terms t_s at a = -x, since C(x,s) C(x+s,s) = (-1)^s t_s and each cc x is
-minus a family's a. cc5 and cc10 at one (x, p) read the same walk
-frontier, which costs nothing.
+terms t_s at a = -x, a family's a, since C(x,s) C(x+s,s) = (-1)^s t_s.
 """
 
 from __future__ import annotations
@@ -31,19 +30,18 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from itertools import chain, repeat
 
 from .exact_arith import (
     InvalidPrime,
     PAdicContext,
     Pair,
-    Rat,
     _legendre,
     pair_congruent,
     pair_residue,
     pair_valuation,
     rat_str,
+    ratio,
 )
 from .report import CheckResult, exact_result, skipped_result  # noqa: F401  (re-exported)
 from .sequences import RV_FAMILIES, bb1_walk, rv_series, rv_walk, s_square_walk, weighted_sum
@@ -99,16 +97,16 @@ def _require_prime(p: int, minimum: int, k: int = 1) -> PAdicContext:
     return ctx
 
 
-# the x of the cc checks, as written in their report parameters: each -x is
-# a family's a, so the cc windows are passes over that family's rv terms
-SUPPORTED_X = tuple(rat_str(fam.sun_x) for fam in RV_FAMILIES.values())
+# the x of the cc checks, as written in their report parameters: each -x is a family's a,
+# which _require_supported_x returns, so the cc windows pass over that family's rv terms
+SUPPORTED_X = tuple(rat_str(*fam.sun_x) for fam in RV_FAMILIES.values())
 
 
-def _require_supported_x(x: Rat) -> Fraction:
-    x = Fraction(x)
-    if rat_str(x) not in SUPPORTED_X:
-        raise OutOfRange(f"x = {rat_str(x)} is not one of {', '.join(SUPPORTED_X)}")
-    return x
+def _require_supported_x(x: Rat | Pair | str) -> tuple[Pair, str]:
+    a, b = ratio(x)
+    if (text := rat_str(a, b)) not in SUPPORTED_X:
+        raise OutOfRange(f"x = {text} is not one of {', '.join(SUPPORTED_X)}")
+    return (-a, b), text
 
 
 def verify_rv(family: str, p: int) -> CheckResult:
@@ -125,7 +123,7 @@ def verify_lemma_2p(family: str, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 2)
     fam = RV_FAMILIES[family]
     lhs = rv_walk(fam.a).prefix(2 * p)
-    c, d = fam.lemma2_constant.as_integer_ratio()
+    c, d = fam.lemma2_constant
     rhs = (c * _legendre(fam.discriminant, p), d)
     return _congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
@@ -153,12 +151,12 @@ def verify_sun_p4(family: str, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     fam = RV_FAMILIES[family]
     lhs = s_square_walk(fam.sun_x).prefix(p)
-    c, d = fam.sun_constant.as_integer_ratio()
+    c, d = fam.sun_constant
     rhs = (c * _legendre(fam.discriminant, p) * p * p, d)
     return _congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
+def verify_guo_bb1(x: Rat | Pair | str, p: int) -> CheckResult:
     """The mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
@@ -170,9 +168,9 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     if p == 2:
         raise InvalidPrime(f"p = {p} is not an odd prime")
     ctx = _require_prime(p, 3, 4)
-    x = Fraction(x)
-    parameters = {"x": rat_str(x), "p": p}
-    if x.denominator % p == 0:
+    x = ratio(x)
+    parameters = {"x": rat_str(*x), "p": p}
+    if x[1] % p == 0:
         reason = f"x = {parameters['x']} is not a p-adic integer for p = {p}"
         return skipped_result("guo-bb1", parameters, reason)
     lhs = s_square_walk(x).prefix(p)
@@ -181,7 +179,7 @@ def verify_guo_bb1(x: Rat, p: int) -> CheckResult:
     return _congruence_result("guo-bb1", parameters, lhs, rhs, ctx)
 
 
-def verify_cc5(x: Rat, p: int) -> CheckResult:
+def verify_cc5(x: Rat | Pair | str, p: int) -> CheckResult:
     """The summation-order-exchanged form of the same mod-p^4 reduction.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
@@ -189,13 +187,13 @@ def verify_cc5(x: Rat, p: int) -> CheckResult:
     modulo p^4.
     """
     ctx = _require_prime(p, 5, 4)
-    x = _require_supported_x(x)
+    a, text = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
     rows, weight = _cc_row_sums(p)
     # C(x,s) C(x+s,s) = (-1)^s t_s, with t_s the rv term at a = -x
-    total, d = weighted_sum(((-1) ** s * row for s, row in enumerate(rows)), rv_series(-x))
+    total, d = weighted_sum(((-1) ** s * row for s, row in enumerate(rows)), rv_series(a))
     rhs = (p * p * total, weight * d)
-    return _congruence_result("cc5", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
+    return _congruence_result("cc5", {"x": text, "p": p}, lhs, rhs, ctx)
 
 
 def verify_cc7(s: int, p: int) -> CheckResult:
@@ -213,31 +211,31 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     return _congruence_result("cc7", {"s": s, "p": p}, lhs, rhs, ctx)
 
 
-def verify_cc8_fact(x: Rat, p: int) -> CheckResult:
+def verify_cc8_fact(x: Rat | Pair | str, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
     ctx = _require_prime(p, 5, 2)
-    x = _require_supported_x(x)
+    a, text = _require_supported_x(x)
     # the s = 2p-1 term alone, (-1)^{2p-1} t_{2p-1}
-    term = weighted_sum(chain(repeat(0, 2 * p - 1), (-1,)), rv_series(-x))
-    return _valuation_result("cc8-fact", {"x": rat_str(x), "p": p}, term, ctx)
+    term = weighted_sum(chain(repeat(0, 2 * p - 1), (-1,)), rv_series(a))
+    return _valuation_result("cc8-fact", {"x": text, "p": p}, term, ctx)
 
 
-def verify_cc9(x: Rat, p: int) -> CheckResult:
+def verify_cc9(x: Rat | Pair | str, p: int) -> CheckResult:
     """v_p( sum_{s=p}^{2p-1} (-1)^s/(s+1) C(x,s) C(x+s,s) ) >= 1.
 
     The s = 2p-1 term alone has a p in its 1/(s+1) weight, so only the
     valuation form of this statement is meaningful.
     """
     ctx = _require_prime(p, 5)
-    x = _require_supported_x(x)
+    a, text = _require_supported_x(x)
     weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
     # (-1)^s C(x,s) C(x+s,s) = t_s, the rv term at a = -x
     weights = chain(repeat(0, p), (weight // (s + 1) for s in range(p, 2 * p)))
-    tail, d = weighted_sum(weights, rv_series(-x))
-    return _valuation_result("cc9", {"x": rat_str(x), "p": p}, (tail, weight * d), ctx)
+    tail, d = weighted_sum(weights, rv_series(a))
+    return _valuation_result("cc9", {"x": text, "p": p}, (tail, weight * d), ctx)
 
 
-def verify_cc10(x: Rat, p: int) -> CheckResult:
+def verify_cc10(x: Rat | Pair | str, p: int) -> CheckResult:
     """The collapsed two-window form of the weighted s_k^2 congruence.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
@@ -245,9 +243,9 @@ def verify_cc10(x: Rat, p: int) -> CheckResult:
     modulo p^4.
     """
     ctx = _require_prime(p, 5, 4)
-    x = _require_supported_x(x)
+    a, text = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
     # 2 head - full weighs the terms (-1)^s C(x,s) C(x+s,s) = t_s by +1 for s < p, -1 after
-    total, d = weighted_sum(chain(repeat(1, p), repeat(-1, p)), rv_series(-x))
+    total, d = weighted_sum(chain(repeat(1, p), repeat(-1, p)), rv_series(a))
     rhs = (p * p * total, d)
-    return _congruence_result("cc10", {"x": rat_str(x), "p": p}, lhs, rhs, ctx)
+    return _congruence_result("cc10", {"x": text, "p": p}, lhs, rhs, ctx)

@@ -1,6 +1,7 @@
-"""Exact rational scalars, p-adic valuation and congruence, primes, Legendre symbol.
+"""Exact rationals as int pairs, p-adic valuation and congruence, primes, Legendre symbol.
 
-The verifiers build every side as an int or an unreduced (numerator,
+ratio, the one parser, makes a rational point its reduced int pair. The
+verifiers build every side as an int or an unreduced (numerator,
 denominator) int pair, and pair_valuation, pair_congruent and pair_residue
 decide and witness on those pairs directly, with no gcd. Congruence is
 valuation-based so it stays meaningful for rationals whose individual terms
@@ -12,16 +13,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from . import PRIME_LIMIT  # noqa: F401  (the cap is_prime and primes_in_range are meant for)
-
-Rat = Fraction
 
 # A congruence side: the unreduced (numerator, denominator) ints of a rational.
 Pair = tuple[int, int]
 
 INFINITY = math.inf
+
+
+def __getattr__(name: str) -> object:  # Rat, fractions.Fraction, loads on first use only
+    if name == "Rat":
+        from fractions import Fraction as Rat
+        return Rat
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InvalidPrime(ValueError):
@@ -36,15 +41,21 @@ def _int_str(n: int | str) -> str:
         return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def rat_str(num: Rat | int, den: int = 1) -> str:
-    """The reduced 'a/b' (or plain 'a') of an int or Fraction num over den, exact at any size."""
-    num, den = num.numerator, num.denominator * den
+def ratio(x: Rat | Pair | str) -> Pair:
+    """The reduced (num, den), den > 0, of an int, Fraction-like, (a, b) or "a"/"a/b" text."""
+    if isinstance(x, str):  # each part read by int()
+        x = tuple(map(int, x.split("/", 1))) if "/" in x else (int(x), 1)
+    num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     if not den:
         raise ZeroDivisionError("zero denominator")
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    if g == den:
-        return _int_str(num // g)
-    return f"{_int_str(num // g)}/{_int_str(den // g)}"
+    return num // g, den // g
+
+
+def rat_str(num: Rat | int, den: int = 1) -> str:
+    """The reduced 'a/b' (or plain 'a') of an int or Fraction num over den, exact at any size."""
+    num, den = ratio((num.numerator, num.denominator * den))
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 def coefficients_str(nums: Sequence[int], den: int) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
@@ -77,7 +76,7 @@ def check_cc4(k: int, s: int) -> CheckResult:
 
 
 def check_liu26(s: int) -> CheckResult:
-    """sum_{k<=s} (-1)^k/(k+1) C(2k,s) C(s,k) == (-1)^s, exactly over Rat."""
+    """sum_{k<=s} (-1)^k/(k+1) C(2k,s) C(s,k) == (-1)^s, exactly, over (s+1)!."""
     if s < 0:
         raise ValueError("s must be >= 0")
     den = math.factorial(s + 1)  # 1/(k+1) = ((s+1)!/(k+1)) / (s+1)! for k <= s
@@ -94,18 +93,18 @@ def check_telescope(n: int) -> CheckResult:
     Verifies the denominator-cleared identity
         x(x+1) * sum_{s<n} (-1)^s/(s+1) C(x,s) C(x+s,s)
             == n (-1)^(n+1) C(x,n) C(x+n,n)
-    by coefficient equality; the partial sum is built over n! (n-1)!. The
-    lhs carries the factor x(x+1), so equality also shows that the rhs is
-    divisible by it.
+    by coefficient equality; the partial sum is built over n! (n-1)! with int
+    weights (-1)^s n!/(s+1), n! times too large, so the lhs factor is x(x+1)/n!.
+    It carries x(x+1), so equality also shows that the rhs is divisible by it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     from .poly import pair_binomial_poly, poly_mul, poly_sum
     partial = poly_sum(
-        ((Fraction((-1) ** s, s + 1), pair_binomial_poly(s)) for s in range(n)),
+        (((-1) ** s * math.factorial(n) // (s + 1), pair_binomial_poly(s)) for s in range(n)),
         math.factorial(n) * math.factorial(n - 1),
     )
-    lhs = poly_mul(((0, 1, 1), 1), partial)
+    lhs = poly_mul(((0, 1, 1), math.factorial(n)), partial)
     rhs = poly_sum([(n * (-1) ** (n + 1), pair_binomial_poly(n))], math.factorial(n) ** 2)
     return exact_result("telescope", {"n": n}, coefficients_str(*lhs), coefficients_str(*rhs))
 

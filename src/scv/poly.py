@@ -21,7 +21,7 @@ import functools
 import math
 from collections.abc import Iterable, Sequence
 
-from .exact_arith import Rat, _int_str
+from .exact_arith import _int_str
 
 IntPoly = tuple[tuple[int, ...], int]
 
@@ -39,8 +39,8 @@ def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
     return tuple(int_poly_mul(p[0], q[0])), p[1] * q[1]
 
 
-def poly_sum(terms: Iterable[tuple[Rat | int, IntPoly]], den: int) -> IntPoly:
-    """sum_i w_i p_i as numerators over den.
+def poly_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
+    """sum_i w_i p_i as numerators over den, for int weights w_i.
 
     den must clear every term: w_i * den / (denominator of p_i) has to be an
     integer, or ArithmeticError is raised instead of truncating.
@@ -49,7 +49,7 @@ def poly_sum(terms: Iterable[tuple[Rat | int, IntPoly]], den: int) -> IntPoly:
     for w, (nums, d) in terms:
         if not w:
             continue
-        scale, r = divmod(w.numerator * den, w.denominator * d)
+        scale, r = divmod(w * den, d)
         if r:
             raise ArithmeticError(f"{_int_str(den)} is not a common denominator")
         out.extend([0] * (len(nums) - len(out)))

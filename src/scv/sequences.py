@@ -1,6 +1,6 @@
 """Number families used by the verifiers, evaluated at one rational point.
 
-Definitions (all exact over Rat):
+Definitions (exact at a point that exact_arith.ratio reads as an int pair):
 
     d_n(x)          sum_k C(n,k) C(x,k) 2^k          (degree n)
     s_n(x)          sum_k C(n,k) C(x,k) C(x+k,k)     (degree 2n)
@@ -17,12 +17,12 @@ Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
 gives each exact prefix sum as (numerator, denominator) ints: term k is an
 int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
-so no term is ever reduced to a Fraction, and a check decides on that
-unreduced pair as it is. rv_walk, s_square_walk and bb1_walk are the
-cached per-point walks; cache_clear() on them drops every cursor. A side
-whose terms carry p-dependent weights is one weighted_sum pass over the
-same series, on the same unreduced pairs. The same families as
-polynomials in x are in scv.poly, which the congruence checks never load.
+so no term is ever reduced, and a check decides on that unreduced pair as
+it is. rv_walk, s_square_walk and bb1_walk are the cached per-point walks;
+cache_clear() on them drops every cursor. A side whose terms carry
+p-dependent weights is one weighted_sum pass over the same series, on the
+same unreduced pairs. The same families as polynomials in x are in
+scv.poly, which the congruence checks never load.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from .exact_arith import Rat
+from .exact_arith import Pair, ratio
 
 
 class PrefixWalk:
@@ -43,19 +42,16 @@ class PrefixWalk:
     `series()` yields the pairs (r_k, m_k) for k = 0, 1, ...: term k is
     m_k / D_k with D_k = r_k D_{k-1} and D_{-1} = 1. The cursor keeps only
     the frontier: the running generator, the sum to N over D_{N-1} and N.
-    prefix(n) advances to n; an n below the frontier restarts the series
-    from k = 0, so a value never depends on the order of the requests.
-    `starts` counts the times the series began.
+    prefix(n) advances to n; the first n, and an n below the frontier, start
+    the series from k = 0, so a value never depends on the order of the
+    requests. `starts` counts the times the series began.
     """
 
     def __init__(self, series: Callable[[], Iterator[tuple[int, int]]]) -> None:
-        self._series = series
-        self.starts = 0
-        self._restart()
+        self._series, self.starts, self._n = series, 0, math.inf  # no frontier yet
 
     def _restart(self) -> None:
-        self._terms = self._series()
-        self._n, self._total, self._den = 0, 0, 1
+        self._terms, self._n, self._total, self._den = self._series(), 0, 0, 1
         self.starts += 1
 
     def prefix(self, n: int) -> tuple[int, int]:
@@ -85,13 +81,12 @@ def weighted_sum(weights: Iterable[int], series: Iterator[tuple[int, int]]) -> t
     return total, den
 
 
-def rv_series(a: Rat) -> Iterator[tuple[int, int]]:
+def rv_series(a: Rat | Pair | str) -> Iterator[tuple[int, int]]:
     """The terms (a)_k (1-a)_k / (1)_k^2 at a = n/q, over D_k = q^{2k} k!^2.
 
     The numerator of term k+1 is that of term k times (n+kq)(q-n+kq).
     """
-    a = Fraction(a)
-    n, q = a.numerator, a.denominator
+    n, q = ratio(a)
     yield 1, 1
     m = 1
     for k in count():
@@ -99,14 +94,13 @@ def rv_series(a: Rat) -> Iterator[tuple[int, int]]:
         yield ((k + 1) * q) ** 2, m
 
 
-def s_series(x: Rat | int) -> Iterator[int]:
+def s_series(x: Rat | Pair | str) -> Iterator[int]:
     """The integers S_k = s_k(x) b^{2k} k!^2 at x = a/b, for k = 0, 1, ...
 
     (k+1)^2 s_{k+1} = A(k) s_k - k^2 s_{k-1} with A(k) = 2k^2 + 2k + 1 + x(x+1),
     a recurrence whose certificate tests/test_s_recurrence.py checks.
     """
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
+    a, b = ratio(x)
     prev, cur, c, b2 = 0, 1, a * (a + b), b * b
     for k in count():
         yield cur
@@ -157,14 +151,14 @@ def ds_value(t: int, k: int) -> tuple[int, int]:
     return read[k]
 
 
-def s_square_series(x: Rat) -> Iterator[tuple[int, int]]:
+def s_square_series(x: Rat | Pair | str) -> Iterator[tuple[int, int]]:
     """The terms (2k+1) s_k(x)^2 over D_k^2, D_k = b^{2k} k!^2 at x = a/b: s_k D_k is S_k."""
-    b = Fraction(x).denominator
+    b = ratio(x)[1]
     for k, s in enumerate(s_series(x)):
         yield (k * b) ** 4 if k else 1, (2 * k + 1) * s * s
 
 
-def bb1_series(x: Rat) -> Iterator[tuple[int, int]]:
+def bb1_series(x: Rat | Pair | str) -> Iterator[tuple[int, int]]:
     """The terms (-1)^k/(k+1) C(x+k,2k) sum_{j<=k} C(x,j) C(x+j,j) C(2k,j+k) at x = a/b.
 
     The pair binomials C(x,j) C(x+j,j) are numerators U_j over D_k =
@@ -172,8 +166,7 @@ def bb1_series(x: Rat) -> Iterator[tuple[int, int]]:
     E_k = b^{2k} (2k)!, so term k is over (k+1)! E_k D_k and each inner sum
     is taken once.
     """
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
+    a, b = ratio(x)
     u, fact, row, r = 1, 1, [], 1
     for k in count():
         if k:
@@ -187,22 +180,21 @@ def bb1_series(x: Rat) -> Iterator[tuple[int, int]]:
         yield r, (-1) ** k * fact * u * inner
 
 
-# A grid reads at most four points in turn (cc interleaves its x values), so
-# eight cursors per series keep every walk a grid needs; an evicted point
-# only restarts, and the frontiers held stay bounded however many --x points.
-@functools.lru_cache(maxsize=8)
-def rv_walk(a: Rat) -> PrefixWalk:
-    return PrefixWalk(functools.partial(rv_series, a))
+# One cursor per reduced pair, which every form of a point shares. A grid reads at most four
+# points in turn (cc interleaves its x values), so eight per series keep every walk it needs;
+# an evicted point only restarts, and the frontiers held stay bounded however many --x points.
+def _point_walks(series: Callable[[Pair], Iterator[tuple[int, int]]]) -> Callable:
+    cached = functools.lru_cache(maxsize=8)(lambda x: PrefixWalk(functools.partial(series, x)))
+
+    def walk(x: Rat | Pair | str) -> PrefixWalk:
+        return cached(ratio(x))
+
+    walk.__qualname__ = walk.__name__ = series.__name__.replace("series", "walk")
+    walk.cache_clear, walk.cache_info = cached.cache_clear, cached.cache_info
+    return walk
 
 
-@functools.lru_cache(maxsize=8)
-def s_square_walk(x: Rat) -> PrefixWalk:
-    return PrefixWalk(functools.partial(s_square_series, x))
-
-
-@functools.lru_cache(maxsize=8)
-def bb1_walk(x: Rat) -> PrefixWalk:
-    return PrefixWalk(functools.partial(bb1_series, x))
+rv_walk, s_square_walk, bb1_walk = map(_point_walks, (rv_series, s_square_series, bb1_series))
 
 
 def schmidt_coefficient(n: int, k: int) -> int:
@@ -219,17 +211,17 @@ class RVFamily(NamedTuple):
     mod-p^4 constant (times the Legendre symbol times p^2).
     """
 
-    a: Fraction
+    a: Pair
     discriminant: int
-    lemma2_constant: Fraction
-    sun_x: Fraction
-    sun_constant: Fraction
+    lemma2_constant: Pair
+    sun_x: Pair
+    sun_constant: Pair
 
 
 # keyed by the family label that the sweep tasks and the reports print
 RV_FAMILIES: dict[str, RVFamily] = {
-    "1/2": RVFamily(Fraction(1, 2), -1, Fraction(5, 4), Fraction(-1, 2), Fraction(3, 4)),
-    "1/3": RVFamily(Fraction(1, 3), -3, Fraction(11, 9), Fraction(-1, 3), Fraction(7, 9)),
-    "1/4": RVFamily(Fraction(1, 4), -2, Fraction(19, 16), Fraction(-1, 4), Fraction(13, 16)),
-    "1/6": RVFamily(Fraction(1, 6), -1, Fraction(41, 36), Fraction(-1, 6), Fraction(31, 36)),
+    "1/2": RVFamily((1, 2), -1, (5, 4), (-1, 2), (3, 4)),
+    "1/3": RVFamily((1, 3), -3, (11, 9), (-1, 3), (7, 9)),
+    "1/4": RVFamily((1, 4), -2, (19, 16), (-1, 4), (13, 16)),
+    "1/6": RVFamily((1, 6), -1, (41, 36), (-1, 6), (31, 36)),
 }

@@ -96,13 +96,14 @@ def execute_task(task: Task) -> CheckResult:
     try:
         return verify(**params)
     except Exception as exc:  # a raising check is a reported failure, not a crash
-        from .exact_arith import Rat, rat_str
+        from .exact_arith import rat_str
         from .report import CheckResult
 
+        fraction = getattr(sys.modules.get("fractions"), "Fraction", ())  # () if no Fraction exists
         return CheckResult(
             check_name=kind,
             # a Fraction prints as each verifier prints it, so a forked worker can send it
-            parameters={k: rat_str(v) if isinstance(v, Rat) else v for k, v in params.items()},
+            parameters={k: rat_str(v) if isinstance(v, fraction) else v for k, v in params.items()},
             passed=False,
             lhs_witness=f"error: {type(exc).__name__}: {exc}",
             rhs_witness="",
@@ -298,20 +299,19 @@ def choice_option(name: str, choices: Collection[str], default: str, help: str =
 def _validate_rationals(value: Iterable[str]) -> tuple[str, ...]:
     """Each point in its canonical a/b form, repeats dropped, in first-seen order.
 
-    a and b are read with int(), whose digit limit refuses a huge point before
-    any arithmetic; reducing only shrinks them, so each canonical form parses again.
+    a and b are read by ratio with int(), whose digit limit refuses a huge point
+    before any arithmetic; reducing only shrinks them, so each canonical form parses again.
     """
-    from .exact_arith import rat_str
+    from .exact_arith import rat_str, ratio
 
     canonical = {}
     for item in value:
         try:
-            canonical[rat_str(*map(int, item.split("/", 1)))] = None
+            canonical[rat_str(*ratio(item))] = None
         except (ValueError, ZeroDivisionError):
-            raise UsageError(
-                f"expected a rational a/b or a of integers of at most"
-                f" {sys.get_int_max_str_digits()} digits, like -1/2, got {item!r}"
-            ) from None
+            digits = f" of at most {n} digits" if (n := sys.get_int_max_str_digits()) else ""
+            message = f"expected a rational a/b or a of integers{digits}, like -1/2, got {item!r}"
+            raise UsageError(message) from None
     return tuple(canonical)
 
 

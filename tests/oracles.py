@@ -431,14 +431,14 @@ def valuation_result(
 
 def rv_sides(family: str, p: int) -> tuple[Rat, Rat]:
     fam = RV_FAMILIES[family]
-    lhs = sum(rv_terms(fam.a, p), Fraction(0))
+    lhs = sum(rv_terms(Fraction(*fam.a), p), Fraction(0))
     return lhs, Fraction(legendre(fam.discriminant, p))
 
 
 def lemma2p_sides(family: str, p: int) -> tuple[Rat, Rat]:
     fam = RV_FAMILIES[family]
-    lhs = sum(rv_terms(fam.a, 2 * p), Fraction(0))
-    return lhs, fam.lemma2_constant * legendre(fam.discriminant, p)
+    lhs = sum(rv_terms(Fraction(*fam.a), 2 * p), Fraction(0))
+    return lhs, Fraction(*fam.lemma2_constant) * legendre(fam.discriminant, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,8 +450,8 @@ def weighted_s_square_sum(x: Rat, p: int) -> Rat:
 
 def sun_p4_sides(family: str, p: int) -> tuple[Rat, Rat]:
     fam = RV_FAMILIES[family]
-    rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
-    return weighted_s_square_sum(fam.sun_x, p), rhs
+    rhs = Fraction(*fam.sun_constant) * legendre(fam.discriminant, p) * p * p
+    return weighted_s_square_sum(Fraction(*fam.sun_x), p), rhs
 
 
 def guo_bb1_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
@@ -624,7 +624,7 @@ def int_weighted_s_square_sum(x: Rat, p: int) -> Rat:
 def verify_rv_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
     fam = RV_FAMILIES[family]
-    terms, den = int_rv_terms(fam.a, p)
+    terms, den = int_rv_terms(Fraction(*fam.a), p)
     lhs = Fraction(sum(terms), den)
     rhs = Fraction(legendre(fam.discriminant, p))
     return congruence_result("rv", {"family": family, "p": p}, lhs, rhs, ctx)
@@ -633,17 +633,17 @@ def verify_rv_oracle(family: str, p: int) -> CheckResult:
 def verify_lemma_2p_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
     fam = RV_FAMILIES[family]
-    terms, den = int_rv_terms(fam.a, 2 * p)
+    terms, den = int_rv_terms(Fraction(*fam.a), 2 * p)
     lhs = Fraction(sum(terms), den)
-    rhs = fam.lemma2_constant * legendre(fam.discriminant, p)
+    rhs = Fraction(*fam.lemma2_constant) * legendre(fam.discriminant, p)
     return congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_sun_p4_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 4)
     fam = RV_FAMILIES[family]
-    lhs = int_weighted_s_square_sum(fam.sun_x, p)
-    rhs = fam.sun_constant * legendre(fam.discriminant, p) * p * p
+    lhs = int_weighted_s_square_sum(Fraction(*fam.sun_x), p)
+    rhs = Fraction(*fam.sun_constant) * legendre(fam.discriminant, p) * p * p
     return congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 

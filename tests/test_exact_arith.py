@@ -25,6 +25,7 @@ from scv.exact_arith import (
     pair_valuation,
     primes_in_range,
     rat_str,
+    ratio,
 )
 from scv.identities import check_cc4
 from scv.integrality import verify_integer_valued
@@ -168,6 +169,52 @@ def test_rat_parsing():
     for bad in ("x", "1.5", "1e3", "1/0", "1/2/3", "", "1" + "0" * 4300):
         with pytest.raises(UsageError):
             _validate_rationals((bad,))
+
+
+def test_rat_parse_error_names_the_digit_limit_only_when_there_is_one():
+    for limit, wanted in ((640, " of at most 640 digits,"), (0, " of integers, like")):
+        with pytest.raises(UsageError) as refused:
+            _under_int_str_limit(limit, _validate_rationals, ("abc",))
+        assert wanted in str(refused.value), limit
+        assert "at most 0 digits" not in str(refused.value)
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-m", "scv.cli", "verify", "guo-bb1",
+         "--x", "abc"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "Error: Invalid value for '--x': expected a rational a/b or a of integers,"
+        " like -1/2, got 'abc'"
+    )
+
+
+_BIG = st.integers(-(10**60), 10**60)
+
+
+@example(0, -5)
+@example(-12, -8)
+@example(12, 4)
+@example(7, 1)
+@given(_BIG, _BIG.filter(bool))
+def test_ratio_matches_its_fraction_oracle(n, d):
+    q = Fraction(n, d)
+    reduced = (q.numerator, q.denominator)
+    assert ratio((n, d)) == reduced  # an unreduced pair, either sign
+    assert ratio(q) == reduced
+    assert ratio(f"{n}/{d}") == reduced  # a text, negative denominators too
+    assert ratio(rat_str(n, d)) == reduced  # the printer's form parses back
+    assert ratio(n) == ratio(str(n)) == ratio(Fraction(n)) == (n, 1)
+
+
+@given(_BIG)
+def test_ratio_refuses_a_zero_denominator_as_fraction_does(n):
+    for zero in ((n, 0), f"{n}/0", f"{n}/-0"):
+        with pytest.raises(ZeroDivisionError):
+            ratio(zero)
+    with pytest.raises(ZeroDivisionError):
+        Fraction(n, 0)
 
 
 def _digits(n: int) -> str:

@@ -135,3 +135,15 @@ def test_weighted_sum_matches_fraction_sum(a, weights):
     r, m = next(series)
     assert Fraction(m, den * r) == terms[n]
     assert sequences.weighted_sum([], sequences.rv_series(a)) == (0, 1)
+
+
+@pytest.mark.parametrize("walk", WALKS, ids=lambda walk: walk.__name__)
+def test_every_form_of_a_point_shares_one_cursor(walk):
+    # a Fraction, a text and a pair for 1/3 are one point, so one cursor serves them all
+    _clear()
+    cursor = walk(Fraction(1, 3))
+    for same in ("1/3", (1, 3), (-2, -6), "2/6", "-1/-3"):
+        assert walk(same) is cursor, same
+    assert walk.cache_info().currsize == 1
+    assert walk(Fraction(-1, 3)) is not cursor
+    _clear()

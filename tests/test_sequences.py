@@ -149,7 +149,7 @@ def test_rv_term_examples():
     for fam in RV_FAMILIES.values():
         walk = rv_walk(fam.a)
         for n in range(25):
-            assert Fraction(*walk.prefix(n)) == sum(rv_term(fam.a, k) for k in range(n))
+            assert Fraction(*walk.prefix(n)) == sum(rv_term(Fraction(*fam.a), k) for k in range(n))
 
 
 def test_signed_jacobi_term():
@@ -175,9 +175,9 @@ def test_signed_jacobi_polynomial_identity():
 def test_rv_family_table():
     assert list(RV_FAMILIES) == ["1/2", "1/3", "1/4", "1/6"]
     for label, fam in RV_FAMILIES.items():
-        assert fam.a == Fraction(label)  # each family is keyed by its a
-        assert fam.sun_x == -fam.a
-        assert 2 - fam.lemma2_constant == fam.sun_constant
+        assert Fraction(*fam.a) == Fraction(label)  # each family is keyed by its a
+        assert Fraction(*fam.sun_x) == -Fraction(*fam.a)
+        assert 2 - Fraction(*fam.lemma2_constant) == Fraction(*fam.sun_constant)
     assert RV_FAMILIES["1/4"].discriminant == -2
     with pytest.raises(KeyError):
         RV_FAMILIES["1/5"]

@@ -89,14 +89,17 @@ def test_program_exit_freezes_the_collector_before_atexit(argv, code):
 UNUSED_STDLIB = ("argparse", "gettext", "locale", "json")
 
 
-def _program(argv: list[str], launch: str = "import scv.cli\nscv.cli.main()") -> tuple:
+def _program(
+    argv: list[str], launch: str = "import scv.cli\nscv.cli.main()", flags: tuple[str, ...] = ()
+) -> tuple:
     """Run scv on argv as a program, by default as the `scv` script does: main() with no argv.
 
     Returns the process, its stdout and stderr together, and the modules it loaded after the
     interpreter's start, printed by an exit handler whose probe imports no json itself.
+    `flags` go to the interpreter.
     """
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          "import atexit, sys\n"
          "before = set(sys.modules)\n"
          "atexit.register(lambda: print('loaded', *sorted(set(sys.modules) - before)))\n"
@@ -134,6 +137,43 @@ def test_json_run_loads_no_argparse_and_no_json_package():
     assert json.loads(output)["summary"] == {"fail": 0, "pass": 8, "skipped": 0}
     assert "scv.report" in loaded
     assert [m for m in UNUSED_STDLIB if m in loaded] == []
+
+
+# what no verify run needs: rationals are int pairs, so neither fractions nor what it loads
+RATIONAL_STDLIB = ("fractions", "decimal", "_decimal", "_pydecimal", "numbers")
+AS_MODULE = "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')"  # python -m scv.cli
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize("argv", [
+    ["rv", "--pmax", "7", "--format", "json"],
+    ["lemma2p", "--pmax", "7", "--format", "json"],
+    ["sun-p4", "--pmax", "7", "--format", "json"],
+    ["guo-bb1", "--pmax", "7", "--x", "-1/5", "--x", "2/-6", "--x", "3", "--format", "json"],
+    ["cc", "--pmax", "11", "--format", "json"],
+    ["identity", "--name", "all", "--max", "2", "--format", "json"],
+    ["integrality", "--nmax", "2", "--mmax", "2", "--format", "json"],
+    ["schmidt", "--nmax", "2", "--mmax", "2", "--format", "json"],
+    ["guo-bb1", "--pmax", "7", "--format", "text"],
+    ["cc", "--pmax", "7", "--format", "csv"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_verify_runs_load_no_fractions(argv, flags):
+    proc, output, loaded = _program(["verify", *argv], AS_MODULE, flags)
+    assert proc.returncode == 0, output  # every check passed, and at least one ran
+    assert [m for m in RATIONAL_STDLIB if m in loaded] == []
+
+
+def test_library_modules_import_no_fractions_and_rat_resolves_to_fraction():
+    result = _fresh(
+        "import json, sys\n"
+        "import scv.cli, scv.congruences, scv.identities, scv.integrality, scv.poly\n"
+        "import scv.report, scv.sequences\n"
+        "before = [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
+        "import fractions, scv, scv.exact_arith\n"
+        "print(json.dumps([before, scv.Rat is fractions.Fraction,\n"
+        "                  scv.exact_arith.Rat is fractions.Fraction]))"
+    )
+    assert result == [[], True, True]
 
 
 def test_congruence_sweep_loads_no_polynomial_code():
