@@ -1,18 +1,18 @@
 """Congruence verifiers for the hypergeometric and binomial-sum families.
 
 Every check computes both sides as exact rationals (no intermediate
-truncation) at an x that exact_arith.ratio reads as a reduced int pair,
-the form the family constants are stored in. The terms are int numerators
-over one known common denominator, so each side is summed in int
-arithmetic to an unreduced (numerator, denominator) int pair, and the
-verdict and its witnesses are read off those pairs (pair_congruent,
-pair_residue and pair_valuation) with no gcd; sums whose individual terms
-are not p-adic integers (the 1/(k+1) weights at k = p-1, the s = 2p-1 tail
-terms) are handled correctly, since only the valuation of the difference
-counts. The verdict shapes mod p^k and v_p >= k have one builder each; the
-record type CheckResult and the exact-equality and skip builders live in
-scv.report and are imported back, so `from scv.congruences import
-CheckResult` still works.
+truncation) at an x that exact_arith.ratio reads as a reduced int pair;
+the rv, lemma2p and sun-p4 rhs are one rule each in (x, p), read at x = -a
+for a family's a. The terms are int numerators over one known common
+denominator, so each side is summed in int arithmetic to an unreduced
+(numerator, denominator) int pair, and the verdict and its witnesses are
+read off those pairs (pair_congruent, pair_residue and pair_valuation) with
+no gcd; sums whose individual terms are not p-adic integers (the 1/(k+1)
+weights at k = p-1, the s = 2p-1 tail terms) are handled correctly, since
+only the valuation of the difference counts. The verdict shapes mod p^k and
+v_p >= k have one builder each; CheckResult and the exact-equality and skip
+builders live in scv.report and are imported back, so `from
+scv.congruences import CheckResult` still works.
 
 The sides that are partial sums of a p-independent series read their
 prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
@@ -36,7 +36,6 @@ from .exact_arith import (
     InvalidPrime,
     PAdicContext,
     Pair,
-    _legendre,
     pair_congruent,
     pair_residue,
     pair_valuation,
@@ -99,7 +98,7 @@ def _require_prime(p: int, minimum: int, k: int = 1) -> PAdicContext:
 
 # the x of the cc checks, as written in their report parameters: each -x is a family's a,
 # which _require_supported_x returns, so the cc windows pass over that family's rv terms
-SUPPORTED_X = tuple(rat_str(*fam.sun_x) for fam in RV_FAMILIES.values())
+SUPPORTED_X = tuple(rat_str(-fam.a[0], fam.a[1]) for fam in RV_FAMILIES.values())
 
 
 def _require_supported_x(x: Rat | Pair | str) -> tuple[Pair, str]:
@@ -109,22 +108,42 @@ def _require_supported_x(x: Rat | Pair | str) -> tuple[Pair, str]:
     return (-a, b), text
 
 
+def _require_family(family: str) -> tuple[Pair, Pair]:
+    if family not in RV_FAMILIES:
+        raise OutOfRange(f"family = {family} is not one of {', '.join(RV_FAMILIES)}")
+    a, b = RV_FAMILIES[family].a
+    return (a, b), (-a, b)  # a and the point x = -a, where the family's rhs is read
+
+
+def _point_class(x: Pair, p: int) -> tuple[int, int, int]:
+    """(sign, u, b): (-1)^r and x' = u/b = (x - r)/p, for x = u'/b and r = <x>_p = u'/b mod p.
+
+    At a family's x = -1/q, q in {2, 3, 4, 6}, r = (jp - 1)/q with j = 1/p mod q, 1 or q-1,
+    so x' = -j/q is x or -1-x; and r is even iff (disc/p) = 1, case by case over p mod 4q:
+    q = 2, disc -1, r = (p-1)/2 (Euler); q = 3, disc -3, iff p = 1 mod 3; q = 4, disc -2,
+    iff p = 1, 3 mod 8; q = 6, disc -1, iff p = 1, 5 mod 12.
+    """
+    u, b = x
+    r = u * pow(b, -1, p) % p
+    return (-1) ** r, (u - r * b) // p, b
+
+
 def verify_rv(family: str, p: int) -> CheckResult:
-    """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against the Legendre symbol, mod p^2."""
+    """sum_{k<p} (a)_k (1-a)_k / (1)_k^2 against (-1)^r, r = <-a>_p, mod p^2."""
     ctx = _require_prime(p, 5, 2)
-    fam = RV_FAMILIES[family]
-    lhs = rv_walk(fam.a).prefix(p)
-    rhs = (_legendre(fam.discriminant, p), 1)
+    a, x = _require_family(family)
+    lhs = rv_walk(a).prefix(p)
+    rhs = (_point_class(x, p)[0], 1)
     return _congruence_result("rv", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_lemma_2p(family: str, p: int) -> CheckResult:
-    """The same hypergeometric sum taken to 2p-1 terms, against its 5/4-style constant."""
+    """The same hypergeometric sum taken to 2p-1 terms, against (-1)^r (1 - x'(1+x')) at x = -a."""
     ctx = _require_prime(p, 5, 2)
-    fam = RV_FAMILIES[family]
-    lhs = rv_walk(fam.a).prefix(2 * p)
-    c, d = fam.lemma2_constant
-    rhs = (c * _legendre(fam.discriminant, p), d)
+    a, x = _require_family(family)
+    lhs = rv_walk(a).prefix(2 * p)
+    sign, u, b = _point_class(x, p)
+    rhs = (sign * (b * b - u * (b + u)), b * b)
     return _congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
@@ -147,12 +166,12 @@ def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
 
 
 def verify_sun_p4(family: str, p: int) -> CheckResult:
-    """sum_{k<p} (2k+1) s_k(x)^2 against constant * Legendre * p^2, mod p^4."""
+    """sum_{k<p} (2k+1) s_k(x)^2 against (-1)^r p^2 (1 + x'(1+x')) at x = -a, mod p^4."""
     ctx = _require_prime(p, 5, 4)
-    fam = RV_FAMILIES[family]
-    lhs = s_square_walk(fam.sun_x).prefix(p)
-    c, d = fam.sun_constant
-    rhs = (c * _legendre(fam.discriminant, p) * p * p, d)
+    _, x = _require_family(family)
+    lhs = s_square_walk(x).prefix(p)
+    sign, u, b = _point_class(x, p)
+    rhs = (sign * p * p * (b * b + u * (b + u)), b * b)
     return _congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 

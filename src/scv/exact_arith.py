@@ -171,11 +171,6 @@ def legendre(a: int, p: int) -> int:
     """
     if p == 2 or not is_prime(p):
         raise InvalidPrime(f"p = {p} is not an odd prime")
-    return _legendre(a, p)
-
-
-def _legendre(a: int, p: int) -> int:
-    # legendre for an odd prime p the caller has already validated
     a %= p
     if a == 0:
         return 0

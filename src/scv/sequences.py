@@ -203,25 +203,10 @@ def schmidt_coefficient(n: int, k: int) -> int:
 
 
 class RVFamily(NamedTuple):
-    """One of the four hypergeometric families with its sweep constants.
-
-    a is the hypergeometric parameter, discriminant the Legendre-symbol
-    argument, lemma2_constant the mod-p^2 constant for sums to 2p-1, sun_x
-    the evaluation point for the weighted s_k^2 sums and sun_constant their
-    mod-p^4 constant (times the Legendre symbol times p^2).
-    """
+    """One of the four hypergeometric families: its parameter a, a reduced int pair."""
 
     a: Pair
-    discriminant: int
-    lemma2_constant: Pair
-    sun_x: Pair
-    sun_constant: Pair
 
 
-# keyed by the family label that the sweep tasks and the reports print
-RV_FAMILIES: dict[str, RVFamily] = {
-    "1/2": RVFamily((1, 2), -1, (5, 4), (-1, 2), (3, 4)),
-    "1/3": RVFamily((1, 3), -3, (11, 9), (-1, 3), (7, 9)),
-    "1/4": RVFamily((1, 4), -2, (19, 16), (-1, 4), (13, 16)),
-    "1/6": RVFamily((1, 6), -1, (41, 36), (-1, 6), (31, 36)),
-}
+# keyed by the family label that the sweep tasks and the reports print, the text of a
+RV_FAMILIES: dict[str, RVFamily] = {s: RVFamily(ratio(s)) for s in ("1/2", "1/3", "1/4", "1/6")}

@@ -356,7 +356,7 @@ SWEEPS = {
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
         (choice_option("which", [*CC_KINDS, "all"], "all", "Which chain step to sweep."),
-         _pmax(50)),
+         _pmax(200)),
         _cc,
     ),
     "identity": Sweep(

@@ -13,7 +13,9 @@ both routes. Their s_k come from int_s_values, the binomial transform of
 the pair-binomial column, not from the s_n recurrence of the library. The
 int columns divide each term out of one common denominator (ratio_column);
 int_pair_binomial_values builds the C(x,s) C(x+s,s) column that the
-library reads off the rv terms at a = -x.
+library reads off the rv terms at a = -x. The rhs of the family checks come
+from FAMILY_CONSTANTS, the published constants and Legendre symbols, where
+the library reads one rule in (x, p) at x = -a.
 
 The integrality checks tabulate integers and expand Schmidt powers by the
 multinomial theorem; here the averaged d^m s^m sum is a Fraction UniPoly
@@ -62,6 +64,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from fraction_poly import (
     MultiPoly,
@@ -81,7 +84,6 @@ from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
 from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
 from scv.report import RunReport
-from scv.sequences import RV_FAMILIES
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -426,19 +428,41 @@ def valuation_result(
     )
 
 
+class FamilyConstants(NamedTuple):
+    """An RV family's published constants, with (d/p) the Legendre symbol of its discriminant d.
+
+    The rhs are (d/p) for rv, lemma2_constant (d/p) for lemma2p, and
+    sun_constant (d/p) p^2 for sun-p4 at sun_x = -a.
+    """
+
+    discriminant: int
+    lemma2_constant: Rat
+    sun_x: Rat
+    sun_constant: Rat
+
+
+# keyed by the family label of scv.sequences.RV_FAMILIES
+FAMILY_CONSTANTS = {
+    "1/2": FamilyConstants(-1, Fraction(5, 4), Fraction(-1, 2), Fraction(3, 4)),
+    "1/3": FamilyConstants(-3, Fraction(11, 9), Fraction(-1, 3), Fraction(7, 9)),
+    "1/4": FamilyConstants(-2, Fraction(19, 16), Fraction(-1, 4), Fraction(13, 16)),
+    "1/6": FamilyConstants(-1, Fraction(41, 36), Fraction(-1, 6), Fraction(31, 36)),
+}
+
+
 # Each check's sides, term by term in Fraction arithmetic.
 
 
 def rv_sides(family: str, p: int) -> tuple[Rat, Rat]:
-    fam = RV_FAMILIES[family]
-    lhs = sum(rv_terms(Fraction(*fam.a), p), Fraction(0))
-    return lhs, Fraction(legendre(fam.discriminant, p))
+    c = FAMILY_CONSTANTS[family]
+    lhs = sum(rv_terms(-c.sun_x, p), Fraction(0))
+    return lhs, Fraction(legendre(c.discriminant, p))
 
 
 def lemma2p_sides(family: str, p: int) -> tuple[Rat, Rat]:
-    fam = RV_FAMILIES[family]
-    lhs = sum(rv_terms(Fraction(*fam.a), 2 * p), Fraction(0))
-    return lhs, Fraction(*fam.lemma2_constant) * legendre(fam.discriminant, p)
+    c = FAMILY_CONSTANTS[family]
+    lhs = sum(rv_terms(-c.sun_x, 2 * p), Fraction(0))
+    return lhs, c.lemma2_constant * legendre(c.discriminant, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,9 +473,9 @@ def weighted_s_square_sum(x: Rat, p: int) -> Rat:
 
 
 def sun_p4_sides(family: str, p: int) -> tuple[Rat, Rat]:
-    fam = RV_FAMILIES[family]
-    rhs = Fraction(*fam.sun_constant) * legendre(fam.discriminant, p) * p * p
-    return weighted_s_square_sum(Fraction(*fam.sun_x), p), rhs
+    c = FAMILY_CONSTANTS[family]
+    rhs = c.sun_constant * legendre(c.discriminant, p) * p * p
+    return weighted_s_square_sum(c.sun_x, p), rhs
 
 
 def guo_bb1_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
@@ -623,27 +647,27 @@ def int_weighted_s_square_sum(x: Rat, p: int) -> Rat:
 
 def verify_rv_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
-    fam = RV_FAMILIES[family]
-    terms, den = int_rv_terms(Fraction(*fam.a), p)
+    c = FAMILY_CONSTANTS[family]
+    terms, den = int_rv_terms(-c.sun_x, p)
     lhs = Fraction(sum(terms), den)
-    rhs = Fraction(legendre(fam.discriminant, p))
+    rhs = Fraction(legendre(c.discriminant, p))
     return congruence_result("rv", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_lemma_2p_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 2)
-    fam = RV_FAMILIES[family]
-    terms, den = int_rv_terms(Fraction(*fam.a), 2 * p)
+    c = FAMILY_CONSTANTS[family]
+    terms, den = int_rv_terms(-c.sun_x, 2 * p)
     lhs = Fraction(sum(terms), den)
-    rhs = Fraction(*fam.lemma2_constant) * legendre(fam.discriminant, p)
+    rhs = c.lemma2_constant * legendre(c.discriminant, p)
     return congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
 def verify_sun_p4_oracle(family: str, p: int) -> CheckResult:
     ctx = congruences._require_prime(p, 5, 4)
-    fam = RV_FAMILIES[family]
-    lhs = int_weighted_s_square_sum(Fraction(*fam.sun_x), p)
-    rhs = Fraction(*fam.sun_constant) * legendre(fam.discriminant, p) * p * p
+    c = FAMILY_CONSTANTS[family]
+    lhs = int_weighted_s_square_sum(c.sun_x, p)
+    rhs = c.sun_constant * legendre(c.discriminant, p) * p * p
     return congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
-from oracles import cc_row_sums
+from conftest import run_cli
+from oracles import FAMILY_CONSTANTS, cc_row_sums
 
 import scv.congruences as congruences
 import scv.sequences as sequences
@@ -22,9 +24,9 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, PAdicContext, legendre
+from scv.exact_arith import InvalidPrime, PAdicContext, legendre, primes_in_range
 from scv.sequences import RV_FAMILIES
-from scv.sweeps import DEFAULT_BB1_X, SWEEPS, run_tasks
+from scv.sweeps import DEFAULT_BB1_X, SWEEPS, execute_task, run_tasks
 
 HALF, THIRD, QUARTER, SIXTH = "1/2", "1/3", "1/4", "1/6"
 
@@ -132,8 +134,52 @@ def test_verify_cc10_examples():
 def test_cc10_constants_recombine():
     # the two-window residues recombine to the mod-p^4 constants:
     # 2 * 1 - lemma2_constant == sun_constant for each family
-    for fam in RV_FAMILIES.values():
-        assert 2 * Fraction(1) - Fraction(*fam.lemma2_constant) == Fraction(*fam.sun_constant)
+    for c in FAMILY_CONSTANTS.values():
+        assert 2 * Fraction(1) - c.lemma2_constant == c.sun_constant
+
+
+def test_point_class_reads_the_published_rhs_at_every_prime_below_5000():
+    # the one rule (-1)^r (1 -+ x'(1+x')) at x = -a against the Legendre route, on far more
+    # primes than the verdict-level differential tests reach
+    for label, c in FAMILY_CONSTANTS.items():
+        x = c.sun_x
+        for p in primes_in_range(5, 4999):
+            sign, u, b = congruences._point_class((x.numerator, x.denominator), p)
+            xp = Fraction(u, b)
+            r = x - p * xp  # x = r + p x' with r = <x>_p
+            assert r.denominator == 1 and 0 <= r < p and sign == (-1) ** int(r), (label, p)
+            assert xp in (x, -1 - x), (label, p)
+            symbol = legendre(c.discriminant, p)
+            assert sign == symbol, (label, p)
+            assert sign * (1 - xp * (1 + xp)) == c.lemma2_constant * symbol, (label, p)
+            assert sign * (1 + xp * (1 + xp)) == c.sun_constant * symbol, (label, p)
+
+
+@pytest.mark.parametrize("sweep", ["rv", "lemma2p", "sun-p4"])
+def test_family_sweep_fails_every_record_with_its_sign_flipped(monkeypatch, sweep):
+    # no sweep passes vacuously: the sign of _point_class decides every family verdict
+    def verdicts():
+        res = run_cli("verify", sweep, "--pmax", "30", "--format", "json")
+        checks = json.loads(res.output)["checks"]
+        assert len(checks) == 4 * 8 and all(c["modulus"] != "error" for c in checks)
+        return res.exit_code, {c["pass"] for c in checks}
+
+    assert verdicts() == (0, {True})
+    point_class = congruences._point_class
+
+    def flipped(x, p):
+        sign, u, b = point_class(x, p)
+        return -sign, u, b
+
+    monkeypatch.setattr(congruences, "_point_class", flipped)
+    assert verdicts() == (1, {False})
+
+
+@pytest.mark.parametrize("kind", ["rv", "lemma2p", "sun-p4"])
+def test_unknown_family_is_an_out_of_range_record(kind):
+    r = execute_task((kind, (("family", "1/5"), ("p", 7))))
+    assert not r.passed and r.modulus == "error"
+    assert r.lhs_witness == "error: OutOfRange: family = 1/5 is not one of 1/2, 1/3, 1/4, 1/6"
 
 
 def test_parameters_reproduce_check():

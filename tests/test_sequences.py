@@ -9,6 +9,7 @@ import pytest
 import fraction_poly
 from fraction_poly import MultiPoly, UniPoly, as_unipoly, is_integer_valued, schmidt_linear_form
 from oracles import (
+    FAMILY_CONSTANTS,
     d_val,
     delannoy_oracle,
     fraction_column,
@@ -176,9 +177,10 @@ def test_rv_family_table():
     assert list(RV_FAMILIES) == ["1/2", "1/3", "1/4", "1/6"]
     for label, fam in RV_FAMILIES.items():
         assert Fraction(*fam.a) == Fraction(label)  # each family is keyed by its a
-        assert Fraction(*fam.sun_x) == -Fraction(*fam.a)
-        assert 2 - Fraction(*fam.lemma2_constant) == Fraction(*fam.sun_constant)
-    assert RV_FAMILIES["1/4"].discriminant == -2
+        c = FAMILY_CONSTANTS[label]
+        assert c.sun_x == -Fraction(*fam.a)
+        assert 2 - c.lemma2_constant == c.sun_constant
+    assert FAMILY_CONSTANTS["1/4"].discriminant == -2
     with pytest.raises(KeyError):
         RV_FAMILIES["1/5"]
 
