@@ -28,25 +28,10 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import NoReturn
 
 from . import __version__, sweeps
 from .sweeps import Option, UsageError, choice_option, int_option
-
-if TYPE_CHECKING:
-    from .report import RunReport
-
-
-def _renderer(format: str) -> Callable[[RunReport], str]:
-    def render(run_report: RunReport) -> str:
-        from . import report  # looked up per call: the parser needs only the format names
-
-        return getattr(report, f"render_{format}")(run_report)
-
-    return render
-
-
-_RENDERERS = {format: _renderer(format) for format in ("json", "csv", "text")}
 
 
 def _writable(path: str) -> str:
@@ -69,7 +54,7 @@ def _writable(path: str) -> str:
 
 _COMMON_OPTIONS = (
     int_option("jobs", 1, 1, help="Worker processes for the sweep grid."),
-    choice_option("format", _RENDERERS, "text", "Report format."),
+    choice_option("format", ("json", "csv", "text"), "text", "Report format."),
     Option("out", None, _writable, "Write the report to FILE instead of stdout."),
 )
 _CONFIG = Option("config", None, str, "key=value file supplying defaults; explicit flags win.")
@@ -77,11 +62,14 @@ _CONFIG = Option("config", None, str, "key=value file supplying defaults; explic
 
 def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
     """Read key=value lines as the texts of the command's flags; x is comma-separated."""
-    if not Path(path).is_file():
-        raise UsageError(f"Invalid value for '--config': file {path!r} does not exist")
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        cause = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"Invalid value for '--config': cannot read {path!r}: {cause}") from None
     keys = {option.name for option in options}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,7 +185,7 @@ def _run(argv: list[str], prog: str) -> int:
         # a worker that exits non-zero or sends a result that does not decode, or a failed fork
         raise RunFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
-    from .report import RunReport
+    from . import report
 
     # an empty or all-skipped grid would pass without deciding anything
     if all(check.skipped for check in checks):
@@ -205,22 +193,22 @@ def _run(argv: list[str], prog: str) -> int:
             "every check these bounds select is skipped" if checks
             else "these bounds select no checks"
         )
-    report = RunReport(
+    run_report = report.RunReport(
         tool_version=__version__,
         invocation=dict(subcommand=f"verify {name}", **values, jobs=jobs, format=format, out=out),
         checks=checks,
         elapsed_seconds=round(elapsed, 6),
     )
-    rendered = _RENDERERS[format](report)
+    rendered = getattr(report, f"render_{format}")(run_report)
     if out:
         try:
             Path(out).write_text(rendered)
         except OSError as exc:
             raise RunFailure(f"could not write to {out}: {exc}") from exc
-        s = report.summary
+        s = run_report.summary
         rendered = f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n"
     _print(rendered)
-    return 0 if report.failures == 0 else 1
+    return 0 if run_report.failures == 0 else 1
 
 
 def main(

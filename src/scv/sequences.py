@@ -42,9 +42,10 @@ class PrefixWalk:
     `series()` yields the pairs (r_k, m_k) for k = 0, 1, ...: term k is
     m_k / D_k with D_k = r_k D_{k-1} and D_{-1} = 1. The cursor keeps only
     the frontier: the running generator, the sum to N over D_{N-1} and N.
-    prefix(n) advances to n; the first n, and an n below the frontier, start
-    the series from k = 0, so a value never depends on the order of the
-    requests. `starts` counts the times the series began.
+    prefix(n) advances to n; the first n, an n below the frontier and any n
+    after an advance that raised start the series from k = 0, so a value
+    never depends on the order of the requests. `starts` counts the times
+    the series began.
     """
 
     def __init__(self, series: Callable[[], Iterator[tuple[int, int]]]) -> None:
@@ -61,9 +62,13 @@ class PrefixWalk:
         if n < self._n:
             self._restart()
         total, den = self._total, self._den
-        for _ in range(n - self._n):
-            r, m = next(self._terms)
-            total, den = total * r + m, den * r
+        try:
+            for _ in range(n - self._n):
+                r, m = next(self._terms)
+                total, den = total * r + m, den * r
+        except BaseException:
+            self._n = math.inf  # the series is past the stored sum, so the next call restarts
+            raise
         self._n, self._total, self._den = n, total, den
         return total, den
 

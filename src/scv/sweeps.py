@@ -37,7 +37,8 @@ Grid = Callable[..., Iterator[Task]]
 
 DEFAULT_BB1_X = ("0", "1", "2", "-1/2", "-1/3", "1/3", "2/5")
 
-# n never exceeds the verified window of the recurrence certificate.
+# n stays in the window 0..BB4_N_MAX where the tests prove the bb4 recurrence
+# for every m >= 0 (tests/test_identities.py).
 BB4_N_MAX = 25
 
 

@@ -82,7 +82,7 @@ from scv import __version__, congruences, integrality, poly, sequences, sweeps
 from scv.cli import _COMMON_OPTIONS
 from scv.congruences import CheckResult
 from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
-from scv.identities import _RECURRENCE_TRIPLES, CoefficientError, eval_bb4_side
+from scv.identities import _RECURRENCE_TRIPLES, eval_bb4_side
 from scv.report import RunReport
 
 
@@ -829,16 +829,11 @@ def corrupted_recurrence_tables() -> tuple[tuple[tuple[int, int, int], ...], ...
 
 
 def recurrence_residual_oracle(side: str, m: int, n: int) -> int:
-    """identities.recurrence_residual as written: five coefficients per side, c4 twice."""
-
-    def coefficient(index: int) -> int:
-        return recurrence_coefficient(_RECURRENCE_TRIPLES[index], m, n)
-
-    if coefficient(4) == 0:
-        raise CoefficientError(
-            f"leading coefficient vanishes at m={m}, n={n}; recurrence cannot certify"
-        )
-    return sum(coefficient(i) * eval_bb4_side(side, m + i, n) for i in range(5))
+    """identities.recurrence_residual as written: each coefficient summed from its monomials."""
+    return sum(
+        recurrence_coefficient(table, m, n) * eval_bb4_side(side, m + i, n)
+        for i, table in enumerate(_RECURRENCE_TRIPLES)
+    )
 
 
 def check_bb4_recurrence_oracle(side: str, m: int, n: int) -> CheckResult:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import fraction_poly
 import scv.identities as identities
+from certificates import monomials_degrees, nonzero_points
 from conftest import run_cli
 from fraction_poly import as_unipoly
 from oracles import (
@@ -33,7 +33,6 @@ from scv import poly
 from scv.exact_arith import coefficients_str
 from scv.identities import (
     SIDES,
-    CoefficientError,
     check_bb2,
     check_bb4_direct,
     check_bb4_initial,
@@ -46,7 +45,7 @@ from scv.identities import (
     recurrence_coefficients,
     recurrence_residual,
 )
-from scv.sweeps import IDENTITIES, SWEEPS, run_tasks
+from scv.sweeps import BB4_N_MAX, IDENTITIES, SWEEPS, run_tasks
 
 
 def test_cc1_examples():
@@ -133,44 +132,101 @@ def test_bb4_sides_are_nonnegative_integers():
                 assert isinstance(v, int) and v >= 0
 
 
+# The recurrence coefficients in factored form. As polynomials, c0 and c4 have
+# degree 6 in m and 0 in n, c1 and c3 degree 4 and 2, and c2 degree 6 and 2:
+# no more than the tables' (6, 2).
+def c0(m, n):
+    return (m + 1) ** 3 * (m + 2) * (3 * m * m + 18 * m + 26)
+
+
+def c1(m, n):
+    return -2 * (m + 2) * (
+        12 * m**3 * n**2 + 12 * m**3 * n + 90 * m**2 * n**2 + 3 * m**3
+        + 90 * m**2 * n + 212 * m * n**2 + 23 * m**2 + 212 * m * n
+        + 156 * n**2 + 55 * m + 156 * n + 41
+    )
+
+
+def c2(m, n):
+    return -2 * (
+        3 * m**6 + 30 * m**4 * n**2 + 45 * m**5 + 30 * m**4 * n
+        + 300 * m**3 * n**2 + 287 * m**4 + 300 * m**3 * n
+        + 1094 * m**2 * n**2 + 995 * m**3 + 1094 * m**2 * n
+        + 1720 * m * n**2 + 1964 * m**2 + 1720 * m * n + 978 * n**2
+        + 2070 * m + 978 * n + 898
+    )
+
+
+def c3(m, n):
+    return -2 * (m + 3) * (
+        12 * m**3 * n**2 + 12 * m**3 * n + 90 * m**2 * n**2 + 3 * m**3
+        + 90 * m**2 * n + 212 * m * n**2 + 22 * m**2 + 212 * m * n
+        + 154 * n**2 + 50 * m + 154 * n + 34
+    )
+
+
+def c4(m, n):
+    return (m + 3) * (m + 4) ** 3 * (3 * m * m + 12 * m + 11)
+
+
+FACTORED = (c0, c1, c2, c3, c4)
+
+
+def _factored_failures(tables) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, point) wherever a table differs from its factored form on the full degree grid."""
+    degrees = monomials_degrees(tables)
+    failures = []
+    for index, (table, factored) in enumerate(zip(tables, FACTORED)):
+        def difference(m, n, table=table, factored=factored):
+            return recurrence_coefficient(table, m, n) - factored(m, n)
+
+        failures += [(index, point) for point in nonzero_points(difference, degrees)]
+    return failures
+
+
+def _residual_failures() -> list[tuple[str, int, int]]:
+    """(side, m, n) wherever a residual is not zero on its window m = 0..3n+6, n <= BB4_N_MAX.
+
+    At fixed n each side has degree 3n in m and each coefficient degree <= 6
+    (the tables' m-degree), so the residual has degree <= 3n + 6: a window
+    with no failure proves the recurrence at that n for every m >= 0.
+    """
+    m_degree = monomials_degrees(identities._RECURRENCE_TRIPLES)[0]
+    return [
+        (side, m, n)
+        for n in range(BB4_N_MAX + 1)
+        for side in SIDES
+        for (m,) in nonzero_points(lambda m: recurrence_residual(side, m, n), (3 * n + m_degree,))
+    ]
+
+
+def _differences(values: list[int], order: int) -> list[int]:
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
 def test_recurrence_table_matches_factored_forms():
-    # The stored triples must reproduce the factored coefficient polynomials.
+    # proof (i): each table equals its factored form on the 7 x 3 grid, so everywhere;
+    # c4's factors are then positive at every m >= 0
+    assert monomials_degrees(identities._RECURRENCE_TRIPLES) == (6, 2)
+    assert _factored_failures(identities._RECURRENCE_TRIPLES) == []
 
-    def c0(m, n):
-        return (m + 1) ** 3 * (m + 2) * (3 * m * m + 18 * m + 26)
 
-    def c1(m, n):
-        return -2 * (m + 2) * (
-            12 * m**3 * n**2 + 12 * m**3 * n + 90 * m**2 * n**2 + 3 * m**3
-            + 90 * m**2 * n + 212 * m * n**2 + 23 * m**2 + 212 * m * n
-            + 156 * n**2 + 55 * m + 156 * n + 41
-        )
+def test_recurrence_annihilates_both_sides_on_its_degree_window():
+    # proof (ii): the residual of each side vanishes at m = 0..3n+6 for every n <= BB4_N_MAX
+    assert _residual_failures() == []
 
-    def c2(m, n):
-        return -2 * (
-            3 * m**6 + 30 * m**4 * n**2 + 45 * m**5 + 30 * m**4 * n
-            + 300 * m**3 * n**2 + 287 * m**4 + 300 * m**3 * n
-            + 1094 * m**2 * n**2 + 995 * m**3 + 1094 * m**2 * n
-            + 1720 * m * n**2 + 1964 * m**2 + 1720 * m * n + 978 * n**2
-            + 2070 * m + 978 * n + 898
-        )
 
-    def c3(m, n):
-        return -2 * (m + 3) * (
-            12 * m**3 * n**2 + 12 * m**3 * n + 90 * m**2 * n**2 + 3 * m**3
-            + 90 * m**2 * n + 212 * m * n**2 + 22 * m**2 + 212 * m * n
-            + 154 * n**2 + 50 * m + 154 * n + 34
-        )
-
-    def c4(m, n):
-        return (m + 3) * (m + 4) ** 3 * (3 * m * m + 12 * m + 11)
-
-    factored = [c0, c1, c2, c3, c4]
-    rng = random.Random(99)
-    for _ in range(40):
-        m, n = rng.randrange(0, 60), rng.randrange(0, 60)
-        for i in range(5):
-            assert recurrence_coefficients(m, n)[i] == factored[i](m, n)
+@pytest.mark.parametrize("side", SIDES)
+def test_bb4_sides_have_degree_3n_in_m(side):
+    # the degree bound behind proof (ii): at n <= 5 the (3n+1)-th forward difference
+    # in m is 0 and the 3n-th a non-zero constant, from each of the starts m = 0..4
+    for n in range(6):
+        values = [eval_bb4_side(side, m, n) for m in range(3 * n + 6)]
+        top = _differences(values, 3 * n)
+        assert len(set(top)) == 1 and top[0] != 0, n
+        assert _differences(values, 3 * n + 1) == [0] * 5, n
 
 
 @pytest.mark.parametrize("tables", [
@@ -192,38 +248,29 @@ def test_recurrence_leading_coefficient_nonzero():
         assert recurrence_coefficients(m, 17)[4] > 0
 
 
-def test_transcription_self_test_runs_before_rhs_certification(monkeypatch):
-    # the rhs at (m, n) is certified by the coefficients that annihilate the lhs there
+def test_each_side_check_computes_one_residual(monkeypatch):
     residuals = []
     residual = identities.recurrence_residual
     monkeypatch.setattr(
         identities, "recurrence_residual",
-        lambda coeffs, side, m, n: residuals.append((coeffs, side)) or residual(coeffs, side, m, n),
+        lambda side, m, n: residuals.append((side, m, n)) or residual(side, m, n),
     )
-    assert check_bb4_recurrence("rhs", 5, 7).passed
-    coeffs = recurrence_coefficients(5, 7)
-    assert residuals == [(coeffs, "lhs"), (coeffs, "rhs")]
-    residuals.clear()
-    assert check_bb4_recurrence("lhs", 5, 7).passed
-    assert residuals == [(coeffs, "lhs")]
+    for side in SIDES:
+        residuals.clear()
+        assert check_bb4_recurrence(side, 5, 7).passed
+        assert residuals == [(side, 5, 7)]
 
 
-def test_transcription_self_test_catches_corruption(recurrence_tables):
-    stored = identities._RECURRENCE_TRIPLES
-    recurrence_tables(corrupted_recurrence_tables())
-    caught = 0
+def test_corrupted_tables_fail_both_proofs_and_both_sides(recurrence_tables):
+    corrupted = corrupted_recurrence_tables()
+    # the miswritten m^6 term of c2 is wrong at every grid point but m = 0
+    assert _factored_failures(corrupted) == [(2, (m, n)) for m in range(1, 7) for n in range(3)]
+    recurrence_tables(corrupted)
+    assert _residual_failures()
     for m in range(8):
         for n in range(26):
-            true = tuple(recurrence_coefficient(table, m, n) for table in stored)
-            if recurrence_coefficients(m, n) == true:
-                assert check_bb4_recurrence("rhs", m, n).passed, (m, n)
-                continue
-            # every point where the corrupted coefficients differ refuses to certify the rhs
-            assert not check_bb4_recurrence("lhs", m, n).passed, (m, n)
-            with pytest.raises(CoefficientError, match="transcription self-test failed"):
-                check_bb4_recurrence("rhs", m, n)
-            caught += 1
-    assert caught == 7 * 26  # the miswritten m^6 term vanishes only at m = 0
+            verdicts = {side: check_bb4_recurrence(side, m, n).passed for side in SIDES}
+            assert verdicts == {"lhs": m == 0, "rhs": m == 0}, (m, n)
 
 
 def test_corrupted_table_fails_the_cli_run_at_both_sides(recurrence_tables):
@@ -237,23 +284,15 @@ def test_corrupted_table_fails_the_cli_run_at_both_sides(recurrence_tables):
     for c in records:
         params = c["parameters"]
         by_side[params["side"]][params["m"], params["n"]] = c
-    failed_lhs = {point for point, c in by_side["lhs"].items() if not c["pass"]}
-    errored_rhs = {
-        point for point, c in by_side["rhs"].items()
-        if c["modulus"] == "error" and c["lhs_witness"].startswith("error: CoefficientError: ")
+    failed = {
+        side: {point for point, c in checks.items() if not c["pass"] and c["modulus"] == "exact"}
+        for side, checks in by_side.items()
     }
     assert len(by_side["lhs"]) == len(by_side["rhs"]) == 78
     # the miswritten m^6 term vanishes at m = 0, so those 26 points pass on both sides
-    assert failed_lhs == errored_rhs == {(m, n) for m in (1, 2) for n in range(26)}
-    assert all(c["pass"] for point, c in by_side["rhs"].items() if point not in errored_rhs)
-
-
-def test_vanishing_leading_coefficient_is_an_error(recurrence_tables):
-    recurrence_tables((((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 1),), ((0, 0, 0),)))
-    with pytest.raises(CoefficientError):
-        recurrence_residual(recurrence_coefficients(1, 1), "lhs", 1, 1)
-    with pytest.raises(CoefficientError, match="leading coefficient vanishes"):
-        check_bb4_recurrence("rhs", 1, 1)
+    assert failed["lhs"] == failed["rhs"] == {(m, n) for m in (1, 2) for n in range(26)}
+    assert all(c["pass"] for side in SIDES for point, c in by_side[side].items()
+               if point not in failed[side])
 
 
 def test_bb4_recurrence_examples():
@@ -279,7 +318,7 @@ def test_identity_checks_expose_exact_modulus():
 
 
 def test_bb4_sides_match_as_written_oracle():
-    # every point the default identity grids and the transcription self-test reach
+    # every point the default identity grids reach
     for m in range(45):
         for n in range(26):
             for side in SIDES:
@@ -398,5 +437,5 @@ def test_recurrence_tables_collapsed_once_per_m(monkeypatch):
     ))
     results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
     assert all(r.passed for r in results)
-    # both sides at every n, and the rhs's lhs self-test, share one collapse per m
+    # both sides at every n share one collapse per m
     assert sorted(collapsed) == list(range(41))

@@ -90,6 +90,42 @@ def test_walk_restarts_below_its_frontier():
     assert Fraction(*walk.prefix(2)) == sums[2]
 
 
+class _InterruptedTerms:
+    """The rv terms at 1/3, with KeyboardInterrupt raised once in place of term 5.
+
+    After the raise the terms go on from term 5, as an iterator may (`resumes`),
+    or have ended, as a generator that raised has.
+    """
+
+    def __init__(self, resumes: bool) -> None:
+        self._terms, self._before_raise = sequences.rv_series(Fraction(1, 3)), 5
+        self._resumes = resumes
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._before_raise == 0:
+            self._before_raise = -1
+            if not self._resumes:
+                self._terms = iter(())
+            raise KeyboardInterrupt
+        self._before_raise -= 1
+        return next(self._terms)
+
+
+@pytest.mark.parametrize("resumes", [True, False], ids=["iterator-resumes", "generator-ends"])
+def test_walk_restarts_after_an_interrupted_advance(resumes):
+    # the series has run past the frontier the walk stored, so the next prefix starts it again
+    runs = [_InterruptedTerms(resumes), sequences.rv_series(Fraction(1, 3))]
+    walk = PrefixWalk(lambda: runs.pop(0))
+    with pytest.raises(KeyboardInterrupt):
+        walk.prefix(10)
+    column, den = oracles.int_rv_terms(Fraction(1, 3), 10)
+    assert Fraction(*walk.prefix(10)) == Fraction(sum(column), den)
+    assert walk.starts == 2
+
+
 def test_walks_match_fraction_series():
     for x in BB1_X:
         s_walk, bb1_walk = sequences.s_square_walk(x), sequences.bb1_walk(x)

@@ -9,7 +9,7 @@ from conftest import run_cli
 from oracles import render_json_oracle
 from test_report_golden import CASES
 
-import scv.cli
+import scv.report
 import scv.sweeps
 from scv import __version__
 from scv.congruences import CheckResult, skipped_result
@@ -37,7 +37,7 @@ def _same(report: RunReport) -> None:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cases_render_as_json_dumps(monkeypatch, name):
     seen = []
-    monkeypatch.setitem(scv.cli._RENDERERS, "json", lambda r: seen.append(r) or render_json(r))
+    monkeypatch.setattr(scv.report, "render_json", lambda r: seen.append(r) or render_json(r))
     res = run_cli("verify", *CASES[name], "--format", "json")
     assert res.exit_code == 0, res.output
     (report,) = seen

@@ -569,6 +569,36 @@ def test_cli_config_flag_beats_config_max(tmp_path):
     assert len(json.loads(res.output)["checks"]) == 3
 
 
+def test_cli_config_not_utf8_is_usage_error(tmp_path):
+    cfg = tmp_path / "scv.cfg"
+    cfg.write_bytes(b"pmax=\xff7\n")
+    res = run_cli("verify", "rv", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    error = f"Error: Invalid value for '--config': cannot read {str(cfg)!r}: 'utf-8' codec"
+    assert error in res.output
+
+
+def test_cli_config_directory_is_usage_error(tmp_path):
+    res = run_cli("verify", "rv", "--config", str(tmp_path))
+    assert res.exit_code == 2, res.output
+    error = f"Error: Invalid value for '--config': cannot read {str(tmp_path)!r}: Is a directory"
+    assert error in res.output
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_cli_config_read_from_a_pipe():
+    # as `--config <(echo pmax=7)` passes it
+    read, write = os.pipe()
+    os.write(write, b"pmax=7\nformat=json\n")
+    os.close(write)
+    try:
+        res = run_cli("verify", "rv", "--config", f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["invocation"]["pmax"] == 7
+
+
 def test_cli_config_bad_enum_is_usage_error(tmp_path):
     cfg = tmp_path / "scv.cfg"
     cfg.write_text("eps=sometimes\n")

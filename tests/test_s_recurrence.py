@@ -19,9 +19,8 @@ relation is a polynomial identity in (n, k, x):
 
 IDENTITY holds its two sides, moved to one, as a signed sum of products of
 linear forms, so its degree in each variable is the largest count of factors
-that involve it. A polynomial of degree at most d_v in each variable v that
-vanishes on a grid of d_v + 1 integer points per variable is zero, so the
-grid check below is a proof. G is written over 1/(n+2-k)!, not as R(n,k)
+that involve it, and the check of it on its full degree grid
+(tests/certificates.py) is a proof. G is written over 1/(n+2-k)!, not as R(n,k)
 F(n,k) with a rational R: R has poles at k = n+1 and n+2, where F(n,k) = 0
 but G does not vanish.
 """
@@ -30,11 +29,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 import pytest
 
 import oracles
+from certificates import form_value, nonzero_points, products_degrees, products_value
 from scv import sequences
 from scv.congruences import SUPPORTED_X
 from scv.sequences import s_series
@@ -69,38 +69,27 @@ IDENTITY = (*LHS, *((-c, factors) for c, factors in RHS))
 POINTS = (*map(Fraction, SUPPORTED_X), *map(Fraction, ("2/5", "7/3", "-5", "0", "3")))
 
 
-def _form(form, point):
-    """The linear form at a point (n, k, x)."""
-    return sum(a * v for a, v in zip(form, point)) + form[-1]
-
-
-def _evaluate(terms, point) -> Fraction:
-    total = Fraction(0)
-    for c, factors in terms:
-        term = Fraction(c)
-        for form in factors:
-            term *= _form(form, point)
-        total += term
-    return total
-
-
-def _degrees(terms) -> tuple[int, ...]:
-    return tuple(
-        max(sum(1 for form in factors if form[v]) for _, factors in terms)
-        for v in range(len(VARIABLES))
-    )
-
-
 def a_coefficient(m: int, x: Fraction) -> Fraction:
     """A(m) = 2m^2 + 2m + 1 + x(x+1), read from A_TERMS at n = m-1."""
-    return _evaluate(A_TERMS, (m - 1, 0, x))
+    return products_value(A_TERMS, (m - 1, 0, x))
+
+
+def _grid_failures(identity) -> list[tuple[int, ...]]:
+    degrees = products_degrees(identity, len(VARIABLES))
+    return nonzero_points(lambda *point: products_value(identity, point), degrees)
 
 
 def test_identity_vanishes_on_its_full_degree_grid():
-    degrees = _degrees(IDENTITY)
-    assert degrees == (4, 3, 2)
-    grid = product(*(range(d + 1) for d in degrees))
-    assert [pt for pt in grid if _evaluate(IDENTITY, pt)] == []
+    assert products_degrees(IDENTITY, len(VARIABLES)) == (4, 3, 2)
+    assert _grid_failures(IDENTITY) == []
+
+
+@pytest.mark.parametrize("index", range(len(IDENTITY)))
+def test_corrupted_identity_term_fails_its_grid(index):
+    # a term with its coefficient off by one no longer cancels, on the grid it is read for
+    c, factors = IDENTITY[index]
+    corrupted = (*IDENTITY[:index], (c + 1, factors), *IDENTITY[index + 1:])
+    assert _grid_failures(corrupted)
 
 
 def test_certificate_telescopes_pointwise():
@@ -129,7 +118,8 @@ def test_certificate_telescopes_pointwise():
                 dg = g(n, k + 1) - g(n, k)
                 assert lf == dg, (x, n, k)
                 h = over_h(n, k)
-                assert (lf, dg) == (h * _evaluate(LHS, (n, k, x)), h * _evaluate(RHS, (n, k, x)))
+                point = (n, k, x)
+                assert (lf, dg) == (h * products_value(LHS, point), h * products_value(RHS, point))
             assert sum(f(n + 2, k) for k in range(n + 3)) == oracles.s_val(n + 2, x)
 
 
@@ -144,7 +134,9 @@ def test_identity_expands_to_zero_with_sympy():
         - (n + 1) * k**3
         + (n + 1) * (x - k) * (x + k + 1) * (n + 2 - k)
     )
-    as_data = sum(c * sympy.prod([_form(f, symbols) for f in factors]) for c, factors in IDENTITY)
+    as_data = sum(
+        c * sympy.prod([form_value(f, symbols) for f in factors]) for c, factors in IDENTITY
+    )
     assert sympy.expand(as_written) == 0
     assert sympy.expand(as_data - as_written) == 0
 
