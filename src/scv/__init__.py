@@ -20,11 +20,8 @@ _EXPORTS = {
     "InvalidPrime": "exact_arith",
     "OutOfRange": "congruences",
     "PAdicContext": "exact_arith",
-    "Rat": "exact_arith",
-    "RVFamily": "sequences",
     "RV_FAMILIES": "sequences",
     "is_prime": "exact_arith",
-    "legendre": "exact_arith",
     "primes_in_range": "exact_arith",
 }
 

@@ -61,13 +61,13 @@ _CONFIG = Option("config", None, str, "key=value file supplying defaults; explic
 
 
 def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
-    """Read key=value lines as the texts of the command's flags; x is comma-separated."""
+    """Read key=value lines as the texts of the command's flags; a repeatable flag takes a,b,..."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         cause = exc.strerror if isinstance(exc, OSError) else exc
         raise UsageError(f"Invalid value for '--config': cannot read {path!r}: {cause}") from None
-    keys = {option.name for option in options}
+    keys = {option.name: option for option in options}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -81,7 +81,9 @@ def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[s
                 f"{path}:{lineno}: {key!r} is not an option of {command}"
                 f" (keys: {', '.join(sorted(keys))})"
             )
-        values[key] = [x.strip() for x in value.split(",") if x.strip()] if key == "x" else value
+        values[key] = (
+            [x.strip() for x in value.split(",") if x.strip()] if keys[key].repeatable else value
+        )
     return values
 
 
@@ -200,15 +202,15 @@ def _run(argv: list[str], prog: str) -> int:
         elapsed_seconds=round(elapsed, 6),
     )
     rendered = getattr(report, f"render_{format}")(run_report)
+    s = run_report.summary
     if out:
         try:
             Path(out).write_text(rendered)
         except OSError as exc:
             raise RunFailure(f"could not write to {out}: {exc}") from exc
-        s = run_report.summary
         rendered = f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n"
     _print(rendered)
-    return 0 if run_report.failures == 0 else 1
+    return 0 if s["fail"] == 0 else 1
 
 
 def main(

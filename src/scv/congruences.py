@@ -10,9 +10,7 @@ read off those pairs (pair_congruent, pair_residue and pair_valuation) with
 no gcd; sums whose individual terms are not p-adic integers (the 1/(k+1)
 weights at k = p-1, the s = 2p-1 tail terms) are handled correctly, since
 only the valuation of the difference counts. The verdict shapes mod p^k and
-v_p >= k have one builder each; CheckResult and the exact-equality and skip
-builders live in scv.report and are imported back, so `from
-scv.congruences import CheckResult` still works.
+v_p >= k have one builder each.
 
 The sides that are partial sums of a p-independent series read their
 prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
@@ -36,13 +34,14 @@ from .exact_arith import (
     InvalidPrime,
     PAdicContext,
     Pair,
+    Point,
     pair_congruent,
     pair_residue,
     pair_valuation,
     rat_str,
     ratio,
 )
-from .report import CheckResult, exact_result, skipped_result  # noqa: F401  (re-exported)
+from .report import CheckResult, skipped_result
 from .sequences import RV_FAMILIES, bb1_walk, rv_series, rv_walk, s_square_walk, weighted_sum
 
 
@@ -98,10 +97,10 @@ def _require_prime(p: int, minimum: int, k: int = 1) -> PAdicContext:
 
 # the x of the cc checks, as written in their report parameters: each -x is a family's a,
 # which _require_supported_x returns, so the cc windows pass over that family's rv terms
-SUPPORTED_X = tuple(rat_str(-fam.a[0], fam.a[1]) for fam in RV_FAMILIES.values())
+SUPPORTED_X = tuple(rat_str(-a, b) for a, b in RV_FAMILIES.values())
 
 
-def _require_supported_x(x: Rat | Pair | str) -> tuple[Pair, str]:
+def _require_supported_x(x: Point) -> tuple[Pair, str]:
     a, b = ratio(x)
     if (text := rat_str(a, b)) not in SUPPORTED_X:
         raise OutOfRange(f"x = {text} is not one of {', '.join(SUPPORTED_X)}")
@@ -111,7 +110,7 @@ def _require_supported_x(x: Rat | Pair | str) -> tuple[Pair, str]:
 def _require_family(family: str) -> tuple[Pair, Pair]:
     if family not in RV_FAMILIES:
         raise OutOfRange(f"family = {family} is not one of {', '.join(RV_FAMILIES)}")
-    a, b = RV_FAMILIES[family].a
+    a, b = RV_FAMILIES[family]
     return (a, b), (-a, b)  # a and the point x = -a, where the family's rhs is read
 
 
@@ -175,7 +174,7 @@ def verify_sun_p4(family: str, p: int) -> CheckResult:
     return _congruence_result("sun-p4", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-def verify_guo_bb1(x: Rat | Pair | str, p: int) -> CheckResult:
+def verify_guo_bb1(x: Point, p: int) -> CheckResult:
     """The mod-p^4 reduction of the weighted s_k^2 sum to a double binomial sum.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
@@ -198,7 +197,7 @@ def verify_guo_bb1(x: Rat | Pair | str, p: int) -> CheckResult:
     return _congruence_result("guo-bb1", parameters, lhs, rhs, ctx)
 
 
-def verify_cc5(x: Rat | Pair | str, p: int) -> CheckResult:
+def verify_cc5(x: Point, p: int) -> CheckResult:
     """The summation-order-exchanged form of the same mod-p^4 reduction.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==
@@ -230,7 +229,7 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     return _congruence_result("cc7", {"s": s, "p": p}, lhs, rhs, ctx)
 
 
-def verify_cc8_fact(x: Rat | Pair | str, p: int) -> CheckResult:
+def verify_cc8_fact(x: Point, p: int) -> CheckResult:
     """v_p( C(x, 2p-1) * C(x+2p-1, 2p-1) ) >= 2 for the four supported x."""
     ctx = _require_prime(p, 5, 2)
     a, text = _require_supported_x(x)
@@ -239,7 +238,7 @@ def verify_cc8_fact(x: Rat | Pair | str, p: int) -> CheckResult:
     return _valuation_result("cc8-fact", {"x": text, "p": p}, term, ctx)
 
 
-def verify_cc9(x: Rat | Pair | str, p: int) -> CheckResult:
+def verify_cc9(x: Point, p: int) -> CheckResult:
     """v_p( sum_{s=p}^{2p-1} (-1)^s/(s+1) C(x,s) C(x+s,s) ) >= 1.
 
     The s = 2p-1 term alone has a p in its 1/(s+1) weight, so only the
@@ -254,7 +253,7 @@ def verify_cc9(x: Rat | Pair | str, p: int) -> CheckResult:
     return _valuation_result("cc9", {"x": text, "p": p}, (tail, weight * d), ctx)
 
 
-def verify_cc10(x: Rat | Pair | str, p: int) -> CheckResult:
+def verify_cc10(x: Point, p: int) -> CheckResult:
     """The collapsed two-window form of the weighted s_k^2 congruence.
 
     Checks sum_{k<p} (2k+1) s_k(x)^2 ==

@@ -1,4 +1,4 @@
-"""Exact rationals as int pairs, p-adic valuation and congruence, primes, Legendre symbol.
+"""Exact rationals as int pairs, p-adic valuation and congruence, primes.
 
 ratio, the one parser, makes a rational point its reduced int pair. The
 verifiers build every side as an int or an unreduced (numerator,
@@ -14,19 +14,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from . import PRIME_LIMIT  # noqa: F401  (the cap is_prime and primes_in_range are meant for)
-
 # A congruence side: the unreduced (numerator, denominator) ints of a rational.
 Pair = tuple[int, int]
-
-INFINITY = math.inf
-
-
-def __getattr__(name: str) -> object:  # Rat, fractions.Fraction, loads on first use only
-    if name == "Rat":
-        from fractions import Fraction as Rat
-        return Rat
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# A rational point as ratio reads it: an int, an (a, b) pair or "a"/"a/b" text.
+Point = int | Pair | str
 
 
 class InvalidPrime(ValueError):
@@ -41,8 +32,11 @@ def _int_str(n: int | str) -> str:
         return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
 
 
-def ratio(x: Rat | Pair | str) -> Pair:
-    """The reduced (num, den), den > 0, of an int, Fraction-like, (a, b) or "a"/"a/b" text."""
+def ratio(x: Point) -> Pair:
+    """The reduced (num, den), den > 0, of an int, (a, b) or "a"/"a/b" text.
+
+    Any other x is read off its .numerator and .denominator, so a Fraction works too.
+    """
     if isinstance(x, str):  # each part read by int()
         x = tuple(map(int, x.split("/", 1))) if "/" in x else (int(x), 1)
     num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
@@ -52,7 +46,7 @@ def ratio(x: Rat | Pair | str) -> Pair:
     return num // g, den // g
 
 
-def rat_str(num: Rat | int, den: int = 1) -> str:
+def rat_str(num: int, den: int = 1) -> str:
     """The reduced 'a/b' (or plain 'a') of an int or Fraction num over den, exact at any size."""
     num, den = ratio((num.numerator, num.denominator * den))
     return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
@@ -67,7 +61,7 @@ def coefficients_str(nums: Sequence[int], den: int) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; intended for desk scale (n <= PRIME_LIMIT)."""
+    """Deterministic primality by trial division; intended for desk scale (n <= scv.PRIME_LIMIT)."""
     if n < 2:
         return False
     if n < 4:
@@ -134,7 +128,7 @@ def pair_valuation(num: int, den: int, p: int | PAdicContext) -> int | float:
     """
     p = (p if isinstance(p, PAdicContext) else PAdicContext(p, 1)).p
     v = _int_valuation(den, p)
-    return INFINITY if num == 0 else _int_valuation(num, p) - v
+    return math.inf if num == 0 else _int_valuation(num, p) - v
 
 
 def pair_residue(num: int, den: int, ctx: PAdicContext) -> int | None:
@@ -162,17 +156,3 @@ def pair_congruent(lhs: Pair, rhs: Pair, ctx: PAdicContext) -> bool:
     p = ctx.p
     return (a * d - c * b) % p ** (ctx.k + _int_valuation(b, p) + _int_valuation(d, p)) == 0
 
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) via Euler's criterion a^((p-1)/2) mod p.
-
-    Returns 0 if p | a, +1 for a nonzero quadratic residue, -1 otherwise.
-    Negative a is reduced mod p first; p must be an odd prime.
-    """
-    if p == 2 or not is_prime(p):
-        raise InvalidPrime(f"p = {p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r

@@ -149,9 +149,8 @@ class RunReport:
         self, tool_version: str, invocation: dict[str, object],
         checks: Iterable[CheckResult] = (), elapsed_seconds: float = 0.0,
     ) -> None:
-        self.tool_version, self.invocation, self.checks = tool_version, invocation, checks
-        self.elapsed_seconds = elapsed_seconds
-        self.checks = sort_checks(self.checks)
+        self.tool_version, self.invocation = tool_version, invocation
+        self.checks, self.elapsed_seconds = sort_checks(checks), elapsed_seconds
 
     @property
     def summary(self) -> dict[str, int]:
@@ -162,10 +161,6 @@ class RunReport:
             "fail": len(self.checks) - passed - skipped,
             "skipped": skipped,
         }
-
-    @property
-    def failures(self) -> int:
-        return self.summary["fail"]
 
 
 # one record, and the envelope after the records, as json.dumps(..., sort_keys=True, indent=2)

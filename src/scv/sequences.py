@@ -31,9 +31,8 @@ import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from itertools import count
-from typing import NamedTuple
 
-from .exact_arith import Pair, ratio
+from .exact_arith import Pair, Point, ratio
 
 
 class PrefixWalk:
@@ -86,7 +85,7 @@ def weighted_sum(weights: Iterable[int], series: Iterator[tuple[int, int]]) -> t
     return total, den
 
 
-def rv_series(a: Rat | Pair | str) -> Iterator[tuple[int, int]]:
+def rv_series(a: Point) -> Iterator[tuple[int, int]]:
     """The terms (a)_k (1-a)_k / (1)_k^2 at a = n/q, over D_k = q^{2k} k!^2.
 
     The numerator of term k+1 is that of term k times (n+kq)(q-n+kq).
@@ -99,7 +98,7 @@ def rv_series(a: Rat | Pair | str) -> Iterator[tuple[int, int]]:
         yield ((k + 1) * q) ** 2, m
 
 
-def s_series(x: Rat | Pair | str) -> Iterator[int]:
+def s_series(x: Point) -> Iterator[int]:
     """The integers S_k = s_k(x) b^{2k} k!^2 at x = a/b, for k = 0, 1, ...
 
     (k+1)^2 s_{k+1} = A(k) s_k - k^2 s_{k-1} with A(k) = 2k^2 + 2k + 1 + x(x+1),
@@ -146,6 +145,8 @@ def ds_value(t: int, k: int) -> tuple[int, int]:
     columns are dropped with it: the next read of t builds its column anew
     and raises the same error.
     """
+    if k < 0:
+        raise ValueError(f"k = {k} is negative")
     read, series = _ds_column(t)
     try:
         while len(read) <= k:
@@ -156,14 +157,14 @@ def ds_value(t: int, k: int) -> tuple[int, int]:
     return read[k]
 
 
-def s_square_series(x: Rat | Pair | str) -> Iterator[tuple[int, int]]:
+def s_square_series(x: Point) -> Iterator[tuple[int, int]]:
     """The terms (2k+1) s_k(x)^2 over D_k^2, D_k = b^{2k} k!^2 at x = a/b: s_k D_k is S_k."""
     b = ratio(x)[1]
     for k, s in enumerate(s_series(x)):
         yield (k * b) ** 4 if k else 1, (2 * k + 1) * s * s
 
 
-def bb1_series(x: Rat | Pair | str) -> Iterator[tuple[int, int]]:
+def bb1_series(x: Point) -> Iterator[tuple[int, int]]:
     """The terms (-1)^k/(k+1) C(x+k,2k) sum_{j<=k} C(x,j) C(x+j,j) C(2k,j+k) at x = a/b.
 
     The pair binomials C(x,j) C(x+j,j) are numerators U_j over D_k =
@@ -191,7 +192,7 @@ def bb1_series(x: Rat | Pair | str) -> Iterator[tuple[int, int]]:
 def _point_walks(series: Callable[[Pair], Iterator[tuple[int, int]]]) -> Callable:
     cached = functools.lru_cache(maxsize=8)(lambda x: PrefixWalk(functools.partial(series, x)))
 
-    def walk(x: Rat | Pair | str) -> PrefixWalk:
+    def walk(x: Point) -> PrefixWalk:
         return cached(ratio(x))
 
     walk.__qualname__ = walk.__name__ = series.__name__.replace("series", "walk")
@@ -207,11 +208,5 @@ def schmidt_coefficient(n: int, k: int) -> int:
     return math.comb(n + k, 2 * k) * math.comb(2 * k, k)
 
 
-class RVFamily(NamedTuple):
-    """One of the four hypergeometric families: its parameter a, a reduced int pair."""
-
-    a: Pair
-
-
-# keyed by the family label that the sweep tasks and the reports print, the text of a
-RV_FAMILIES: dict[str, RVFamily] = {s: RVFamily(ratio(s)) for s in ("1/2", "1/3", "1/4", "1/6")}
+# a family's label, which the sweep tasks and the reports print, to its a: the label read by ratio
+RV_FAMILIES: dict[str, Pair] = {s: ratio(s) for s in ("1/2", "1/3", "1/4", "1/6")}

@@ -17,8 +17,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from fractions import Fraction as Rat
 
-from scv.exact_arith import Rat
 from scv.integrality import TERM_LIMIT, TermLimitExceeded
 from scv.sequences import schmidt_coefficient
 

@@ -63,6 +63,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from fractions import Fraction as Rat
 from itertools import islice
 from typing import NamedTuple
 
@@ -80,10 +81,15 @@ from fraction_poly import (
 
 from scv import __version__, congruences, integrality, poly, sequences, sweeps
 from scv.cli import _COMMON_OPTIONS
-from scv.congruences import CheckResult
-from scv.exact_arith import PAdicContext, Rat, coefficients_str, legendre, rat_str
+from scv.exact_arith import (
+    InvalidPrime,
+    PAdicContext,
+    coefficients_str,
+    is_prime,
+    rat_str,
+)
 from scv.identities import _RECURRENCE_TRIPLES, eval_bb4_side
-from scv.report import RunReport
+from scv.report import CheckResult, RunReport
 
 
 def pochhammer(x: Rat | int, k: int) -> Rat:
@@ -426,6 +432,21 @@ def valuation_result(
         rhs_witness=str(k),
         modulus=f"{p}^{k}",
     )
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) via Euler's criterion a^((p-1)/2) mod p.
+
+    Returns 0 if p | a, +1 for a nonzero quadratic residue, -1 otherwise.
+    Negative a is reduced mod p first; p must be an odd prime.
+    """
+    if p == 2 or not is_prime(p):
+        raise InvalidPrime(f"p = {p} is not an odd prime")
+    a %= p
+    if a == 0:
+        return 0
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 class FamilyConstants(NamedTuple):

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 from conftest import run_cli
-from oracles import FAMILY_CONSTANTS, cc_row_sums
+from oracles import FAMILY_CONSTANTS, cc_row_sums, legendre
 
 import scv.congruences as congruences
 import scv.sequences as sequences
 from scv.congruences import (
     SUPPORTED_X,
-    CheckResult,
     OutOfRange,
-    skipped_result,
     verify_cc5,
     verify_cc7,
     verify_cc8_fact,
@@ -24,7 +22,8 @@ from scv.congruences import (
     verify_rv,
     verify_sun_p4,
 )
-from scv.exact_arith import InvalidPrime, PAdicContext, legendre, primes_in_range
+from scv.exact_arith import InvalidPrime, PAdicContext, primes_in_range
+from scv.report import CheckResult, skipped_result
 from scv.sequences import RV_FAMILIES
 from scv.sweeps import DEFAULT_BB1_X, SWEEPS, execute_task, run_tasks
 
@@ -302,7 +301,7 @@ def test_cc_grid_walks_weighted_s_squares_once_per_point():
 
 
 def test_lemma2p_grid_walks_rv_terms_once_per_family():
-    points = [fam.a for fam in RV_FAMILIES.values()]
+    points = list(RV_FAMILIES.values())
     started = _walks_started(sequences.rv_walk, points, SWEEPS["lemma2p"].grid(200))
     assert started == {a: 1 for a in points}
 

@@ -42,8 +42,8 @@ def test_columns_match_fraction_oracle(x):
 
 
 def test_rv_columns_match_fraction_oracle():
-    for fam in RV_FAMILIES.values():
-        a = Fraction(*fam.a)
+    for pair in RV_FAMILIES.values():
+        a = Fraction(*pair)
         for p in PRIMES:
             for count in (p, 2 * p):
                 assert fraction_column(int_rv_terms(a, count)) == oracles.rv_terms(a, count)
@@ -64,7 +64,7 @@ def _spy(monkeypatch, name: str) -> list[tuple]:
 
 
 def _denominator(point) -> int:
-    return (Fraction(*RV_FAMILIES[point].a) if isinstance(point, str) else point).denominator
+    return (Fraction(*RV_FAMILIES[point]) if isinstance(point, str) else point).denominator
 
 
 # check -> (verifier, oracle, points, least p, decision function given the sides)

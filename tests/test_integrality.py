@@ -264,6 +264,17 @@ def test_a_column_whose_series_raised_raises_the_same_error_again(monkeypatch, f
         assert r.lhs_witness == "error: ArithmeticError: s_2(0) is not an integer"
 
 
+def test_a_negative_k_is_refused_before_the_column_is_read(fresh_caches):
+    # a list index below 0 would read from the end of the pairs read so far
+    with pytest.raises(ValueError, match=r"k = -1 is negative"):
+        sequences.ds_value(3, -1)  # on a fresh column
+    assert sequences.ds_value(3, 5) == (231, 561)
+    for k in (-1, -6):
+        with pytest.raises(ValueError, match=rf"k = {k} is negative"):
+            sequences.ds_value(3, k)
+    assert sequences.ds_value(3, 0) == (1, 1)
+
+
 ORDERS = {
     "ascending": lambda points: sorted(points),
     "descending n": lambda points: sorted(points, key=lambda p: (-p[0], p[1:])),

@@ -12,8 +12,7 @@ from test_report_golden import CASES
 import scv.report
 import scv.sweeps
 from scv import __version__
-from scv.congruences import CheckResult, skipped_result
-from scv.report import RunReport, render_json
+from scv.report import CheckResult, RunReport, render_json, skipped_result
 from scv.sweeps import SWEEPS, execute_task, run_tasks
 
 ODD_TEXT = (

@@ -147,10 +147,10 @@ def test_rv_term_examples():
     assert rv_term(Fraction(1, 2), 1) == Fraction(1, 4)
     assert rv_term(Fraction(1, 4), 0) == 1
     assert rv_term(Fraction(1, 3), 1) == Fraction(2, 9)
-    for fam in RV_FAMILIES.values():
-        walk = rv_walk(fam.a)
+    for a in RV_FAMILIES.values():
+        walk = rv_walk(a)
         for n in range(25):
-            assert Fraction(*walk.prefix(n)) == sum(rv_term(Fraction(*fam.a), k) for k in range(n))
+            assert Fraction(*walk.prefix(n)) == sum(rv_term(Fraction(*a), k) for k in range(n))
 
 
 def test_signed_jacobi_term():
@@ -175,10 +175,10 @@ def test_signed_jacobi_polynomial_identity():
 
 def test_rv_family_table():
     assert list(RV_FAMILIES) == ["1/2", "1/3", "1/4", "1/6"]
-    for label, fam in RV_FAMILIES.items():
-        assert Fraction(*fam.a) == Fraction(label)  # each family is keyed by its a
+    for label, a in RV_FAMILIES.items():
+        assert Fraction(*a) == Fraction(label)  # each family is keyed by its a
         c = FAMILY_CONSTANTS[label]
-        assert c.sun_x == -Fraction(*fam.a)
+        assert c.sun_x == -Fraction(*a)
         assert 2 - c.lemma2_constant == c.sun_constant
     assert FAMILY_CONSTANTS["1/4"].discriminant == -2
     with pytest.raises(KeyError):
