@@ -201,15 +201,19 @@ def _run(argv: list[str], prog: str) -> int:
         checks=checks,
         elapsed_seconds=round(elapsed, 6),
     )
-    rendered = getattr(report, f"render_{format}")(run_report)
+    # each record is written as it is printed, so the run never holds the report's text
+    try:
+        if out:
+            with open(out, "w") as f:  # the encoding and newlines Path.write_text would use
+                report.write_report(run_report, format, f)
+        else:
+            report.write_report(run_report, format, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise RunFailure(f"could not write to {out or 'stdout'}: {exc}") from exc
     s = run_report.summary
     if out:
-        try:
-            Path(out).write_text(rendered)
-        except OSError as exc:
-            raise RunFailure(f"could not write to {out}: {exc}") from exc
-        rendered = f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n"
-    _print(rendered)
+        _print(f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n")
     return 0 if s["fail"] == 0 else 1
 
 

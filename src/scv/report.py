@@ -10,21 +10,25 @@ elapsed_seconds field: checks are stably sorted by check name and then by
 parameters, and all serialization uses sorted keys.  Witnesses are decimal
 strings, never truncated.
 
+Each format is one generator of pieces: a record's (or a line's) text at a
+time, between a head and a tail. write_report writes the pieces to a stream
+as they are made, so a run never holds its report's text; render_json,
+render_csv and render_text join the same pieces into one string.
+
 The json report is the bytes json.dumps(..., sort_keys=True, indent=2) writes
 for the whole report as one dict: version, invocation, the checks as their
 CheckResult.to_dict(), summary and elapsed_seconds. REPORT_SCHEMA fixes
 every record's shape (seven keys, a flat parameters map), and scv.cli fixes
 the envelope's (an invocation of str, int, None and tuple-of-str values), so
-render_json writes each record and the envelope from a template, with
+each record and the envelope are written from a template, with
 strings escaped by the C encoder json.dumps itself uses, taken from _json:
 no per-record dict is built and the json package is not loaded.
 """
 
 from __future__ import annotations
 
-import io
-from collections.abc import Iterable
-from typing import NamedTuple
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple, TextIO
 
 from .exact_arith import _int_str
 
@@ -131,11 +135,12 @@ REPORT_SCHEMA: dict = {
 
 
 def check_sort_key(check: CheckResult) -> tuple:
-    """The check name, then each parameter by name: ints by value, before other values as text."""
-    return (check.check_name, tuple([
-        (k, (0, v) if isinstance(v, int) else (1, str(v)))
-        for k, v in sorted(check.parameters.items())
-    ]))
+    """The check name, then each parameter by name: ints by value, before other values as text,
+    as one flat tuple (name, k1, t1, v1, k2, ...) with t = 0 before an int v, 1 before a text v."""
+    key = [check.check_name]
+    for k, v in sorted(check.parameters.items()):
+        key += (k, 0, v) if isinstance(v, int) else (k, 1, str(v))
+    return tuple(key)
 
 
 def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
@@ -163,9 +168,10 @@ class RunReport:
         }
 
 
-# one record, and the envelope after the records, as json.dumps(..., sort_keys=True, indent=2)
-# writes them; "checks" sorts before every envelope key, so the records open the object
-_RECORD = """    {
+# one record, after its separator from the one before, and the envelope after the records
+# with the close of the checks list, as json.dumps(..., sort_keys=True, indent=2) writes them;
+# "checks" sorts before every envelope key, so the records open the object
+_RECORD = """%s    {
       "check_name": %s,
       "lhs_witness": %s,
       "modulus": %s,
@@ -174,7 +180,7 @@ _RECORD = """    {
       "rhs_witness": %s,
       "skipped": %s
     }"""
-_ENVELOPE = """,
+_ENVELOPE = """%s,
   "elapsed_seconds": %s,
   "invocation": %s,
   "summary": {
@@ -188,8 +194,8 @@ _ENVELOPE = """,
 _BOOL = {True: "true", False: "false"}
 
 
-def render_json(report: RunReport) -> str:
-    """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
+def _json_pieces(report: RunReport) -> Iterator[str]:
+    """The json report's head, each record and then the envelope."""
     try:  # the C escaper json.encoder binds, without loading the json package
         from _json import encode_basestring_ascii as json_str
     except ImportError:  # an interpreter built without _json
@@ -219,46 +225,47 @@ def render_json(report: RunReport) -> str:
             return "[\n      " + items + "\n    ]" if value else "[]"
         return json_value(value)
 
-    records = ",\n".join([
-        _RECORD % (
-            json_str(c.check_name), json_str(c.lhs_witness), json_str(c.modulus),
+    yield '{\n  "checks": [\n' if report.checks else '{\n  "checks": []'
+    separator = ""
+    for c in report.checks:
+        yield _RECORD % (
+            separator, json_str(c.check_name), json_str(c.lhs_witness), json_str(c.modulus),
             json_parameters(c.parameters), _BOOL[c.passed], json_str(c.rhs_witness),
             _BOOL[c.skipped],
         )
-        for c in report.checks
-    ])
+        separator = ",\n"
     invocation = ",\n    ".join(
         [f"{json_str(k)}: {flag_value(v)}" for k, v in sorted(report.invocation.items())]
     )
     s = report.summary
-    envelope = _ENVELOPE % (
-        repr(report.elapsed_seconds), "{\n    " + invocation + "\n  }" if invocation else "{}",
+    yield _ENVELOPE % (
+        "\n  ]" if report.checks else "", repr(report.elapsed_seconds),
+        "{\n    " + invocation + "\n  }" if invocation else "{}",
         s["fail"], s["pass"], s["skipped"], json_str(report.tool_version),
     )
-    # the records are copied once, by this join
-    checks = ("[\n", records, "\n  ]") if records else ("[]",)
-    return "".join(('{\n  "checks": ', *checks, envelope))
 
 
 def _params_compact(parameters: dict[str, object]) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(parameters.items()))
 
 
-def _csv_cell(value: object) -> object:
-    if isinstance(value, dict):
-        return _params_compact(value)
-    return str(value).lower() if isinstance(value, bool) else value
+class _Line:
+    """The file a csv.writer writes rows to: writerow returns what write returns, the row's line."""
+
+    write = str
 
 
-def render_csv(report: RunReport) -> str:
+def _csv_pieces(report: RunReport) -> Iterator[str]:
+    """The header line, the keys of CheckResult.to_dict, then one line of its values per check."""
     import csv  # here, so a json or text run does not load it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(skipped_result("", {}, "").to_dict()))
+    line = csv.writer(_Line(), lineterminator="\n").writerow
+    yield line(skipped_result("", {}, "").to_dict())
     for c in report.checks:
-        writer.writerow([_csv_cell(v) for v in c.to_dict().values()])
-    return buf.getvalue()
+        yield line((
+            c.check_name, _params_compact(c.parameters), _BOOL[c.passed], _BOOL[c.skipped],
+            c.lhs_witness, c.rhs_witness, c.modulus,
+        ))
 
 
 _WITNESS_PREVIEW = 48
@@ -270,23 +277,42 @@ def _shorten(s: str) -> str:
     return s[: _WITNESS_PREVIEW - 3] + "..."
 
 
-def render_text(report: RunReport) -> str:
-    lines = []
+def _text_pieces(report: RunReport) -> Iterator[str]:
+    """One line per check, then the summary line."""
     for c in report.checks:
-        status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
         detail = _params_compact(c.parameters)
         if c.skipped:
-            lines.append(f"{status} {c.check_name} {detail} ({c.lhs_witness})")
+            yield f"SKIP {c.check_name} {detail} ({c.lhs_witness})\n"
         elif c.passed:
-            lines.append(f"{status} {c.check_name} {detail}")
+            yield f"PASS {c.check_name} {detail}\n"
         else:
-            lines.append(
-                f"{status} {c.check_name} {detail} "
-                f"lhs={_shorten(c.lhs_witness)} rhs={_shorten(c.rhs_witness)} mod {c.modulus}"
+            yield (
+                f"FAIL {c.check_name} {detail} "
+                f"lhs={_shorten(c.lhs_witness)} rhs={_shorten(c.rhs_witness)} mod {c.modulus}\n"
             )
     s = report.summary
-    lines.append(
+    yield (
         f"{s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped "
-        f"in {report.elapsed_seconds:.2f}s"
+        f"in {report.elapsed_seconds:.2f}s\n"
     )
-    return "\n".join(lines) + "\n"
+
+
+_PIECES = {"json": _json_pieces, "csv": _csv_pieces, "text": _text_pieces}
+
+
+def write_report(report: RunReport, format: str, out: TextIO) -> None:
+    """Write the report as json, csv or text to out a piece at a time, so its text is never held."""
+    out.writelines(_PIECES[format](report))
+
+
+def render_json(report: RunReport) -> str:
+    """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
+    return "".join(_json_pieces(report))
+
+
+def render_csv(report: RunReport) -> str:
+    return "".join(_csv_pieces(report))
+
+
+def render_text(report: RunReport) -> str:
+    return "".join(_text_pieces(report))

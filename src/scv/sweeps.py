@@ -121,11 +121,14 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     child's records from a pipe as marshal data of plain tuples, so a forked
     record's values must be of types marshal writes, as every SWEEPS grid's are.
     Forking a process that runs other threads is unsafe: such a caller passes jobs=1.
+    On one worker each task runs as the grid yields it, so the task list is never held.
     """
-    tasks = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cpus or 1, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
+    workers = min(jobs, cpus or 1) if hasattr(os, "fork") else 1
+    if workers > 1:  # slices are cut from the list
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
+    if workers <= 1:
         return [execute_task(t) for t in tasks]
     cuts = [len(tasks) * i // workers for i in range(workers + 1)]
     pipes, pids, statuses, sent = [], [], [], None

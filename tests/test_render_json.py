@@ -36,7 +36,10 @@ def _same(report: RunReport) -> None:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cases_render_as_json_dumps(monkeypatch, name):
     seen = []
-    monkeypatch.setattr(scv.report, "render_json", lambda r: seen.append(r) or render_json(r))
+    write = scv.report.write_report
+    monkeypatch.setattr(
+        scv.report, "write_report", lambda r, format, out: seen.append(r) or write(r, format, out)
+    )
     res = run_cli("verify", *CASES[name], "--format", "json")
     assert res.exit_code == 0, res.output
     (report,) = seen

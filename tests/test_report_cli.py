@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from oracles import check_sort_key_oracle
 
 import scv.cli as cli
+import scv.report
 import scv.sweeps as sweeps
 from scv import PRIME_LIMIT, __version__, exact_arith
 from scv.cli import main
@@ -91,8 +93,16 @@ def test_sort_checks_is_canonical_and_numeric():
     ),
 )))
 def test_sort_key_matches_its_oracle(records):
+    # the flat key and the oracle's nested one differ in shape, so what must agree is the
+    # order each induces: every pair compares the same way, and so the sorts agree
     checks = [_check(name, params) for name, params in records]
-    assert [check_sort_key(c) for c in checks] == [check_sort_key_oracle(c) for c in checks]
+    keys = [check_sort_key(c) for c in checks]
+    oracle = [check_sort_key_oracle(c) for c in checks]
+    assert [[(a < b, a == b) for b in keys] for a in keys] == [
+        [(a < b, a == b) for b in oracle] for a in oracle
+    ]
+    order = sorted(range(len(checks)), key=keys.__getitem__)
+    assert order == sorted(range(len(checks)), key=oracle.__getitem__)
 
 
 def test_render_json_deterministic_and_schema_valid():
@@ -447,15 +457,85 @@ def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypa
 
 
 def test_cli_report_that_cannot_be_written_is_one_error_line(tmp_path, monkeypatch):
-    def full(path, text):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(cli.Path, "write_text", full)
     out = tmp_path / "r.txt"
+
+    class Full(io.StringIO):  # the --out file, whose first write finds the device full
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    opened = []
+
+    def open_full(path, mode):
+        opened.append((path, mode))
+        return Full()
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)  # shadows the builtin in scv.cli
     res = run_cli("verify", "rv", "--pmax", "7", "--out", str(out))
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)  # no OSError traceback
     assert res.output == f"Error: could not write to {out}: [Errno 28] No space left on device\n"
+    assert opened == [(str(out), "w")]
+
+
+@pytest.mark.parametrize("to", ["out", "stdout"])
+@pytest.mark.parametrize("format", ["json", "text", "csv"])
+def test_cli_writes_the_bytes_render_gives(tmp_path, monkeypatch, format, to):
+    guo_bb1 = sweeps.KINDS["guo-bb1"]
+
+    def check(x, p):
+        if (x, p) == ("-1/2", 5):
+            raise ValueError("no \u00e9t\u00e9 at \u03c0")
+        return guo_bb1(x=x, p=p)
+
+    monkeypatch.setitem(sweeps.KINDS, "guo-bb1", check)
+    written = []
+    write = scv.report.write_report
+    monkeypatch.setattr(
+        scv.report, "write_report", lambda r, f, out: written.append(r) or write(r, f, out)
+    )
+    out = tmp_path / f"report.{format}"
+    argv = ["verify", "guo-bb1", "--pmax", "7", "--x", "1/3", "--x", "-1/2", "--format", format]
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--out", str(out)] if to == "out" else argv, standalone_mode=False)
+    assert code == 1
+    (run_report,) = written
+    assert run_report.summary == {"pass": 4, "fail": 1, "skipped": 1}  # 1/3 at p = 3 skips
+    rendered = getattr(scv.report, f"render_{format}")(run_report)
+    assert "error: ValueError: no" in rendered
+    if to == "stdout":
+        assert stdout.buffer.getvalue() == rendered.encode("utf-8")
+    else:  # as Path.write_text writes the whole text
+        (tmp_path / "rendered").write_text(rendered)
+        assert out.read_bytes() == (tmp_path / "rendered").read_bytes()
+
+
+def _large_report(name):
+    if name == "identity-all":  # the many-small benchmark's json report
+        checks = sweeps.run_tasks(sweeps.SWEEPS["identity"].grid("all", None))
+    else:  # short records in each format: the lines, not the witnesses, make the text long
+        checks = [
+            _check("a", {"n": n, "x": f"{n}/7"}, passed=n % 3 > 0, skipped=n % 5 == 0)
+            for n in range(20000)
+        ]
+    return RunReport(__version__, {"subcommand": f"verify {name}"}, checks, 0.5)
+
+
+@pytest.mark.parametrize("name, format", [
+    ("identity-all", "json"), ("records", "json"), ("records", "text"), ("records", "csv"),
+])
+def test_writing_a_report_holds_no_copy_of_its_text(name, format):
+    run_report = _large_report(name)
+    size = len(getattr(scv.report, f"render_{format}")(run_report))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            scv.report.write_report(run_report, format, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")

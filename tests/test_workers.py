@@ -69,6 +69,27 @@ def test_a_raising_check_prints_a_fraction_parameter_as_the_verifiers_do(monkeyp
     assert [r.parameters for r in forked] == [{"x": "-1/5", "p": 7}, {"x": "-1/5", "p": 11}]
 
 
+@pytest.mark.parametrize("fork", [True, False], ids=["jobs-1", "jobs-2-without-fork"])
+def test_one_worker_runs_each_task_as_the_grid_yields_it(monkeypatch, fork):
+    yielded, ran = [], []
+
+    def grid():
+        for s in range(3):
+            yielded.append(s)
+            yield ("liu26", (("s", s),))
+
+    execute = sweeps.execute_task
+    monkeypatch.setattr(
+        sweeps, "execute_task", lambda task: ran.append((task, len(yielded))) or execute(task)
+    )
+    if not fork:
+        monkeypatch.delattr(sweeps.os, "fork")
+    results = run_tasks(grid(), jobs=1 if fork else 2)
+    # task s ran when the grid had yielded s + 1 tasks: task 0 before task 1 was made
+    assert [(dict(kv)["s"], seen) for (_, kv), seen in ran] == [(0, 1), (1, 2), (2, 3)]
+    assert results == [execute(task) for task, _ in ran]
+
+
 def test_grids_reach_the_cases_they_are_named_for():
     def tasks(name):
         return list(SWEEPS[GRIDS[name][0]].grid(*GRIDS[name][1:]))
