@@ -14,6 +14,12 @@ __version__ = "0.1.0"
 # --pmax of a sweep: defined here, so the sweep table needs no arithmetic module
 PRIME_LIMIT = 10**6
 
+
+# here, so the sweep table raises the class that the CLI, run as __main__ by python -m, catches
+class UsageError(ValueError):
+    """A bad flag, option value or bound: refused before any check runs (exit 2)."""
+
+
 # each public name -> the submodule that defines it
 _EXPORTS = {
     "CheckResult": "report",
@@ -25,7 +31,7 @@ _EXPORTS = {
     "primes_in_range": "exact_arith",
 }
 
-__all__ = [*_EXPORTS, "__version__"]
+__all__ = [*_EXPORTS, "UsageError", "__version__"]
 
 
 def __getattr__(name: str) -> object:

@@ -12,8 +12,8 @@ where FLAG is one of SWEEP's options, a common option or config, VALUE may
 start with "-" (--x -1/5), a flag given twice keeps its last value and only
 --x collects every value. Anything else is a usage error, refused at its
 first token that does not fit. Importing this module loads no scv module but
-`scv` and `scv.sweeps`, so `--version`, `--help` and a usage error load no
-arithmetic; a run loads `scv.report` once its sweep has run.
+`scv`; argv that names verify loads the table, `scv.sweeps`, and a run loads
+`scv.report` once its sweep has run. No scv module imports this one.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
 1 on any failure, including a --jobs worker that dies and a report that
@@ -24,67 +24,10 @@ checks or only skipped ones.
 from __future__ import annotations
 
 import gc
-import os
 import sys
 import time
-from pathlib import Path
-from typing import NoReturn
 
-from . import __version__, sweeps
-from .sweeps import Option, UsageError, choice_option, int_option
-
-
-def _writable(path: str) -> str:
-    """Refuse an --out FILE that could not be written, before the sweep runs.
-
-    A FILE that does not exist yet is made in its directory, which must then
-    be writable and searchable.
-    """
-    target = Path(path)
-    if not target.parent.is_dir():
-        raise UsageError(f"directory {target.parent} does not exist")
-    if target.exists():
-        writable = not target.is_dir() and os.access(target, os.W_OK)
-    else:
-        writable = os.access(target.parent, os.W_OK | os.X_OK)
-    if not writable:
-        raise UsageError(f"{path} is a directory or is not writable")
-    return path
-
-
-_COMMON_OPTIONS = (
-    int_option("jobs", 1, 1, help="Worker processes for the sweep grid."),
-    choice_option("format", ("json", "csv", "text"), "text", "Report format."),
-    Option("out", None, _writable, "Write the report to FILE instead of stdout."),
-)
-_CONFIG = Option("config", None, str, "key=value file supplying defaults; explicit flags win.")
-
-
-def _load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
-    """Read key=value lines as the texts of the command's flags; a repeatable flag takes a,b,..."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        cause = exc.strerror if isinstance(exc, OSError) else exc
-        raise UsageError(f"Invalid value for '--config': cannot read {path!r}: {cause}") from None
-    keys = {option.name: option for option in options}
-    values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise UsageError(
-                f"{path}:{lineno}: {key!r} is not an option of {command}"
-                f" (keys: {', '.join(sorted(keys))})"
-            )
-        values[key] = (
-            [x.strip() for x in value.split(",") if x.strip()] if keys[key].repeatable else value
-        )
-    return values
+from . import UsageError, __version__
 
 
 class RunFailure(RuntimeError):
@@ -113,9 +56,9 @@ def _help(usage: str, about: str, sections: dict[str, list[tuple[str, str]]]) ->
     return "\n".join(lines) + "\n"
 
 
-def _refuse(usage: str, message: str) -> NoReturn:
+def _refuse(usage: str, message: str) -> UsageError:
     print(f"usage: {usage}", file=sys.stderr)
-    raise UsageError(message)
+    return UsageError(message)
 
 
 def _parse(argv: list[str], prog: str) -> tuple[str, dict[str, object]] | str:
@@ -123,26 +66,28 @@ def _parse(argv: list[str], prog: str) -> tuple[str, dict[str, object]] | str:
     or the help or version text that argv asks for."""
     if argv[:1] == ["--version"]:
         return f"{prog}, version {__version__}\n"
-    if argv[:1] != ["verify"]:
-        args, usage, wanted = argv, f"{prog} [-h] [--version] verify ...", "the command verify"
-        about = "Exact-arithmetic verification of binomial-sum congruences and integrality claims."
-        sections = {"commands": [("verify", _VERIFY)],
-                    "options": [_HELP_ROW, ("--version", "Show the version and exit.")]}
-    elif argv[1:2] and argv[1] in sweeps.SWEEPS:
-        return _parse_flags(argv[1], argv[2:], f"{prog} verify {argv[1]}")
-    else:
+    if argv[:1] == ["verify"]:
+        from . import sweeps  # the sweep table, loaded once argv names verify
+        if argv[1:2] and argv[1] in sweeps.SWEEPS:
+            return _parse_flags(argv[1], argv[2:], f"{prog} verify {argv[1]}")
         args, usage = argv[1:], f"{prog} verify [-h] {{{','.join(sweeps.SWEEPS)}}} ..."
         about, wanted = _VERIFY, f"a sweep, one of {', '.join(sweeps.SWEEPS)}"
         sections = {"sweeps": [(name, sweep.help) for name, sweep in sweeps.SWEEPS.items()],
                     "options": [_HELP_ROW]}
+    else:
+        args, usage, wanted = argv, f"{prog} [-h] [--version] verify ...", "the command verify"
+        about = "Exact-arithmetic verification of binomial-sum congruences and integrality claims."
+        sections = {"commands": [("verify", _VERIFY)],
+                    "options": [_HELP_ROW, ("--version", "Show the version and exit.")]}
     if args and args[0] in _HELP:
         return _help(usage, about, sections)
-    _refuse(usage, f"expected {wanted}, got {args[0]!r}" if args else f"expected {wanted}")
+    raise _refuse(usage, f"expected {wanted}, got {args[0]!r}" if args else f"expected {wanted}")
 
 
 def _parse_flags(name: str, args: list[str], command: str) -> tuple[str, dict[str, object]] | str:
+    from . import sweeps
     sweep = sweeps.SWEEPS[name]
-    flags = {o.name: o for o in (_CONFIG, *sweep.options, *_COMMON_OPTIONS)}
+    flags = {o.name: o for o in (sweeps.CONFIG, *sweep.options, *sweeps.COMMON_OPTIONS)}
     usage = f"{command} [-h] " + " ".join(f"[--{flag} {flag.upper()}]" for flag in flags)
     given: dict[str, object] = {}
     rest = iter(args)
@@ -153,9 +98,9 @@ def _parse_flags(name: str, args: list[str], command: str) -> tuple[str, dict[st
         flag, equals, text = arg.partition("=")
         option = flags.get(flag[2:]) if flag.startswith("--") else None
         if option is None:
-            _refuse(usage, f"unrecognized argument: {arg}")
+            raise _refuse(usage, f"unrecognized argument: {arg}")
         if not equals and (text := next(rest, None)) is None:
-            _refuse(usage, f"argument {flag}: expected one argument")
+            raise _refuse(usage, f"argument {flag}: expected one argument")
         if option.repeatable:
             given.setdefault(option.name, []).append(text)
         else:
@@ -169,9 +114,10 @@ def _run(argv: list[str], prog: str) -> int:
         _print(parsed)
         return 0
     name, given = parsed
+    from . import sweeps
     sweep = sweeps.SWEEPS[name]
-    options = (*sweep.options, *_COMMON_OPTIONS)
-    texts = _load_config(given.pop("config"), name, options) if "config" in given else {}
+    options = (*sweep.options, *sweeps.COMMON_OPTIONS)
+    texts = sweeps.load_config(given.pop("config"), name, options) if "config" in given else {}
     texts.update(given)
     values = {}
     for o in options:

@@ -53,11 +53,16 @@ def rat_str(num: int, den: int = 1) -> str:
 
 
 def coefficients_str(nums: Sequence[int], den: int) -> str:
-    """The list "[c0, c1, ...]" of each nums[i]/den by rat_str, trailing zeros dropped."""
+    """The list "[c0, c1, ...]" of each int nums[i] over the int den > 0 as rat_str prints it,
+    reduced by one gcd, trailing zeros dropped."""
     top = len(nums)
     while top and not nums[top - 1]:
         top -= 1
-    return "[" + ", ".join([rat_str(c, den) for c in nums[:top]]) + "]"
+    items = []
+    for c in nums[:top]:
+        g = math.gcd(c, den)
+        items.append(_int_str(c // g) + ("" if g == den else "/" + _int_str(den // g)))
+    return "[" + ", ".join(items) + "]"
 
 
 def is_prime(n: int) -> bool:

@@ -15,7 +15,8 @@ checks, and the rest from integer rows cached once per index:
 
     C(n, .)           the binomial row of n
     Schmidt row of n  C(n+k,2k) C(2k,k) for k = 0..n
-    f row of m        f_0(m)..f_m(m), from the Delannoy values d_j(m), j <= m
+    f row of m        f_0(m)..f_m(m), from the Delannoy values d_j(m), j <= m,
+                      extended only as far as a Schmidt row reads it
 
 so the lhs is the product of the pair at (m, n) and the rhs is the Schmidt
 row of n dotted with the f row of m. The order-4 recurrence certifying both
@@ -140,18 +141,24 @@ def _schmidt_row(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _f_row(m: int) -> tuple[int, ...]:
-    """f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m) for k = 0..m.
+def _f_row(m: int) -> tuple[list[int], list[int]]:
+    """f_0(m), f_1(m), ... and d_0(m), d_1(m), ..., as far as _f_values has read."""
+    return [], []
+
+
+def _f_values(m: int, top: int) -> list[int]:
+    """The f row of m read to at least k = top <= m: f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m).
 
     The Delannoy values d_j(m) are read off the column of sequences.ds_value
-    at m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes.
+    at m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes. Both rows grow in
+    place, as that column does.
     """
-    delannoy = [ds_value(m, j)[0] for j in range(m + 1)]
-    return tuple(
-        sum(map(mul, map(mul, _binomial_row(k), delannoy),
-                map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
-        for k in range(m + 1)
-    )
+    row, delannoy = _f_row(m)
+    for k in range(len(row), top + 1):
+        delannoy.append(ds_value(m, k)[0])
+        row.append(sum(map(mul, map(mul, _binomial_row(k), delannoy),
+                           map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1)))))
+    return row
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,7 +183,7 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
         raise ValueError("m, n must be >= 0")
     if side == "lhs":
         return math.prod(ds_value(m, n))
-    return sum(map(mul, _schmidt_row(n), _f_row(m)))
+    return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n))))
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:

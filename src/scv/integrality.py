@@ -10,7 +10,8 @@ check adds one weighted R_{n-1,m}, D+1 multiply-adds with D = 3(n-1)m. V/n is
 integer-valued iff each coefficient is divisible by n; a nonzero
 (3km+1)-th difference would mean the bound is wrong and raises.
 Each value d_k(t) s_k(t) is the product of the pair sequences.ds_value
-reads off its cached column at t, the same column the bb4 sides read.
+reads off its cached column at t, the same column the bb4 sides read, and
+is formed once per (k, t), kept as far as t has been read.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, repeat, zip_longest
-from typing import Iterator
 
 from .exact_arith import _int_str, coefficients_str
 from .report import CheckResult
@@ -51,13 +52,21 @@ def degree_bound(n: int, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _products(k: int) -> list[int]:
+    """d_k(t) s_k(t) for t = 0, 1, ..., as far as _term_differences has read."""
+    return []
+
+
+@functools.lru_cache(maxsize=None)
 def _term_differences(k: int, m: int) -> tuple[int, ...]:
     """R_{k,m}: the forward differences at 0 of (d_k s_k)^m over t = 0..B+1, B = 3km.
 
     B is the bound of V at n = k+1, and the (B+1)-th difference must be 0.
     """
     bound = degree_bound(k + 1, m)
-    vals = [(d * s) ** m for d, s in map(ds_value, range(bound + 2), repeat(k))]
+    products = _products(k)
+    products += [d * s for d, s in map(ds_value, range(len(products), bound + 2), repeat(k))]
+    vals = [v**m for v in products[: bound + 2]]
     diffs = []
     while vals:
         diffs.append(vals[0])

@@ -27,22 +27,19 @@ no per-record dict is built and the json package is not loaded.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple, TextIO
+from io import TextIOBase
 
 from .exact_arith import _int_str
 
 
-class CheckResult(NamedTuple):
-    """Outcome of one verification, with enough data to reproduce it."""
+class CheckResult(namedtuple("CheckResult", "check_name parameters passed lhs_witness"
+                             " rhs_witness modulus skipped", defaults=(False,))):
+    """Outcome of one verification, with enough data to reproduce it: parameters is a
+    dict[str, object], passed and skipped are bools, and the other fields are strs."""
 
-    check_name: str
-    parameters: dict[str, object]
-    passed: bool
-    lhs_witness: str
-    rhs_witness: str
-    modulus: str
-    skipped: bool = False
+    __slots__ = ()  # no __dict__ per record
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -300,7 +297,7 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
 _PIECES = {"json": _json_pieces, "csv": _csv_pieces, "text": _text_pieces}
 
 
-def write_report(report: RunReport, format: str, out: TextIO) -> None:
+def write_report(report: RunReport, format: str, out: TextIOBase) -> None:
     """Write the report as json, csv or text to out a piece at a time, so its text is never held."""
     out.writelines(_PIECES[format](report))
 

@@ -2,15 +2,15 @@
 
 SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
 help text, its options (converter, range, default) and the grid function
-that turns the option values into tasks. KINDS maps each task kind, the
+that turns the option values into tasks, and COMMON_OPTIONS and CONFIG are
+the flags every sweep takes after its own. KINDS maps each task kind, the
 check_name of its records, to its verifier, which takes the task's
 parameters as they are and prints them unchanged in its record; each
 verifier's module is imported on the first check of its kind, so a sweep
 loads only the verifier module it runs. Importing this module loads no scv
-module but the package, for PRIME_LIMIT: building the CLI needs only SWEEPS,
-and each grid imports the arithmetic it reads (with its verifier module)
-while it is built. Adding a sweep means adding one SWEEPS entry plus its
-KINDS entries.
+module but the package (PRIME_LIMIT, UsageError) and no typing, pathlib or
+re; each grid imports the arithmetic it reads, with its verifier module, as
+it is built. Adding a sweep means one SWEEPS entry plus its KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
 grids can run sequentially or as contiguous slices in forked workers with
@@ -22,18 +22,19 @@ from __future__ import annotations
 import marshal
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cache, partial
 from importlib import import_module
 from itertools import product
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
-from . import PRIME_LIMIT
+from . import PRIME_LIMIT, UsageError
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
     from .report import CheckResult
 
 Task = tuple[str, tuple[tuple[str, object], ...]]
-Grid = Callable[..., Iterator[Task]]
 
 DEFAULT_BB1_X = ("0", "1", "2", "-1/2", "-1/3", "1/3", "2/5")
 
@@ -219,9 +220,10 @@ def _bb4_recurrence(top: int) -> Iterator[Task]:
         yield _task("bb4-recurrence", side=side, m=m, n=n)
 
 
-class Identity(NamedTuple):
-    default_max: int
-    grid: Callable[[int], Iterator[Task]]
+class Identity(namedtuple("Identity", "default_max grid")):
+    """An identity's default --max and its grid: Callable[[int], Iterator[Task]]."""
+
+    __slots__ = ()
 
 
 IDENTITIES = {
@@ -264,18 +266,11 @@ def _schmidt(nmax: int, mmax: int, eps: str) -> Iterator[Task]:
     return _n_m_eps("schmidt-divisibility", nmax, mmax, eps)
 
 
-class UsageError(ValueError):
-    """A bad flag, option value or bound: refused before any check runs (exit 2)."""
+class Option(namedtuple("Option", "name default convert help repeatable", defaults=("", False))):
+    """A flag --name taking one value; a repeatable flag collects a tuple of them. The default
+    is used as it is; convert takes the text (tuple of texts) to the value, ValueError if bad."""
 
-
-class Option(NamedTuple):
-    """A flag --name taking one value; a repeatable flag collects a tuple of them."""
-
-    name: str
-    default: Any  # used as it is
-    convert: Callable[[Any], Any]  # the text (tuple of texts) to the value; ValueError if bad
-    help: str = ""
-    repeatable: bool = False
+    __slots__ = ()
 
 
 def int_option(name: str, default: int | None, least: int, most: int | None = None,
@@ -330,10 +325,10 @@ def _pmax(default: int, least: int = 5) -> Option:
 _MMAX_EPS = (int_option("mmax", 3, 1), choice_option("eps", _EPS, "both"))
 
 
-class Sweep(NamedTuple):
-    help: str
-    options: tuple[Option, ...]
-    grid: Grid
+class Sweep(namedtuple("Sweep", "help options grid")):
+    """A subcommand's help, options and grid, a Callable[..., Iterator[Task]] of their values."""
+
+    __slots__ = ()
 
 
 SWEEPS = {
@@ -378,3 +373,57 @@ SWEEPS = {
         (int_option("nmax", 6, 1), *_MMAX_EPS), _schmidt,
     ),
 }
+
+
+def _writable(path: str) -> str:
+    """Refuse an --out FILE that could not be written, before the sweep runs.
+
+    A FILE that does not exist yet is made in its directory, which must then
+    be writable and searchable.
+    """
+    directory = os.path.dirname(path) or "."  # a FILE with no directory part: the current one
+    if not os.path.isdir(directory):
+        raise UsageError(f"directory {directory} does not exist")
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:  # "" names no file to make
+        writable = path and os.access(directory, os.W_OK | os.X_OK)
+    if not writable:
+        raise UsageError(f"{path} is a directory or is not writable")
+    return path
+
+
+COMMON_OPTIONS = (
+    int_option("jobs", 1, 1, help="Worker processes for the sweep grid."),
+    choice_option("format", ("json", "csv", "text"), "text", "Report format."),
+    Option("out", None, _writable, "Write the report to FILE instead of stdout."),
+)
+CONFIG = Option("config", None, str, "key=value file supplying defaults; explicit flags win.")
+
+
+def load_config(path: str, command: str, options: tuple[Option, ...]) -> dict[str, object]:
+    """Read key=value lines as the texts of the command's flags; a repeatable flag takes a,b,..."""
+    try:
+        with open(path) as f:  # the encoding Path.read_text would use
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        cause = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"Invalid value for '--config': cannot read {path!r}: {cause}") from None
+    keys = {option.name: option for option in options}
+    values: dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise UsageError(
+                f"{path}:{lineno}: {key!r} is not an option of {command}"
+                f" (keys: {', '.join(sorted(keys))})"
+            )
+        values[key] = (
+            [x.strip() for x in value.split(",") if x.strip()] if keys[key].repeatable else value
+        )
+    return values

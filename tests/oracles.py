@@ -79,8 +79,7 @@ from fraction_poly import (
     shifted_binomial_poly,
 )
 
-from scv import __version__, congruences, integrality, poly, sequences, sweeps
-from scv.cli import _COMMON_OPTIONS
+from scv import UsageError, __version__, congruences, integrality, poly, sequences, sweeps
 from scv.exact_arith import (
     InvalidPrime,
     PAdicContext,
@@ -899,7 +898,7 @@ def check_sort_key_oracle(check: CheckResult) -> tuple:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        raise sweeps.UsageError(message)
+        raise UsageError(message)
 
 
 def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
@@ -918,7 +917,7 @@ def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
         if name != only:  # argparse reads a sweep's flags only when that sweep is named
             continue
         sub.add_argument("--config", help="key=value file supplying defaults; explicit flags win.")
-        for option in (*sweep.options, *_COMMON_OPTIONS):
+        for option in (*sweep.options, *sweeps.COMMON_OPTIONS):
             sub.add_argument(f"--{option.name}", help=option.help,
                              action="append" if option.repeatable else "store")
     return parser
@@ -927,7 +926,7 @@ def _parser(prog: str, only: str | None) -> argparse.ArgumentParser:
 def join_values(argv: list[str]) -> list[str]:
     """--x -1/5 as --x=-1/5: every flag but --help takes one value, which may start with "-"."""
     flags = {"--config", *(f"--{o.name}" for s in sweeps.SWEEPS.values() for o in s.options),
-             *(f"--{o.name}" for o in _COMMON_OPTIONS)}
+             *(f"--{o.name}" for o in sweeps.COMMON_OPTIONS)}
     joined: list[str] = []
     for arg in argv:
         if joined and joined[-1] in flags:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracles import argparse_parse, join_values
 
 import scv.cli as cli
-from scv.sweeps import SWEEPS, UsageError
+from scv import UsageError
+from scv.sweeps import COMMON_OPTIONS, SWEEPS
 
 # texts for every flag: valid ones, ones that start with "-", and ones no flag takes
 VALUES = ["7", "11", "2", "0", "-3", "-1/5", "-8/11", "2/3", "-1", "+1", "both", "cc5", "all",
@@ -40,14 +41,14 @@ def _pieces(texts: dict[str, list[str]]):
     )
 
 
-FLAGS = {"config", *(o.name for s in SWEEPS.values() for o in (*s.options, *cli._COMMON_OPTIONS))}
+FLAGS = {"config", *(o.name for s in SWEEPS.values() for o in (*s.options, *COMMON_OPTIONS))}
 ANY_FLAG = _pieces({flag: VALUES for flag in FLAGS})
 
 
 def _sweep_argv(name: str):
     # mostly the sweep's own flags with valid texts; sometimes any flag with any text
     own = {o.name: [v for v in VALUES if _valid(o, v)] for o in (*SWEEPS[name].options,
-                                                                    *cli._COMMON_OPTIONS)}
+                                                                    *COMMON_OPTIONS)}
     pieces = st.lists(st.one_of(_pieces({"config": ["scv.cfg"], **own}), ANY_FLAG), max_size=6)
     return pieces.map(lambda ps: ["verify", name, *(arg for piece in ps for arg in piece)])
 

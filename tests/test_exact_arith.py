@@ -14,6 +14,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from oracles import legendre
 
+from scv import UsageError
 from scv.congruences import residue_witness
 from scv.exact_arith import (
     InvalidPrime,
@@ -28,7 +29,7 @@ from scv.exact_arith import (
 )
 from scv.identities import check_cc4
 from scv.integrality import verify_integer_valued
-from scv.sweeps import UsageError, _validate_rationals
+from scv.sweeps import _validate_rationals
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 

@@ -22,7 +22,7 @@ from oracles import check_sort_key_oracle
 import scv.cli as cli
 import scv.report
 import scv.sweeps as sweeps
-from scv import PRIME_LIMIT, __version__, exact_arith
+from scv import PRIME_LIMIT, UsageError, __version__, exact_arith
 from scv.cli import main
 from scv.report import (
     CheckResult,
@@ -425,6 +425,20 @@ def test_cli_out_file(tmp_path):
     assert payload["summary"]["pass"] == 12  # primes 5, 7, 11 x four families
 
 
+def test_cli_out_with_no_directory_part_goes_into_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    asked = []
+    access = sweeps.os.access
+    monkeypatch.setattr(
+        sweeps.os, "access", lambda path, mode: asked.append((path, mode)) or access(path, mode)
+    )
+    res = run_cli("verify", "rv", "--pmax", "11", "--out", "report.json", "--format", "json")
+    assert res.exit_code == 0, res.output
+    assert res.output == "wrote report.json: 12 passed, 0 failed, 0 skipped\n"
+    assert asked == [(".", sweeps.os.W_OK | sweeps.os.X_OK)]  # the working directory, asked once
+    assert json.loads((tmp_path / "report.json").read_text())["invocation"]["out"] == "report.json"
+
+
 def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch):
     calls = []
     rv = sweeps.KINDS["rv"]
@@ -447,12 +461,13 @@ def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypa
     calls, asked = [], []
     rv = sweeps.KINDS["rv"]
     monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
-    monkeypatch.setattr(cli.os, "access", lambda path, mode: asked.append((path, mode)) or False)
+    monkeypatch.setattr(sweeps.os, "access", lambda path, mode: asked.append((path, mode)) or False)
     res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "new.json"))
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage error, no PermissionError traceback
     assert "is not writable" in res.output
-    assert asked == [(tmp_path, cli.os.W_OK | cli.os.X_OK)]  # the directory the file goes in
+    # the directory the file goes in, as the text --out gives it
+    assert asked == [(str(tmp_path), sweeps.os.W_OK | sweeps.os.X_OK)]
     assert calls == [] and not (tmp_path / "new.json").exists()
 
 
@@ -692,7 +707,7 @@ def test_cli_main_main_returns_the_exit_code(tmp_path, monkeypatch):
         monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: _check("rv", kw, passed=False))
         failed = main.main(argv, prog_name="scv", standalone_mode=False)
     assert (type(passed), passed, type(failed), failed) == (int, 0, int, 1)
-    with pytest.raises(sweeps.UsageError, match="is not in the range"):
+    with pytest.raises(UsageError, match="is not in the range"):
         main.main(["verify", "rv", "--pmax", "4"], prog_name="scv", standalone_mode=False)
 
 

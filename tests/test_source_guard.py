@@ -87,3 +87,43 @@ def test_every_import_is_used_and_every_annotation_is_bound():
             for name in sorted(_names_in(annotation) - bound):
                 problems.append(f"{path.name}:{annotation.lineno}: {name} is not bound")
     assert problems == []
+
+
+# start-up: what the interpreter's core does not load stays out of every module, and what
+# only some runs need is imported inside the function that needs it
+NEVER_IMPORTED = ("typing", "pathlib")
+NOT_AT_IMPORT = ("re", "json", "argparse", "dataclasses", "fractions")
+
+
+def _loaded_by(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The modules an import statement may load, by full name; a relative one is in scv."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module if not node.level else "scv" + (f".{node.module}" if node.module else "")
+    return [base, *(f"{base}.{alias.name}" for alias in node.names)]
+
+
+def _run_at_import(node: ast.AST) -> set[ast.AST]:
+    """node and the nodes under it that run as the module loads: all but function bodies."""
+    found = {node}
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found |= _run_at_import(child)
+    return found
+
+
+def test_no_module_imports_what_a_run_has_no_use_for():
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        at_import = _run_at_import(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for name in _loaded_by(node):
+                top = name.split(".")[0]
+                if top in NEVER_IMPORTED or name.split(".")[:2] == ["scv", "cli"]:
+                    problems.append(f"{path.name}:{node.lineno}: imports {name}")
+                elif top in NOT_AT_IMPORT and node in at_import:
+                    problems.append(f"{path.name}:{node.lineno}: imports {name} at module level")
+    assert problems == []

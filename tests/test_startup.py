@@ -87,51 +87,69 @@ def test_program_exit_freezes_the_collector_before_atexit(argv, code):
 
 # what a run of scv has no use for: the parser and the json writer need neither
 UNUSED_STDLIB = ("argparse", "gettext", "locale", "json")
+SCRIPT = "import scv.cli\nscv.cli.main()"  # as the `scv` script: main() with no argv
+AS_MODULE = "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')"  # python -m scv.cli
 
 
-def _program(
-    argv: list[str], launch: str = "import scv.cli\nscv.cli.main()", flags: tuple[str, ...] = ()
-) -> tuple:
+def _program(argv: list[str], launch: str = SCRIPT, flags: tuple[str, ...] = ()) -> tuple:
     """Run scv on argv as a program, by default as the `scv` script does: main() with no argv.
 
     Returns the process, its stdout and stderr together, and the modules it loaded after the
-    interpreter's start, printed by an exit handler whose probe imports no json itself.
-    `flags` go to the interpreter.
+    interpreter's start, each mapped to the module whose code imported it first, printed by
+    an exit handler whose probe imports no json itself. `flags` go to the interpreter.
     """
     proc = subprocess.run(
         [sys.executable, *flags, "-c",
          "import atexit, sys\n"
-         "before = set(sys.modules)\n"
-         "atexit.register(lambda: print('loaded', *sorted(set(sys.modules) - before)))\n"
+         "before, importers = set(sys.modules), {}\n"
+         "class Importers:  # finds nothing: it notes the module whose code asks\n"
+         "    def find_spec(name, path=None, target=None):\n"
+         "        frame = sys._getframe(1)\n"
+         "        while frame.f_globals['__name__'].startswith('importlib'):\n"
+         "            frame = frame.f_back\n"
+         "        importers.setdefault(name, frame.f_globals['__name__'])\n"
+         "sys.meta_path.insert(0, Importers)\n"
+         "atexit.register(lambda: print('loaded', *(\n"
+         "    f'{m}<{importers.get(m)}' for m in sorted(set(sys.modules) - before))))\n"
          f"sys.argv = ['scv', *{argv!r}]\n"
          f"{launch}"],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     output, loaded = proc.stdout.rsplit("loaded", 1)
-    return proc, output + proc.stderr, loaded.split()
+    return proc, output + proc.stderr, dict(m.split("<", 1) for m in loaded.split())
 
 
-@pytest.mark.parametrize("argv, code, shown", [
-    (["--version"], 0, "scv, version 0.1.0\n"),
-    (["verify", "cc", "--help"], 0, "usage: scv verify cc "),
+# what the interpreter's core does not load and no json or text run needs: site loads them
+# on some hosts, so only a run under -S shows that scv does not
+HEAVY_STDLIB = ("typing", "pathlib", "re")
+
+
+@pytest.mark.parametrize("argv, code, shown, table", [
+    (["--version"], 0, "scv, version 0.1.0\n", False),
+    (["--help"], 0, "usage: scv [-h] [--version] verify ...\n", False),
+    (["verify", "cc", "--help"], 0, "usage: scv verify cc ", True),
     (["verify", "sun-p4", "--pmax", "3"], 2,
-     "Error: Invalid value for '--pmax': 3 is not in the range 5<=x<=1000000\n"),
-], ids=["version", "help", "usage-error"])
-def test_runs_that_check_nothing_load_no_arithmetic(argv, code, shown):
-    proc, output, loaded = _program(argv)
-    assert proc.returncode == code, proc.stderr
-    assert shown in output
-    assert [m for m in loaded if m == "scv" or m.startswith("scv.")] == [
-        "scv", "scv.cli", "scv.sweeps"
-    ]
-    assert [m for m in ("fractions", "decimal", *UNUSED_STDLIB) if m in loaded] == []
+     "Error: Invalid value for '--pmax': 3 is not in the range 5<=x<=1000000\n", True),
+], ids=["version", "top-help", "help", "usage-error"])
+def test_runs_that_check_nothing_load_no_arithmetic(argv, code, shown, table):
+    # as the scv script does, and as python -m scv.cli (which runs the CLI as __main__) with and
+    # without site: only argv that names verify loads the sweep table
+    launches = [(SCRIPT, (), ["scv.cli"]), (AS_MODULE, (), []), (AS_MODULE, ("-S",), [])]
+    for launch, flags, cli in launches:
+        proc, output, loaded = _program(argv, launch, flags)
+        assert proc.returncode == code, proc.stderr
+        assert shown in output
+        assert [m for m in loaded if m == "scv" or m.startswith("scv.")] == [
+            "scv", *cli, *["scv.sweeps"] * table
+        ]
+        unused = ("fractions", "decimal", *UNUSED_STDLIB, *HEAVY_STDLIB)
+        assert [m for m in unused if m in loaded] == [], (launch, flags)
 
 
 def test_json_run_loads_no_argparse_and_no_json_package():
     # as `python -m scv.cli`: the report's strings are escaped by _json, the C part json binds
     proc, output, loaded = _program(
-        ["verify", "sun-p4", "--pmax", "7", "--format", "json"],
-        "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')",
+        ["verify", "sun-p4", "--pmax", "7", "--format", "json"], AS_MODULE
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(output)["summary"] == {"fail": 0, "pass": 8, "skipped": 0}
@@ -141,7 +159,6 @@ def test_json_run_loads_no_argparse_and_no_json_package():
 
 # what no verify run needs: rationals are int pairs, so neither fractions nor what it loads
 RATIONAL_STDLIB = ("fractions", "decimal", "_decimal", "_pydecimal", "numbers")
-AS_MODULE = "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')"  # python -m scv.cli
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
@@ -156,11 +173,21 @@ AS_MODULE = "import runpy\nrunpy.run_module('scv.cli', run_name='__main__')"  # 
     ["schmidt", "--nmax", "2", "--mmax", "2", "--format", "json"],
     ["guo-bb1", "--pmax", "7", "--format", "text"],
     ["cc", "--pmax", "7", "--format", "csv"],
+    ["rv", "--pmax", "7", "--format", "text"],
+    ["lemma2p", "--pmax", "7", "--format", "text"],
+    ["sun-p4", "--pmax", "7", "--format", "text"],
+    ["cc", "--pmax", "11", "--format", "text"],
+    ["identity", "--name", "all", "--max", "2", "--format", "text"],
+    ["integrality", "--nmax", "2", "--mmax", "2", "--format", "text"],
+    ["schmidt", "--nmax", "2", "--mmax", "2", "--format", "text"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_verify_runs_load_no_fractions(argv, flags):
+    # nor, but for the re that the csv writer's csv imports, typing, pathlib or re
     proc, output, loaded = _program(["verify", *argv], AS_MODULE, flags)
     assert proc.returncode == 0, output  # every check passed, and at least one ran
     assert [m for m in RATIONAL_STDLIB if m in loaded] == []
+    heavy = {m: loaded[m] for m in HEAVY_STDLIB if m in loaded}
+    assert heavy.items() <= ({"re": "csv"} if argv[-1] == "csv" else {}).items()
 
 
 def test_library_modules_import_no_fractions():
