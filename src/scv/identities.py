@@ -10,13 +10,13 @@ the polynomials are.
 The two sides of the double/triple-sum identity (bb4) are exact integers
 from factored forms: the double sum is d_n(m) s_n(m), and the triple sum is
 sum_k C(n+k,2k) C(2k,k) f_k(m). The pairs (d_j(m), s_j(m)) come from
-sequences.ds_value, one cached column per m shared with the integer-valued
+sequences.ds_pairs, one cached column per m shared with the integer-valued
 checks, and the rest from integer rows cached once per index:
 
     C(n, .)           the binomial row of n
     Schmidt row of n  C(n+k,2k) C(2k,k) for k = 0..n
-    f row of m        f_0(m)..f_m(m), from the Delannoy values d_j(m), j <= m,
-                      extended only as far as a Schmidt row reads it
+    f row of m        f_0(m), f_1(m), ... from the Delannoy values d_j(m), a
+                      sequences.column_reader column read to k <= min(m, n)
 
 so the lhs is the product of the pair at (m, n) and the rhs is the Schmidt
 row of n dotted with the f row of m. The order-4 recurrence certifying both
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
-from operator import mul
+from collections.abc import Iterator
+from itertools import count, repeat
+from operator import itemgetter, mul
 
 from .exact_arith import coefficients_str, rat_str
 from .report import CheckResult, exact_result
-from .sequences import ds_value, schmidt_coefficient
+from .sequences import column_reader, ds_pairs, ds_value, schmidt_coefficient
 
 
 def _cc1_weight(j: int, k: int, s: int) -> int:
@@ -140,25 +141,17 @@ def _schmidt_row(n: int) -> tuple[int, ...]:
     return tuple(map(schmidt_coefficient, repeat(n), range(n + 1)))
 
 
-@functools.lru_cache(maxsize=None)
-def _f_row(m: int) -> tuple[list[int], list[int]]:
-    """f_0(m), f_1(m), ... and d_0(m), d_1(m), ..., as far as _f_values has read."""
-    return [], []
+@column_reader
+def _f_values(m: int) -> Iterator[int]:
+    """f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m) for k = 0, 1, ...
 
-
-def _f_values(m: int, top: int) -> list[int]:
-    """The f row of m read to at least k = top <= m: f_k(m) = sum_{j<=k} C(m+j,k+j) C(k,j) d_j(m).
-
-    The Delannoy values d_j(m) are read off the column of sequences.ds_value
-    at m; f_k(m) = 0 for k > m, since C(m+j,k+j) vanishes. Both rows grow in
-    place, as that column does.
+    The Delannoy values d_j(m) are read off sequences.ds_pairs at m; f_k(m) = 0
+    for k > m, since C(m+j,k+j) vanishes.
     """
-    row, delannoy = _f_row(m)
-    for k in range(len(row), top + 1):
-        delannoy.append(ds_value(m, k)[0])
-        row.append(sum(map(mul, map(mul, _binomial_row(k), delannoy),
-                           map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1)))))
-    return row
+    for k in count():
+        delannoy = map(itemgetter(0), ds_pairs(m, k + 1))
+        yield sum(map(mul, map(mul, _binomial_row(k), delannoy),
+                      map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +176,7 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
         raise ValueError("m, n must be >= 0")
     if side == "lhs":
         return math.prod(ds_value(m, n))
-    return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n))))
+    return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:

@@ -9,9 +9,9 @@ kept per (m, eps), which the grid asks for at n = 1, 2, ... in turn, so a
 check adds one weighted R_{n-1,m}, D+1 multiply-adds with D = 3(n-1)m. V/n is
 integer-valued iff each coefficient is divisible by n; a nonzero
 (3km+1)-th difference would mean the bound is wrong and raises.
-Each value d_k(t) s_k(t) is the product of the pair sequences.ds_value
-reads off its cached column at t, the same column the bb4 sides read, and
-is formed once per (k, t), kept as far as t has been read.
+Each value d_k(t) s_k(t) is formed once per (k, t), in a
+sequences.column_reader column per k over the ds_pairs columns the bb4
+sides read too, so each m only raises it to its power.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from itertools import combinations_with_replacement, repeat, zip_longest
+from itertools import combinations_with_replacement, count, repeat, zip_longest
 
 from .exact_arith import _int_str, coefficients_str
 from .report import CheckResult
-from .sequences import ds_value, schmidt_coefficient
+from .sequences import column_reader, ds_value, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
 TERM_LIMIT = 10**6
@@ -51,10 +51,10 @@ def degree_bound(n: int, m: int) -> int:
     return 3 * (n - 1) * m
 
 
-@functools.lru_cache(maxsize=None)
-def _products(k: int) -> list[int]:
-    """d_k(t) s_k(t) for t = 0, 1, ..., as far as _term_differences has read."""
-    return []
+@column_reader
+def _ds_products(k: int) -> Iterator[int]:
+    """d_k(t) s_k(t) for t = 0, 1, ..., each the product of the pair sequences.ds_value(t, k)."""
+    return map(math.prod, map(ds_value, count(), repeat(k)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,9 +64,7 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     B is the bound of V at n = k+1, and the (B+1)-th difference must be 0.
     """
     bound = degree_bound(k + 1, m)
-    products = _products(k)
-    products += [d * s for d, s in map(ds_value, range(len(products), bound + 2), repeat(k))]
-    vals = [v**m for v in products[: bound + 2]]
+    vals = [v**m for v in _ds_products(k, bound + 2)[: bound + 2]]
     diffs = []
     while vals:
         diffs.append(vals[0])

@@ -8,10 +8,10 @@ Definitions (exact at a point that exact_arith.ratio reads as an int pair):
     t_k(a)          (a)_k (1-a)_k / (1)_k^2          (the rv terms)
 
 s_series, the one s_n kernel, runs the certified three-term recurrence of
-s_n at O(1) int operations per step. At an integer t, ds_value(t, k) reads
-the pair (d_k(t), s_k(t)) off one cached column per t, which that recurrence
-and the Delannoy recurrence in k extend as far as any caller has read; the
-bb4 sides and the integer-valued checks share it.
+s_n at O(1) int operations per step. column_reader caches the exact integer
+rows per key, grown as far as any caller has read: ds_pairs, the pairs
+(d_k(t), s_k(t)) at an integer t by that recurrence and the Delannoy
+recurrence in k, and over it the bb4 f rows and the integer-valued products.
 
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
@@ -111,7 +111,35 @@ def s_series(x: Point) -> Iterator[int]:
         prev, cur = cur, (b2 * (2 * k * k + 2 * k + 1) + c) * cur - (k * b) ** 4 * prev
 
 
-def _ds_series(t: int) -> Iterator[tuple[int, int]]:
+def column_reader(series: Callable[[object], Iterator]) -> Callable[[object, int], list]:
+    """Cache series per key: read(key, n) returns its values, a list grown to at least n.
+
+    The list and the series that extends it are kept per key, so each value
+    is formed once. A list grows in place, like a PrefixWalk, so two threads
+    must not extend one at the same time. A series that raises is finished,
+    so every list is dropped with it: the next read builds its list anew and
+    raises the same error. read takes the series' name and doc, with the
+    series as __wrapped__; cache_clear() drops every list, cache_info() counts reads.
+    """
+    cached = functools.lru_cache(maxsize=None)(lambda key: ([], series(key)))
+
+    def read(key: object, n: int) -> list:
+        values, rest = cached(key)
+        try:
+            while len(values) < n:
+                values.append(next(rest))
+        except BaseException:
+            cached.cache_clear()
+            raise
+        return values
+
+    functools.update_wrapper(read, series, ("__module__", "__name__", "__qualname__", "__doc__"))
+    read.cache_clear, read.cache_info = cached.cache_clear, cached.cache_info
+    return read
+
+
+@column_reader
+def ds_pairs(t: int) -> Iterator[tuple[int, int]]:
     """(d_k(t), s_k(t)) for k = 0, 1, ... at an integer t, exactly.
 
     s_k(t) is S_k of s_series over k!^2, and d_k(t) runs the Delannoy
@@ -131,30 +159,11 @@ def _ds_series(t: int) -> Iterator[tuple[int, int]]:
         yield d, s
 
 
-@functools.lru_cache(maxsize=None)
-def _ds_column(t: int) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
-    """The pairs read so far at t, k = 0, 1, ..., and the series that extends them."""
-    return [], _ds_series(t)
-
-
 def ds_value(t: int, k: int) -> tuple[int, int]:
-    """(d_k(t), s_k(t)) at integers t, k >= 0, off one cached column per t.
-
-    A column grows in place, like a PrefixWalk, so two threads must not
-    extend one at the same time. A series that raises is finished, so the
-    columns are dropped with it: the next read of t builds its column anew
-    and raises the same error.
-    """
+    """(d_k(t), s_k(t)) at integers t, k >= 0, off the ds_pairs list of t."""
     if k < 0:
         raise ValueError(f"k = {k} is negative")
-    read, series = _ds_column(t)
-    try:
-        while len(read) <= k:
-            read.append(next(series))
-    except BaseException:
-        _ds_column.cache_clear()
-        raise
-    return read[k]
+    return ds_pairs(t, k + 1)[k]
 
 
 def s_square_series(x: Point) -> Iterator[tuple[int, int]]:

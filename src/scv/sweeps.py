@@ -4,13 +4,13 @@ SWEEPS is the one table behind `scv verify`: each entry gives a subcommand's
 help text, its options (converter, range, default) and the grid function
 that turns the option values into tasks, and COMMON_OPTIONS and CONFIG are
 the flags every sweep takes after its own. KINDS maps each task kind, the
-check_name of its records, to its verifier, which takes the task's
-parameters as they are and prints them unchanged in its record; each
-verifier's module is imported on the first check of its kind, so a sweep
-loads only the verifier module it runs. Importing this module loads no scv
-module but the package (PRIME_LIMIT, UsageError) and no typing, pathlib or
-re; each grid imports the arithmetic it reads, with its verifier module, as
-it is built. Adding a sweep means one SWEEPS entry plus its KINDS entries.
+check_name of its records, to the names of its module and verifier, which
+takes the task's parameters as they are and prints them unchanged in its
+record. Importing this module loads no scv module but the package
+(PRIME_LIMIT, UsageError) and no typing, pathlib or re; each grid imports
+its verifier module and the arithmetic it reads as it is built, so a sweep
+loads only the code it runs. Adding a sweep means one SWEEPS entry plus its
+KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
 grids can run sequentially or as contiguous slices in forked workers with
@@ -23,7 +23,7 @@ import marshal
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from functools import cache, partial
 from importlib import import_module
 from itertools import product
@@ -52,41 +52,27 @@ def _load(module: str):
     return import_module(f".{module}", __package__)
 
 
-def _lazy(module: str, verifier: str) -> Callable[..., CheckResult]:
-    # every verifier module loads by its first check, so a sweep imports only
-    # the code it runs: a congruence sweep never loads identities, integrality
-    # or poly, and the others never load congruences. That check puts the
-    # verifier itself in KINDS, so later tasks call it directly; an entry
-    # replaced meanwhile, as a test's monkeypatch does, is left as it is.
-    def resolve(**params: object) -> CheckResult:
-        verify = getattr(_load(module), verifier)
-        for kind in [kind for kind, entry in KINDS.items() if entry is resolve]:
-            KINDS[kind] = verify
-        return verify(**params)
-
-    return resolve
-
-
-KINDS: dict[str, Callable[..., CheckResult]] = {
-    "rv": _lazy("congruences", "verify_rv"),
-    "lemma2p": _lazy("congruences", "verify_lemma_2p"),
-    "sun-p4": _lazy("congruences", "verify_sun_p4"),
-    "guo-bb1": _lazy("congruences", "verify_guo_bb1"),
-    "cc5": _lazy("congruences", "verify_cc5"),
-    "cc7": _lazy("congruences", "verify_cc7"),
-    "cc8-fact": _lazy("congruences", "verify_cc8_fact"),
-    "cc9": _lazy("congruences", "verify_cc9"),
-    "cc10": _lazy("congruences", "verify_cc10"),
-    "cc1": _lazy("identities", "check_cc1"),
-    "cc4": _lazy("identities", "check_cc4"),
-    "liu26": _lazy("identities", "check_liu26"),
-    "telescope": _lazy("identities", "check_telescope"),
-    "bb2": _lazy("identities", "check_bb2"),
-    "bb4-direct": _lazy("identities", "check_bb4_direct"),
-    "bb4-recurrence": _lazy("identities", "check_bb4_recurrence"),
-    "bb4-initial": _lazy("identities", "check_bb4_initial"),
-    "integer-valued": _lazy("integrality", "verify_integer_valued"),
-    "schmidt-divisibility": _lazy("integrality", "verify_schmidt_divisibility"),
+# task kind -> (module, verifier), looked up by name at each task, so a replaced verifier runs
+KINDS: dict[str, tuple[str, str]] = {
+    "rv": ("congruences", "verify_rv"),
+    "lemma2p": ("congruences", "verify_lemma_2p"),
+    "sun-p4": ("congruences", "verify_sun_p4"),
+    "guo-bb1": ("congruences", "verify_guo_bb1"),
+    "cc5": ("congruences", "verify_cc5"),
+    "cc7": ("congruences", "verify_cc7"),
+    "cc8-fact": ("congruences", "verify_cc8_fact"),
+    "cc9": ("congruences", "verify_cc9"),
+    "cc10": ("congruences", "verify_cc10"),
+    "cc1": ("identities", "check_cc1"),
+    "cc4": ("identities", "check_cc4"),
+    "liu26": ("identities", "check_liu26"),
+    "telescope": ("identities", "check_telescope"),
+    "bb2": ("identities", "check_bb2"),
+    "bb4-direct": ("identities", "check_bb4_direct"),
+    "bb4-recurrence": ("identities", "check_bb4_recurrence"),
+    "bb4-initial": ("identities", "check_bb4_initial"),
+    "integer-valued": ("integrality", "verify_integer_valued"),
+    "schmidt-divisibility": ("integrality", "verify_schmidt_divisibility"),
 }
 
 
@@ -94,9 +80,9 @@ def execute_task(task: Task) -> CheckResult:
     """Run one check; an exception inside it becomes a failed `error:` record."""
     kind, kv = task
     params = dict(kv)
-    verify = KINDS[kind]
-    try:
-        return verify(**params)
+    module, verifier = KINDS[kind]
+    try:  # the first check of a kind imports its module, so an import error is its record too
+        return getattr(_load(module), verifier)(**params)
     except Exception as exc:  # a raising check is a reported failure, not a crash
         from .exact_arith import rat_str
         from .report import CheckResult

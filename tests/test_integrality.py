@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -166,7 +167,7 @@ def fresh_caches():
                     f.cache_clear()
 
     clear()
-    yield
+    yield clear
     clear()
 
 
@@ -248,20 +249,30 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
 def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkeypatch):
     monkeypatch.setattr(sequences, "s_series", lambda t: iter([1, 2, 3]))  # S_2 = 3, 2!^2 = 4
     with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
-        list(islice(sequences._ds_series(5), 3))
+        list(islice(sequences.ds_pairs.__wrapped__(5), 3))
 
 
-def test_a_column_whose_series_raised_raises_the_same_error_again(monkeypatch, fresh_caches):
+# each column user, with the pair its first read refuses: the f row of m = 5 reads the
+# Delannoy values d_j(5) off the pairs at t = 5, and the products at k = 2 start at t = 0
+COLUMN_USERS = {
+    "ds pairs": (lambda: sequences.ds_value(5, 2), "s_2(5)"),
+    "f rows": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(5)"),
+    "products": (lambda: integrality._term_differences(2, 1), "s_2(0)"),
+}
+
+
+@pytest.mark.parametrize("read, refused", COLUMN_USERS.values(), ids=COLUMN_USERS)
+def test_a_column_whose_series_raised_raises_the_same_error_again(
+    read, refused, monkeypatch, fresh_caches
+):
+    expected = read()
+    fresh_caches()
     monkeypatch.setattr(sequences, "s_series", lambda t: iter([1, 2, 3, 4]))  # S_2 = 3, 2!^2 = 4
     for _ in range(2):  # the first read finishes the series; the second must not see it finished
-        with pytest.raises(ArithmeticError, match=r"s_2\(5\) is not an integer"):
-            sequences.ds_value(5, 2)
-    # the check reads k = 2 at t = 0 first; each run of it is the same error record
-    task = ("integer-valued", (("eps", 1), ("m", 1), ("n", 3)))
-    for _ in range(2):
-        r = sweeps.execute_task(task)
-        assert not r.passed and r.modulus == "error"
-        assert r.lhs_witness == "error: ArithmeticError: s_2(0) is not an integer"
+        with pytest.raises(ArithmeticError, match=re.escape(f"{refused} is not an integer")):
+            read()
+    monkeypatch.undo()
+    assert read() == expected  # nothing the raising series read is kept
 
 
 def test_a_negative_k_is_refused_before_the_column_is_read(fresh_caches):

@@ -11,7 +11,7 @@ from test_report_golden import CASES
 
 import scv.report
 import scv.sweeps
-from scv import __version__
+from scv import __version__, identities
 from scv.report import CheckResult, RunReport, render_json, skipped_result
 from scv.sweeps import SWEEPS, execute_task, run_tasks
 
@@ -66,7 +66,8 @@ def test_escaped_witnesses_and_error_messages_render_as_json_dumps(monkeypatch):
         skipped_result("skip", {"x": "-1/2", "p": 3}, ODD_TEXT),
         _record("", {"": ""}, witness=""),
     ]
-    monkeypatch.setitem(scv.sweeps.KINDS, "odd", raises)
+    monkeypatch.setitem(scv.sweeps.KINDS, "odd", ("identities", "odd"))
+    monkeypatch.setattr(identities, "odd", raises, raising=False)
     checks.append(execute_task(("odd", (("n", 10**40), ("x", "\u00e9")))))
     assert checks[-1].lhs_witness.startswith("error: ValueError: quote")
     report = RunReport(__version__, {"subcommand": ODD_TEXT, "x": [ODD_TEXT]}, checks, 0.5)

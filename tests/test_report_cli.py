@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import gc
+import importlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ import scv.cli as cli
 import scv.report
 import scv.sweeps as sweeps
 from scv import PRIME_LIMIT, UsageError, __version__, exact_arith
+from scv import congruences, identities, integrality
 from scv.cli import main
 from scv.report import (
     CheckResult,
@@ -224,10 +226,8 @@ def test_cli_identity_counts():
 
 
 def test_cli_exit_code_on_failure(monkeypatch):
-    monkeypatch.setitem(
-        sweeps.KINDS,
-        "liu26",
-        lambda s: _check("liu26", {"s": s}, passed=False),
+    monkeypatch.setattr(
+        identities, "check_liu26", lambda s: _check("liu26", {"s": s}, passed=False)
     )
     res = run_cli("verify", "identity", "--name", "liu26", "--max", "2")
     assert res.exit_code == 1
@@ -280,7 +280,7 @@ def test_cli_oversized_pmax_is_usage_error_before_any_work(monkeypatch, sweep):
         raise AssertionError(f"a sieve to {hi} was built")
 
     for kind in ("rv", "lemma2p", "sun-p4", "guo-bb1", "cc5", "cc7"):
-        monkeypatch.setitem(sweeps.KINDS, kind, lambda **params: ran.append(params))
+        monkeypatch.setattr(congruences, sweeps.KINDS[kind][1], lambda **p: ran.append(p))
     monkeypatch.setattr(exact_arith, "primes_in_range", no_sieve)  # where each grid imports it
     res = run_cli("verify", sweep, "--pmax", str(PRIME_LIMIT + 1))
     assert res.exit_code == 2, res.output
@@ -296,7 +296,7 @@ def test_cli_raising_check_is_reported_failure(monkeypatch, error):
     def boom(s):
         raise error(f"boom at s={s}")
 
-    monkeypatch.setitem(sweeps.KINDS, "liu26", boom)
+    monkeypatch.setattr(identities, "check_liu26", boom)
     res = run_cli("verify", "identity", "--name", "liu26", "--max", "1", "--format", "json")
     assert res.exit_code == 1, res.output
     payload = json.loads(res.output)
@@ -345,6 +345,13 @@ def test_every_kind_is_the_check_name_of_its_records():
     assert skip.lhs_witness == "x = 1/3 is not a p-adic integer for p = 3"
 
 
+def test_every_kind_names_a_verifier_and_every_kind_a_grid_yields_has_one():
+    for kind, (module, verifier) in sweeps.KINDS.items():
+        assert callable(getattr(importlib.import_module(f"scv.{module}"), verifier)), kind
+    for name, sweep in sweeps.SWEEPS.items():
+        assert {kind for kind, _ in sweep.grid(**_SMALL_GRIDS[name])} <= set(sweeps.KINDS), name
+
+
 # the nine congruence kinds, each with a point whose denominator p = 4 divides
 _CONGRUENCE_POINTS = {
     "rv": {"family": "1/4"},
@@ -379,7 +386,8 @@ def test_error_record_is_filed_under_its_check_name(monkeypatch, kind):
     def boom(**params):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(sweeps.KINDS, kind, boom)
+    module, verifier = sweeps.KINDS[kind]
+    monkeypatch.setattr(importlib.import_module(f"scv.{module}"), verifier, boom)
     error = sweeps.execute_task(task)
     assert error.modulus == "error" and not error.passed
     assert error.check_name == passing.check_name
@@ -441,8 +449,8 @@ def test_cli_out_with_no_directory_part_goes_into_the_working_directory(tmp_path
 
 def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch):
     calls = []
-    rv = sweeps.KINDS["rv"]
-    monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
+    rv = congruences.verify_rv
+    monkeypatch.setattr(congruences, "verify_rv", lambda **kw: calls.append(kw) or rv(**kw))
     res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "missing" / "x.json"))
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
@@ -459,8 +467,8 @@ def test_cli_out_in_missing_directory_rejected_before_work(tmp_path, monkeypatch
 def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypatch):
     # as a user without write permission sees it: os.access denies what root would pass
     calls, asked = [], []
-    rv = sweeps.KINDS["rv"]
-    monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: calls.append(kw) or rv(**kw))
+    rv = congruences.verify_rv
+    monkeypatch.setattr(congruences, "verify_rv", lambda **kw: calls.append(kw) or rv(**kw))
     monkeypatch.setattr(sweeps.os, "access", lambda path, mode: asked.append((path, mode)) or False)
     res = run_cli("verify", "rv", "--pmax", "7", "--out", str(tmp_path / "new.json"))
     assert res.exit_code == 2, res.output
@@ -495,14 +503,14 @@ def test_cli_report_that_cannot_be_written_is_one_error_line(tmp_path, monkeypat
 @pytest.mark.parametrize("to", ["out", "stdout"])
 @pytest.mark.parametrize("format", ["json", "text", "csv"])
 def test_cli_writes_the_bytes_render_gives(tmp_path, monkeypatch, format, to):
-    guo_bb1 = sweeps.KINDS["guo-bb1"]
+    guo_bb1 = congruences.verify_guo_bb1
 
     def check(x, p):
         if (x, p) == ("-1/2", 5):
             raise ValueError("no \u00e9t\u00e9 at \u03c0")
         return guo_bb1(x=x, p=p)
 
-    monkeypatch.setitem(sweeps.KINDS, "guo-bb1", check)
+    monkeypatch.setattr(congruences, "verify_guo_bb1", check)
     written = []
     write = scv.report.write_report
     monkeypatch.setattr(
@@ -574,14 +582,14 @@ def test_program_output_to_a_full_device_is_one_error_line(argv, target):
 
 def test_cli_schmidt_over_term_limit_rejected_before_work(monkeypatch):
     calls = []
-    kind = sweeps.KINDS["schmidt-divisibility"]
+    kind = integrality.verify_schmidt_divisibility
 
     def counting(**kw):
         calls.append(kw)
         # a stand-in beyond n = 2, so a grid that is wrongly not refused still ends fast
         return kind(**kw) if kw["n"] <= 2 else _check("schmidt-divisibility", kw)
 
-    monkeypatch.setitem(sweeps.KINDS, "schmidt-divisibility", counting)
+    monkeypatch.setattr(integrality, "verify_schmidt_divisibility", counting)
     res = run_cli("verify", "schmidt", "--nmax", "40", "--mmax", "5")
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
@@ -704,7 +712,7 @@ def test_cli_main_main_returns_the_exit_code(tmp_path, monkeypatch):
     argv = ["verify", "rv", "--pmax", "7", "--format", "json", "--out", str(tmp_path / "r.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         passed = main.main(argv, prog_name="scv", standalone_mode=False)
-        monkeypatch.setitem(sweeps.KINDS, "rv", lambda **kw: _check("rv", kw, passed=False))
+        monkeypatch.setattr(congruences, "verify_rv", lambda **kw: _check("rv", kw, passed=False))
         failed = main.main(argv, prog_name="scv", standalone_mode=False)
     assert (type(passed), passed, type(failed), failed) == (int, 0, int, 1)
     with pytest.raises(UsageError, match="is not in the range"):

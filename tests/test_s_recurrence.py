@@ -159,7 +159,7 @@ def test_integer_columns_match_the_binomial_transform():
     # the shared columns (d_k(t), s_k(t)), each against its own oracle: Delannoy
     # path counts, and the binomial transform; ds_value reads the same pairs
     for t in range(41):
-        pairs = list(islice(sequences._ds_series(t), 41))
+        pairs = list(islice(sequences.ds_pairs.__wrapped__(t), 41))
         assert [d for d, _ in pairs] == [oracles.delannoy_oracle(k, t) for k in range(41)], t
         assert [s for _, s in pairs] == oracles.s_values(t, 40), t
         assert [sequences.ds_value(t, k) for k in reversed(range(41))] == pairs[::-1], t

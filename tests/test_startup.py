@@ -290,22 +290,28 @@ def test_parallel_sweep_loads_its_verifier_module_before_forking(argv, module):
     assert seen == [True]
 
 
-def test_lazy_verifiers_resolve_once_and_keep_a_replaced_entry():
-    result = _fresh(
-        "import json, sys\n"
+def test_verifiers_are_looked_up_by_name_in_their_module_at_each_task():
+    before, witnesses = _fresh(
+        "import json, os, sys\n"
         "import scv.sweeps as sweeps\n"
-        "before = 'scv.identities' in sys.modules\n"
-        "liu26 = sweeps.KINDS['liu26']\n"
-        "sweeps.KINDS['liu26'] = wrapped = lambda **params: liu26(**params)\n"
+        "before = [m for m in ('scv.congruences', *LAZY) if m in sys.modules]\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "grid = sweeps.SWEEPS['identity'].grid\n"
-        "tasks = [*grid('cc4', 1), *grid('liu26', 1)]\n"
-        "passed = all(r.passed for r in sweeps.run_tasks(tasks))\n"
+        "tasks = [*grid('liu26', 1), *grid('cc4', 1)]  # a --jobs 2 worker runs both liu26 tasks\n"
+        "first = sweeps.run_tasks(tasks)\n"
         "from scv import identities\n"
-        "print(json.dumps([before, passed, sweeps.KINDS['cc4'] is identities.check_cc4,\n"
-        "                  sweeps.KINDS['liu26'] is wrapped]))"
+        "liu26, pid = identities.check_liu26, os.getpid()\n"
+        "where = lambda: 'this process' if os.getpid() == pid else 'a worker'\n"
+        "identities.check_liu26 = lambda s: liu26(s=s)._replace(lhs_witness=where())\n"
+        "runs = [first, sweeps.run_tasks(tasks), sweeps.run_tasks(tasks, jobs=2)]\n"
+        "print(json.dumps([before, [[r.lhs_witness for r in run[:3]] for run in runs]]))"
+        .replace("LAZY", repr(LAZY_SCV))
     )
-    # loaded by the first check, which put the verifier itself in KINDS
-    assert result == [False, True, True, True]
+    assert before == []  # importing the table loads no verifier module
+    # the verifier replaced in its module runs from the next task on, also in a forked worker
+    assert witnesses == [
+        ["1", "-1", "1"], ["this process", "this process", "1"], ["a worker", "a worker", "1"]
+    ]
 
 
 def test_public_api_resolves_after_lazy_import():

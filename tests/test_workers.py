@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import scv.sweeps as sweeps
+from scv import congruences, identities
 from scv.sweeps import SWEEPS, run_tasks
 
 
@@ -44,14 +45,14 @@ def test_forked_slices_equal_the_in_process_run(grid, monkeypatch):
 
 
 def test_a_check_raising_in_this_process_slice_is_the_same_error_record(monkeypatch):
-    liu26 = sweeps.KINDS["liu26"]
+    liu26 = identities.check_liu26
 
     def check(s):
         if s in (1, 8):  # one in the forked slice, one in the slice this process runs
             raise ValueError("refused")
         return liu26(s=s)
 
-    monkeypatch.setitem(sweeps.KINDS, "liu26", check)
+    monkeypatch.setattr(identities, "check_liu26", check)
     tasks = list(SWEEPS["identity"].grid("liu26", 9))
     forked = run_tasks(tasks, jobs=2)
     assert forked == run_tasks(tasks)
@@ -62,7 +63,7 @@ def test_a_raising_check_prints_a_fraction_parameter_as_the_verifiers_do(monkeyp
     def check(x, p):
         raise ValueError("refused")
 
-    monkeypatch.setitem(sweeps.KINDS, "cc5", check)
+    monkeypatch.setattr(congruences, "verify_cc5", check)
     tasks = [("cc5", (("x", Fraction(-1, 5)), ("p", p))) for p in (7, 11)]
     forked = run_tasks(tasks, jobs=2)
     assert forked == run_tasks(tasks)
@@ -136,10 +137,11 @@ _FAILING_WORKER = """
 import json, marshal, os, sys, time
 import pytest
 import scv.sweeps as sweeps
+from scv import identities
 
 mode, jobs = sys.argv[1], int(sys.argv[2])
 tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 9))
-liu26 = sweeps.KINDS["liu26"]
+liu26 = identities.check_liu26
 
 
 def short_dump(value, file):  # only workers dump: each one's result arrives cut short
@@ -172,7 +174,7 @@ def fork():
 with pytest.MonkeyPatch.context() as mp:
     mp.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(jobs)), raising=False)
     mp.setattr(sweeps.os, "fork", fork)
-    mp.setitem(sweeps.KINDS, "liu26", check)
+    mp.setattr(identities, "check_liu26", check)
     if mode == "decode":
         mp.setattr(marshal, "dump", short_dump)
     if sys.argv[3:]:  # the same tasks through `scv verify ...`, which exits here
