@@ -13,7 +13,10 @@ start with "-" (--x -1/5), a flag given twice keeps its last value and only
 --x collects every value. Anything else is a usage error, refused at its
 first token that does not fit. Importing this module loads no scv module but
 `scv`; argv that names verify loads the table, `scv.sweeps`, and a run loads
-`scv.report` once its sweep has run. No scv module imports this one.
+`scv.report` once its sweep has run. Before it builds the report, a run
+empties every cache of the loaded scv modules (sweeps.clear_caches), which
+the report never reads, so the report reuses their memory. No scv module
+imports this one.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
 1 on any failure, including a --jobs worker that dies and a report that
@@ -133,6 +136,7 @@ def _run(argv: list[str], prog: str) -> int:
         # a worker that exits non-zero or sends a result that does not decode, or a failed fork
         raise RunFailure(f"--jobs {jobs}: {exc}") from exc
     elapsed = time.perf_counter() - start
+    sweeps.clear_caches()  # the report reads none, so its sort keys reuse their memory
     from . import report
 
     # an empty or all-skipped grid would pass without deciding anything

@@ -4,6 +4,8 @@ CheckResult is the record every verifier returns; exact_result and
 skipped_result are the builders shared by more than one verifier module.
 They live here, not in scv.congruences (which imports them back), so a
 sweep that runs no congruence check does not load the congruence code.
+exact_result gives two equal sides one witness string, so a passing record
+holds its value once.
 
 Reports are deterministic byte-for-byte for identical inputs, except for the
 elapsed_seconds field: checks are stably sorted by check name and then by
@@ -69,13 +71,15 @@ def skipped_result(check_name: str, parameters: dict[str, object], reason: str) 
 def exact_result(
     check_name: str, parameters: dict[str, object], lhs: int | str, rhs: int | str
 ) -> CheckResult:
-    """An exact equality of two ints or two canonical strings; _int_str passes a string on."""
+    """An exact equality of two ints or two canonical strings; _int_str passes a string on.
+    Equal sides share one witness string."""
+    passed, lhs_witness = lhs == rhs, _int_str(lhs)
     return CheckResult(
         check_name=check_name,
         parameters=parameters,
-        passed=lhs == rhs,
-        lhs_witness=_int_str(lhs),
-        rhs_witness=_int_str(rhs),
+        passed=passed,
+        lhs_witness=lhs_witness,
+        rhs_witness=lhs_witness if passed else _int_str(rhs),
         modulus="exact",
     )
 
@@ -145,7 +149,8 @@ def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
 
 
 class RunReport:
-    """One CLI invocation's worth of checks, kept in canonical order, plus bookkeeping."""
+    """One CLI invocation's worth of checks, kept in canonical order, plus bookkeeping;
+    the summary is counted once, as the checks are sorted."""
 
     def __init__(
         self, tool_version: str, invocation: dict[str, object],
@@ -153,16 +158,10 @@ class RunReport:
     ) -> None:
         self.tool_version, self.invocation = tool_version, invocation
         self.checks, self.elapsed_seconds = sort_checks(checks), elapsed_seconds
-
-    @property
-    def summary(self) -> dict[str, int]:
         passed = sum(1 for c in self.checks if c.passed and not c.skipped)
         skipped = sum(1 for c in self.checks if c.skipped)
-        return {
-            "pass": passed,
-            "fail": len(self.checks) - passed - skipped,
-            "skipped": skipped,
-        }
+        self.summary = {"pass": passed, "fail": len(self.checks) - passed - skipped,
+                        "skipped": skipped}
 
 
 # one record, after its separator from the one before, and the envelope after the records

@@ -160,6 +160,16 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     return results + own
 
 
+def clear_caches() -> None:
+    """Empty every cache of every loaded scv module: the lru caches, the column_reader rows,
+    the walk cursors and _load. A CLI run calls it once its sweep has run; run_tasks does not."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == __package__:
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 # Each grid loads its verifier module as run_tasks reads it, before any
 # fork, so --jobs workers inherit the module instead of each importing it.
 def _families(kind: str, pmax: int) -> Iterator[Task]:
@@ -367,15 +377,17 @@ def _writable(path: str) -> str:
     A FILE that does not exist yet is made in its directory, which must then
     be writable and searchable.
     """
+    if not path:
+        raise UsageError("'' names no file")
     directory = os.path.dirname(path) or "."  # a FILE with no directory part: the current one
     if not os.path.isdir(directory):
-        raise UsageError(f"directory {directory} does not exist")
+        raise UsageError(f"directory {directory!r} does not exist")
     if os.path.exists(path):
         writable = not os.path.isdir(path) and os.access(path, os.W_OK)
-    else:  # "" names no file to make
-        writable = path and os.access(directory, os.W_OK | os.X_OK)
+    else:
+        writable = os.access(directory, os.W_OK | os.X_OK)
     if not writable:
-        raise UsageError(f"{path} is a directory or is not writable")
+        raise UsageError(f"{path!r} is a directory or is not writable")
     return path
 
 

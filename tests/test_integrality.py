@@ -158,17 +158,11 @@ def test_integrality_sweep_passes_under_a_low_int_str_limit():
 
 @pytest.fixture
 def fresh_caches():
-    """Every cache of the columns, the differences and the running sums, empty before and after."""
-
-    def clear():
-        for module in (sequences, identities, integrality):
-            for f in vars(module).values():
-                if hasattr(f, "cache_clear"):
-                    f.cache_clear()
-
-    clear()
-    yield clear
-    clear()
+    """Every cache a CLI run clears (the columns, the differences, the running sums and every
+    other cache of a loaded scv module), empty before and after."""
+    sweeps.clear_caches()
+    yield sweeps.clear_caches
+    sweeps.clear_caches()
 
 
 def test_integer_valued_degree_check_raises(monkeypatch, fresh_caches):
@@ -229,10 +223,7 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
             yield s
 
     monkeypatch.setattr(sequences, "s_series", counting)
-    for module in (sequences, identities, integrality):
-        for f in vars(module).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
+    sweeps.clear_caches()
     # bb4-direct reads the columns t = m <= 25 to k = 25, and the 14x3
     # integrality grid then reads t = 0..3*13*3+1 to k = 13, which covers
     # m = 1, 2 and both eps: one column per t serves both grids

@@ -31,6 +31,7 @@ from scv.report import (
     REPORT_SCHEMA,
     RunReport,
     check_sort_key,
+    exact_result,
     render_csv,
     render_json,
     render_text,
@@ -59,6 +60,7 @@ def test_summary_partitions_checks():
     report = RunReport("0", {}, checks)
     assert report.summary == {"pass": 1, "fail": 1, "skipped": 1}
     assert sum(report.summary.values()) == len(checks)
+    assert report.summary is report.summary  # counted once, with the sort
 
 
 def test_sort_checks_is_canonical_and_numeric():
@@ -477,6 +479,78 @@ def test_cli_out_in_unwritable_directory_rejected_before_work(tmp_path, monkeypa
     # the directory the file goes in, as the text --out gives it
     assert asked == [(str(tmp_path), sweeps.os.W_OK | sweeps.os.X_OK)]
     assert calls == [] and not (tmp_path / "new.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--out", ""], "'' names no file"),
+    (["--out="], "'' names no file"),
+    (["--config", "out.cfg"], "'' names no file"),  # its one line: out=
+    (["--out", "no such dir/r.json"], "directory 'no such dir' does not exist"),
+    (["--out", "."], "'.' is a directory or is not writable"),
+], ids=["empty", "empty-after-equals", "empty-in-config", "missing-directory", "directory"])
+def test_cli_out_that_names_no_writable_file_is_refused_with_its_path_quoted(
+    tmp_path, monkeypatch, argv, message
+):
+    calls = []
+    rv = congruences.verify_rv
+    monkeypatch.setattr(congruences, "verify_rv", lambda **kw: calls.append(kw) or rv(**kw))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.cfg").write_text("out=\n")
+    res = run_cli("verify", "rv", "--pmax", "7", *argv)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage error, no traceback
+    assert res.output == f"Error: Invalid value for '--out': {message}\n"
+    assert calls == []
+
+
+def _cache_sizes():
+    """The number of entries of every cache of every loaded scv module, by its full name."""
+    return {
+        f"{name}.{key}": value.cache_info().currsize
+        for name, module in list(sys.modules.items()) if name.partition(".")[0] == "scv"
+        for key, value in vars(module).items() if hasattr(value, "cache_clear")
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cli_sweep_empties_every_cache_before_its_report_is_built(tmp_path, monkeypatch, jobs):
+    swept, reported = {}, {}
+    run_tasks, run_report = sweeps.run_tasks, scv.report.RunReport
+
+    def spy_run_tasks(*args, **kwargs):
+        checks = run_tasks(*args, **kwargs)
+        swept.update(_cache_sizes())
+        return checks
+
+    def spy_run_report(*args, **kwargs):
+        reported.update(_cache_sizes())
+        return run_report(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "run_tasks", spy_run_tasks)
+    monkeypatch.setattr(scv.report, "RunReport", spy_run_report)
+    out = tmp_path / "r.json"
+    argv = ["verify", "identity", "--name", "all", "--jobs", str(jobs), "--format", "json",
+            "--out", str(out)]
+    assert main(argv, standalone_mode=False) == 0
+    # run_tasks keeps what it filled in this process (with --jobs 2, the last slice: bb4)
+    for name in ("identities.eval_bb4_side", "identities._f_values", "sequences.ds_pairs",
+                 "sweeps._load"):
+        assert swept[f"scv.{name}"] > 0, name
+    assert reported.keys() == swept.keys()
+    assert {name for name, size in reported.items() if size} == set()
+    assert json.loads(out.read_text())["summary"] == {"pass": 3244, "fail": 0, "skipped": 0}
+
+
+def test_equal_sides_share_one_witness():
+    joined = "".join(["[1, ", "2]"])  # equal to "[1, 2]", but another object
+    for lhs, rhs in [(10**40, 10**40), ("[1, 2]", joined)]:
+        r = exact_result("x", {}, lhs, rhs)
+        assert r.passed and r.lhs_witness == str(lhs) and r.lhs_witness is r.rhs_witness
+    r = identities.check_bb4_direct(7, 9)
+    assert r.passed and r.lhs_witness is r.rhs_witness
+    for lhs, rhs in [(10**40, 10**40 + 1), ("[1, 2]", "[1, 3]"), (3, "3")]:
+        r = exact_result("x", {}, lhs, rhs)
+        assert not r.passed and (r.lhs_witness, r.rhs_witness) == (str(lhs), str(rhs))
 
 
 def test_cli_report_that_cannot_be_written_is_one_error_line(tmp_path, monkeypatch):
