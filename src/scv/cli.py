@@ -13,10 +13,11 @@ start with "-" (--x -1/5), a flag given twice keeps its last value and only
 --x collects every value. Anything else is a usage error, refused at its
 first token that does not fit. Importing this module loads no scv module but
 `scv`; argv that names verify loads the table, `scv.sweeps`, and a run loads
-`scv.report` once its sweep has run. Before it builds the report, a run
-empties every cache of the loaded scv modules (sweeps.clear_caches), which
-the report never reads, so the report reuses their memory. No scv module
-imports this one.
+`scv.report` once its grid is built. An ordered sweep (sweeps.Sweep) on one
+worker writes each record as its check returns and holds none; any other
+run holds its records, empties every cache of the loaded scv modules
+(sweeps.clear_caches), which the report never reads, and sorts them unless
+they came back in the report's order. No scv module imports this one.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
 1 on any failure, including a --jobs worker that dies and a report that
@@ -29,6 +30,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
+from itertools import chain
 
 from . import UsageError, __version__
 
@@ -130,28 +132,39 @@ def _run(argv: list[str], prog: str) -> int:
             raise UsageError(f"Invalid value for '--{o.name}': {exc}") from None
     jobs, format, out = values.pop("jobs"), values.pop("format"), values.pop("out")
     start = time.perf_counter()
-    try:
-        checks = sweeps.run_tasks(sweep.grid(**values), jobs=jobs)
-    except (OSError, RuntimeError) as exc:
-        # a worker that exits non-zero or sends a result that does not decode, or a failed fork
-        raise RunFailure(f"--jobs {jobs}: {exc}") from exc
-    elapsed = time.perf_counter() - start
-    sweeps.clear_caches()  # the report reads none, so its sort keys reuse their memory
+    tasks = sweep.grid(**values)
+    if jobs == 1 and sweep.ordered:  # each record is written as its check returns
+        checks = map(sweeps.execute_task, tasks)
+    else:
+        try:
+            checks = sweeps.run_tasks(tasks, jobs=jobs)
+        except (OSError, RuntimeError) as exc:
+            # a worker that exits non-zero or sends a result that does not decode, or a failed fork
+            raise RunFailure(f"--jobs {jobs}: {exc}") from exc
+        sweeps.clear_caches()  # the report reads none, so its sort keys reuse their memory
+        if sweep.ordered:  # back in task order, the report's: written as they are, not sorted
+            checks = iter(checks)
     from . import report
 
-    # an empty or all-skipped grid would pass without deciding anything
-    if all(check.skipped for check in checks):
+    # an empty or all-skipped grid would pass without deciding anything: the records are
+    # held until one is not skipped, so that is known before --out is opened
+    held = []
+    for check in checks:
+        held.append(check)
+        if not check.skipped:
+            break
+    else:
         raise UsageError(
-            "every check these bounds select is skipped" if checks
+            "every check these bounds select is skipped" if held
             else "these bounds select no checks"
         )
     run_report = report.RunReport(
         tool_version=__version__,
         invocation=dict(subcommand=f"verify {name}", **values, jobs=jobs, format=format, out=out),
-        checks=checks,
-        elapsed_seconds=round(elapsed, 6),
+        checks=chain(held, checks) if sweep.ordered else checks,
+        started=start,
     )
-    # each record is written as it is printed, so the run never holds the report's text
+    # each record is written as it is made, so the run never holds the report's text
     try:
         if out:
             with open(out, "w") as f:  # the encoding and newlines Path.write_text would use
@@ -161,6 +174,8 @@ def _run(argv: list[str], prog: str) -> int:
             sys.stdout.flush()
     except OSError as exc:
         raise RunFailure(f"could not write to {out or 'stdout'}: {exc}") from exc
+    except RuntimeError as exc:  # a record out of report order
+        raise RunFailure(str(exc)) from exc
     s = run_report.summary
     if out:
         _print(f"wrote {out}: {s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped\n")

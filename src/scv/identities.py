@@ -237,6 +237,7 @@ def _coefficients_in_n(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)  # the grid checks both sides of one (m, n) in turn
 def recurrence_coefficients(m: int, n: int) -> tuple[int, ...]:
     """(c0, ..., c4) at (m, n)."""
     out = []

@@ -74,10 +74,10 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     return tuple(diffs)
 
 
-# The grid asks for every (m, eps) of one n before the next n, so sixteen
-# running sums keep an --mmax up to 8; an evicted one only restarts, and
-# the sums held stay bounded.
-@functools.lru_cache(maxsize=16)
+# The grid asks for every n of one (m, eps) before the next (m, eps), so one
+# running sum is live at a time; an evicted one only restarts, and the sums
+# held stay bounded.
+@functools.lru_cache(maxsize=1)
 def _frontier(m: int, eps: int) -> list:
     """[n, sum_{k<n} eps^k (2k+1) R_{k,m}], from n = 0; verify_integer_valued advances it."""
     return [0, []]

@@ -8,14 +8,14 @@ exact_result gives two equal sides one witness string, so a passing record
 holds its value once.
 
 Reports are deterministic byte-for-byte for identical inputs, except for the
-elapsed_seconds field: checks are stably sorted by check name and then by
-parameters, and all serialization uses sorted keys.  Witnesses are decimal
-strings, never truncated.
+elapsed_seconds field: checks are in canonical order, by check name and then
+by parameters, sorted or checked as they are written, and all serialization
+uses sorted keys.  Witnesses are decimal strings, never truncated.
 
-Each format is one generator of pieces: a record's (or a line's) text at a
-time, between a head and a tail. write_report writes the pieces to a stream
-as they are made, so a run never holds its report's text; render_json,
-render_csv and render_text join the same pieces into one string.
+Each format is a head, the text of one record and a tail. write_report
+writes them to a stream in one loop over the records, so a run never holds
+its report's text; render_json, render_csv and render_text collect the same
+text into one string.
 
 The json report is the bytes json.dumps(..., sort_keys=True, indent=2) writes
 for the whole report as one dict: version, invocation, the checks as their
@@ -30,8 +30,9 @@ no per-record dict is built and the json package is not loaded.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from io import TextIOBase
+from collections.abc import Callable, Iterable, Iterator
+from io import StringIO, TextIOBase
+from time import perf_counter
 
 from .exact_arith import _int_str
 
@@ -138,8 +139,12 @@ REPORT_SCHEMA: dict = {
 def check_sort_key(check: CheckResult) -> tuple:
     """The check name, then each parameter by name: ints by value, before other values as text,
     as one flat tuple (name, k1, t1, v1, k2, ...) with t = 0 before an int v, 1 before a text v."""
-    key = [check.check_name]
-    for k, v in sorted(check.parameters.items()):
+    return _sort_key(check.check_name, sorted(check.parameters.items()))
+
+
+def _sort_key(name: str, items: list[tuple[str, object]]) -> tuple:
+    key = [name]
+    for k, v in items:
         key += (k, 0, v) if isinstance(v, int) else (k, 1, str(v))
     return tuple(key)
 
@@ -149,19 +154,29 @@ def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
 
 
 class RunReport:
-    """One CLI invocation's worth of checks, kept in canonical order, plus bookkeeping;
-    the summary is counted once, as the checks are sorted."""
+    """One CLI invocation's worth of checks, in canonical order, plus bookkeeping.
+
+    Checks given as a collection are sorted, and the summary is counted once, as they are.
+    Checks given as an iterator are a run's live records, which must come in canonical order
+    already: write_report checks the order and counts the summary as it writes each one, so
+    none is held, and such a report is written once. With started, the time.perf_counter() at
+    which the run began, elapsed_seconds is taken as the last record is first written.
+    """
 
     def __init__(
         self, tool_version: str, invocation: dict[str, object],
         checks: Iterable[CheckResult] = (), elapsed_seconds: float = 0.0,
+        started: float | None = None,
     ) -> None:
         self.tool_version, self.invocation = tool_version, invocation
-        self.checks, self.elapsed_seconds = sort_checks(checks), elapsed_seconds
-        passed = sum(1 for c in self.checks if c.passed and not c.skipped)
-        skipped = sum(1 for c in self.checks if c.skipped)
-        self.summary = {"pass": passed, "fail": len(self.checks) - passed - skipped,
-                        "skipped": skipped}
+        self.elapsed_seconds, self.started = elapsed_seconds, started
+        self.checks, self.summary = checks, None
+        if not isinstance(checks, Iterator):
+            self.checks = sort_checks(checks)
+            passed = sum(1 for c in self.checks if c.passed and not c.skipped)
+            skipped = sum(1 for c in self.checks if c.skipped)
+            self.summary = {"pass": passed, "fail": len(self.checks) - passed - skipped,
+                            "skipped": skipped}
 
 
 # one record, after its separator from the one before, and the envelope after the records
@@ -188,10 +203,12 @@ _ENVELOPE = """%s,
 }
 """
 _BOOL = {True: "true", False: "false"}
+# a format's head, the text of one record, and its tail, made once every record is written
+_Format = tuple[str, Callable[[CheckResult, list], str], Callable[[], str]]
 
 
-def _json_pieces(report: RunReport) -> Iterator[str]:
-    """The json report's head, each record and then the envelope."""
+def _json_format(report: RunReport) -> _Format:
+    """The json report's head, the text of a record and the envelope."""
     try:  # the C escaper json.encoder binds, without loading the json package
         from _json import encode_basestring_ascii as json_str
     except ImportError:  # an interpreter built without _json
@@ -204,13 +221,12 @@ def _json_pieces(report: RunReport) -> Iterator[str]:
             return str(value)
         raise TypeError(f"a report value is a str or an int, not a {type(value).__name__}")
 
-    def json_parameters(parameters: dict[str, object]) -> str:
-        if not parameters:
+    def json_parameters(items: list[tuple[str, object]]) -> str:
+        if not items:
             return "{}"
-        items = ",\n        ".join(
-            [f"{json_str(k)}: {json_value(v)}" for k, v in sorted(parameters.items())]
-        )
-        return "{\n        " + items + "\n      }"
+        return "{\n        " + ",\n        ".join(
+            [f"{json_str(k)}: {json_value(v)}" for k, v in items]
+        ) + "\n      }"
 
     def flag_value(value: object) -> str:
         # an invocation value: None for a flag left unset, a tuple of texts for --x
@@ -221,28 +237,34 @@ def _json_pieces(report: RunReport) -> Iterator[str]:
             return "[\n      " + items + "\n    ]" if value else "[]"
         return json_value(value)
 
-    yield '{\n  "checks": [\n' if report.checks else '{\n  "checks": []'
-    separator = ""
-    for c in report.checks:
-        yield _RECORD % (
+    separator = "\n"
+
+    def record(c: CheckResult, items: list[tuple[str, object]]) -> str:
+        nonlocal separator
+        text = _RECORD % (
             separator, json_str(c.check_name), json_str(c.lhs_witness), json_str(c.modulus),
-            json_parameters(c.parameters), _BOOL[c.passed], json_str(c.rhs_witness),
+            json_parameters(items), _BOOL[c.passed], json_str(c.rhs_witness),
             _BOOL[c.skipped],
         )
         separator = ",\n"
-    invocation = ",\n    ".join(
-        [f"{json_str(k)}: {flag_value(v)}" for k, v in sorted(report.invocation.items())]
-    )
-    s = report.summary
-    yield _ENVELOPE % (
-        "\n  ]" if report.checks else "", repr(report.elapsed_seconds),
-        "{\n    " + invocation + "\n  }" if invocation else "{}",
-        s["fail"], s["pass"], s["skipped"], json_str(report.tool_version),
-    )
+        return text
+
+    def envelope() -> str:
+        invocation = ",\n    ".join(
+            [f"{json_str(k)}: {flag_value(v)}" for k, v in sorted(report.invocation.items())]
+        )
+        s = report.summary
+        return _ENVELOPE % (
+            "]" if separator == "\n" else "\n  ]", repr(report.elapsed_seconds),
+            "{\n    " + invocation + "\n  }" if invocation else "{}",
+            s["fail"], s["pass"], s["skipped"], json_str(report.tool_version),
+        )
+
+    return '{\n  "checks": [', record, envelope
 
 
-def _params_compact(parameters: dict[str, object]) -> str:
-    return ";".join(f"{k}={v}" for k, v in sorted(parameters.items()))
+def _params_compact(items: list[tuple[str, object]]) -> str:
+    return ";".join([f"{k}={v}" for k, v in items])
 
 
 class _Line:
@@ -251,17 +273,19 @@ class _Line:
     write = str
 
 
-def _csv_pieces(report: RunReport) -> Iterator[str]:
+def _csv_format(report: RunReport) -> _Format:
     """The header line, the keys of CheckResult.to_dict, then one line of its values per check."""
     import csv  # here, so a json or text run does not load it
 
     line = csv.writer(_Line(), lineterminator="\n").writerow
-    yield line(skipped_result("", {}, "").to_dict())
-    for c in report.checks:
-        yield line((
-            c.check_name, _params_compact(c.parameters), _BOOL[c.passed], _BOOL[c.skipped],
+
+    def record(c: CheckResult, items: list[tuple[str, object]]) -> str:
+        return line((
+            c.check_name, _params_compact(items), _BOOL[c.passed], _BOOL[c.skipped],
             c.lhs_witness, c.rhs_witness, c.modulus,
         ))
+
+    return line(skipped_result("", {}, "").to_dict()), record, lambda: ""
 
 
 _WITNESS_PREVIEW = 48
@@ -273,42 +297,81 @@ def _shorten(s: str) -> str:
     return s[: _WITNESS_PREVIEW - 3] + "..."
 
 
-def _text_pieces(report: RunReport) -> Iterator[str]:
-    """One line per check, then the summary line."""
-    for c in report.checks:
-        detail = _params_compact(c.parameters)
-        if c.skipped:
-            yield f"SKIP {c.check_name} {detail} ({c.lhs_witness})\n"
-        elif c.passed:
-            yield f"PASS {c.check_name} {detail}\n"
-        else:
-            yield (
-                f"FAIL {c.check_name} {detail} "
-                f"lhs={_shorten(c.lhs_witness)} rhs={_shorten(c.rhs_witness)} mod {c.modulus}\n"
-            )
-    s = report.summary
-    yield (
-        f"{s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped "
-        f"in {report.elapsed_seconds:.2f}s\n"
+def _text_record(c: CheckResult, items: list[tuple[str, object]]) -> str:
+    detail = _params_compact(items)
+    if c.skipped:
+        return f"SKIP {c.check_name} {detail} ({c.lhs_witness})\n"
+    if c.passed:
+        return f"PASS {c.check_name} {detail}\n"
+    return (
+        f"FAIL {c.check_name} {detail} "
+        f"lhs={_shorten(c.lhs_witness)} rhs={_shorten(c.rhs_witness)} mod {c.modulus}\n"
     )
 
 
-_PIECES = {"json": _json_pieces, "csv": _csv_pieces, "text": _text_pieces}
+def _text_format(report: RunReport) -> _Format:
+    """One line per check, then the summary line."""
+
+    def summary() -> str:
+        s = report.summary
+        return (
+            f"{s['pass']} passed, {s['fail']} failed, {s['skipped']} skipped "
+            f"in {report.elapsed_seconds:.2f}s\n"
+        )
+
+    return "", _text_record, summary
+
+
+_FORMATS = {"json": _json_format, "csv": _csv_format, "text": _text_format}
 
 
 def write_report(report: RunReport, format: str, out: TextIOBase) -> None:
-    """Write the report as json, csv or text to out a piece at a time, so its text is never held."""
-    out.writelines(_PIECES[format](report))
+    """Write the report as json, csv or text to out a record at a time, so its text is never held.
+
+    A live record (see RunReport) that sorts before the one written before it raises
+    RuntimeError, leaving out with the records before it.
+    """
+    head, record, tail = _FORMATS[format](report)
+    write, live = out.write, report.summary is None
+    write(head)
+    last, passed, failed, skipped = (), 0, 0, 0
+    for c in report.checks:
+        items = sorted(c.parameters.items())  # one sort of each record's parameters serves all
+        if live:
+            if (key := _sort_key(c.check_name, items)) < last:
+                raise RuntimeError(
+                    f"the sweep gave {c.check_name} {_params_compact(items)}"
+                    " after a record that sorts later"
+                )
+            last = key
+            if c.skipped:
+                skipped += 1
+            elif c.passed:
+                passed += 1
+            else:
+                failed += 1
+        write(record(c, items))
+    if live:  # the records are gone, so a second write raises rather than write none
+        report.summary, report.checks = {"pass": passed, "fail": failed, "skipped": skipped}, None
+    if report.started is not None:  # taken at the first write, so a list renders alike again
+        report.elapsed_seconds, report.started = round(perf_counter() - report.started, 6), None
+    write(tail())
+
+
+def _render(report: RunReport, format: str) -> str:
+    out = StringIO()
+    write_report(report, format, out)
+    return out.getvalue()
 
 
 def render_json(report: RunReport) -> str:
     """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
-    return "".join(_json_pieces(report))
+    return _render(report, "json")
 
 
 def render_csv(report: RunReport) -> str:
-    return "".join(_csv_pieces(report))
+    return _render(report, "csv")
 
 
 def render_text(report: RunReport) -> str:
-    return "".join(_text_pieces(report))
+    return _render(report, "text")

@@ -212,7 +212,8 @@ def _cc(which: str, pmax: int) -> Iterator[Task]:
 def _bb4_recurrence(top: int) -> Iterator[Task]:
     for m, n in product(range(4), range(BB4_N_MAX + 1)):
         yield _task("bb4-initial", m=m, n=n)
-    for side, m, n in product(_load("identities").SIDES, range(top + 1), range(BB4_N_MAX + 1)):
+    # the two sides of one (m, n) are adjacent, so they share its recurrence coefficients
+    for m, n, side in product(range(top + 1), range(BB4_N_MAX + 1), _load("identities").SIDES):
         yield _task("bb4-recurrence", side=side, m=m, n=n)
 
 
@@ -239,16 +240,17 @@ IDENTITIES = {
 
 def _identity(name: str, max: int | None) -> Iterator[Task]:
     _load("identities")
-    for one in IDENTITIES if name == "all" else (name,):
+    for one in sorted(IDENTITIES) if name == "all" else (name,):  # by name, as the report sorts
         yield from IDENTITIES[one].grid(IDENTITIES[one].default_max if max is None else max)
 
 
-_EPS = {"+1": (1,), "-1": (-1,), "both": (1, -1)}
+_EPS = {"+1": (1,), "-1": (-1,), "both": (-1, 1)}
 
 
 def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
+    # n by n within (eps, m): the integer-valued running sum of one (m, eps) then stays live
     _load("integrality")
-    for n, m, e in product(range(1, nmax + 1), range(1, mmax + 1), _EPS[eps]):
+    for e, m, n in product(_EPS[eps], range(1, mmax + 1), range(1, nmax + 1)):
         yield _task(kind, n=n, m=m, eps=e)
 
 
@@ -321,8 +323,10 @@ def _pmax(default: int, least: int = 5) -> Option:
 _MMAX_EPS = (int_option("mmax", 3, 1), choice_option("eps", _EPS, "both"))
 
 
-class Sweep(namedtuple("Sweep", "help options grid")):
-    """A subcommand's help, options and grid, a Callable[..., Iterator[Task]] of their values."""
+class Sweep(namedtuple("Sweep", "help options grid ordered", defaults=(True,))):
+    """A subcommand's help, options and grid, a Callable[..., Iterator[Task]] of their values;
+    ordered says that the grid yields its tasks in the report's order (report.check_sort_key),
+    so a run writes each record as its check returns instead of holding them all to sort."""
 
     __slots__ = ()
 
@@ -346,13 +350,13 @@ SWEEPS = {
             "x", DEFAULT_BB1_X, _validate_rationals,
             "Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X), True,
         )),
-        _guo_bb1,
+        _guo_bb1, ordered=False,  # x by x, so each walk stays in its cache; the report is p-major
     ),
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
         (choice_option("which", [*CC_KINDS, "all"], "all", "Which chain step to sweep."),
          _pmax(200)),
-        _cc,
+        _cc, ordered=False,  # p by p, so the kinds share each p's rows; the report is kind-major
     ),
     "identity": Sweep(
         "Exact polynomial and integer identities (coefficient-level equality).",

@@ -37,8 +37,10 @@ def run_cli(*args: str) -> CliResult:
 def recurrence_tables(monkeypatch):
     """Swap the stored bb4 recurrence tables of scv.identities for one test.
 
-    Each call installs the tables with a fresh per-m cache of their collapses;
-    the test's end restores both, so no collapse of a swapped table outlives it.
+    Each call installs the tables with a fresh per-m cache of their collapses
+    and empties the cache of the last (m, n)'s coefficients; the test's end
+    restores the tables and empties both, so no value of a swapped table
+    outlives it.
     """
     import scv.identities as identities
 
@@ -48,5 +50,7 @@ def recurrence_tables(monkeypatch):
         monkeypatch.setattr(
             identities, "_coefficients_in_n", functools.lru_cache(maxsize=None)(collapse)
         )
+        identities.recurrence_coefficients.cache_clear()
 
-    return use
+    yield use
+    identities.recurrence_coefficients.cache_clear()

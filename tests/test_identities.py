@@ -435,7 +435,11 @@ def test_recurrence_tables_collapsed_once_per_m(monkeypatch):
     monkeypatch.setattr(identities, "_coefficients_in_n", functools.lru_cache(maxsize=None)(
         lambda m: collapsed.append(m) or collapse(m)
     ))
+    identities.recurrence_coefficients.cache_clear()
     results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
     assert all(r.passed for r in results)
-    # both sides at every n share one collapse per m
+    # both sides at every n share one collapse per m, and the two sides of one (m, n),
+    # adjacent in the grid, one evaluation of its coefficients
     assert sorted(collapsed) == list(range(41))
+    info = identities.recurrence_coefficients.cache_info()
+    assert (info.hits, info.misses) == (41 * 26, 41 * 26)

@@ -295,11 +295,19 @@ def test_running_sums_equal_the_per_check_sum_in_any_order(order, mmax, fresh_ca
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_integrality_slices_equal_the_per_check_sum(jobs, monkeypatch, fresh_caches):
-    # two usable CPUs, so jobs=2 forks one worker, whose slice starts at n = 8
+    # two usable CPUs, so jobs=2 forks one worker, whose slice starts at eps = 1
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     results = sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(14, 3, "both"), jobs=jobs)
-    grid = product(range(1, 15), range(1, 4), (1, -1))
-    assert results == [integer_valued_sum_oracle(n, m, eps) for n, m, eps in grid]
+    grid = product((-1, 1), range(1, 4), range(1, 15))
+    assert results == [integer_valued_sum_oracle(n, m, eps) for eps, m, n in grid]
+
+
+def test_the_grid_advances_each_running_sum_through_every_n(fresh_caches):
+    # --mmax 9 with both signs is 18 running sums: the grid takes each through n = 1..6 before
+    # the next, so each is made once and found again at every later n, however large --mmax is
+    sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(6, 9, "both"))
+    info = integrality._frontier.cache_info()
+    assert (info.hits, info.misses) == (18 * 5, 18)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -307,5 +315,5 @@ def test_integer_valued_matches_the_full_triangle_route(jobs):
     from scv.sweeps import SWEEPS, run_tasks
 
     results = run_tasks(SWEEPS["integrality"].grid(20, 4, "both"), jobs=jobs)
-    grid = product(range(1, 21), range(1, 5), (1, -1))
-    assert results == [oracles.integer_valued_triangle_oracle(n, m, eps) for n, m, eps in grid]
+    grid = product((-1, 1), range(1, 5), range(1, 21))
+    assert results == [oracles.integer_valued_triangle_oracle(n, m, eps) for eps, m, n in grid]

@@ -528,17 +528,23 @@ def test_a_cli_sweep_empties_every_cache_before_its_report_is_built(tmp_path, mo
 
     monkeypatch.setattr(sweeps, "run_tasks", spy_run_tasks)
     monkeypatch.setattr(scv.report, "RunReport", spy_run_report)
-    out = tmp_path / "r.json"
-    argv = ["verify", "identity", "--name", "all", "--jobs", str(jobs), "--format", "json",
-            "--out", str(out)]
-    assert main(argv, standalone_mode=False) == 0
-    # run_tasks keeps what it filled in this process (with --jobs 2, the last slice: bb4)
-    for name in ("identities.eval_bb4_side", "identities._f_values", "sequences.ds_pairs",
-                 "sweeps._load"):
-        assert swept[f"scv.{name}"] > 0, name
-    assert reported.keys() == swept.keys()
-    assert {name for name, size in reported.items() if size} == set()
-    assert json.loads(out.read_text())["summary"] == {"pass": 3244, "fail": 0, "skipped": 0}
+    # the records a run holds: cc's, which it sorts, and with --jobs 2 an ordered sweep's too;
+    # run_tasks keeps what it filled in this process (with --jobs 2, the last slice)
+    runs = [(["cc", "--which", "all", "--pmax", "13"], ("congruences._cc_row_sums",), 96)]
+    if jobs == 2:
+        names = ("identities.eval_bb4_side", "identities._f_values", "sequences.ds_pairs")
+        runs.append((["identity", "--name", "all"], names, 3244))
+    for args, names, checks in runs:
+        swept.clear()
+        reported.clear()
+        out = tmp_path / "r.json"
+        argv = ["verify", *args, "--jobs", str(jobs), "--format", "json", "--out", str(out)]
+        assert main(argv, standalone_mode=False) == 0
+        for name in (*names, "sweeps._load"):
+            assert swept[f"scv.{name}"] > 0, name
+        assert reported.keys() == swept.keys()
+        assert {name for name, size in reported.items() if size} == set()
+        assert json.loads(out.read_text())["summary"] == {"pass": checks, "fail": 0, "skipped": 0}
 
 
 def test_equal_sides_share_one_witness():
