@@ -13,11 +13,11 @@ start with "-" (--x -1/5), a flag given twice keeps its last value and only
 --x collects every value. Anything else is a usage error, refused at its
 first token that does not fit. Importing this module loads no scv module but
 `scv`; argv that names verify loads the table, `scv.sweeps`, and a run loads
-`scv.report` once its grid is built. An ordered sweep (sweeps.Sweep) on one
-worker writes each record as its check returns and holds none; any other
-run holds its records, empties every cache of the loaded scv modules
-(sweeps.clear_caches), which the report never reads, and sorts them unless
-they came back in the report's order. No scv module imports this one.
+`scv.report` once its grid is built. Every grid yields the report's order, so
+a run on one worker writes each record as its check returns and holds none;
+a run on more workers holds the records they send back, empties every cache
+of the loaded scv modules (sweeps.clear_caches), which the report never
+reads, and writes them in the order they came. No scv module imports this one.
 
 Exit codes: 0 when no check fails and at least one runs (skips allowed),
 1 on any failure, including a --jobs worker that dies and a report that
@@ -133,17 +133,15 @@ def _run(argv: list[str], prog: str) -> int:
     jobs, format, out = values.pop("jobs"), values.pop("format"), values.pop("out")
     start = time.perf_counter()
     tasks = sweep.grid(**values)
-    if jobs == 1 and sweep.ordered:  # each record is written as its check returns
+    if jobs == 1:  # each record is written as its check returns
         checks = map(sweeps.execute_task, tasks)
     else:
         try:
-            checks = sweeps.run_tasks(tasks, jobs=jobs)
+            checks = iter(sweeps.run_tasks(tasks, jobs=jobs))  # in task order, the report's
         except (OSError, RuntimeError) as exc:
             # a worker that exits non-zero or sends a result that does not decode, or a failed fork
             raise RunFailure(f"--jobs {jobs}: {exc}") from exc
-        sweeps.clear_caches()  # the report reads none, so its sort keys reuse their memory
-        if sweep.ordered:  # back in task order, the report's: written as they are, not sorted
-            checks = iter(checks)
+        sweeps.clear_caches()  # the report reads none
     from . import report
 
     # an empty or all-skipped grid would pass without deciding anything: the records are
@@ -161,7 +159,7 @@ def _run(argv: list[str], prog: str) -> int:
     run_report = report.RunReport(
         tool_version=__version__,
         invocation=dict(subcommand=f"verify {name}", **values, jobs=jobs, format=format, out=out),
-        checks=chain(held, checks) if sweep.ordered else checks,
+        checks=chain(held, checks),
         started=start,
     )
     # each record is written as it is made, so the run never holds the report's text

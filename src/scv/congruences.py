@@ -146,12 +146,13 @@ def verify_lemma_2p(family: str, p: int) -> CheckResult:
     return _congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=None)
 def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
     """Numerators of sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, over p!.
 
     They depend on (s, p) only, so cc5 shares them across its x values and
-    cc7 across its s values; the cc grid runs p by p, so two held suffice.
+    cc7 across its s values; the cc grid runs kind by kind, so every p's rows
+    are kept until the run empties its caches, and cc7 reads what cc5 built.
     Since C(2k,s) C(s,k) = C(2k,k) C(k,s-k), row s is the coefficient of t^s
     in sum_{k<p} w_k C(2k,k) u^k with u = t + t^2 and w_k = (-1)^k p!/(k+1);
     Horner's rule in u gives every row with O(p^2) additions and p binomials.

@@ -75,7 +75,7 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
 
 
 # The grid asks for every n of one (m, eps) before the next (m, eps), so one
-# running sum is live at a time; an evicted one only restarts, and the sums
+# running sum is in use at a time; an evicted one only restarts, and the sums
 # held stay bounded.
 @functools.lru_cache(maxsize=1)
 def _frontier(m: int, eps: int) -> list:

@@ -1,21 +1,20 @@
-"""Check records and run reports: canonical ordering, summaries, and json/csv/text rendering.
+"""Check records and run reports: canonical order, summaries, and json/csv/text writing.
 
 CheckResult is the record every verifier returns; exact_result and
 skipped_result are the builders shared by more than one verifier module.
-They live here, not in scv.congruences (which imports them back), so a
+They are defined here, not in scv.congruences (which imports them back), so a
 sweep that runs no congruence check does not load the congruence code.
 exact_result gives two equal sides one witness string, so a passing record
 holds its value once.
 
 Reports are deterministic byte-for-byte for identical inputs, except for the
-elapsed_seconds field: checks are in canonical order, by check name and then
-by parameters, sorted or checked as they are written, and all serialization
+elapsed_seconds field: checks come in canonical order, by check name and then
+by parameters, which is checked as they are written, and all serialization
 uses sorted keys.  Witnesses are decimal strings, never truncated.
 
 Each format is a head, the text of one record and a tail. write_report
 writes them to a stream in one loop over the records, so a run never holds
-its report's text; render_json, render_csv and render_text collect the same
-text into one string.
+its report's text.
 
 The json report is the bytes json.dumps(..., sort_keys=True, indent=2) writes
 for the whole report as one dict: version, invocation, the checks as their
@@ -30,8 +29,8 @@ no per-record dict is built and the json package is not loaded.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
-from io import StringIO, TextIOBase
+from collections.abc import Callable, Iterable
+from io import TextIOBase
 from time import perf_counter
 
 from .exact_arith import _int_str
@@ -149,18 +148,13 @@ def _sort_key(name: str, items: list[tuple[str, object]]) -> tuple:
     return tuple(key)
 
 
-def sort_checks(checks: list[CheckResult]) -> list[CheckResult]:
-    return sorted(checks, key=check_sort_key)
-
-
 class RunReport:
     """One CLI invocation's worth of checks, in canonical order, plus bookkeeping.
 
-    Checks given as a collection are sorted, and the summary is counted once, as they are.
-    Checks given as an iterator are a run's live records, which must come in canonical order
-    already: write_report checks the order and counts the summary as it writes each one, so
-    none is held, and such a report is written once. With started, the time.perf_counter() at
-    which the run began, elapsed_seconds is taken as the last record is first written.
+    The checks, records in canonical order (check_sort_key), are read once: write_report
+    checks the order and counts the summary as it writes each one, so none is held, and a
+    report is written once. With started, the time.perf_counter() at which the run began,
+    elapsed_seconds is taken as the last record is written.
     """
 
     def __init__(
@@ -170,13 +164,7 @@ class RunReport:
     ) -> None:
         self.tool_version, self.invocation = tool_version, invocation
         self.elapsed_seconds, self.started = elapsed_seconds, started
-        self.checks, self.summary = checks, None
-        if not isinstance(checks, Iterator):
-            self.checks = sort_checks(checks)
-            passed = sum(1 for c in self.checks if c.passed and not c.skipped)
-            skipped = sum(1 for c in self.checks if c.skipped)
-            self.summary = {"pass": passed, "fail": len(self.checks) - passed - skipped,
-                            "skipped": skipped}
+        self.checks, self.summary = checks, None  # the summary, once the checks are written
 
 
 # one record, after its separator from the one before, and the envelope after the records
@@ -328,50 +316,31 @@ _FORMATS = {"json": _json_format, "csv": _csv_format, "text": _text_format}
 def write_report(report: RunReport, format: str, out: TextIOBase) -> None:
     """Write the report as json, csv or text to out a record at a time, so its text is never held.
 
-    A live record (see RunReport) that sorts before the one written before it raises
-    RuntimeError, leaving out with the records before it.
+    The json is json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte.
+    A record that sorts before the one written before it raises RuntimeError, leaving out
+    with the records before it.
     """
     head, record, tail = _FORMATS[format](report)
-    write, live = out.write, report.summary is None
+    write = out.write
     write(head)
     last, passed, failed, skipped = (), 0, 0, 0
     for c in report.checks:
         items = sorted(c.parameters.items())  # one sort of each record's parameters serves all
-        if live:
-            if (key := _sort_key(c.check_name, items)) < last:
-                raise RuntimeError(
-                    f"the sweep gave {c.check_name} {_params_compact(items)}"
-                    " after a record that sorts later"
-                )
-            last = key
-            if c.skipped:
-                skipped += 1
-            elif c.passed:
-                passed += 1
-            else:
-                failed += 1
+        if (key := _sort_key(c.check_name, items)) < last:
+            raise RuntimeError(
+                f"the sweep gave {c.check_name} {_params_compact(items)}"
+                " after a record that sorts later"
+            )
+        last = key
+        if c.skipped:
+            skipped += 1
+        elif c.passed:
+            passed += 1
+        else:
+            failed += 1
         write(record(c, items))
-    if live:  # the records are gone, so a second write raises rather than write none
-        report.summary, report.checks = {"pass": passed, "fail": failed, "skipped": skipped}, None
-    if report.started is not None:  # taken at the first write, so a list renders alike again
-        report.elapsed_seconds, report.started = round(perf_counter() - report.started, 6), None
+    # the records are gone, so a second write raises rather than write none
+    report.summary, report.checks = {"pass": passed, "fail": failed, "skipped": skipped}, None
+    if report.started is not None:
+        report.elapsed_seconds = round(perf_counter() - report.started, 6)
     write(tail())
-
-
-def _render(report: RunReport, format: str) -> str:
-    out = StringIO()
-    write_report(report, format, out)
-    return out.getvalue()
-
-
-def render_json(report: RunReport) -> str:
-    """json.dumps(report dict, sort_keys=True, indent=2) + newline, byte for byte."""
-    return _render(report, "json")
-
-
-def render_csv(report: RunReport) -> str:
-    return _render(report, "csv")
-
-
-def render_text(report: RunReport) -> str:
-    return _render(report, "text")

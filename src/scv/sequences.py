@@ -195,11 +195,11 @@ def bb1_series(x: Point) -> Iterator[tuple[int, int]]:
         yield r, (-1) ** k * fact * u * inner
 
 
-# One cursor per reduced pair, which every form of a point shares. A grid reads at most four
-# points in turn (cc interleaves its x values), so eight per series keep every walk it needs;
-# an evicted point only restarts, and the frontiers held stay bounded however many --x points.
+# One cursor per reduced pair, which every form of a point shares, kept until the run empties
+# its caches: guo-bb1 goes p by p and reads every --x point at each p, so each point's walk
+# starts once and only moves forward, and the frontiers held grow with the number of points.
 def _point_walks(series: Callable[[Pair], Iterator[tuple[int, int]]]) -> Callable:
-    cached = functools.lru_cache(maxsize=8)(lambda x: PrefixWalk(functools.partial(series, x)))
+    cached = functools.lru_cache(maxsize=None)(lambda x: PrefixWalk(functools.partial(series, x)))
 
     def walk(x: Point) -> PrefixWalk:
         return cached(ratio(x))

@@ -14,7 +14,9 @@ KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
 grids can run sequentially or as contiguous slices in forked workers with
-identical results, returned in task order either way.
+identical results, returned in task order either way. Every grid yields its
+tasks in the report's order (report.check_sort_key), so a run writes each
+record as it comes and never sorts.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ def execute_task(task: Task) -> CheckResult:
 def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
     """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs).
 
-    The tasks are cut into one contiguous slice per worker, so a grid laid out
-    point by point gives each worker its own walk points. This process forks a
-    child for each slice but the last, runs the last itself, then reads each
-    child's records from a pipe as marshal data of plain tuples, so a forked
-    record's values must be of types marshal writes, as every SWEEPS grid's are.
+    The tasks are cut into one contiguous slice per worker, in the grid's order, the
+    report's, so a slice that starts past a sweep's first prime (guo-bb1 goes p by p) walks
+    each of its points from k = 0 again. This process forks a child for each slice but the
+    last, runs the last itself, then reads each child's records from a pipe as marshal data
+    of plain tuples, so a forked record's values must be of types marshal writes, as every
+    SWEEPS grid's are.
     Forking a process that runs other threads is unsafe: such a caller passes jobs=1.
     On one worker each task runs as the grid yields it, so the task list is never held.
     """
@@ -162,7 +165,8 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
 
 def clear_caches() -> None:
     """Empty every cache of every loaded scv module: the lru caches, the column_reader rows,
-    the walk cursors and _load. A CLI run calls it once its sweep has run; run_tasks does not."""
+    the walk cursors and _load. A CLI run on more than one worker calls it between run_tasks,
+    which does not, and its report."""
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == __package__:
             for value in vars(module).values():
@@ -182,10 +186,12 @@ def _families(kind: str, pmax: int) -> Iterator[Task]:
 
 
 def _guo_bb1(pmax: int, x: tuple[str, ...]) -> Iterator[Task]:
+    # p by p, and the points (canonical texts) by text within p: every point's walks stay
+    # in their caches (sequences._point_walks) from one p to the next
     from .exact_arith import primes_in_range
 
     _load("congruences")
-    for one, p in product(x, primes_in_range(3, pmax)):
+    for p, one in product(primes_in_range(3, pmax), sorted(x)):
         yield _task("guo-bb1", x=one, p=p)
 
 
@@ -194,19 +200,17 @@ CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10":
 
 
 def _cc(which: str, pmax: int) -> Iterator[Task]:
-    # p by p, and x by x within p: cc5 and cc7 share the rows of each p, and
-    # each x's weighted s_k^2 walk only moves forward
+    # kind by kind in name order, then p by p: cc5 and cc7 read each p's rows a kind apart,
+    # which congruences._cc_row_sums keeps for the run; within a kind each x's walk moves forward
     from .exact_arith import primes_in_range
 
-    kinds = CC_KINDS.values() if which == "all" else (CC_KINDS[which],)
-    supported_x = _load("congruences").SUPPORTED_X
-    for p in primes_in_range(5, pmax):
-        if "cc7" in kinds:
-            for s in range(p, 2 * p - 1):
-                yield _task("cc7", s=s, p=p)
-        for x, kind in product(supported_x, kinds):
-            if kind != "cc7":
-                yield _task(kind, x=x, p=p)
+    kinds = sorted(CC_KINDS.values()) if which == "all" else (CC_KINDS[which],)
+    supported_x = sorted(_load("congruences").SUPPORTED_X)
+    for kind, p in product(kinds, primes_in_range(5, pmax)):
+        if kind == "cc7":
+            yield from (_task("cc7", s=s, p=p) for s in range(p, 2 * p - 1))
+        else:
+            yield from (_task(kind, x=x, p=p) for x in supported_x)
 
 
 def _bb4_recurrence(top: int) -> Iterator[Task]:
@@ -248,7 +252,7 @@ _EPS = {"+1": (1,), "-1": (-1,), "both": (-1, 1)}
 
 
 def _n_m_eps(kind: str, nmax: int, mmax: int, eps: str) -> Iterator[Task]:
-    # n by n within (eps, m): the integer-valued running sum of one (m, eps) then stays live
+    # n by n within (eps, m): the integer-valued running sum of one (m, eps) then stays in use
     _load("integrality")
     for e, m, n in product(_EPS[eps], range(1, mmax + 1), range(1, nmax + 1)):
         yield _task(kind, n=n, m=m, eps=e)
@@ -323,10 +327,9 @@ def _pmax(default: int, least: int = 5) -> Option:
 _MMAX_EPS = (int_option("mmax", 3, 1), choice_option("eps", _EPS, "both"))
 
 
-class Sweep(namedtuple("Sweep", "help options grid ordered", defaults=(True,))):
-    """A subcommand's help, options and grid, a Callable[..., Iterator[Task]] of their values;
-    ordered says that the grid yields its tasks in the report's order (report.check_sort_key),
-    so a run writes each record as its check returns instead of holding them all to sort."""
+class Sweep(namedtuple("Sweep", "help options grid")):
+    """A subcommand's help, options and grid, a Callable[..., Iterator[Task]] of their values
+    that yields its tasks in the report's order (report.check_sort_key)."""
 
     __slots__ = ()
 
@@ -350,13 +353,13 @@ SWEEPS = {
             "x", DEFAULT_BB1_X, _validate_rationals,
             "Evaluation point a/b (repeatable). Default: " + " ".join(DEFAULT_BB1_X), True,
         )),
-        _guo_bb1, ordered=False,  # x by x, so each walk stays in its cache; the report is p-major
+        _guo_bb1,
     ),
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
         (choice_option("which", [*CC_KINDS, "all"], "all", "Which chain step to sweep."),
          _pmax(200)),
-        _cc, ordered=False,  # p by p, so the kinds share each p's rows; the report is kind-major
+        _cc,
     ),
     "identity": Sweep(
         "Exact polynomial and integer identities (coefficient-level equality).",

@@ -33,6 +33,15 @@ def run_cli(*args: str) -> CliResult:
     return CliResult(code, output.getvalue(), exception)
 
 
+def render(report, format: str) -> str:
+    """The text scv.report.write_report writes for the report, as one string."""
+    from scv.report import write_report
+
+    out = io.StringIO()
+    write_report(report, format, out)
+    return out.getvalue()
+
+
 @pytest.fixture
 def recurrence_tables(monkeypatch):
     """Swap the stored bb4 recurrence tables of scv.identities for one test.

@@ -38,8 +38,8 @@ int_f_poly_oracle is the integer f_k the library replaced, each C(x+j, k+j)
 a new product of all its linear factors where the library adds one per j.
 
 The cc rows are summed over k as written, one C(2k,s) C(s,k) product per
-term, and the json report is the whole-report json.dumps that render_json
-must equal byte for byte. A polynomial side prints through one Fraction per
+term, and the json report is the whole-report json.dumps that write_report's
+json must equal byte for byte. A polynomial side prints through one Fraction per
 coefficient, and the report's sort key takes one helper call per parameter.
 
 The command line is read by scv.cli's own parser off the sweep table;
@@ -870,12 +870,16 @@ def check_bb4_recurrence_oracle(side: str, m: int, n: int) -> CheckResult:
 
 
 def render_json_oracle(report: RunReport) -> str:
-    """The json report by the stdlib: the whole report dict through json.dumps."""
+    """The json report by the stdlib: the whole report dict through json.dumps, with the
+    summary counted from the report's list of checks."""
+    checks = [c.to_dict() for c in report.checks]
+    passed = sum(1 for c in checks if c["pass"] and not c["skipped"])
+    skipped = sum(1 for c in checks if c["skipped"])
     whole = {
         "version": report.tool_version,
         "invocation": dict(report.invocation),
-        "checks": [c.to_dict() for c in report.checks],
-        "summary": report.summary,
+        "checks": checks,
+        "summary": {"pass": passed, "fail": len(checks) - passed - skipped, "skipped": skipped},
         "elapsed_seconds": report.elapsed_seconds,
     }
     return json.dumps(whole, sort_keys=True, indent=2) + "\n"

@@ -296,8 +296,12 @@ def _walks_started(walk, points, grid) -> dict:
 def test_cc_grid_walks_weighted_s_squares_once_per_point():
     # cc5 and cc10 read sum_{k<p} (2k+1) s_k(x)^2 off one walk per x, for every p
     xs = [Fraction(x) for x in SUPPORTED_X]
+    for which in ("cc5", "cc10"):
+        started = _walks_started(sequences.s_square_walk, xs, SWEEPS["cc"].grid(which, 40))
+        assert started == {x: 1 for x in xs}, which
+    # the whole chain runs kind by kind, so each x's walk starts once for cc10, once for cc5
     started = _walks_started(sequences.s_square_walk, xs, SWEEPS["cc"].grid("all", 40))
-    assert started == {x: 1 for x in xs}
+    assert started == {x: 2 for x in xs}
 
 
 def test_lemma2p_grid_walks_rv_terms_once_per_family():

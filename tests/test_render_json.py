@@ -1,18 +1,22 @@
-"""render_json writes each record from a template; it must equal json.dumps byte for byte."""
+"""write_report's json writes each record from a template; it must equal json.dumps byte for byte.
+
+A report reads its records once and checks their order, so a list of records
+given here is put in the report's order by the oracle's sort key first.
+"""
 
 from __future__ import annotations
 
 import json
 
 import pytest
-from conftest import run_cli
-from oracles import render_json_oracle
+from conftest import render, run_cli
+from oracles import check_sort_key_oracle, render_json_oracle
 from test_report_golden import CASES
 
 import scv.report
 import scv.sweeps
 from scv import __version__, identities
-from scv.report import CheckResult, RunReport, render_json, skipped_result
+from scv.report import CheckResult, RunReport, skipped_result
 from scv.sweeps import SWEEPS, execute_task, run_tasks
 
 ODD_TEXT = (
@@ -25,12 +29,19 @@ def _record(name, params, witness="1", passed=True, skipped=False, modulus="exac
     return CheckResult(name, params, passed, witness, witness[::-1], modulus, skipped)
 
 
-def _same(report: RunReport) -> None:
-    got, want = render_json(report), render_json_oracle(report)
+def _in_report_order(checks):
+    return sorted(checks, key=check_sort_key_oracle)
+
+
+def _same(report: RunReport) -> str:
+    """The json the report writes, once it has been checked against the oracle's."""
+    want = render_json_oracle(report)  # before the write, which reads the records once
+    got = render(report, "json")
     if got != want:  # not an assert: pytest would diff the megabyte strings
         at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
         at = min(len(got), len(want)) if at is None else at
         pytest.fail(f"first difference at {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+    return got
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -76,18 +87,19 @@ def test_escaped_witnesses_and_error_messages_render_as_json_dumps(monkeypatch):
     monkeypatch.setattr(identities, "odd", raises, raising=False)
     checks.append(execute_task(("odd", (("n", 10**40), ("x", "\u00e9")))))
     assert checks[-1].lhs_witness.startswith("error: ValueError: quote")
+    checks = _in_report_order(checks)
     report = RunReport(__version__, {"subcommand": ODD_TEXT, "x": [ODD_TEXT]}, checks, 0.5)
-    _same(report)
-    assert json.loads(render_json(report))["checks"][-1]["lhs_witness"].endswith("\U0001d53d")
+    (odd,) = [c for c in json.loads(_same(report))["checks"] if c["check_name"] == "odd"]
+    assert odd["lhs_witness"].endswith("\U0001d53d")
 
 
 def test_parameter_shapes_and_empty_reports_render_as_json_dumps():
-    checks = [
+    checks = _in_report_order([
         _record("a", {}),
         _record("a", {"s": "text"}),
         _record("a", {"n": 0, "m": 12, "side": "lhs"}, passed=False),
         _record("b", {"eps": -1, "n": 3, "m": 1}, skipped=True, passed=False),
-    ]
+    ])
     _same(RunReport(__version__, {"subcommand": "verify identity", "max": None}, checks, 1.5))
     _same(RunReport(__version__, {}, [], 0.0))
     _same(RunReport(__version__, {"out": None, "jobs": 2}, checks[:1], 3.25))
@@ -109,4 +121,4 @@ def test_parameter_shapes_and_empty_reports_render_as_json_dumps():
 @pytest.mark.parametrize("value", [[1, 2], {"a": 1}, 1.5, True, None])
 def test_parameters_other_than_str_or_int_are_refused(value):
     with pytest.raises(TypeError):
-        render_json(RunReport(__version__, {}, [_record("a", {"x": value})]))
+        render(RunReport(__version__, {}, [_record("a", {"x": value})]), "json")

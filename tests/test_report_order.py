@@ -1,11 +1,11 @@
-"""A sweep whose grid yields the report's order writes each record as its check returns.
+"""Every sweep's grid yields the report's order, so a run writes each record as its check returns.
 
-Such a sweep (Sweep.ordered) holds none of its records: `scv.cli` writes each
-one as it comes, and `report.write_report` checks that it sorts after the
-one before it. These tests pin that every ordered grid yields the canonical
-order, that a record out of order ends the run as an error, and that the
-usage errors for an empty or all-skipped grid still come before --out is
-opened.
+A run on one worker holds none of its records: `scv.cli` writes each one as
+it comes, and `report.write_report` checks that it sorts after the one
+before it. These tests pin that every grid yields the canonical order, that
+the caches the cc and guo-bb1 orders read build each value once, that a
+record out of order ends the run as an error, and that the usage errors for
+an empty or all-skipped grid still come before --out is opened.
 """
 
 from __future__ import annotations
@@ -15,15 +15,19 @@ import io
 import json
 
 import pytest
-from conftest import run_cli
+from conftest import render, run_cli
 from oracles import check_sort_key_oracle
 
 import scv.sweeps as sweeps
-from scv import congruences
+from scv import congruences, sequences
 from scv.cli import main
-from scv.report import RunReport, render_text, skipped_result
+from scv.report import RunReport, skipped_result
 
-# each ordered sweep at small bounds, once per value of its choice options
+# twelve guo-bb1 points out of text order: 2/6 is 1/3 written another way, and each point
+# with an odd prime in its denominator is skipped at that prime
+BB1_POINTS = ["5/7", "-2/3", "2/6", "0", "-5/11", "3/4", "7", "-1/2", "1/5", "-3/13", "2/9", "-4"]
+
+# each sweep at small bounds, once per value of its choice options
 ORDERED_RUNS = {
     "rv": [["--pmax", "40"]],
     "lemma2p": [["--pmax", "40"]],
@@ -31,12 +35,13 @@ ORDERED_RUNS = {
     "identity": [["--name", name, "--max", "3"] for name in [*sweeps.IDENTITIES, "all"]],
     "integrality": [["--nmax", "4", "--mmax", "2", "--eps", e] for e in ("+1", "-1", "both")],
     "schmidt": [["--nmax", "3", "--mmax", "2", "--eps", e] for e in ("+1", "-1", "both")],
+    "cc": [["--which", which, "--pmax", "40"] for which in [*sweeps.CC_KINDS, "all"]],
+    "guo-bb1": [["--pmax", "40"], ["--pmax", "30", *(a for x in BB1_POINTS for a in ("--x", x))]],
 }
 
 
 def test_every_ordered_sweep_is_covered():
-    assert set(ORDERED_RUNS) == {name for name, s in sweeps.SWEEPS.items() if s.ordered}
-    assert {name for name, s in sweeps.SWEEPS.items() if not s.ordered} == {"cc", "guo-bb1"}
+    assert set(ORDERED_RUNS) == set(sweeps.SWEEPS)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -58,12 +63,39 @@ def test_an_ordered_sweep_writes_its_records_in_report_order(tmp_path, sweep, ar
 
 
 def _values(sweep, args):
-    """The option values of `args`, as scv.cli converts them."""
+    """The option values of `args`, as scv.cli converts them: a repeatable flag collects."""
     options = {o.name: o for o in sweeps.SWEEPS[sweep].options}
-    values = {name: o.default for name, o in options.items()}
+    texts = {}
     for flag, text in zip(args[::2], args[1::2]):
-        values[flag[2:]] = options[flag[2:]].convert(text)
-    return values
+        if options[flag[2:]].repeatable:
+            texts.setdefault(flag[2:], []).append(text)
+        else:
+            texts[flag[2:]] = text
+    return {name: o.convert(texts[name]) if name in texts else o.default
+            for name, o in options.items()}
+
+
+def test_cc_builds_each_primes_rows_once():
+    # cc5 and cc7 read a p's rows a whole kind apart, so the cache keeps every p's
+    sweeps.clear_caches()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "cc", "--which", "all", "--pmax", "40"],
+                    standalone_mode=False) == 0
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert congruences._cc_row_sums.cache_info().misses == len(primes)
+    sweeps.clear_caches()
+
+
+def test_guo_bb1_starts_each_points_walks_once():
+    # p by p over twelve points: each point's two walks must stay cached from one p to the next
+    sweeps.clear_caches()
+    argv = ["verify", "guo-bb1", "--pmax", "40", *(a for x in BB1_POINTS for a in ("--x", x))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv, standalone_mode=False) == 0
+    for walk in (sequences.s_square_walk, sequences.bb1_walk):
+        assert walk.cache_info().misses == len(BB1_POINTS), walk.__name__
+        assert [walk(x).starts for x in BB1_POINTS] == [1] * len(BB1_POINTS), walk.__name__
+    sweeps.clear_caches()
 
 
 def _record(check):
@@ -138,14 +170,20 @@ def test_skipped_records_held_before_the_first_decided_one_are_written(monkeypat
 
 def test_live_records_are_written_once():
     checks = sweeps.run_tasks(sweeps.SWEEPS["rv"].grid(pmax=11))
-    report = RunReport("0", {}, iter(checks))
-    assert render_text(report).startswith("PASS rv family=1/2;p=5\n")
-    assert report.summary == {"pass": 12, "fail": 0, "skipped": 0}
-    with pytest.raises(TypeError):  # not a report of no checks under the first one's summary
-        render_text(report)
+    for given in (iter(checks), checks):  # a list too is read once
+        report = RunReport("0", {}, given)
+        assert render(report, "text").startswith("PASS rv family=1/2;p=5\n")
+        assert report.summary == {"pass": 12, "fail": 0, "skipped": 0}
+        with pytest.raises(TypeError):  # not a report of no checks under the first one's summary
+            render(report, "text")
 
 
-def test_a_streamed_run_writes_each_record_before_the_next_check(monkeypatch):
+@pytest.mark.parametrize("argv, count", [
+    (["identity", "--name", "all"], 3244),
+    (["cc", "--which", "all", "--pmax", "40"], 342),  # cc7 182, the other four kinds 40 each
+    (["guo-bb1", "--pmax", "40"], 77),  # 11 odd primes, 7 points; 3 skipped
+], ids=["identity", "cc", "guo-bb1"])
+def test_a_streamed_run_writes_each_record_before_the_next_check(monkeypatch, argv, count):
     execute_task = sweeps.execute_task
     checked, written, most = [0], [0], [0]
 
@@ -163,7 +201,6 @@ def test_a_streamed_run_writes_each_record_before_the_next_check(monkeypatch):
     monkeypatch.setattr(sweeps, "execute_task", spy)
     stdout = Lines()
     with contextlib.redirect_stdout(stdout):
-        assert main(["verify", "identity", "--name", "all", "--jobs", "1"],
-                    standalone_mode=False) == 0
-    assert checked[0] == 3244 and written[0] == 3244 + 1  # each record's line, then the summary
+        assert main(["verify", *argv, "--jobs", "1"], standalone_mode=False) == 0
+    assert checked[0] == count and written[0] == count + 1  # each record's line, then the summary
     assert most[0] == 1  # no more than one record checked and not yet written, at any point
