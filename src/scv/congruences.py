@@ -17,17 +17,19 @@ prefix off the per-point walks of scv.sequences: rv (N = p) and lemma2p
 (N = 2p) off the rv terms at a, the lhs of sun-p4, guo-bb1, cc5 and cc10
 off the weighted s_k^2 sum at x, and the guo-bb1 rhs off its own walk. So
 a sweep walks each series once per point instead of once per prime. The
-cc5 rows, cc7 and the cc8-cc10 windows depend on p through their weights:
-the rows are built once per p and shared by cc5 and cc7, and the cc5 rhs
-and each cc8-cc10 window is one sequences.weighted_sum pass over the rv
-terms t_s at a = -x, a family's a, since C(x,s) C(x+s,s) = (-1)^s t_s.
+cc rows are int prefixes over k too, since C(2k,s) C(s,k)/(k+1) =
+Cat_k C(k,s-k): cc7 and the cc5 rhs read them off one RowWalk. The cc9 and
+cc10 windows are differences of two prefixes, at N = 2p and N = p, of the
+rv terms t_s at a = -x, a family's a (C(x,s) C(x+s,s) = (-1)^s t_s), and of
+t_s/(s+1); each N has its own cursor per x. Only the cc5 rhs, whose weights
+are the p-dependent rows, and the single cc8-fact term are one
+sequences.weighted_sum pass over the rv terms at each (p, x).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from itertools import chain, repeat
 
 from .exact_arith import (
@@ -42,7 +44,17 @@ from .exact_arith import (
     ratio,
 )
 from .report import CheckResult, skipped_result
-from .sequences import RV_FAMILIES, bb1_walk, rv_series, rv_walk, s_square_walk, weighted_sum
+from .sequences import (
+    RV_FAMILIES,
+    RowWalk,
+    bb1_walk,
+    catalan_rows,
+    rv_divided_walk,
+    rv_series,
+    rv_walk,
+    s_square_walk,
+    weighted_sum,
+)
 
 
 class OutOfRange(ValueError):
@@ -60,14 +72,8 @@ def _valuation_result(
 ) -> CheckResult:
     """The fact v_p(q) >= k, witnessed by v_p(q) ("inf" when q = 0) against k."""
     v = pair_valuation(*q, ctx)
-    return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=v >= ctx.k,
-        lhs_witness="inf" if v == math.inf else str(v),
-        rhs_witness=str(ctx.k),
-        modulus=str(ctx),
-    )
+    witness = "inf" if v == math.inf else str(v)
+    return CheckResult(check_name, parameters, v >= ctx.k, witness, str(ctx.k), str(ctx))
 
 
 def _congruence_result(
@@ -78,12 +84,8 @@ def _congruence_result(
     ctx: PAdicContext,
 ) -> CheckResult:
     return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=pair_congruent(lhs, rhs, ctx),
-        lhs_witness=residue_witness(lhs, ctx),
-        rhs_witness=residue_witness(rhs, ctx),
-        modulus=str(ctx),
+        check_name, parameters, pair_congruent(lhs, rhs, ctx),
+        residue_witness(lhs, ctx), residue_witness(rhs, ctx), str(ctx),
     )
 
 
@@ -146,23 +148,21 @@ def verify_lemma_2p(family: str, p: int) -> CheckResult:
     return _congruence_result("lemma2p", {"family": family, "p": p}, lhs, rhs, ctx)
 
 
-@functools.lru_cache(maxsize=None)
-def _cc_row_sums(p: int) -> tuple[tuple[int, ...], int]:
-    """Numerators of sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, over p!.
+@functools.cache
+def _cc_rows() -> RowWalk:
+    """The one cursor over the cc rows: prefix(p)[s] = sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k).
 
-    They depend on (s, p) only, so cc5 shares them across its x values and
-    cc7 across its s values; the cc grid runs kind by kind, so every p's rows
-    are kept until the run empties its caches, and cc7 reads what cc5 built.
-    Since C(2k,s) C(s,k) = C(2k,k) C(k,s-k), row s is the coefficient of t^s
-    in sum_{k<p} w_k C(2k,k) u^k with u = t + t^2 and w_k = (-1)^k p!/(k+1);
-    Horner's rule in u gives every row with O(p^2) additions and p binomials.
+    That is the int sum_{k<p} (-1)^k Cat_k C(k,s-k), for s = 0..2p-2. cc5 and
+    cc7 each read it p upward, so each kind walks it once, and it holds only
+    the rows of its frontier.
     """
-    den = math.factorial(p)
-    coeffs = [(-1) ** k * (den // (k + 1)) * math.comb(2 * k, k) for k in range(p)]
-    rows = [coeffs.pop()]
-    for a in reversed(coeffs):  # rows <- a + (t + t^2) * rows
-        rows = [a, *map(operator.add, chain(rows, (0,)), chain((0,), rows))]
-    return tuple(rows), den
+    return RowWalk(catalan_rows)
+
+
+def _difference(lhs: Pair, rhs: Pair) -> Pair:
+    """a/b - c/d as the unreduced pair (a d - c b, b d)."""
+    (a, b), (c, d) = lhs, rhs
+    return a * d - c * b, b * d
 
 
 def verify_sun_p4(family: str, p: int) -> CheckResult:
@@ -208,10 +208,10 @@ def verify_cc5(x: Point, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     a, text = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
-    rows, weight = _cc_row_sums(p)
+    rows = _cc_rows().prefix(p)
     # C(x,s) C(x+s,s) = (-1)^s t_s, with t_s the rv term at a = -x
     total, d = weighted_sum(((-1) ** s * row for s, row in enumerate(rows)), rv_series(a))
-    rhs = (p * p * total, weight * d)
+    rhs = (p * p * total, d)
     return _congruence_result("cc5", {"x": text, "p": p}, lhs, rhs, ctx)
 
 
@@ -224,8 +224,7 @@ def verify_cc7(s: int, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 2)
     if not p <= s <= 2 * p - 2:
         raise OutOfRange(f"s = {s} outside [p, 2p-2] = [{p}, {2 * p - 2}]")
-    rows, weight = _cc_row_sums(p)
-    lhs = (rows[s], weight)
+    lhs = (_cc_rows().prefix(p)[s], 1)
     rhs = ((-1) ** s * (2 * p - s - 1), s + 1)
     return _congruence_result("cc7", {"s": s, "p": p}, lhs, rhs, ctx)
 
@@ -247,11 +246,9 @@ def verify_cc9(x: Point, p: int) -> CheckResult:
     """
     ctx = _require_prime(p, 5)
     a, text = _require_supported_x(x)
-    weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
-    # (-1)^s C(x,s) C(x+s,s) = t_s, the rv term at a = -x
-    weights = chain(repeat(0, p), (weight // (s + 1) for s in range(p, 2 * p)))
-    tail, d = weighted_sum(weights, rv_series(a))
-    return _valuation_result("cc9", {"x": text, "p": p}, (tail, weight * d), ctx)
+    # (-1)^s C(x,s) C(x+s,s)/(s+1) = t_s/(s+1), with t_s the rv term at a = -x
+    tail = _difference(rv_divided_walk(a, 1).prefix(2 * p), rv_divided_walk(a).prefix(p))
+    return _valuation_result("cc9", {"x": text, "p": p}, tail, ctx)
 
 
 def verify_cc10(x: Point, p: int) -> CheckResult:
@@ -264,7 +261,8 @@ def verify_cc10(x: Point, p: int) -> CheckResult:
     ctx = _require_prime(p, 5, 4)
     a, text = _require_supported_x(x)
     lhs = s_square_walk(x).prefix(p)
-    # 2 head - full weighs the terms (-1)^s C(x,s) C(x+s,s) = t_s by +1 for s < p, -1 after
-    total, d = weighted_sum(chain(repeat(1, p), repeat(-1, p)), rv_series(a))
+    # 2 head - full over the terms (-1)^s C(x,s) C(x+s,s) = t_s, the rv terms at a = -x
+    head, den = rv_walk(a).prefix(p)
+    total, d = _difference((2 * head, den), rv_walk(a, 1).prefix(2 * p))
     rhs = (p * p * total, d)
     return _congruence_result("cc10", {"x": text, "p": p}, lhs, rhs, ctx)

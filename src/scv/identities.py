@@ -19,9 +19,11 @@ checks, and the rest from integer rows cached once per index:
                       sequences.column_reader column read to k <= min(m, n)
 
 so the lhs is the product of the pair at (m, n) and the rhs is the Schmidt
-row of n dotted with the f row of m. The order-4 recurrence certifying both
-sides is stored as data (per-coefficient tables of (m-exponent, n-exponent,
-integer) triples), proved once by the tests rather than at every run:
+row of n dotted with the f row of m. Each side at one n is a column in m,
+so a recurrence residual reads five consecutive values of it. The order-4
+recurrence certifying both sides is stored as data (per-coefficient tables
+of (m-exponent, n-exponent, integer) triples), proved once by the tests
+rather than at every run:
 tests/test_identities.py shows on full degree grids (tests/certificates.py)
 that each table equals its factored form, and that for every
 n <= sweeps.BB4_N_MAX each side's residual, of degree <= 3n + 6 in m,
@@ -154,7 +156,26 @@ def _f_values(m: int) -> Iterator[int]:
                       map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
 
 
-@functools.lru_cache(maxsize=None)
+@column_reader
+def _side_values(key: tuple[str, int]) -> Iterator[int]:
+    """One side of bb4 at one n, at m = 0, 1, ...: see eval_bb4_side."""
+    side, n = key
+    for m in count():
+        if side == "lhs":
+            yield math.prod(ds_value(m, n))
+        else:
+            yield sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
+
+
+def _side_column(side: str, m: int, n: int, count: int) -> list[int]:
+    """The column of one side at n, read to at least m + count values."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
+    return _side_values((side, n), m + count)
+
+
 def eval_bb4_side(side: str, m: int, n: int) -> int:
     """One side of the double/triple binomial sum identity.
 
@@ -167,20 +188,16 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     the rhs the sum over i is the Delannoy number d_j(m) and the sum over j
     is f_k(m), so rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), a dot
     product that stops at the shorter row, where the terms beyond it vanish.
-    tests/oracles.py evaluates the sums as written, and the tests require
-    equal values.
+    Each side at n is one column_reader column in m, so each value is formed
+    once. tests/oracles.py evaluates the sums as written, and the tests
+    require equal values.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    if side == "lhs":
-        return math.prod(ds_value(m, n))
-    return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
+    return _side_column(side, m, n, 1)[m]
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:
-    return exact_result(name, {"m": m, "n": n}, *(eval_bb4_side(side, m, n) for side in SIDES))
+    return exact_result(name, {"m": m, "n": n}, eval_bb4_side("lhs", m, n),
+                        eval_bb4_side("rhs", m, n))
 
 
 def check_bb4_direct(m: int, n: int) -> CheckResult:
@@ -251,8 +268,7 @@ def recurrence_coefficients(m: int, n: int) -> tuple[int, ...]:
 
 def recurrence_residual(side: str, m: int, n: int) -> int:
     """c0 A_m + c1 A_{m+1} + c2 A_{m+2} + c3 A_{m+3} + c4 A_{m+4} on one side at (m, n)."""
-    values = map(eval_bb4_side, repeat(side, 5), range(m, m + 5), repeat(n))
-    return sum(map(mul, recurrence_coefficients(m, n), values))
+    return sum(map(mul, recurrence_coefficients(m, n), _side_column(side, m, n, 5)[m:m + 5]))
 
 
 def check_bb4_recurrence(side: str, m: int, n: int) -> CheckResult:

@@ -57,15 +57,7 @@ class CheckResult(namedtuple("CheckResult", "check_name parameters passed lhs_wi
 
 def skipped_result(check_name: str, parameters: dict[str, object], reason: str) -> CheckResult:
     """A Skipped record for sweep points whose preconditions do not apply."""
-    return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=False,
-        lhs_witness=reason,
-        rhs_witness="",
-        modulus="",
-        skipped=True,
-    )
+    return CheckResult(check_name, parameters, False, reason, "", "", True)
 
 
 def exact_result(
@@ -74,14 +66,8 @@ def exact_result(
     """An exact equality of two ints or two canonical strings; _int_str passes a string on.
     Equal sides share one witness string."""
     passed, lhs_witness = lhs == rhs, _int_str(lhs)
-    return CheckResult(
-        check_name=check_name,
-        parameters=parameters,
-        passed=passed,
-        lhs_witness=lhs_witness,
-        rhs_witness=lhs_witness if passed else _int_str(rhs),
-        modulus="exact",
-    )
+    rhs_witness = lhs_witness if passed else _int_str(rhs)
+    return CheckResult(check_name, parameters, passed, lhs_witness, rhs_witness, "exact")
 
 
 REPORT_SCHEMA: dict = {

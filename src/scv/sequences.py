@@ -11,18 +11,20 @@ s_series, the one s_n kernel, runs the certified three-term recurrence of
 s_n at O(1) int operations per step. column_reader caches the exact integer
 rows per key, grown as far as any caller has read: ds_pairs, the pairs
 (d_k(t), s_k(t)) at an integer t by that recurrence and the Delannoy
-recurrence in k, and over it the bb4 f rows and the integer-valued products.
+recurrence in k, and over it the bb4 f rows, the bb4 sides and the
+integer-valued products.
 
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
 gives each exact prefix sum as (numerator, denominator) ints: term k is an
 int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
 so no term is ever reduced, and a check decides on that unreduced pair as
-it is. rv_walk, s_square_walk and bb1_walk are the cached per-point walks;
-cache_clear() on them drops every cursor. A side whose terms carry
-p-dependent weights is one weighted_sum pass over the same series, on the
-same unreduced pairs. The same families as polynomials in x are in
-scv.poly, which the congruence checks never load.
+it is. rv_walk, rv_divided_walk, s_square_walk and bb1_walk are the cached
+per-point walks; cache_clear() on them drops every cursor. A RowWalk sums a
+series of int rows under the same rule, as the cc rows sum catalan_rows. A
+side whose terms carry p-dependent weights is one weighted_sum pass over the
+same series, on the same unreduced pairs. The same families as polynomials
+in x are in scv.poly, which the congruence checks never load.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from itertools import count
+from itertools import chain, count, repeat
+from operator import add
 
 from .exact_arith import Pair, Point, ratio
 
@@ -44,32 +47,57 @@ class PrefixWalk:
     prefix(n) advances to n; the first n, an n below the frontier and any n
     after an advance that raised start the series from k = 0, so a value
     never depends on the order of the requests. `starts` counts the times
-    the series began.
+    the series began. A subclass with its own `_empty` sum and `_add` step
+    sums another kind of term under the same rule.
     """
 
-    def __init__(self, series: Callable[[], Iterator[tuple[int, int]]]) -> None:
+    _empty: tuple = (0, 1)
+
+    def __init__(self, series: Callable[[], Iterator]) -> None:
         self._series, self.starts, self._n = series, 0, math.inf  # no frontier yet
 
     def _restart(self) -> None:
-        self._terms, self._n, self._total, self._den = self._series(), 0, 0, 1
+        self._terms, self._n, self._sum = self._series(), 0, self._empty
         self.starts += 1
 
-    def prefix(self, n: int) -> tuple[int, int]:
-        """(numerator, denominator) of the sum of the first n terms."""
+    def _add(self, pair: tuple[int, int], n: int) -> tuple[int, int]:
+        """The sum to n from the sum `pair` to the frontier."""
+        total, den = pair
+        terms = self._terms
+        for _ in range(n - self._n):
+            r, m = next(terms)
+            total, den = total * r + m, den * r
+        return total, den
+
+    def prefix(self, n: int) -> tuple:
+        """The sum of the first n terms: here (numerator, denominator)."""
         if n < 0:
             raise ValueError(f"n = {n} is negative")
         if n < self._n:
             self._restart()
-        total, den = self._total, self._den
         try:
-            for _ in range(n - self._n):
-                r, m = next(self._terms)
-                total, den = total * r + m, den * r
+            total = self._add(self._sum, n)
         except BaseException:
             self._n = math.inf  # the series is past the stored sum, so the next call restarts
             raise
-        self._n, self._total, self._den = n, total, den
-        return total, den
+        self._n, self._sum = n, total
+        return total
+
+
+class RowWalk(PrefixWalk):
+    """A PrefixWalk whose term k is a tuple of ints added at entries k, k+1, ...
+
+    The sum to N is a tuple of ints; each term must reach at least the last
+    entry of the sum before it.
+    """
+
+    _empty = ()
+
+    def _add(self, rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+        terms = self._terms
+        for k in range(self._n, n):
+            rows = (*rows[:k], *map(add, chain(rows[k:], repeat(0)), next(terms)))
+        return rows
 
 
 def weighted_sum(weights: Iterable[int], series: Iterator[tuple[int, int]]) -> tuple[int, int]:
@@ -96,6 +124,30 @@ def rv_series(a: Point) -> Iterator[tuple[int, int]]:
     for k in count():
         m *= (n + k * q) * (q - n + k * q)
         yield ((k + 1) * q) ** 2, m
+
+
+def rv_divided_series(a: Point) -> Iterator[tuple[int, int]]:
+    """The rv terms divided by k+1, t_k(a)/(k+1), over (k+1)! D_k with D_k = q^{2k} k!^2.
+
+    Term k of rv_series is m_k / D_k, so this one is m_k k! / ((k+1)! D_k).
+    """
+    fact = 1
+    for k, (r, m) in enumerate(rv_series(a)):
+        yield (k + 1) * r, m * fact
+        fact *= k + 1
+
+
+def catalan_rows() -> Iterator[tuple[int, ...]]:
+    """(-1)^k Cat_k C(k, j) for j = 0..k, for k = 0, 1, ..., with Cat_k = C(2k,k)/(k+1).
+
+    A RowWalk adds term k at entries k..2k, so its sum to N has entry s equal to
+    sum_{k<N} (-1)^k Cat_k C(k, s-k), for s = 0..2N-2.
+    """
+    pascal = (1,)
+    for k in count():
+        catalan = (-1) ** k * (math.comb(2 * k, k) // (k + 1))
+        yield tuple(catalan * c for c in pascal)
+        pascal = (1, *map(add, pascal, pascal[1:]), 1)
 
 
 def s_series(x: Point) -> Iterator[int]:
@@ -198,18 +250,22 @@ def bb1_series(x: Point) -> Iterator[tuple[int, int]]:
 # One cursor per reduced pair, which every form of a point shares, kept until the run empties
 # its caches: guo-bb1 goes p by p and reads every --x point at each p, so each point's walk
 # starts once and only moves forward, and the frontiers held grow with the number of points.
+# A check that reads a point at N = p and at N = 2p (cc9, cc10) takes a cursor for each,
+# walk(x) and walk(x, 1), so that both only move forward as p rises.
 def _point_walks(series: Callable[[Pair], Iterator[tuple[int, int]]]) -> Callable:
-    cached = functools.lru_cache(maxsize=None)(lambda x: PrefixWalk(functools.partial(series, x)))
+    cached = functools.lru_cache(maxsize=None)(
+        lambda x, cursor: PrefixWalk(functools.partial(series, x)))
 
-    def walk(x: Point) -> PrefixWalk:
-        return cached(ratio(x))
+    def walk(x: Point, cursor: int = 0) -> PrefixWalk:
+        return cached(ratio(x), cursor)
 
     walk.__qualname__ = walk.__name__ = series.__name__.replace("series", "walk")
     walk.cache_clear, walk.cache_info = cached.cache_clear, cached.cache_info
     return walk
 
 
-rv_walk, s_square_walk, bb1_walk = map(_point_walks, (rv_series, s_square_series, bb1_series))
+rv_walk, rv_divided_walk, s_square_walk, bb1_walk = map(
+    _point_walks, (rv_series, rv_divided_series, s_square_series, bb1_series))
 
 
 def schmidt_coefficient(n: int, k: int) -> int:

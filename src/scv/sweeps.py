@@ -200,8 +200,8 @@ CC_KINDS = {"cc5": "cc5", "cc7": "cc7", "cc8": "cc8-fact", "cc9": "cc9", "cc10":
 
 
 def _cc(which: str, pmax: int) -> Iterator[Task]:
-    # kind by kind in name order, then p by p: cc5 and cc7 read each p's rows a kind apart,
-    # which congruences._cc_row_sums keeps for the run; within a kind each x's walk moves forward
+    # kind by kind in name order, then p by p: within a kind the cc row cursor and each x's
+    # walks only move forward, so each kind walks each of them once
     from .exact_arith import primes_in_range
 
     kinds = sorted(CC_KINDS.values()) if which == "all" else (CC_KINDS[which],)
@@ -358,7 +358,7 @@ SWEEPS = {
     "cc": Sweep(
         "The chain of summation-order, partial-row and valuation checks.",
         (choice_option("which", [*CC_KINDS, "all"], "all", "Which chain step to sweep."),
-         _pmax(200)),
+         _pmax(350)),
         _cc,
     ),
     "identity": Sweep(

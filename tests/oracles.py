@@ -6,10 +6,12 @@ the plain way, and the *_sides functions compute each congruence check's
 two sides (or its valued quantity) with them, so the tests can require the
 fast path to equal this one element by element.
 
-The rv, lemma2p, sun-p4 and guo-bb1 verifiers read their sums off prefix
-walks; the *_oracle verifiers here build each int column from k = 0 for
-every prime instead, so the tests can require the same CheckResult from
-both routes. Their s_k come from int_s_values, the binomial transform of
+The rv, lemma2p, sun-p4, guo-bb1, cc5, cc7, cc9 and cc10 verifiers read
+their sums off prefix walks; the *_oracle verifiers here build each int
+column from k = 0 for every prime instead, so the tests can require the
+same CheckResult from both routes. The cc ones are the per-prime routes the
+walks replaced: Horner rows over p! (cc_rows_horner) and one weighted_sum
+pass per cc9 or cc10 window. Their s_k come from int_s_values, the binomial transform of
 the pair-binomial column, not from the s_n recurrence of the library. The
 int columns divide each term out of one common denominator (ratio_column);
 int_pair_binomial_values builds the C(x,s) C(x+s,s) column that the
@@ -60,11 +62,12 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from fractions import Fraction as Rat
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from fraction_poly import (
@@ -521,7 +524,7 @@ def cc_row_sum(s: int, p: int) -> Rat:
 
 
 def cc_row_sums(pmax: int) -> Iterator[tuple[int, tuple[tuple[int, ...], int]]]:
-    """(p, congruences._cc_row_sums(p)) for p = 1..pmax, by the sum over k as written.
+    """(p, cc_rows_horner(p)) for p = 1..pmax, by the sum over k as written.
 
     Row s is sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, and
     C(s,k) vanishes for s < k, C(2k,s) for s > 2k. The sums grow one k at a
@@ -568,6 +571,63 @@ def cc10_sides(x: Rat, p: int) -> tuple[Rat, Rat]:
     head = sum(((-1) ** s * u[s] for s in range(p)), Fraction(0))
     full = sum(((-1) ** s * u[s] for s in range(2 * p)), Fraction(0))
     return weighted_s_square_sum(x, p), p * p * (2 * head - full)
+
+
+# The cc verifiers by the per-prime routes the walks replaced: each p's rows
+# by Horner's rule over p!, and the cc9 and cc10 windows as one weighted_sum
+# pass over the rv terms from s = 0.
+
+
+@functools.lru_cache(maxsize=None)
+def cc_rows_horner(p: int) -> tuple[tuple[int, ...], int]:
+    """Numerators of sum_{k<p} (-1)^k/(k+1) C(2k,s) C(s,k) for s = 0..2p-2, over p!.
+
+    Since C(2k,s) C(s,k) = C(2k,k) C(k,s-k), row s is the coefficient of t^s
+    in sum_{k<p} w_k C(2k,k) u^k with u = t + t^2 and w_k = (-1)^k p!/(k+1);
+    Horner's rule in u gives every row with O(p^2) additions and p binomials.
+    """
+    den = math.factorial(p)
+    coeffs = [(-1) ** k * (den // (k + 1)) * math.comb(2 * k, k) for k in range(p)]
+    rows = [coeffs.pop()]
+    for a in reversed(coeffs):  # rows <- a + (t + t^2) * rows
+        rows = [a, *map(operator.add, chain(rows, (0,)), chain((0,), rows))]
+    return tuple(rows), den
+
+
+def verify_cc5_oracle(x: Rat, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 4)
+    a, text = congruences._require_supported_x(x)
+    rows, weight = cc_rows_horner(p)
+    signed = ((-1) ** s * row for s, row in enumerate(rows))
+    total, d = sequences.weighted_sum(signed, sequences.rv_series(a))
+    rhs = Fraction(p * p * total, weight * d)
+    lhs = int_weighted_s_square_sum(Fraction(x), p)
+    return congruence_result("cc5", {"x": text, "p": p}, lhs, rhs, ctx)
+
+
+def verify_cc7_oracle(s: int, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 2)
+    rows, weight = cc_rows_horner(p)
+    rhs = Fraction((-1) ** s * (2 * p - s - 1), s + 1)
+    return congruence_result("cc7", {"s": s, "p": p}, Fraction(rows[s], weight), rhs, ctx)
+
+
+def verify_cc9_oracle(x: Rat, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5)
+    a, text = congruences._require_supported_x(x)
+    weight = math.factorial(2 * p)  # 1/(s+1) = ((2p)!/(s+1)) / (2p)! for s < 2p
+    weights = chain(repeat(0, p), (weight // (s + 1) for s in range(p, 2 * p)))
+    tail, d = sequences.weighted_sum(weights, sequences.rv_series(a))
+    return valuation_result("cc9", {"x": text, "p": p}, Fraction(tail, weight * d), ctx.p, ctx.k)
+
+
+def verify_cc10_oracle(x: Rat, p: int) -> CheckResult:
+    ctx = congruences._require_prime(p, 5, 4)
+    a, text = congruences._require_supported_x(x)
+    # 2 head - full weighs the terms (-1)^s C(x,s) C(x+s,s) = t_s by +1 for s < p, -1 after
+    total, d = sequences.weighted_sum(chain(repeat(1, p), repeat(-1, p)), sequences.rv_series(a))
+    lhs = int_weighted_s_square_sum(Fraction(x), p)
+    return congruence_result("cc10", {"x": text, "p": p}, lhs, Fraction(p * p * total, d), ctx)
 
 
 # The walked congruence verifiers by the per-check route: every check builds

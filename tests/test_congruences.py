@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import run_cli
-from oracles import FAMILY_CONSTANTS, cc_row_sums, legendre
+from oracles import FAMILY_CONSTANTS, cc_row_sums, cc_rows_horner, legendre
 
 import scv.congruences as congruences
 import scv.sequences as sequences
@@ -311,6 +311,11 @@ def test_lemma2p_grid_walks_rv_terms_once_per_family():
 
 
 def test_cc_rows_match_comb_sums_as_written():
-    # every p, not only primes: the Horner rows in u = t + t^2 against the sum over k
-    for p, rows in cc_row_sums(300):
-        assert congruences._cc_row_sums.__wrapped__(p) == rows, p
+    # every p, not only primes: the int rows of one walk over k, over p!, against the Horner
+    # rows in u = t + t^2 and the sum over k as written
+    walk = congruences._cc_rows.__wrapped__()
+    for p, (rows, den) in cc_row_sums(300):
+        assert cc_rows_horner(p) == (rows, den), p
+        assert tuple(row * den for row in walk.prefix(p)) == rows, p
+    assert walk.starts == 1
+    cc_rows_horner.cache_clear()

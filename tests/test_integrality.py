@@ -244,10 +244,13 @@ def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkey
 
 
 # each column user, with the pair its first read refuses: the f row of m = 5 reads the
-# Delannoy values d_j(5) off the pairs at t = 5, and the products at k = 2 start at t = 0
+# Delannoy values d_j(5) off the pairs at t = 5, the rhs column of bb4 at n = 2 reads the
+# f rows of m = 0, 1, ... in turn, the first to reach s_2 at m = 2, and the products at
+# k = 2 start at t = 0
 COLUMN_USERS = {
     "ds pairs": (lambda: sequences.ds_value(5, 2), "s_2(5)"),
-    "f rows": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(5)"),
+    "f rows": (lambda: identities._f_values(5, 3)[2], "s_2(5)"),
+    "bb4 sides": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(2)"),
     "products": (lambda: integrality._term_differences(2, 1), "s_2(0)"),
 }
 

@@ -2,8 +2,8 @@
 
 Each walked verifier must return the same CheckResult as its oracle, the
 verifier body that builds every column from k = 0, whether the primes come
-ascending (the walk only advances) or in a seeded shuffle (the walk
-restarts whenever a prime is below its frontier).
+ascending (the walk only advances), descending or in a seeded shuffle (the
+walk restarts whenever a prime is below its frontier).
 """
 
 from __future__ import annotations
@@ -26,30 +26,39 @@ from scv.sequences import RV_FAMILIES, PrefixWalk
 from scv.sweeps import DEFAULT_BB1_X
 from test_int_kernels import BB1_X, _spy
 
-WALKS = (sequences.rv_walk, sequences.s_square_walk, sequences.bb1_walk)
+WALKS = (sequences.rv_walk, sequences.rv_divided_walk, sequences.s_square_walk,
+         sequences.bb1_walk)
 
 
 def _clear() -> None:
     for walk in WALKS:
         walk.cache_clear()
+    congruences._cc_rows.cache_clear()
 
 
-# check -> (walked verifier, oracle, points, largest p)
+CC_X = tuple(map(Fraction, congruences.SUPPORTED_X))
+
+# check -> (walked verifier, oracle, points, largest p); the points of cc7 are its s
 _CHECKS = {
     "rv": (congruences.verify_rv, oracles.verify_rv_oracle, RV_FAMILIES, 200),
     "lemma2p": (congruences.verify_lemma_2p, oracles.verify_lemma_2p_oracle, RV_FAMILIES, 200),
     "sun-p4": (congruences.verify_sun_p4, oracles.verify_sun_p4_oracle, RV_FAMILIES, 200),
     "guo-bb1": (congruences.verify_guo_bb1, oracles.verify_guo_bb1_oracle, BB1_X, 100),
+    "cc5": (congruences.verify_cc5, oracles.verify_cc5_oracle, CC_X, 100),
+    "cc7": (congruences.verify_cc7, oracles.verify_cc7_oracle, None, 100),
+    "cc9": (congruences.verify_cc9, oracles.verify_cc9_oracle, CC_X, 150),
+    "cc10": (congruences.verify_cc10, oracles.verify_cc10_oracle, CC_X, 150),
 }
 
 
 def _tasks(check: str) -> list[tuple[object, int]]:
+    """The check's tasks p by p, as its sweep asks for them: every walk only moves forward."""
     _, _, points, pmax = _CHECKS[check]
     least = 3 if check == "guo-bb1" else 5
     return [
         (point, p)
-        for point in points
         for p in primes_in_range(least, pmax)
+        for point in (range(p, 2 * p - 1) if points is None else points)
         if not isinstance(point, Fraction) or point.denominator % p
     ]
 
@@ -69,7 +78,7 @@ def test_walked_verifier_matches_column_oracle(monkeypatch, check):
         restart(walk)
 
     monkeypatch.setattr(PrefixWalk, "_restart", counting)
-    for order, restarted in ((tasks, False), (shuffled, True)):
+    for order, restarted in ((tasks, False), (tasks[::-1], True), (shuffled, True)):
         _clear()
         starts.clear()
         for task in order:

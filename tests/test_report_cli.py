@@ -528,8 +528,8 @@ def test_a_cli_sweep_empties_every_cache_before_its_report_is_built(tmp_path, mo
     monkeypatch.setattr(scv.report, "RunReport", spy_run_report)
     # the records a run on more than one worker holds; run_tasks keeps what it filled in this
     # process, the last slice (cc's runs cc7, cc8-fact and cc9)
-    names = ("identities.eval_bb4_side", "identities._f_values", "sequences.ds_pairs")
-    runs = [(["cc", "--which", "all", "--pmax", "13"], ("congruences._cc_row_sums",), 96),
+    names = ("identities._side_values", "identities._f_values", "sequences.ds_pairs")
+    runs = [(["cc", "--which", "all", "--pmax", "13"], ("congruences._cc_rows",), 96),
             (["identity", "--name", "all"], names, 3244)]
     for args, names, checks in runs:
         swept.clear()

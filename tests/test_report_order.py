@@ -75,14 +75,14 @@ def _values(sweep, args):
             for name, o in options.items()}
 
 
-def test_cc_builds_each_primes_rows_once():
-    # cc5 and cc7 read a p's rows a whole kind apart, so the cache keeps every p's
+def test_cc_row_walk_starts_once_per_kind_that_reads_it():
+    # cc5 and cc7 each read the rows p upward, so the one cursor restarts only when cc7 begins
     sweeps.clear_caches()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "cc", "--which", "all", "--pmax", "40"],
                     standalone_mode=False) == 0
-    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    assert congruences._cc_row_sums.cache_info().misses == len(primes)
+    assert congruences._cc_rows.cache_info().misses == 1
+    assert congruences._cc_rows().starts == 2
     sweeps.clear_caches()
 
 
