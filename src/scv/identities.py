@@ -167,13 +167,13 @@ def _side_values(key: tuple[str, int]) -> Iterator[int]:
             yield sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
 
 
-def _side_column(side: str, m: int, n: int, count: int) -> list[int]:
-    """The column of one side at n, read to at least m + count values."""
+def _side_column(side: str, m: int, n: int, width: int) -> list[int]:
+    """The column of one side at n, read to at least m + width values."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if m < 0 or n < 0:
         raise ValueError("m, n must be >= 0")
-    return _side_values((side, n), m + count)
+    return _side_values((side, n), m + width)
 
 
 def eval_bb4_side(side: str, m: int, n: int) -> int:
