@@ -156,24 +156,10 @@ def _f_values(m: int) -> Iterator[int]:
                       map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
 
 
-@column_reader
-def _side_values(key: tuple[str, int]) -> Iterator[int]:
-    """One side of bb4 at one n, at m = 0, 1, ...: see eval_bb4_side."""
-    side, n = key
-    for m in count():
-        if side == "lhs":
-            yield math.prod(ds_value(m, n))
-        else:
-            yield sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
-
-
-def _side_column(side: str, m: int, n: int, width: int) -> list[int]:
-    """The column of one side at n, read to at least m + width values."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    return _side_values((side, n), m + width)
+def _side_value(side: str, m: int, n: int) -> int:
+    if side == "lhs":
+        return math.prod(ds_value(m, n))
+    return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
 
 
 def eval_bb4_side(side: str, m: int, n: int) -> int:
@@ -188,16 +174,36 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     the rhs the sum over i is the Delannoy number d_j(m) and the sum over j
     is f_k(m), so rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), a dot
     product that stops at the shorter row, where the terms beyond it vanish.
-    Each side at n is one column_reader column in m, so each value is formed
-    once. tests/oracles.py evaluates the sums as written, and the tests
-    require equal values.
+    Only the one point is evaluated and no side value is kept; the checks
+    read the sides through _side_values instead. tests/oracles.py evaluates
+    the sums as written, and the tests require equal values.
     """
-    return _side_column(side, m, n, 1)[m]
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
+    return _side_value(side, m, n)
+
+
+@column_reader
+def _side_values(key: tuple[str, int]) -> Iterator[int]:
+    """One side of bb4 at one n, at m = 0, 1, ...: the column the checks read."""
+    side, n = key
+    return map(_side_value, repeat(side), count(), repeat(n))
+
+
+def _side_column(side: str, m: int, n: int, width: int) -> list[int]:
+    """The column of one side at n, read to at least m + width values."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
+    return _side_values((side, n), m + width)
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:
-    return exact_result(name, {"m": m, "n": n}, eval_bb4_side("lhs", m, n),
-                        eval_bb4_side("rhs", m, n))
+    return exact_result(name, {"m": m, "n": n}, _side_column("lhs", m, n, 1)[m],
+                        _side_column("rhs", m, n, 1)[m])
 
 
 def check_bb4_direct(m: int, n: int) -> CheckResult:

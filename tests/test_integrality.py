@@ -249,8 +249,8 @@ def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkey
 # k = 2 start at t = 0
 COLUMN_USERS = {
     "ds pairs": (lambda: sequences.ds_value(5, 2), "s_2(5)"),
-    "f rows": (lambda: identities._f_values(5, 3)[2], "s_2(5)"),
-    "bb4 sides": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(2)"),
+    "f rows": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(5)"),
+    "bb4 sides": (lambda: identities._side_values(("rhs", 2), 6)[5], "s_2(2)"),
     "products": (lambda: integrality._term_differences(2, 1), "s_2(0)"),
 }
 
