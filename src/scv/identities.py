@@ -19,11 +19,12 @@ checks, and the rest from integer rows cached once per index:
                       sequences.column_reader column read to k <= min(m, n)
 
 so the lhs is the product of the pair at (m, n) and the rhs is the Schmidt
-row of n dotted with the f row of m. Each side at one n is a column in m,
-so a recurrence residual reads five consecutive values of it. The order-4
-recurrence certifying both sides is stored as data (per-coefficient tables
-of (m-exponent, n-exponent, integer) triples), proved once by the tests
-rather than at every run:
+row of n dotted with the f row of m. Each side at one n is a column in m:
+the lhs is sequences.ds_products(n), which the integer-valued checks read
+too, and the rhs is _side_values(n); a recurrence residual reads five
+consecutive values of one. The order-4 recurrence certifying both sides is
+stored as data (per-coefficient tables of (m-exponent, n-exponent, integer)
+triples), proved once by the tests rather than at every run:
 tests/test_identities.py shows on full degree grids (tests/certificates.py)
 that each table equals its factored form, and that for every
 n <= sweeps.BB4_N_MAX each side's residual, of degree <= 3n + 6 in m,
@@ -40,7 +41,7 @@ from operator import itemgetter, mul
 
 from .exact_arith import coefficients_str, rat_str
 from .report import CheckResult, exact_result
-from .sequences import column_reader, ds_pairs, ds_value, schmidt_coefficient
+from .sequences import column_reader, ds_pairs, ds_products, ds_value, schmidt_coefficient
 
 
 def _cc1_weight(j: int, k: int, s: int) -> int:
@@ -156,10 +157,15 @@ def _f_values(m: int) -> Iterator[int]:
                       map(math.comb, range(m, m + k + 1), range(k, 2 * k + 1))))
 
 
-def _side_value(side: str, m: int, n: int) -> int:
-    if side == "lhs":
-        return math.prod(ds_value(m, n))
+def _rhs_value(m: int, n: int) -> int:
     return sum(map(mul, _schmidt_row(n), _f_values(m, min(m, n) + 1)))
+
+
+def _require_side(side: str, m: int, n: int) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    if m < 0 or n < 0:
+        raise ValueError("m, n must be >= 0")
 
 
 def eval_bb4_side(side: str, m: int, n: int) -> int:
@@ -175,30 +181,23 @@ def eval_bb4_side(side: str, m: int, n: int) -> int:
     is f_k(m), so rhs = sum_{k<=min(m,n)} C(n+k,2k) C(2k,k) f_k(m), a dot
     product that stops at the shorter row, where the terms beyond it vanish.
     Only the one point is evaluated and no side value is kept; the checks
-    read the sides through _side_values instead. tests/oracles.py evaluates
+    read the sides through _side_column instead. tests/oracles.py evaluates
     the sums as written, and the tests require equal values.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    return _side_value(side, m, n)
+    _require_side(side, m, n)
+    return math.prod(ds_value(m, n)) if side == "lhs" else _rhs_value(m, n)
 
 
 @column_reader
-def _side_values(key: tuple[str, int]) -> Iterator[int]:
-    """One side of bb4 at one n, at m = 0, 1, ...: the column the checks read."""
-    side, n = key
-    return map(_side_value, repeat(side), count(), repeat(n))
+def _side_values(n: int) -> Iterator[int]:
+    """The rhs of bb4 at one n, at m = 0, 1, ...; the lhs column is sequences.ds_products(n)."""
+    return map(_rhs_value, count(), repeat(n))
 
 
 def _side_column(side: str, m: int, n: int, width: int) -> list[int]:
-    """The column of one side at n, read to at least m + width values."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be >= 0")
-    return _side_values((side, n), m + width)
+    """The column of one side at n, over m, read to at least m + width values."""
+    _require_side(side, m, n)
+    return (ds_products if side == "lhs" else _side_values)(n, m + width)
 
 
 def _bb4_sides_equal(name: str, m: int, n: int) -> CheckResult:

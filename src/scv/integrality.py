@@ -4,14 +4,14 @@ V(t) = sum_{k<n} eps^k (2k+1) (d_k(t) s_k(t))^m is linear in its terms, so
 its forward differences at 0, its binomial-basis coefficients, are
 sum_{k<n} eps^k (2k+1) R_{k,m}, with R_{k,m} the forward differences at 0 of
 (d_k s_k)^m over t = 0..3km+1 (3km being the degree of d_k s_k times m).
-R_{k,m} is cached per (k, m), and the coefficients are a running sum over k
-kept per (m, eps), which the grid asks for at n = 1, 2, ... in turn, so a
-check adds one weighted R_{n-1,m}, D+1 multiply-adds with D = 3(n-1)m. V/n is
+R_{k,m} is cached per (k, m), and the coefficients are the prefix to n of a
+sequences.RowWalk over the rows eps^k (2k+1) R_{k,m}, kept per (m, eps),
+which the grid asks for at n = 1, 2, ... in turn, so a check adds one
+weighted R_{n-1,m}, D+1 multiply-adds with D = 3(n-1)m. V/n is
 integer-valued iff each coefficient is divisible by n; a nonzero
 (3km+1)-th difference would mean the bound is wrong and raises.
-Each value d_k(t) s_k(t) is formed once per (k, t), in a
-sequences.column_reader column per k over the ds_pairs columns the bb4
-sides read too, so each m only raises it to its power.
+Each value d_k(t) s_k(t) is read off sequences.ds_products, the column of k
+over t that the bb4 lhs reads too, so each m only raises it to its power.
 
 The Schmidt power sum sum_{k<n} eps^k (2k+1) S_k(x_0..x_k)^m is checked over
 indeterminates, which is stronger than any specialization: each coefficient
@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from itertools import combinations_with_replacement, count, repeat, zip_longest
+from itertools import combinations_with_replacement, count
 
 from .exact_arith import _int_str, coefficients_str
 from .report import CheckResult
-from .sequences import column_reader, ds_value, schmidt_coefficient
+from .sequences import RowWalk, ds_products, schmidt_coefficient
 
 # Sparse expansions are refused beyond this many monomials to keep desk-scale runs interactive.
 TERM_LIMIT = 10**6
@@ -51,12 +51,6 @@ def degree_bound(n: int, m: int) -> int:
     return 3 * (n - 1) * m
 
 
-@column_reader
-def _ds_products(k: int) -> Iterator[int]:
-    """d_k(t) s_k(t) for t = 0, 1, ..., each the product of the pair sequences.ds_value(t, k)."""
-    return map(math.prod, map(ds_value, count(), repeat(k)))
-
-
 @functools.lru_cache(maxsize=None)
 def _term_differences(k: int, m: int) -> tuple[int, ...]:
     """R_{k,m}: the forward differences at 0 of (d_k s_k)^m over t = 0..B+1, B = 3km.
@@ -64,7 +58,7 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     B is the bound of V at n = k+1, and the (B+1)-th difference must be 0.
     """
     bound = degree_bound(k + 1, m)
-    vals = [v**m for v in _ds_products(k, bound + 2)[: bound + 2]]
+    vals = [v**m for v in ds_products(k, bound + 2)[: bound + 2]]
     diffs = []
     while vals:
         diffs.append(vals[0])
@@ -74,26 +68,25 @@ def _term_differences(k: int, m: int) -> tuple[int, ...]:
     return tuple(diffs)
 
 
+def _weighted_differences(m: int, eps: int) -> Iterator[tuple[int, ...]]:
+    """The rows eps^k (2k+1) R_{k,m} for k = 0, 1, ..., each longer than the one before."""
+    for k in count():
+        weight = eps**k * (2 * k + 1)
+        yield tuple(weight * r for r in _term_differences(k, m))
+
+
 # The grid asks for every n of one (m, eps) before the next (m, eps), so one
-# running sum is in use at a time; an evicted one only restarts, and the sums
-# held stay bounded.
+# walk is in use at a time; an evicted one only restarts.
 @functools.lru_cache(maxsize=1)
-def _frontier(m: int, eps: int) -> list:
-    """[n, sum_{k<n} eps^k (2k+1) R_{k,m}], from n = 0; verify_integer_valued advances it."""
-    return [0, []]
+def _coefficient_walk(m: int, eps: int) -> RowWalk:
+    """The walk whose prefix(n) is sum_{k<n} eps^k (2k+1) R_{k,m}."""
+    return RowWalk(functools.partial(_weighted_differences, m, eps))
 
 
 def verify_integer_valued(n: int, m: int, eps: int) -> CheckResult:
     """Binomial-basis criterion on V/n; witness is the coefficient list."""
     _require_point(n, m, eps)
-    frontier = _frontier(m, eps)
-    if n < frontier[0]:  # restart, as a PrefixWalk does, so no result depends on the order
-        frontier[:] = [0, []]
-    reached, coefficients = frontier
-    for k in range(reached, n):
-        weight, terms = eps**k * (2 * k + 1), _term_differences(k, m)
-        coefficients = [c + weight * r for c, r in zip_longest(coefficients, terms, fillvalue=0)]
-        frontier[:] = [k + 1, coefficients]
+    coefficients = _coefficient_walk(m, eps).prefix(n)
     return CheckResult(
         check_name="integer-valued",
         parameters={"n": n, "m": m, "eps": eps},

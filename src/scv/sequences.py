@@ -11,8 +11,8 @@ s_series, the one s_n kernel, runs the certified three-term recurrence of
 s_n at O(1) int operations per step. column_reader caches the exact integer
 rows per key, grown as far as any caller has read: ds_pairs, the pairs
 (d_k(t), s_k(t)) at an integer t by that recurrence and the Delannoy
-recurrence in k, and over it the bb4 f rows, the bb4 sides and the
-integer-valued products.
+recurrence in k, and over it ds_products (the bb4 lhs and the integrality
+terms), the bb4 f rows and the bb4 rhs.
 
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
@@ -85,18 +85,18 @@ class PrefixWalk:
 
 
 class RowWalk(PrefixWalk):
-    """A PrefixWalk whose term k is a tuple of ints added at entries k, k+1, ...
+    """A PrefixWalk whose term k is a tuple of ints added entry by entry from entry 0.
 
-    The sum to N is a tuple of ints; each term must reach at least the last
-    entry of the sum before it.
+    The sum to N is a tuple of ints; each term must be at least as long as
+    the sum before it.
     """
 
     _empty = ()
 
     def _add(self, rows: tuple[int, ...], n: int) -> tuple[int, ...]:
         terms = self._terms
-        for k in range(self._n, n):
-            rows = (*rows[:k], *map(add, chain(rows[k:], repeat(0)), next(terms)))
+        for _ in range(n - self._n):
+            rows = tuple(map(add, chain(rows, repeat(0)), next(terms)))
         return rows
 
 
@@ -138,15 +138,15 @@ def rv_divided_series(a: Point) -> Iterator[tuple[int, int]]:
 
 
 def catalan_rows() -> Iterator[tuple[int, ...]]:
-    """(-1)^k Cat_k C(k, j) for j = 0..k, for k = 0, 1, ..., with Cat_k = C(2k,k)/(k+1).
+    """k zeros, then (-1)^k Cat_k C(k, j) for j = 0..k, for k = 0, 1, ..., Cat_k = C(2k,k)/(k+1).
 
-    A RowWalk adds term k at entries k..2k, so its sum to N has entry s equal to
-    sum_{k<N} (-1)^k Cat_k C(k, s-k), for s = 0..2N-2.
+    Term k holds its row at entries k..2k, so a RowWalk's sum to N has entry s
+    equal to sum_{k<N} (-1)^k Cat_k C(k, s-k), for s = 0..2N-2.
     """
     pascal = (1,)
     for k in count():
         catalan = (-1) ** k * (math.comb(2 * k, k) // (k + 1))
-        yield tuple(catalan * c for c in pascal)
+        yield (0,) * k + tuple(catalan * c for c in pascal)
         pascal = (1, *map(add, pascal, pascal[1:]), 1)
 
 
@@ -216,6 +216,12 @@ def ds_value(t: int, k: int) -> tuple[int, int]:
     if k < 0:
         raise ValueError(f"k = {k} is negative")
     return ds_pairs(t, k + 1)[k]
+
+
+@column_reader
+def ds_products(k: int) -> Iterator[int]:
+    """d_k(t) s_k(t) for t = 0, 1, ..., each the product of the pair ds_value(t, k)."""
+    return map(math.prod, map(ds_value, count(), repeat(k)))
 
 
 def s_square_series(x: Point) -> Iterator[tuple[int, int]]:

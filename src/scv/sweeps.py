@@ -13,10 +13,10 @@ loads only the code it runs. Adding a sweep means one SWEEPS entry plus its
 KINDS entries.
 
 A task is a (kind, ((key, value), ...)) pair describing one pure check, so
-grids can run sequentially or as contiguous slices in forked workers with
-identical results, returned in task order either way. Every grid yields its
-tasks in the report's order (report.check_sort_key), so a run writes each
-record as it comes and never sorts.
+grids can run one by one as their results are read or as contiguous slices
+in forked workers with identical results, in task order either way. Every
+grid yields its tasks in the report's order (report.check_sort_key), so a
+run writes each record as it comes and never sorts.
 """
 
 from __future__ import annotations
@@ -101,17 +101,17 @@ def execute_task(task: Task) -> CheckResult:
         )
 
 
-def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
+def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> Iterator[CheckResult]:
     """Results in task order, on at most `jobs` workers (never more than tasks or usable CPUs).
 
-    The tasks are cut into one contiguous slice per worker, in the grid's order, the
+    On one worker this is map(execute_task, tasks), so no task or result is held. On more,
+    the tasks are cut into one contiguous slice per worker, in the grid's order, the
     report's, so a slice that starts past a sweep's first prime (guo-bb1 goes p by p) walks
     each of its points from k = 0 again. This process forks a child for each slice but the
     last, runs the last itself, then reads each child's records from a pipe as marshal data
     of plain tuples, so a forked record's values must be of types marshal writes, as every
-    SWEEPS grid's are.
+    SWEEPS grid's are; once all are in, it empties its caches (clear_caches).
     Forking a process that runs other threads is unsafe: such a caller passes jobs=1.
-    On one worker each task runs as the grid yields it, so the task list is never held.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, cpus or 1) if hasattr(os, "fork") else 1
@@ -119,7 +119,7 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
         tasks = list(tasks)
         workers = min(workers, len(tasks))
     if workers <= 1:
-        return [execute_task(t) for t in tasks]
+        return map(execute_task, tasks)
     cuts = [len(tasks) * i // workers for i in range(workers + 1)]
     pipes, pids, statuses, sent = [], [], [], None
     try:
@@ -149,6 +149,7 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
 
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    clear_caches()
     from .report import CheckResult
 
     results: list[CheckResult] = []
@@ -160,13 +161,13 @@ def run_tasks(tasks: Iterable[Task], jobs: int = 1) -> list[CheckResult]:
             results += [CheckResult(*record) for record in marshal.loads(data)]
         except Exception as exc:
             raise RuntimeError(f"{where} sent a result that does not decode: {exc!r}") from None
-    return results + own
+    return iter(results + own)
 
 
 def clear_caches() -> None:
     """Empty every cache of every loaded scv module: the lru caches, the column_reader rows,
-    the walk cursors and _load. A CLI run on more than one worker calls it between run_tasks,
-    which does not, and its report."""
+    the walk cursors and _load. run_tasks on more than one worker calls it once every record
+    is in, so a report built from those records reads none of them."""
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == __package__:
             for value in vars(module).values():

@@ -26,7 +26,7 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 
 def _run(tasks):
     start = time.perf_counter()
-    results = run_tasks(tasks)
+    results = list(run_tasks(tasks))
     return results, time.perf_counter() - start
 
 

@@ -197,7 +197,7 @@ def test_cc_chain_holds_to_p_100():
     # module invariant: the whole chain extends to 5 <= p <= 100
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["cc"].grid("all", 100))
+    results = list(run_tasks(SWEEPS["cc"].grid("all", 100)))
     assert len(results) == 1400
     assert all(r.passed for r in results)
 
@@ -205,7 +205,7 @@ def test_cc_chain_holds_to_p_100():
 def test_sun_p4_holds_to_p_200():
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["sun-p4"].grid(200))
+    results = list(run_tasks(SWEEPS["sun-p4"].grid(200)))
     assert len(results) == 176
     assert all(r.passed for r in results)
 
@@ -213,7 +213,7 @@ def test_sun_p4_holds_to_p_200():
 def test_lemma2p_holds_to_p_400():
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["lemma2p"].grid(400))
+    results = list(run_tasks(SWEEPS["lemma2p"].grid(400)))
     assert len(results) == 304
     assert all(r.passed for r in results)
 
@@ -230,7 +230,7 @@ def test_lemma2p_holds_to_p_400():
     ids=["rv-2000", "lemma2p-1000", "sun-p4-400", "guo-bb1-150"],
 )
 def test_walked_sweep_holds(sweep, args, checks):
-    results = run_tasks(SWEEPS[sweep].grid(*args))
+    results = list(run_tasks(SWEEPS[sweep].grid(*args)))
     assert len(results) == checks
     assert sum(r.skipped for r in results) == (3 if sweep == "guo-bb1" else 0)
     assert all(r.passed for r in results if not r.skipped)
@@ -285,7 +285,7 @@ def test_public_prime_checks_still_validate():
 def _walks_started(walk, points, grid) -> dict:
     """How often `grid` starts the cached `walk` at each point it walks."""
     walk.cache_clear()
-    results = run_tasks(grid)
+    results = list(run_tasks(grid))
     assert results and all(r.passed for r in results)
     assert walk.cache_info().currsize == len(points)
     started = {point: walk(point).starts for point in points}

@@ -415,7 +415,7 @@ def test_telescope_violations_match_unipoly_oracle(monkeypatch, shift):
 
 
 def test_bb4_recurrence_holds_to_m_80():
-    results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 80))
+    results = list(run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 80)))
     assert len(results) == 4316
     assert all(r.passed for r in results)
 
@@ -436,7 +436,7 @@ def test_recurrence_tables_collapsed_once_per_m(monkeypatch):
         lambda m: collapsed.append(m) or collapse(m)
     ))
     identities.recurrence_coefficients.cache_clear()
-    results = run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40))
+    results = list(run_tasks(SWEEPS["identity"].grid("bb4-recurrence", 40)))
     assert all(r.passed for r in results)
     # both sides at every n share one collapse per m, and the two sides of one (m, n),
     # adjacent in the grid, one evaluation of its coefficients

@@ -196,7 +196,7 @@ def test_schmidt_term_limit_raises_before_expanding(monkeypatch):
 def test_integer_valued_holds_to_n_20():
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["integrality"].grid(20, 3, "both"))
+    results = list(run_tasks(SWEEPS["integrality"].grid(20, 3, "both")))
     assert len(results) == 120
     assert all(r.passed for r in results)
 
@@ -204,7 +204,7 @@ def test_integer_valued_holds_to_n_20():
 def test_schmidt_holds_to_n_12_m_4():
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["schmidt"].grid(12, 4, "both"))
+    results = list(run_tasks(SWEEPS["schmidt"].grid(12, 4, "both")))
     assert len(results) == 96
     assert all(r.passed for r in results)
 
@@ -227,8 +227,8 @@ def test_integrality_grid_builds_each_s_column_once(monkeypatch):
     # bb4-direct reads the columns t = m <= 25 to k = 25, and the 14x3
     # integrality grid then reads t = 0..3*13*3+1 to k = 13, which covers
     # m = 1, 2 and both eps: one column per t serves both grids
-    bb4 = run_tasks(SWEEPS["identity"].grid("bb4-direct", None))
-    results = run_tasks(SWEEPS["integrality"].grid(14, 3, "both"))
+    bb4 = list(run_tasks(SWEEPS["identity"].grid("bb4-direct", None)))
+    results = list(run_tasks(SWEEPS["integrality"].grid(14, 3, "both")))
     assert len(bb4) == 676 and all(r.passed for r in bb4)
     assert len(results) == 84 and all(r.passed for r in results)
     # (t, kmax) of each run: one run per t, and bb4's reach where it read first
@@ -246,12 +246,14 @@ def test_s_column_refuses_a_term_that_k_factorial_squared_does_not_divide(monkey
 # each column user, with the pair its first read refuses: the f row of m = 5 reads the
 # Delannoy values d_j(5) off the pairs at t = 5, the rhs column of bb4 at n = 2 reads the
 # f rows of m = 0, 1, ... in turn, the first to reach s_2 at m = 2, and the products at
-# k = 2 start at t = 0
+# k = 2, which are the bb4 lhs column at n = 2 and the terms of R_{2,m}, start at t = 0
 COLUMN_USERS = {
     "ds pairs": (lambda: sequences.ds_value(5, 2), "s_2(5)"),
     "f rows": (lambda: identities.eval_bb4_side("rhs", 5, 2), "s_2(5)"),
-    "bb4 sides": (lambda: identities._side_values(("rhs", 2), 6)[5], "s_2(2)"),
-    "products": (lambda: integrality._term_differences(2, 1), "s_2(0)"),
+    "bb4 rhs": (lambda: identities._side_values(2, 6)[5], "s_2(2)"),
+    "products": (lambda: sequences.ds_products(2, 6)[5], "s_2(0)"),
+    "bb4 lhs": (lambda: identities._side_column("lhs", 5, 2, 1)[5], "s_2(0)"),
+    "differences": (lambda: integrality._term_differences(2, 1), "s_2(0)"),
 }
 
 
@@ -288,7 +290,7 @@ ORDERS = {
 }
 
 
-@pytest.mark.parametrize("mmax", [3, 9], ids=["6 sums", "18 sums"])  # 16 sums are kept
+@pytest.mark.parametrize("mmax", [3, 9], ids=["6 sums", "18 sums"])  # 1 sum is kept
 @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
 def test_running_sums_equal_the_per_check_sum_in_any_order(order, mmax, fresh_caches):
     points = list(product(range(1, 9), range(1, mmax + 1), (1, -1)))
@@ -300,23 +302,33 @@ def test_running_sums_equal_the_per_check_sum_in_any_order(order, mmax, fresh_ca
 def test_integrality_slices_equal_the_per_check_sum(jobs, monkeypatch, fresh_caches):
     # two usable CPUs, so jobs=2 forks one worker, whose slice starts at eps = 1
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    results = sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(14, 3, "both"), jobs=jobs)
+    results = list(sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(14, 3, "both"), jobs=jobs))
     grid = product((-1, 1), range(1, 4), range(1, 15))
     assert results == [integer_valued_sum_oracle(n, m, eps) for eps, m, n in grid]
 
 
-def test_the_grid_advances_each_running_sum_through_every_n(fresh_caches):
+def test_the_grid_advances_each_running_sum_through_every_n(monkeypatch, fresh_caches):
     # --mmax 9 with both signs is 18 running sums: the grid takes each through n = 1..6 before
-    # the next, so each is made once and found again at every later n, however large --mmax is
-    sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(6, 9, "both"))
-    info = integrality._frontier.cache_info()
+    # the next, so each walk is made once, found again at every later n and started once,
+    # however large --mmax is
+    walks = []
+
+    class Recorded(sequences.RowWalk):
+        def __init__(self, series):
+            super().__init__(series)
+            walks.append(self)
+
+    monkeypatch.setattr(integrality, "RowWalk", Recorded)
+    list(sweeps.run_tasks(sweeps.SWEEPS["integrality"].grid(6, 9, "both")))
+    info = integrality._coefficient_walk.cache_info()
     assert (info.hits, info.misses) == (18 * 5, 18)
+    assert [walk.starts for walk in walks] == [1] * 18
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_integer_valued_matches_the_full_triangle_route(jobs):
     from scv.sweeps import SWEEPS, run_tasks
 
-    results = run_tasks(SWEEPS["integrality"].grid(20, 4, "both"), jobs=jobs)
+    results = list(run_tasks(SWEEPS["integrality"].grid(20, 4, "both"), jobs=jobs))
     grid = product((-1, 1), range(1, 5), range(1, 21))
     assert results == [oracles.integer_valued_triangle_oracle(n, m, eps) for eps, m, n in grid]

@@ -70,7 +70,7 @@ def test_grid_matches_fraction_verdict_route(monkeypatch, grid):
 
     monkeypatch.setattr(congruences, "_congruence_result", congruence_checked)
     monkeypatch.setattr(congruences, "_valuation_result", valuation_checked)
-    results = run_tasks(SWEEPS[sweep].grid(*args))
+    results = list(run_tasks(SWEEPS[sweep].grid(*args)))
     decided = [r for r in results if not r.skipped]
     assert decided and all(r.passed for r in decided)
     assert mismatches == []
@@ -79,14 +79,14 @@ def test_grid_matches_fraction_verdict_route(monkeypatch, grid):
 
 @pytest.mark.parametrize("sweep", ["rv", "lemma2p"])
 def test_sweep_to_pmax_5000_passes(sweep):
-    results = run_tasks(SWEEPS[sweep].grid(5000))
+    results = list(run_tasks(SWEEPS[sweep].grid(5000)))
     assert len(results) == 4 * 667  # four families at the 667 primes 5 <= p <= 5000
     assert not [r for r in results if r.lhs_witness.startswith("error:")]
     assert all(r.passed for r in results)
 
 
 def test_sun_p4_sweep_to_pmax_2000_passes():
-    results = run_tasks(SWEEPS["sun-p4"].grid(2000))
+    results = list(run_tasks(SWEEPS["sun-p4"].grid(2000)))
     assert len(results) == 4 * 301  # four families at the 301 primes 5 <= p <= 2000
     assert not [r for r in results if r.lhs_witness.startswith("error:")]
     assert all(r.passed for r in results)

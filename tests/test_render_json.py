@@ -69,7 +69,7 @@ def test_golden_cases_render_as_json_dumps(monkeypatch, name):
     ("cc", {"which": "all", "pmax": 40}),
 ])
 def test_benchmark_grids_render_as_json_dumps(sweep, options):
-    checks = run_tasks(SWEEPS[sweep].grid(**options))
+    checks = list(run_tasks(SWEEPS[sweep].grid(**options)))
     _same(RunReport(__version__, {"subcommand": f"verify {sweep}", **options}, checks, 0.125))
 
 

@@ -405,9 +405,9 @@ def test_run_tasks_caps_workers(monkeypatch):
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
-    assert sweeps.run_tasks(tasks, jobs=64) == sweeps.run_tasks(tasks)
+    assert list(sweeps.run_tasks(tasks, jobs=64)) == list(sweeps.run_tasks(tasks))
     assert len(forks) == 1  # two workers: one forked, and this process
-    sweeps.run_tasks(tasks[:1], jobs=64)
+    list(sweeps.run_tasks(tasks[:1], jobs=64))
     assert len(forks) == 1  # one task runs in this process
 
 
@@ -420,7 +420,7 @@ def test_run_tasks_counts_only_the_cpus_it_may_use(monkeypatch):
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
     tasks = list(sweeps.SWEEPS["identity"].grid("liu26", 4))
-    assert sweeps.run_tasks(tasks, jobs=2) == [sweeps.execute_task(t) for t in tasks]
+    assert list(sweeps.run_tasks(tasks, jobs=2)) == [sweeps.execute_task(t) for t in tasks]
 
 
 def test_cli_out_file(tmp_path):
@@ -513,22 +513,24 @@ def _cache_sizes():
 @pytest.mark.parametrize("jobs", [2])  # on one worker a run holds no records, so keeps its caches
 def test_a_cli_sweep_empties_every_cache_before_its_report_is_built(tmp_path, monkeypatch, jobs):
     swept, reported = {}, {}
-    run_tasks, run_report = sweeps.run_tasks, scv.report.RunReport
+    clear_caches, run_report = sweeps.clear_caches, scv.report.RunReport
 
-    def spy_run_tasks(*args, **kwargs):
-        checks = run_tasks(*args, **kwargs)
+    def spy_clear_caches():
         swept.update(_cache_sizes())
-        return checks
+        clear_caches()
 
     def spy_run_report(*args, **kwargs):
         reported.update(_cache_sizes())
         return run_report(*args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "run_tasks", spy_run_tasks)
+    # two usable CPUs whatever the host has, so the run forks a worker
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweeps, "clear_caches", spy_clear_caches)
     monkeypatch.setattr(scv.report, "RunReport", spy_run_report)
-    # the records a run on more than one worker holds; run_tasks keeps what it filled in this
-    # process, the last slice (cc's runs cc7, cc8-fact and cc9)
-    names = ("identities._side_values", "identities._f_values", "sequences.ds_pairs")
+    # the caches a run on more than one worker fills in this process, which runs the last
+    # slice (cc's runs cc7, cc8-fact and cc9), as they are when every record is in
+    names = ("identities._side_values", "identities._f_values", "sequences.ds_pairs",
+             "sequences.ds_products")
     runs = [(["cc", "--which", "all", "--pmax", "13"], ("congruences._cc_rows",), 96),
             (["identity", "--name", "all"], names, 3244)]
     for args, names, checks in runs:
@@ -621,7 +623,7 @@ def test_cli_writes_the_bytes_render_gives(tmp_path, monkeypatch, format, to):
 
 def _large_report_checks(name):
     if name == "identity-all":  # the many-small benchmark's json report
-        return sweeps.run_tasks(sweeps.SWEEPS["identity"].grid("all", None))
+        return list(sweeps.run_tasks(sweeps.SWEEPS["identity"].grid("all", None)))
     # short records in each format: the lines, not the witnesses, make the text long
     return [
         _check("a", {"n": n, "x": f"{n}/7"}, passed=n % 3 > 0, skipped=n % 5 == 0)

@@ -169,7 +169,7 @@ def test_skipped_records_held_before_the_first_decided_one_are_written(monkeypat
 
 
 def test_live_records_are_written_once():
-    checks = sweeps.run_tasks(sweeps.SWEEPS["rv"].grid(pmax=11))
+    checks = list(sweeps.run_tasks(sweeps.SWEEPS["rv"].grid(pmax=11)))
     for given in (iter(checks), checks):  # a list too is read once
         report = RunReport("0", {}, given)
         assert render(report, "text").startswith("PASS rv family=1/2;p=5\n")

@@ -298,12 +298,12 @@ def test_verifiers_are_looked_up_by_name_in_their_module_at_each_task():
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "grid = sweeps.SWEEPS['identity'].grid\n"
         "tasks = [*grid('liu26', 1), *grid('cc4', 1)]  # a --jobs 2 worker runs both liu26 tasks\n"
-        "first = sweeps.run_tasks(tasks)\n"
+        "first = list(sweeps.run_tasks(tasks))\n"
         "from scv import identities\n"
         "liu26, pid = identities.check_liu26, os.getpid()\n"
         "where = lambda: 'this process' if os.getpid() == pid else 'a worker'\n"
         "identities.check_liu26 = lambda s: liu26(s=s)._replace(lhs_witness=where())\n"
-        "runs = [first, sweeps.run_tasks(tasks), sweeps.run_tasks(tasks, jobs=2)]\n"
+        "runs = [first, list(sweeps.run_tasks(tasks)), list(sweeps.run_tasks(tasks, jobs=2))]\n"
         "print(json.dumps([before, [[r.lhs_witness for r in run[:3]] for run in runs]]))"
         .replace("LAZY", repr(LAZY_SCV))
     )

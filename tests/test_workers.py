@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,10 +36,10 @@ GRIDS = {
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
 def test_forked_slices_equal_the_in_process_run(grid, monkeypatch):
     tasks = list(SWEEPS[grid[0]].grid(*grid[1:]))
-    # jobs=3 first: each run's last slice fills this process's caches, which later workers inherit
+    # each forked run empties the caches its own slice filled, so each of the three starts cold
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forked = run_tasks(tasks, jobs=3)
-    assert run_tasks(tasks, jobs=2) == forked == run_tasks(tasks)
+    forked = list(run_tasks(tasks, jobs=3))
+    assert list(run_tasks(tasks, jobs=2)) == forked == list(run_tasks(tasks))
     assert [(r.check_name, r.parameters) for r in forked] == [
         (kind, dict(kv)) for kind, kv in tasks
     ]
@@ -54,8 +55,8 @@ def test_a_check_raising_in_this_process_slice_is_the_same_error_record(monkeypa
 
     monkeypatch.setattr(identities, "check_liu26", check)
     tasks = list(SWEEPS["identity"].grid("liu26", 9))
-    forked = run_tasks(tasks, jobs=2)
-    assert forked == run_tasks(tasks)
+    forked = list(run_tasks(tasks, jobs=2))
+    assert forked == list(run_tasks(tasks))
     assert [r.lhs_witness for r in forked if not r.passed] == ["error: ValueError: refused"] * 2
 
 
@@ -65,13 +66,16 @@ def test_a_raising_check_prints_a_fraction_parameter_as_the_verifiers_do(monkeyp
 
     monkeypatch.setattr(congruences, "verify_cc5", check)
     tasks = [("cc5", (("x", Fraction(-1, 5)), ("p", p))) for p in (7, 11)]
-    forked = run_tasks(tasks, jobs=2)
-    assert forked == run_tasks(tasks)
+    forked = list(run_tasks(tasks, jobs=2))
+    assert forked == list(run_tasks(tasks))
     assert [r.parameters for r in forked] == [{"x": "-1/5", "p": 7}, {"x": "-1/5", "p": 11}]
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["jobs-1", "jobs-2-without-fork"])
-def test_one_worker_runs_each_task_as_the_grid_yields_it(monkeypatch, fork):
+ONE_WORKER = ["jobs-1", "jobs-2-on-one-cpu", "jobs-2-without-fork"]
+
+
+@pytest.mark.parametrize("case", ONE_WORKER)
+def test_one_worker_runs_each_task_as_the_grid_yields_it(monkeypatch, case):
     yielded, ran = [], []
 
     def grid():
@@ -83,12 +87,37 @@ def test_one_worker_runs_each_task_as_the_grid_yields_it(monkeypatch, fork):
     monkeypatch.setattr(
         sweeps, "execute_task", lambda task: ran.append((task, len(yielded))) or execute(task)
     )
-    if not fork:
+    if case == "jobs-2-on-one-cpu":  # as under `taskset -c 0`
+        monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if case == "jobs-2-without-fork":
         monkeypatch.delattr(sweeps.os, "fork")
-    results = run_tasks(grid(), jobs=1 if fork else 2)
+    results = run_tasks(grid(), jobs=1 if case == "jobs-1" else 2)
+    assert ran == [] and yielded == []  # nothing has run before the first result is read
+    results = list(results)
     # task s ran when the grid had yielded s + 1 tasks: task 0 before task 1 was made
     assert [(dict(kv)["s"], seen) for (_, kv), seen in ran] == [(0, 1), (1, 2), (2, 3)]
     assert results == [execute(task) for task, _ in ran]
+
+
+def test_a_cli_run_on_one_cpu_writes_the_jobs_1_report(monkeypatch, tmp_path):
+    from scv.cli import main
+
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(sweeps.os, "fork", no_fork)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}.json"
+        argv = ["verify", "cc", "--which", "all", "--pmax", "60", "--jobs", jobs,
+                "--format", "json", "--out", str(out)]
+        assert main(argv, standalone_mode=False) == 0
+        text = out.read_text()
+        assert f'"jobs": {jobs},' in text and f'"out": "{out}",' in text
+        reports.append(re.sub(r'"(elapsed_seconds|jobs|out)": [^,\n}]*', "", text))
+    assert reports[0] == reports[1]
+    assert json.loads(out.read_text())["summary"] == {"pass": 660, "fail": 0, "skipped": 0}
 
 
 def test_grids_reach_the_cases_they_are_named_for():
@@ -108,10 +137,10 @@ import scv.sweeps as sweeps
 
 os.sched_getaffinity = lambda pid: {0, 1}
 tasks = list(sweeps.SWEEPS["identity"].grid("all", None))
-forked = sweeps.run_tasks(tasks, jobs=2)
+forked = list(sweeps.run_tasks(tasks, jobs=2))
 cut = len(tasks) // 2
 sizes = [len(marshal.dumps([tuple(r) for r in part])) for part in (forked[:cut], forked[cut:])]
-print(json.dumps([len(tasks), forked == sweeps.run_tasks(tasks), sizes]))
+print(json.dumps([len(tasks), forked == list(sweeps.run_tasks(tasks)), sizes]))
 """
 
 
@@ -182,7 +211,7 @@ with pytest.MonkeyPatch.context() as mp:
 
         scv.cli.main(sys.argv[3:])
     try:
-        outcome = ["returned", len(sweeps.run_tasks(tasks, jobs=jobs))]
+        outcome = ["returned", len(list(sweeps.run_tasks(tasks, jobs=jobs)))]
     except (Exception, KeyboardInterrupt) as exc:
         outcome = [type(exc).__name__, str(exc)]
 try:
