@@ -17,9 +17,10 @@ terms), the bb4 f rows and the bb4 rhs.
 Most congruence sides are partial sums sum_{k<N} of a series that does not
 depend on p. A PrefixWalk walks such a series forward once per point and
 gives each exact prefix sum as (numerator, denominator) ints: term k is an
-int over D_k, with D_k = r_k D_{k-1} for an integer r_k known in advance,
-so no term is ever reduced, and a check decides on that unreduced pair as
-it is. rv_walk, rv_divided_walk, s_square_walk and bb1_walk are the cached
+int over its own denominator D_k = r_k D_{k-1}, for an integer r_k known in
+advance (q^{2k} k! (b)_k for the terms of rv_series(a, b)), so no term is
+ever reduced, and a check decides on that unreduced pair as it is. rv_walk,
+rv_divided_walk (b = 2), s_square_walk and bb1_walk are the cached
 per-point walks; cache_clear() on them drops every cursor. A RowWalk sums a
 series of int rows under the same rule, as the cc rows sum catalan_rows. A
 side whose terms carry p-dependent weights is one weighted_sum pass over the
@@ -113,28 +114,23 @@ def weighted_sum(weights: Iterable[int], series: Iterator[tuple[int, int]]) -> t
     return total, den
 
 
-def rv_series(a: Point) -> Iterator[tuple[int, int]]:
-    """The terms (a)_k (1-a)_k / (1)_k^2 at a = n/q, over D_k = q^{2k} k!^2.
+def rv_series(a: Point, b: int = 1) -> Iterator[tuple[int, int]]:
+    """The terms (a)_k (1-a)_k / ((1)_k (b)_k) at a = n/q, over D_k = q^{2k} k! (b)_k.
 
-    The numerator of term k+1 is that of term k times (n+kq)(q-n+kq).
+    The numerator of term k+1 is that of term k times (n+kq)(q-n+kq), and
+    D_k steps by (k+1)(k+b) q^2: at b = 1 these are the rv terms t_k(a).
     """
     n, q = ratio(a)
     yield 1, 1
-    m = 1
+    m, q2 = 1, q * q
     for k in count():
         m *= (n + k * q) * (q - n + k * q)
-        yield ((k + 1) * q) ** 2, m
+        yield (k + 1) * (k + b) * q2, m
 
 
 def rv_divided_series(a: Point) -> Iterator[tuple[int, int]]:
-    """The rv terms divided by k+1, t_k(a)/(k+1), over (k+1)! D_k with D_k = q^{2k} k!^2.
-
-    Term k of rv_series is m_k / D_k, so this one is m_k k! / ((k+1)! D_k).
-    """
-    fact = 1
-    for k, (r, m) in enumerate(rv_series(a)):
-        yield (k + 1) * r, m * fact
-        fact *= k + 1
+    """The rv terms divided by k+1, t_k(a)/(k+1), over q^{2k} k! (k+1)!: rv_series at b = 2."""
+    return rv_series(a, 2)
 
 
 def catalan_rows() -> Iterator[tuple[int, ...]]:
@@ -236,21 +232,20 @@ def bb1_series(x: Point) -> Iterator[tuple[int, int]]:
 
     The pair binomials C(x,j) C(x+j,j) are numerators U_j over D_k =
     b^{2k} k!^2, the row rescaled each step, and C(x+k,2k) = U_k / E_k with
-    E_k = b^{2k} (2k)!, so term k is over (k+1)! E_k D_k and each inner sum
+    E_k = b^{2k} (2k)!, so term k is over (k+1) E_k D_k and each inner sum
     is taken once.
     """
     a, b = ratio(x)
-    u, fact, row, r = 1, 1, [], 1
+    u, row, r = 1, [], 1
     for k in count():
         if k:
             s = (k * b) ** 2
             row = [v * s for v in row]
             u *= (a - (k - 1) * b) * (a + k * b)
-            fact *= k
-            r = (k + 1) * 2 * k * (2 * k - 1) * b * b * s
+            r = 2 * (2 * k - 1) * (k + 1) * b * b * s
         row.append(u)
         inner = sum(v * math.comb(2 * k, j + k) for j, v in enumerate(row))
-        yield r, (-1) ** k * fact * u * inner
+        yield r, (-1) ** k * u * inner
 
 
 # One cursor per reduced pair, which every form of a point shares, kept until the run empties

@@ -12,7 +12,10 @@ column from k = 0 for every prime instead, so the tests can require the
 same CheckResult from both routes. The cc ones are the per-prime routes the
 walks replaced: Horner rows over p! (cc_rows_horner) and one weighted_sum
 pass per cc9 or cc10 window. Their s_k come from int_s_values, the binomial transform of
-the pair-binomial column, not from the s_n recurrence of the library. The
+the pair-binomial column, not from the s_n recurrence of the library.
+rv_divided_series_oracle and bb1_series_oracle are the walk series the
+library replaced, with a spare k! over and under every term, and
+rv_series_oracle writes the rv pairs out without rv_series' lower parameter. The
 int columns divide each term out of one common denominator (ratio_column);
 int_pair_binomial_values builds the C(x,s) C(x+s,s) column that the
 library reads off the rv terms at a = -x. The rhs of the family checks come
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import operator
@@ -679,6 +683,48 @@ def int_rv_terms(a: Rat, count: int) -> tuple[list[int], int]:
     den = q ** (2 * top) * math.factorial(top) ** 2
     steps = (((n + k * q) * (q - n + k * q), ((k + 1) * q) ** 2) for k in range(top))
     return ratio_column(den, steps)[:count], den
+
+
+# The walk series as the library took them with a spare k! over and under every
+# term: the pairs (r_k, m_k) of a PrefixWalk series, term k = m_k / (r_0 ... r_k).
+
+
+def rv_series_oracle(a: Rat) -> Iterator[tuple[int, int]]:
+    """The rv terms t_k(a) over q^{2k} k!^2, stepped by ((k+1)q)^2 as written."""
+    n, q = Fraction(a).as_integer_ratio()
+    yield 1, 1
+    m = 1
+    for k in itertools.count():
+        m *= (n + k * q) * (q - n + k * q)
+        yield ((k + 1) * q) ** 2, m
+
+
+def rv_divided_series_oracle(a: Rat) -> Iterator[tuple[int, int]]:
+    """t_k(a)/(k+1) over (k+1)! q^{2k} k!^2: term k of rv_series_oracle times k!/(k+1)!."""
+    fact = 1
+    for k, (r, m) in enumerate(rv_series_oracle(a)):
+        yield (k + 1) * r, m * fact
+        fact *= k + 1
+
+
+def bb1_series_oracle(x: Rat) -> Iterator[tuple[int, int]]:
+    """The guo-bb1 terms over (k+1)! E_k D_k, E_k = b^{2k} (2k)! and D_k = b^{2k} k!^2.
+
+    Term k is (-1)^k k! U_k I_k / ((k+1)! E_k D_k), with U_j / D_j = C(x,j) C(x+j,j)
+    and I_k the inner sum over the row of U_j rescaled to D_k.
+    """
+    a, b = Fraction(x).as_integer_ratio()
+    u, fact, row, r = 1, 1, [], 1
+    for k in itertools.count():
+        if k:
+            s = (k * b) ** 2
+            row = [v * s for v in row]
+            u *= (a - (k - 1) * b) * (a + k * b)
+            fact *= k
+            r = (k + 1) * 2 * k * (2 * k - 1) * b * b * s
+        row.append(u)
+        inner = sum(v * math.comb(2 * k, j + k) for j, v in enumerate(row))
+        yield r, (-1) ** k * fact * u * inner
 
 
 def int_central_binomial_values(x: Rat | int, kmax: int) -> tuple[list[int], int]:

@@ -8,14 +8,16 @@ walk restarts whenever a prime is below its frontier).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -180,6 +182,39 @@ def test_weighted_sum_matches_fraction_sum(a, weights):
     r, m = next(series)
     assert Fraction(m, den * r) == terms[n]
     assert sequences.weighted_sum([], sequences.rv_series(a)) == (0, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 30), st.integers(0, 250))
+def test_walks_sum_as_the_k_factorial_series(numerator, denominator, n):
+    # over their terms' own denominators the walks give the same rationals as with a spare k!
+    x = Fraction(numerator, denominator)
+    for series, oracle in ((sequences.rv_divided_series, oracles.rv_divided_series_oracle),
+                           (sequences.bb1_series, oracles.bb1_series_oracle)):
+        total, den = PrefixWalk(functools.partial(series, x)).prefix(n)
+        want, want_den = PrefixWalk(functools.partial(oracle, x)).prefix(n)
+        assert total * want_den == want * den, (series.__name__, x, n)
+
+
+@given(st.integers(-60, 60), st.integers(1, 30))
+def test_rv_series_keeps_its_int_pairs(numerator, denominator):
+    # at b = 1 the steps (k+1)(k+b) q^2 are the ((k+1)q)^2 the rv pairs always had
+    a = Fraction(numerator, denominator)
+    assert list(islice(sequences.rv_series(a), 400)) == list(islice(oracles.rv_series_oracle(a), 400))
+
+
+def test_walk_denominators_are_their_terms_own():
+    # the sum to N is over D_{N-1}: q^{2k} k! (k+1)! for t_k/(k+1) and (k+1) E_k D_k for bb1
+    f = math.factorial
+    _clear()
+    for n in range(1, 61):
+        for a in RV_FAMILIES.values():
+            assert sequences.rv_divided_walk(a).prefix(n)[1] == a[1] ** (2 * n - 2) * f(n - 1) * f(n)
+        for x in DEFAULT_BB1_X:
+            b = Fraction(x).denominator
+            den = n * b ** (4 * n - 4) * f(2 * n - 2) * f(n - 1) ** 2
+            assert sequences.bb1_walk(x).prefix(n)[1] == den, (x, n)
+    _clear()
 
 
 @pytest.mark.parametrize("walk", WALKS, ids=lambda walk: walk.__name__)
